@@ -52,7 +52,7 @@ from repro.network.ids import FLIT_IDS, PACKET_IDS
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
 
 _MAGIC = b"REPROCKPT\n"
 
@@ -360,10 +360,6 @@ def _resume_single(payload, checkpointer: Optional[Checkpointer]):
     PACKET_IDS.restore(payload["pid_state"])
     FLIT_IDS.restore(payload["fid_state"])
     system._ckpt_hook = checkpointer
-    if system.obs.metrics is not None:
-        # gauge sources are dropped by MetricsRegistry.__getstate__;
-        # rebind them against the restored object graph
-        system._register_metrics(system.obs.metrics)
     # replay the tail of the boundary event the snapshot was taken in
     system._advance_kernel()
     system.engine.run()

@@ -32,13 +32,7 @@ from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.cache import ResultCache, fingerprint
 from repro.gpu.system import MultiGpuSystem
-from repro.obs import (
-    NULL_TRACER,
-    EngineProfiler,
-    EventTracer,
-    MetricsRegistry,
-    Observability,
-)
+from repro.obs import Observability
 from repro.shard.coordinator import ShardedSystem
 from repro.shard.shard_system import ShardObsSpec
 from repro.stats.report import RunResult
@@ -392,20 +386,6 @@ def observability_options() -> Optional[ObservabilityOptions]:
     return _obs_options
 
 
-def _build_observability(options: ObservabilityOptions) -> Observability:
-    return Observability(
-        tracer=(
-            EventTracer(sample=options.trace_sample) if options.trace else NULL_TRACER
-        ),
-        metrics=(
-            MetricsRegistry(options.metrics_interval)
-            if options.metrics_interval is not None
-            else None
-        ),
-        profiler=EngineProfiler() if options.profile else None,
-    )
-
-
 def _write_artifacts(
     options: ObservabilityOptions,
     obs: Observability,
@@ -484,7 +464,7 @@ def _simulate(point: ExperimentPoint) -> RunResult:
             metrics_interval=options.metrics_interval,
             profile=options.profile,
         )
-        if (use_shards and options is not None)
+        if options is not None
         else None
     )
 
@@ -549,7 +529,7 @@ def _simulate(point: ExperimentPoint) -> RunResult:
         if options is not None:
             _write_artifacts(options, node.merged_obs(), point, result)
         return result
-    obs = _build_observability(options) if options is not None else None
+    obs = spec.build() if spec is not None else None
     node = MultiGpuSystem(
         config=point.system, netcrafter=point.netcrafter, seed=point.seed, obs=obs
     )
@@ -573,10 +553,6 @@ def execute_point(point: ExperimentPoint) -> Tuple[RunResult, float]:
     start = time.perf_counter()
     result = _simulate(point)
     return result, time.perf_counter() - start
-
-
-#: historical private name (process-pool workers resolve it by name)
-_execute_point = execute_point
 
 
 def _record_executed(point: ExperimentPoint, result: RunResult, seconds: float) -> None:

@@ -48,12 +48,13 @@ from typing import List, Optional, Tuple
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.gpu.cta import WorkloadTrace
+from repro.gpu.node import check_trim_granularity
 from repro.gpu.system import config_label
 from repro.obs.merge import MergedObservability, merge_observability
 from repro.shard.mailbox import MailBatch, MailItem, Mailbox
 from repro.shard.merge import ShardReport, ShardStatus, merge_reports
 from repro.shard.partition import ShardPlan
-from repro.shard.shard_system import ShardObsSpec, ShardSystem
+from repro.shard.shard_system import ShardObsSpec, open_shard
 from repro.shard.worker import LocalShard, RemoteShard
 from repro.stats.coord import CoordStats
 from repro.stats.report import RunResult
@@ -102,14 +103,7 @@ class ShardedSystem:
     ) -> None:
         self.config = config or SystemConfig.default()
         self.netcrafter = netcrafter or NetCrafterConfig.baseline()
-        if (
-            self.netcrafter.enable_trimming
-            and self.netcrafter.trim_sector_bytes != self.config.l1_sector_bytes
-        ):
-            raise ValueError(
-                "trim granularity must match the L1 sector size "
-                f"({self.netcrafter.trim_sector_bytes} != {self.config.l1_sector_bytes})"
-            )
+        check_trim_granularity(self.config, self.netcrafter)
         if self.config.coherence != "software":
             raise ValueError(
                 "cluster sharding requires software coherence (the analytic "
@@ -190,7 +184,7 @@ class ShardedSystem:
             )
         self._ckpt_hook = checkpointer
         self.windows_run = windows_run
-        handles = self._restore_handles(shard_states)
+        handles = self._build_handles(shard_states)
         try:
             mailbox = Mailbox()
             mailbox._last_seq.update(mail_seq)
@@ -210,55 +204,26 @@ class ShardedSystem:
 
     # -- internals ----------------------------------------------------------
 
-    def _build_handles(self) -> List[object]:
+    def _build_handles(self, shard_states: Optional[List[bytes]] = None) -> List[object]:
+        """One handle per shard: built fresh, or over checkpointed state."""
         handles: List[object] = []
         for shard_index in range(self.n_shards):
+            state = None if shard_states is None else shard_states[shard_index]
+            args = (
+                self.config,
+                self.netcrafter,
+                self.seed,
+                shard_index,
+                self.n_shards,
+                self.obs_spec,
+                self._workload if state is None else None,
+            )
             if self.parallel:
                 handles.append(
-                    RemoteShard(
-                        self.config,
-                        self.netcrafter,
-                        self.seed,
-                        shard_index,
-                        self.n_shards,
-                        self.obs_spec,
-                        self._workload,
-                        coord_stats=self.coord_stats,
-                    )
+                    RemoteShard(*args, shard_state=state, coord_stats=self.coord_stats)
                 )
             else:
-                system = ShardSystem(
-                    self.config,
-                    self.netcrafter,
-                    self.seed,
-                    shard_index,
-                    self.n_shards,
-                    self.obs_spec,
-                )
-                system.load(self._workload)
-                handles.append(LocalShard(system))
-        return handles
-
-    def _restore_handles(self, shard_states: List[bytes]) -> List[object]:
-        """Handles over checkpointed shard state instead of fresh builds."""
-        handles: List[object] = []
-        for shard_index, state in enumerate(shard_states):
-            if self.parallel:
-                handles.append(
-                    RemoteShard(
-                        self.config,
-                        self.netcrafter,
-                        self.seed,
-                        shard_index,
-                        self.n_shards,
-                        self.obs_spec,
-                        workload=None,
-                        shard_state=state,
-                        coord_stats=self.coord_stats,
-                    )
-                )
-            else:
-                handles.append(LocalShard(ShardSystem.from_snapshot_state(state)))
+                handles.append(LocalShard(open_shard(*args, shard_state=state)))
         return handles
 
     def _broadcast(self, handles, commands) -> List[object]:

@@ -3,8 +3,13 @@
 A :class:`ShardSystem` owns a contiguous cluster range — the GPUs, the
 cluster switches, the intra-cluster links, and the *outgoing* halves of
 inter-cluster links (boundary links when the destination cluster lives
-in another shard).  It is driven externally by the coordinator through
-four verbs:
+in another shard).  Construction, observability, CTA dispatch, phase
+accounting and the result rows come from
+:class:`~repro.gpu.node.NodeCore`, shared with the single engine; this
+module adds only what the sharded drive needs — the boundary links,
+strided ID streams, the coordinator verbs, :meth:`ShardSystem.status`
+and the per-shard report.  The coordinator drives a shard through four
+verbs:
 
 * :meth:`begin` — load bookkeeping + launch kernel 0 at cycle 0;
 * :meth:`window` — inject a batch of cross-shard mail, run the local
@@ -36,26 +41,21 @@ stream state around every slice of engine execution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.gpu.cta import KernelTrace, WorkloadTrace
-from repro.gpu.gpu import Gpu
+from repro.gpu.cta import KernelTrace
+from repro.gpu.node import NodeCore
 from repro.network.ids import FLIT_IDS, PACKET_IDS
-from repro.network.link import FlitLink
-from repro.network.topology import Topology, build_topology
+from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import EngineProfiler
 from repro.obs.tracer import NULL_TRACER, EventTracer
 from repro.shard.mailbox import BoundaryFlitLink, MailItem
 from repro.shard.merge import ShardReport, ShardStatus
 from repro.shard.partition import ShardPlan
-from repro.sim.engine import Engine
-from repro.stats.assemble import controller_row, link_row
-from repro.stats.collectors import RunStats
-from repro.vm.page_table import PageTable
-from repro.vm.placement import AddressSpace, LaspPlacement
+from repro.stats.assemble import link_row
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,20 @@ class ShardObsSpec:
     def active(self) -> bool:
         return self.trace or self.metrics_interval is not None or self.profile
 
+    def build(self) -> Observability:
+        """A fresh instrument bundle following this recipe."""
+        return Observability(
+            tracer=EventTracer(sample=self.trace_sample) if self.trace else NULL_TRACER,
+            metrics=(
+                MetricsRegistry(self.metrics_interval)
+                if self.metrics_interval is not None
+                else None
+            ),
+            profiler=EngineProfiler() if self.profile else None,
+        )
 
-class ShardSystem:
+
+class ShardSystem(NodeCore):
     """The simulation state of one shard, driven by a coordinator."""
 
     def __init__(
@@ -84,101 +96,28 @@ class ShardSystem:
         n_shards: int,
         obs_spec: Optional[ShardObsSpec] = None,
     ) -> None:
-        self.config = config
-        self.netcrafter = netcrafter
-        self.seed = seed
         self.shard_index = shard_index
         self.plan = ShardPlan.from_config(config, n_shards)
-        self.obs_spec = obs_spec or ShardObsSpec()
         # strided ID streams: shard i draws i, i+n, i+2n, ...  State is
         # installed around every engine-executing call so sequential mode
         # can interleave shards in one process without cross-allocation.
         self._pid_state = (shard_index, n_shards, shard_index)
         self._fid_state = (shard_index, n_shards, shard_index)
-        self.engine = Engine()
-        self.stats = RunStats()
-        self.address_space = AddressSpace(config.n_gpus)
-        self.page_table = PageTable(self.address_space, root_gpu=0)
-        self.placement = LaspPlacement(self.address_space, self.page_table)
         # owned switch nodes: the shard's cluster range, plus every
         # virtual switch (star hub, fat-tree spines) on the last shard
         self.owned_clusters = set(self.plan.nodes_of(shard_index))
-        self.gpus: Dict[int, Gpu] = {
-            gpu_id: Gpu(
-                self.engine,
-                f"gpu{gpu_id}",
-                gpu_id,
-                config,
-                self.stats,
-                self.address_space,
-                self.page_table,
-            )
-            for gpu_id in self.plan.gpus_of(shard_index)
-        }
         self.boundary_links: List[BoundaryFlitLink] = []
-        self.topology: Topology = build_topology(
-            self.engine,
+        super().__init__(
             config,
-            self.gpus,
-            self._make_controller,
+            netcrafter,
+            seed,
+            (obs_spec or ShardObsSpec()).build(),
+            gpu_ids=self.plan.gpus_of(shard_index),
+            metric_prefix=f"s{shard_index}.",
             owned_clusters=self.owned_clusters,
             boundary_link_factory=self._make_boundary_link,
         )
-        self.tracer = (
-            EventTracer(sample=self.obs_spec.trace_sample)
-            if self.obs_spec.trace
-            else NULL_TRACER
-        )
-        self.metrics = (
-            MetricsRegistry(self.obs_spec.metrics_interval)
-            if self.obs_spec.metrics_interval is not None
-            else None
-        )
-        self.profiler = EngineProfiler() if self.obs_spec.profile else None
-        self._wire_observability()
-        if config.faults.active:
-            from repro.faults.layer import attach_fault_layer
-
-            # this shard's slice: outgoing inter-cluster links (boundary
-            # links included), owned switches, owned GPUs' RDMA engines —
-            # every fault event lands on exactly one shard
-            attach_fault_layer(
-                config.faults,
-                inter_links=self.topology.inter_links,
-                switches=self.topology.switches.values(),
-                rdma_engines=[gpu.rdma for gpu in self.gpus.values()],
-                stats=self.stats,
-                flit_size=config.flit_size,
-            )
-        self._workload: Optional[WorkloadTrace] = None
-        self._kernel_index = 0
-        self._wavefronts_remaining = 0
         self._last_wf_cycle = 0
-        self._finished = False
-        # per-phase accounting (collective workloads); all four attrs
-        # ride along in snapshot_state pickles, so ckpt resume replays
-        # phase closure identically
-        self._phase_tracking = False
-        self._phase_name: Optional[str] = None
-        self._phase_mark = (0, 0, 0, 0, 0)
-        self._phase_cycle = 0
-
-    # -- construction helpers ----------------------------------------------
-
-    def _make_controller(self, name: str, link: FlitLink, src: int, dst: int):
-        from repro.core.controller import NetCrafterController
-
-        n_remote = max(1, self.config.n_clusters - 1)
-        capacity = max(16, self.netcrafter.cluster_queue_entries // n_remote)
-        return NetCrafterController(
-            self.engine,
-            name,
-            link,
-            flit_size=self.config.flit_size,
-            config=self.netcrafter,
-            queue_capacity=capacity,
-            seed=self.seed + src * 97 + dst,
-        )
 
     def _make_boundary_link(
         self, name: str, bytes_per_cycle: float, latency: int, src: int, dst: int
@@ -188,65 +127,6 @@ class ShardSystem:
         )
         self.boundary_links.append(link)
         return link
-
-    def _wire_observability(self) -> None:
-        self.engine.profiler = self.profiler
-        if self.tracer.enabled:
-            for link in self.topology.inter_links:
-                link.tracer = self.tracer
-            for switch in self.topology.switches.values():
-                switch.tracer = self.tracer
-            for controller in self.topology.controllers:
-                controller.tracer = self.tracer
-            for gpu in self.gpus.values():
-                gpu.rdma.tracer = self.tracer
-        if self.metrics is not None:
-            self._register_metrics(self.metrics)
-
-    def _register_metrics(self, metrics: MetricsRegistry) -> None:
-        """The standard gauge set, names prefixed ``s<shard>.`` so merged
-        series from different shards never collide."""
-        prefix = f"s{self.shard_index}."
-        inter = self.topology.inter_links
-
-        def summed(attr):
-            return lambda: sum(getattr(link.stats, attr) for link in inter)
-
-        metrics.register(prefix + "inter.wire_bytes", summed("wire_bytes"))
-        metrics.register(prefix + "inter.useful_bytes", summed("useful_bytes"))
-        metrics.register(prefix + "inter.flits", summed("flits"))
-        metrics.register(prefix + "inter.busy_cycles", summed("busy_cycles"))
-        for controller in self.topology.controllers:
-            queue = controller.queue
-            metrics.register(
-                f"{prefix}cq.{controller.name}.occupancy", lambda q=queue: len(q)
-            )
-            metrics.register(
-                f"{prefix}cq.{controller.name}.blocked",
-                lambda q=queue: len(q.blocked_partitions(self.engine.now)),
-            )
-            metrics.register(
-                f"{prefix}cq.{controller.name}.rejected", lambda q=queue: q.rejected
-            )
-        metrics.register(
-            prefix + "mshr.l2.occupancy",
-            lambda: sum(len(gpu.l2.mshr) for gpu in self.gpus.values()),
-        )
-        metrics.register(
-            prefix + "mshr.l1.occupancy",
-            lambda: sum(len(cu.mshr) for gpu in self.gpus.values() for cu in gpu.cus),
-        )
-        metrics.register(prefix + "engine.pending_events", self.engine.pending_events)
-        metrics.register(
-            prefix + "engine.events_processed",
-            lambda: self.engine.events_processed,
-        )
-
-    def _sample_metrics(self) -> None:
-        if self._finished:
-            return
-        self.metrics.sample(self.engine.now)
-        self.engine.schedule(self.metrics.interval, self._sample_metrics)
 
     # -- ID stream swapping -------------------------------------------------
 
@@ -260,26 +140,11 @@ class ShardSystem:
 
     # -- coordinator verbs --------------------------------------------------
 
-    def load(self, workload: WorkloadTrace) -> None:
-        workload.validate()
-        for kernel in workload.kernels:
-            for vpn, owner in kernel.page_owner.items():
-                self.placement.map_page(vpn, owner)
-        self._workload = workload
-        self._phase_tracking = any(k.phase is not None for k in workload.kernels)
-
     def begin(self) -> ShardStatus:
         """Launch kernel 0 at cycle 0 and take the cycle-0 sample."""
-        if self._workload is None:
-            raise RuntimeError("no workload loaded")
         self._install_ids()
         try:
-            self._kernel_index = 0
-            if self._phase_tracking:
-                self._phase_begin(self._workload.kernels[0])
-            self._start_kernel(self._workload.kernels[0])
-            if self.metrics is not None:
-                self._sample_metrics()
+            self._begin()
         finally:
             self._save_ids()
         return self.status()
@@ -290,21 +155,16 @@ class ShardSystem:
         """Inject ``mail``, run to exactly ``until``, drain the outbox."""
         self._install_ids()
         try:
-            if mail:
-                inject = self.engine.inject
-                switches = self.topology.switches
-                for item in mail:
-                    inject(
-                        item.arrival,
-                        item.skey,
-                        switches[item.dst_cluster].receive_flit_from_network,
-                        item.flit,
-                    )
-            self.engine.run(until=until)
-            outbox: List[MailItem] = []
-            for link in self.boundary_links:
-                if link.outbox:
-                    outbox.extend(link.drain_outbox())
+            inject = self.engine.inject
+            switches = self.topology.switches
+            for item in mail:
+                inject(
+                    item.arrival,
+                    item.skey,
+                    switches[item.dst_cluster].receive_flit_from_network,
+                    item.flit,
+                )
+            outbox = self._run_window(until)
         finally:
             self._save_ids()
         return outbox, self.status()
@@ -335,14 +195,19 @@ class ShardSystem:
                             arrivals[index], skeys[index], receive, flits[index]
                         )
                         index += 1
-            self.engine.run(until=until)
-            outbox: List[MailItem] = []
-            for link in self.boundary_links:
-                if link.outbox:
-                    outbox.extend(link.drain_outbox())
+            outbox = self._run_window(until)
         finally:
             self._save_ids()
         return outbox, self.status()
+
+    def _run_window(self, until: int) -> List[MailItem]:
+        """Run the engine to exactly ``until`` and drain the boundary outboxes."""
+        self.engine.run(until=until)
+        outbox: List[MailItem] = []
+        for link in self.boundary_links:
+            if link.outbox:
+                outbox.extend(link.drain_outbox())
+        return outbox
 
     def launch_window(
         self, kernel_index: int, q: int, until: int
@@ -376,11 +241,10 @@ class ShardSystem:
                 engine.rewind(q)
             self._kernel_index = kernel_index
             kernel = self._workload.kernels[kernel_index]
-            if self._phase_tracking:
-                # the boundary is quiesced, so the counters are final for
-                # the previous kernel whether the window overshot or not
-                self._phase_close(q)
-                self._phase_begin(kernel)
+            # the boundary is quiesced, so the counters are final for
+            # the previous kernel whether the window overshot or not
+            self._phase_close(q)
+            self._phase_begin(kernel)
             self._wavefronts_remaining = self._owned_wavefront_count(kernel)
             self._last_wf_cycle = q
             # bind the index: an empty kernel quiesces instantly, and the
@@ -395,16 +259,15 @@ class ShardSystem:
         """Drain residual events and harvest this shard's report."""
         self._install_ids()
         try:
-            self._finished = True
+            # set before the drain: it also stops the metrics sampler
+            self.stats.finish_cycle = q_final
             if self.config.coherence == "software":
                 # the single-engine run flushes L1s at the final kernel
                 # boundary; pure state clear, no counters touched
                 for gpu in self.gpus.values():
                     gpu.invalidate_l1s()
             self.engine.run_until_idle()
-            if self._phase_tracking:
-                self._phase_close(q_final)
-            self.stats.finish_cycle = q_final
+            self._phase_close(q_final)
         finally:
             self._save_ids()
         return self._report(q_final)
@@ -425,18 +288,11 @@ class ShardSystem:
 
     @staticmethod
     def from_snapshot_state(data: bytes) -> "ShardSystem":
-        """Rebuild a shard from :meth:`snapshot_state` bytes.
-
-        Metric gauge sources are dropped at pickle time
-        (``MetricsRegistry.__getstate__``); re-register them against the
-        restored object graph so post-resume samples keep every column.
-        """
+        """Rebuild a shard from :meth:`snapshot_state` bytes
+        (``NodeCore.__setstate__`` rebinds the metric gauges)."""
         import pickle
 
-        shard = pickle.loads(data)
-        if shard.metrics is not None:
-            shard._register_metrics(shard.metrics)
-        return shard
+        return pickle.loads(data)
 
     # -- kernel plumbing ----------------------------------------------------
 
@@ -456,69 +312,19 @@ class ShardSystem:
     def _start_kernel(self, kernel: KernelTrace) -> None:
         self._wavefronts_remaining = self._owned_wavefront_count(kernel)
         self._last_wf_cycle = self.engine.now
-        rr_slot = {gpu_id: 0 for gpu_id in self.gpus}
-        for cta in kernel.ctas:
-            if cta.gpu not in self.gpus:
-                continue
-            gpu = self.gpus[cta.gpu]
-            for wf in cta.wavefronts:
-                cu = gpu.cus[rr_slot[cta.gpu] % len(gpu.cus)]
-                rr_slot[cta.gpu] += 1
-                cu.enqueue_wavefront(wf)
-        for gpu in self.gpus.values():
-            for cu in gpu.cus:
-                cu.on_wavefront_done = self._on_wavefront_done
-                cu.start()
+        self._dispatch_ctas(kernel)
 
     def _on_wavefront_done(self) -> None:
         self._wavefronts_remaining -= 1
         if self._wavefronts_remaining == 0:
             self._last_wf_cycle = self.engine.now
 
-    # -- per-phase accounting -----------------------------------------------
-
-    def _phase_snapshot(self):
-        """This shard's slice of the boundary 5-tuple (see
-        ``MultiGpuSystem._phase_snapshot``); every inter-cluster link and
-        controller is owned by exactly one shard, so sum-merging the
-        per-shard deltas reproduces the single-engine totals."""
-        links = self.topology.inter_links
-        ctrls = self.topology.controllers
-        return (
-            sum(link.stats.flits for link in links),
-            sum(link.stats.wire_bytes for link in links),
-            sum(link.stats.useful_bytes for link in links),
-            sum(c.stats.flits_entered for c in ctrls),
-            sum(c.stats.flits_absorbed for c in ctrls),
-        )
-
-    def _phase_begin(self, kernel: KernelTrace) -> None:
-        self._phase_name = kernel.phase
-        self.stats.set_live_phase(kernel.phase)
-        self._phase_mark = self._phase_snapshot()
-        self._phase_cycle = self.engine.now
-
-    def _phase_close(self, boundary: int) -> None:
-        """Attribute deltas to the finished kernel's phase at the
-        coordinator-proven boundary cycle (run-global, so ``kernels`` and
-        ``cycles`` max-merge to the same value on every shard)."""
-        if self._phase_name is None:
-            return
-        mark = self._phase_mark
-        snap = self._phase_snapshot()
-        block = self.stats.phase(self._phase_name)
-        block.kernels += 1
-        block.cycles += boundary - self._phase_cycle
-        block.inter_flits += snap[0] - mark[0]
-        block.inter_wire_bytes += snap[1] - mark[1]
-        block.inter_useful_bytes += snap[2] - mark[2]
-        block.flits_entered += snap[3] - mark[3]
-        block.flits_absorbed += snap[4] - mark[4]
-
     # -- status / report ----------------------------------------------------
 
     def status(self) -> ShardStatus:
-        sampler_pending = 1 if (self.metrics is not None and not self._finished) else 0
+        sampler_pending = (
+            1 if self.obs.metrics is not None and self.stats.finish_cycle is None else 0
+        )
         max_drain = (0, 0)
         counters_zero = True
         for gpu in self.gpus.values():
@@ -541,35 +347,39 @@ class ShardSystem:
         topo = self.topology
         report = ShardReport(
             shard_index=self.shard_index,
-            stats=self.stats,
-            events_processed=self.engine.events_processed,
-            inter_rows=[link_row(link) for link in topo.inter_links],
             up_rows=[link_row(link) for link in topo.gpu_uplinks.values()],
             down_rows=[link_row(link) for link in topo.gpu_downlinks.values()],
-            controller_rows=[controller_row(c) for c in topo.controllers],
-            l2_accesses=sum(
-                gpu.l2.read_requests + gpu.l2.write_requests
-                for gpu in self.gpus.values()
-            ),
-            dram_accesses=sum(
-                gpu.dram.reads + gpu.dram.writes for gpu in self.gpus.values()
-            ),
+            **self._result_rows(),
         )
-        if self.tracer.enabled:
-            report.trace_records = self.tracer.events()
-            report.trace_sample = self.tracer.sample
-            report.trace_dropped = self.tracer.dropped
-        if self.metrics is not None:
-            # windows may overshoot the finish cycle; drop those samples
-            # (the single-engine sampler stops at finish) and append the
-            # authoritative final snapshot
-            self.metrics.samples = [
-                row for row in self.metrics.samples if row["cycle"] <= q_final
-            ]
-            self.metrics.sample(q_final)
-            report.metrics_rows = self.metrics.samples
-            report.metrics_names = self.metrics.names()
-            report.metrics_interval = self.metrics.interval
-        if self.profiler is not None:
-            report.profile = self.profiler.to_dict()
+        obs = self.obs
+        if obs.tracer.enabled:
+            report.trace_records = obs.tracer.events()
+            report.trace_sample = obs.tracer.sample
+            report.trace_dropped = obs.tracer.dropped
+        if obs.metrics is not None:
+            self._final_metrics_sample(q_final)
+            report.metrics_rows = obs.metrics.samples
+            report.metrics_names = obs.metrics.names()
+            report.metrics_interval = obs.metrics.interval
+        if obs.profiler is not None:
+            report.profile = obs.profiler.to_dict()
         return report
+
+
+def open_shard(
+    config: SystemConfig,
+    netcrafter: NetCrafterConfig,
+    seed: int,
+    shard_index: int,
+    n_shards: int,
+    obs_spec: Optional[ShardObsSpec],
+    workload,
+    shard_state: Optional[bytes] = None,
+) -> ShardSystem:
+    """Build shard ``shard_index`` and load ``workload`` into it, or
+    restore it from checkpointed ``shard_state``."""
+    if shard_state is not None:
+        return ShardSystem.from_snapshot_state(shard_state)
+    shard = ShardSystem(config, netcrafter, seed, shard_index, n_shards, obs_spec)
+    shard.load(workload)
+    return shard

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.shard.mailbox import MailBatch, MailItem
-from repro.shard.shard_system import ShardObsSpec, ShardSystem
+from repro.shard.shard_system import ShardObsSpec, ShardSystem, open_shard
 from repro.stats.coord import CoordStats
 
 
@@ -147,13 +147,9 @@ def worker_main(
     """
     proto = pickle.HIGHEST_PROTOCOL
     try:
-        if shard_state is not None:
-            shard = ShardSystem.from_snapshot_state(shard_state)
-        else:
-            shard = ShardSystem(
-                config, netcrafter, seed, shard_index, n_shards, obs_spec
-            )
-            shard.load(workload)
+        shard = open_shard(
+            config, netcrafter, seed, shard_index, n_shards, obs_spec, workload, shard_state
+        )
         stash = ContextStash(shard_index)
         while True:
             message = pickle.loads(conn.recv_bytes())

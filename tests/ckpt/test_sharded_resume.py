@@ -159,3 +159,46 @@ def test_window_override_rides_the_fingerprint(trace, reference, tmp_path):
             n_shards=2,
             window=window + 1,
         )
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["sequential", "parallel"])
+def test_resumed_metrics_keep_every_column(trace, tmp_path, parallel):
+    """Gauge sources do not survive pickling; the restored shards rebind
+    them, so the resumed series matches the uninterrupted one."""
+    from repro.ckpt import read_snapshot
+    from repro.shard.shard_system import ShardObsSpec
+
+    spec = ShardObsSpec(metrics_interval=200)
+    fingerprint = run_fingerprint(CONFIG, NC, 0, trace, n_shards=2)
+    hook = KeepEvery(path=tmp_path / "m.ckpt", fingerprint=fingerprint, every=1)
+    node = ShardedSystem(
+        config=CONFIG, netcrafter=NC, seed=0, n_shards=2, obs_spec=spec
+    )
+    attach_checkpointing(node, hook)
+    node.load(trace)
+    uninterrupted = digestable_payload(node.run().to_dict())
+    reference = node.merged_obs().metrics
+
+    _, payload = read_snapshot(tmp_path / "m.ckpt.b1", expected_fingerprint=fingerprint)
+    resumed = ShardedSystem(
+        config=CONFIG,
+        netcrafter=NC,
+        seed=0,
+        n_shards=2,
+        parallel=parallel,
+        obs_spec=spec,
+    )
+    resumed.load(trace)
+    result = resumed.resume_run(
+        shard_states=payload["shard_states"],
+        kernel_index=payload["kernel_index"],
+        q=payload["q"],
+        windows_run=payload["windows_run"],
+        mail_seq=payload["mail_seq"],
+    )
+    assert digestable_payload(result.to_dict()) == uninterrupted
+    metrics = resumed.merged_obs().metrics
+    assert metrics.names() == reference.names()
+    final = metrics.samples[-1]
+    assert set(final) == {"cycle", *reference.names()}
+    assert metrics.samples == reference.samples

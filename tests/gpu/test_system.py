@@ -1,5 +1,7 @@
 """End-to-end system tests on hand-built and generated workloads."""
 
+import re
+
 import pytest
 
 from repro.config import SystemConfig
@@ -12,6 +14,7 @@ from repro.gpu.cta import (
     WorkloadTrace,
 )
 from repro.gpu.system import MultiGpuSystem
+from repro.shard.coordinator import ShardedSystem
 from repro.vm.page_table import PAGE_SIZE
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
@@ -146,6 +149,18 @@ def test_trim_config_must_match_sector_size():
     bad = NetCrafterConfig.trimming_only().with_overrides(trim_sector_bytes=8)
     with pytest.raises(ValueError, match="granularity"):
         MultiGpuSystem(netcrafter=bad)
+
+
+@pytest.mark.parametrize(
+    "front_end",
+    [MultiGpuSystem, lambda **kw: ShardedSystem(n_shards=2, **kw)],
+    ids=["single", "sharded"],
+)
+def test_both_front_ends_share_the_trim_granularity_check(front_end):
+    bad = NetCrafterConfig.trimming_only().with_overrides(trim_sector_bytes=8)
+    message = "trim granularity must match the L1 sector size (8 != 16)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        front_end(netcrafter=bad)
 
 
 def test_config_label():
