@@ -181,6 +181,14 @@ _OVERHEAD_FIELDS = (
 )
 
 
+def _same_grid(current: dict, cur_row: dict, baseline: dict, base_row: dict) -> bool:
+    """Whether two rows ran the same point grid, so that their results
+    digests and event counts compare like with like."""
+    return cur_row.get("points") == base_row.get("points") and bool(
+        current.get("quick")
+    ) == bool(baseline.get("quick"))
+
+
 def compare_reports(
     current: Dict[str, object],
     baseline: Dict[str, object],
@@ -193,11 +201,12 @@ def compare_reports(
     the two rates, and the threshold applied.  A baseline row may carry
     its own ``fail_threshold`` (for benchmarks known to be noisy on CI
     runners); rows without one use the global default.  ``regressions``
-    lists benchmarks slower than their threshold; ``digest_match`` is
+    lists benchmarks slower than their threshold (and the count gates
+    below, suffixed with the count's name); ``digest_match`` is
     ``False`` when any shared e2e benchmark's result digest moved, i.e.
     simulator semantics changed.
 
-    Two special gates:
+    Three special gates:
 
     * On a single-CPU host a sharded benchmark's ``units_per_second``
       mixes the single-engine and sharded phases, and "speedup" over
@@ -209,6 +218,10 @@ def compare_reports(
       value may not exceed :data:`PICKLE_BYTES_FAIL_RATIO` times the
       baseline — coordination traffic is deterministic, so growth there
       is a real structural regression, not machine noise.
+    * When both rows record ``events`` on the same point grid, the counts
+      must be equal: the engine's event count is deterministic, so any
+      change (up or down) is structural and has to be explained by
+      re-recording the baseline.
     """
     cur_by_name = {b["name"]: b for b in current.get("benchmarks", [])}
     base_by_name = {b["name"]: b for b in baseline.get("benchmarks", [])}
@@ -250,6 +263,17 @@ def compare_reports(
         rows.append(row)
         if gate_speedup > 0 and gate_speedup < 1.0 / threshold:
             regressions.append(name)
+        cur_events = cur.get("events")
+        base_events = base.get("events")
+        if (
+            cur_events is not None
+            and base_events is not None
+            and _same_grid(current, cur, baseline, base)
+        ):
+            row["baseline_events"] = int(base_events)
+            row["current_events"] = int(cur_events)
+            if int(cur_events) != int(base_events):
+                regressions.append(f"{name} (events)")
         cur_pickle = cur.get("pickle_bytes_per_window")
         base_pickle = base.get("pickle_bytes_per_window")
         if cur_pickle and base_pickle:
@@ -267,10 +291,7 @@ def compare_reports(
         base_digest = base.get("results_digest")
         if cur_digest is None or base_digest is None:
             continue
-        # digests only compare like with like (same point grid)
-        if cur.get("points") == base.get("points") and bool(
-            current.get("quick")
-        ) == bool(baseline.get("quick")):
+        if _same_grid(current, cur, baseline, base):
             same = cur_digest == base_digest
             digest_match = same if digest_match in (None, True) else False
 
@@ -303,9 +324,16 @@ def comparison_lines(comparison: Dict[str, object]) -> List[str]:
                 f"{row['baseline_sharded_wall_seconds']:.3f}s -> "
                 f"{row['current_sharded_wall_seconds']:.3f}s)"
             )
+        if "current_events" in row:
+            lines.append(
+                f"{'':<30} events {row['baseline_events']} -> "
+                f"{row['current_events']}"
+                + ("" if row["baseline_events"] == row["current_events"] else " (CHANGED)")
+            )
     if comparison["regressions"]:
         lines.append(
-            "REGRESSIONS (slower than their threshold): "
+            "REGRESSIONS (slower than their threshold, or a gated count "
+            "moved): "
             + ", ".join(comparison["regressions"])
         )
     if comparison.get("digest_match") is False:
@@ -367,7 +395,7 @@ def comparison_markdown(comparison: Dict[str, object]) -> List[str]:
         name = row["name"]
         status = (
             "regressed"
-            if name in regressed or f"{name} (pickle bytes)" in regressed
+            if regressed & {name, f"{name} (pickle bytes)", f"{name} (events)"}
             else "ok"
         )
         shown = (

@@ -52,7 +52,7 @@ from repro.network.ids import FLIT_IDS, PACKET_IDS
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 
 _MAGIC = b"REPROCKPT\n"
 

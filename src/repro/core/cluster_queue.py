@@ -198,8 +198,12 @@ class ClusterQueue:
             raise RuntimeError("release_reservation without a reservation")
         self._reserved -= 1
 
-    def remove_flit(self, flit: Flit) -> bool:
+    def remove_flit(self, flit: Flit, part: Optional[QueuePartition] = None) -> bool:
         """Remove a specific staged flit (when it gets stitched away).
+
+        ``part``, when given, is the partition holding the flit (the
+        stitch search knows it, and finds the flit near its head), and
+        only that partition is searched.
 
         A pooled flit at the head of its partition owns that partition's
         pooling timer.  If the stitch search absorbs it into another
@@ -207,7 +211,7 @@ class ClusterQueue:
         flit, which was never pooled, sits blocked until the dead timer
         expires.
         """
-        for part in self._partitions.values():
+        for part in self._partitions.values() if part is None else (part,):
             was_head = bool(part.flits) and part.flits[0] is flit
             try:
                 part.flits.remove(flit)

@@ -14,9 +14,9 @@ at the receiving cluster switch.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.core.cluster_queue import ClusterQueue
+from repro.core.cluster_queue import ClusterQueue, QueuePartition
 from repro.network.flit import Flit
 
 
@@ -34,6 +34,13 @@ class StitchEngine:
 
         Best-fit = the candidate with the largest stitch cost that still
         fits, which maximizes padding reclaimed per search.
+        """
+        return self._best_fit(parent, queue)[0]
+
+    def _best_fit(
+        self, parent: Flit, queue: ClusterQueue
+    ) -> Tuple[Optional[Flit], Optional[QueuePartition]]:
+        """:meth:`find_candidate`, plus the partition holding the candidate.
 
         This is the hottest scan in the simulator (every ejected flit
         probes up to ``search_depth`` entries of every partition), so the
@@ -45,9 +52,10 @@ class StitchEngine:
         """
         empty = parent.empty_bytes
         if empty <= 0:
-            return None
+            return None, None
         depth = self.search_depth
         best: Optional[Flit] = None
+        best_part: Optional[QueuePartition] = None
         best_cost = 0
         for part in queue._partitions.values():
             remaining = depth
@@ -60,10 +68,10 @@ class StitchEngine:
                 cost = flit.stitch_cost()
                 if cost > empty or cost <= best_cost or flit.segments:
                     continue
-                best, best_cost = flit, cost
+                best, best_part, best_cost = flit, part, cost
                 if cost == empty:  # perfect fit, stop early
-                    return best
-        return best
+                    return best, best_part
+        return best, best_part
 
     def stitch_all(self, parent: Flit, queue: ClusterQueue) -> int:
         """Absorb as many candidates as fit into ``parent``.
@@ -73,10 +81,10 @@ class StitchEngine:
         """
         absorbed = 0
         while True:
-            candidate = self.find_candidate(parent, queue)
+            candidate, part = self._best_fit(parent, queue)
             if candidate is None:
                 break
-            queue.remove_flit(candidate)
+            queue.remove_flit(candidate, part)
             segment = parent.absorb(candidate)
             absorbed += 1
             self.candidates_absorbed += 1

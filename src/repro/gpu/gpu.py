@@ -15,7 +15,7 @@ from repro.network.packet import Packet
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.stats.collectors import RunStats
-from repro.vm.gmmu import Gmmu
+from repro.vm.gmmu import Gmmu, WalkRetrySchedule
 from repro.vm.page_table import PageTable
 from repro.vm.placement import AddressSpace
 from repro.vm.tlb import PageWalkCache, Tlb
@@ -33,6 +33,7 @@ class Gpu(Component):
         stats: RunStats,
         address_space: AddressSpace,
         page_table: PageTable,
+        walk_retries: Optional[WalkRetrySchedule] = None,
     ) -> None:
         super().__init__(engine, name)
         self.gpu_id = gpu_id
@@ -77,6 +78,7 @@ class Gpu(Component):
             stats=stats,
             n_walkers=config.n_walkers,
             walk_mshr_entries=config.walk_mshr_entries,
+            walk_retries=walk_retries,
         )
         self.directory: Optional[Directory] = (
             Directory(gpu_id, config.line_bytes)

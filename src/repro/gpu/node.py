@@ -26,6 +26,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.stats.assemble import controller_row, link_row
 from repro.stats.collectors import RunStats
+from repro.vm.gmmu import WalkRetrySchedule
 from repro.vm.page_table import PageTable
 from repro.vm.placement import AddressSpace, LaspPlacement
 
@@ -65,6 +66,9 @@ class NodeCore:
         self.address_space = AddressSpace(config.n_gpus)
         self.page_table = PageTable(self.address_space, root_gpu=0)
         self.placement = LaspPlacement(self.address_space, self.page_table)
+        # one schedule for every GMMU on the engine, so that walk-MSHR
+        # retries due in the same cycle run in one event, in one order
+        self.walk_retries = WalkRetrySchedule(self.engine)
         self.gpus: Dict[int, Gpu] = {
             gpu_id: Gpu(
                 self.engine,
@@ -74,6 +78,7 @@ class NodeCore:
                 self.stats,
                 self.address_space,
                 self.page_table,
+                self.walk_retries,
             )
             for gpu_id in gpu_ids
         }

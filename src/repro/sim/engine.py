@@ -160,11 +160,16 @@ class Engine:
         is being inserted later in wall-clock terms.  ``time`` must still
         be in this engine's future — conservative windows guarantee that —
         except between runs, where insertion at the current cycle is
-        allowed (kernel replay after :meth:`rewind`).
+        allowed (kernel replay after :meth:`rewind`), and during a run,
+        where it is allowed when ``skey`` is not below the running event's
+        schedule key: the new entry's fresh ``seq`` then sorts it after the
+        running event, into the part of the cycle not yet dispatched.
         """
-        if time < self._now or (time == self._now and self._running):
+        now = self._now
+        if time < now or (time == now and self._running and skey < self.cur_skey):
             raise SimulationError(
-                f"cannot inject at cycle {time}, current cycle is {self._now}"
+                f"cannot inject at cycle {time} (schedule key {skey}): current "
+                f"cycle is {now}, running schedule key {self.cur_skey}"
             )
         if skey > time:
             raise SimulationError(f"inject skey {skey} is after its time {time}")

@@ -6,9 +6,12 @@ cheapest benchmark at quick size so the suite stays fast.
 
 import json
 
+import pytest
+
 from repro.bench.__main__ import main
 from repro.bench.harness import (
     compare_reports,
+    comparison_lines,
     comparison_markdown,
     overhead_markdown,
 )
@@ -207,6 +210,49 @@ class TestShardedGates:
 
     def test_overhead_table_empty_without_counters(self):
         assert overhead_markdown([{"name": "engine_dispatch"}]) == []
+
+
+def _smoke_row(events, points=8):
+    return {
+        "name": "smoke_sweep",
+        "kind": "e2e",
+        "work_units": 31_554,
+        "wall_seconds": 1.0,
+        "units_per_second": 31_554.0,
+        "peak_rss_kb": 1,
+        "points": points,
+        "events": events,
+        "results_digest": "d",
+    }
+
+
+class TestEventCountGate:
+    """The engine's event count is deterministic: any change is gated."""
+
+    @pytest.mark.parametrize("events", [358_819, 358_821])
+    def test_changed_count_on_the_same_grid_fails(self, events):
+        comparison = compare_reports(
+            _doc([_smoke_row(events)]), _doc([_smoke_row(358_820)])
+        )
+        assert comparison["regressions"] == ["smoke_sweep (events)"]
+        text = "\n".join(comparison_lines(comparison))
+        assert f"events 358820 -> {events} (CHANGED)" in text
+        assert "regressed" in "\n".join(comparison_markdown(comparison))
+
+    def test_equal_count_passes_and_is_printed(self):
+        comparison = compare_reports(
+            _doc([_smoke_row(358_820)]), _doc([_smoke_row(358_820)])
+        )
+        assert comparison["regressions"] == []
+        assert "events 358820 -> 358820" in "\n".join(comparison_lines(comparison))
+
+    def test_other_grid_is_not_compared(self):
+        comparison = compare_reports(
+            _doc([_smoke_row(1_000, points=4)]), _doc([_smoke_row(358_820)])
+        )
+        assert comparison["regressions"] == []
+        (row,) = comparison["benchmarks"]
+        assert "current_events" not in row
 
 
 class TestBaselinePromotion:

@@ -191,6 +191,23 @@ def test_remove_pooled_head_clears_partition_timer():
     assert chosen is part
 
 
+def test_remove_flit_from_a_named_partition_searches_only_it():
+    q = _queue()
+    req, rsp = _flit(PacketType.READ_REQ), _flit(PacketType.WRITE_RSP)
+    req.pooled = True
+    q.push(req)
+    q.push(rsp)
+    req_part, rsp_part = q.partitions()
+    req_part.blocked_until, req_part.pooled_at = 100, 68
+    assert not q.remove_flit(req, rsp_part)
+    assert len(q) == 2
+    assert q.remove_flit(req, req_part)
+    assert len(q) == 1
+    # the pooled head's timer is released on this path too
+    assert req_part.blocked_until == 0
+    assert q.stale_timers_cleared == 1
+
+
 def test_remove_non_head_flit_keeps_timer():
     q = _queue()
     pooled, other = _flit(), _flit()

@@ -197,3 +197,12 @@ def test_empty_kernel_is_skipped():
     system.load(WorkloadTrace(name="w", kernels=[kernel, follow]))
     result = system.run()
     assert result.stats.kernel_count == 2
+
+
+def test_every_gmmu_on_the_engine_shares_one_walk_retry_schedule():
+    """Walk-MSHR retries due in one cycle must run in one chain order
+    across GPUs, so the node hands all its GMMUs one schedule."""
+    system = MultiGpuSystem()
+    schedules = {id(gpu.gmmu.walk_retries) for gpu in system.gpus.values()}
+    assert schedules == {id(system.walk_retries)}
+    assert system.walk_retries.engine is system.engine

@@ -196,3 +196,60 @@ def test_max_events_break_after_queue_drained_still_advances():
     eng.schedule(2, lambda: None)
     eng.run(until=50, max_events=1)
     assert eng.now == 50
+
+
+def _cycle_with_keys():
+    """Cycle 10 holding events with schedule keys 0, 5 and 5 (in seq order)."""
+    eng = Engine()
+    order = []
+    eng.inject(10, 0, order.append, "k0")
+    eng.inject(10, 5, order.append, "k5a")
+    eng.inject(10, 5, order.append, "k5b")
+    return eng, order
+
+
+def test_inject_later_in_the_running_cycle():
+    eng, order = _cycle_with_keys()
+
+    def inject_from(event):
+        order.append(event)
+        # below the pending key-5 events: runs before them
+        eng.inject(10, 3, order.append, "k3")
+        # the running event's own key: its fresh seq sorts it after the
+        # running event, behind every same-key event already queued
+        eng.inject(10, 1, order.append, "k1")
+
+    eng.inject(10, 1, inject_from, "k1-injector")
+    eng.inject(10, 5, order.append, "k5c")
+    eng.run()
+    assert order == ["k0", "k1-injector", "k1", "k3", "k5a", "k5b", "k5c"]
+    assert eng.now == 10
+
+
+def test_inject_into_the_dispatched_part_of_the_cycle_is_refused():
+    eng, order = _cycle_with_keys()
+    refused = []
+
+    def inject_from(event):
+        order.append(event)
+        for skey in (0, 4):
+            try:
+                eng.inject(10, skey, order.append, f"late{skey}")
+            except SimulationError:
+                refused.append(skey)
+
+    eng.inject(10, 5, inject_from, "k5-injector")
+    eng.run()
+    assert refused == [0, 4]
+    assert order == ["k0", "k5a", "k5b", "k5-injector"]
+
+
+def test_inject_at_the_current_cycle_while_profiled():
+    """The profiled (step-wise) dispatch path honours the same order."""
+    from repro.obs.profiler import EngineProfiler
+
+    eng, order = _cycle_with_keys()
+    eng.profiler = EngineProfiler()
+    eng.inject(10, 0, lambda: eng.inject(10, 2, order.append, "k2"))
+    eng.run()
+    assert order == ["k0", "k2", "k5a", "k5b"]
