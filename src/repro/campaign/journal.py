@@ -1,4 +1,4 @@
-"""Durable campaign state, journaled through :mod:`repro.atomicio`.
+"""Durable campaign membership, journaled through :mod:`repro.atomicio`.
 
 The server's source of truth splits in two: *results* live in the
 content-addressed :class:`~repro.experiments.cache.ResultCache`
@@ -6,13 +6,18 @@ content-addressed :class:`~repro.experiments.cache.ResultCache`
 membership* — which ordered fingerprints a campaign id maps to, its
 name, priority and point descriptors — lives here, one JSON record per
 campaign, published atomically so a crash mid-write can never tear a
-record.  A restarted server replays the journal: campaigns whose points
-are all cached re-serve without execution, anything unfinished is
-re-enqueued.
+record.  The journal holds membership only: a record is written once,
+when the campaign is submitted, and again only when a resubmission
+raises its priority.  Completion is never journaled; it is derived from
+the cache.  A restarted server replays the journal: points whose results
+are cached count as done (campaigns with all of them re-serve without
+execution), anything else is re-enqueued.
 
 Point descriptors are stored in full (the same normalized configuration
 content the fingerprint hashes) so recovery can *re-execute* lost
-points, not merely re-serve cached ones.
+points, not merely re-serve cached ones; the server keeps none in
+memory and re-reads a record when a completed campaign's results turn
+out to have been pruned.
 """
 
 from __future__ import annotations
@@ -36,6 +41,23 @@ def _json_default(obj: object) -> object:
     raise TypeError(f"cannot journal {type(obj).__name__}: {obj!r}")
 
 
+#: the endpoint file a serving server publishes in its journal directory
+ENDPOINT_FILE = "server.json"
+
+
+def read_endpoint(root: Union[str, Path]) -> Optional[Dict[str, object]]:
+    """The endpoint published under journal directory ``root``, or None.
+
+    Reads the one file and opens no store: opening a
+    :class:`CampaignJournal` sweeps temp files a running server may be
+    about to publish.
+    """
+    try:
+        return json.loads((Path(root) / ENDPOINT_FILE).read_text())
+    except (OSError, ValueError):
+        return None
+
+
 def default_journal_dir() -> str:
     """``$REPRO_CAMPAIGN_DIR`` if set, else ``.repro_campaigns``."""
     import os
@@ -50,8 +72,9 @@ class CampaignJournal:
         self.root = Path(root)
         self.campaign_dir = self.root / "campaigns"
         self.campaign_dir.mkdir(parents=True, exist_ok=True)
-        # writers that died mid-publish leave *.tmp orphans; opening the
-        # journal is the no-writer moment to sweep them
+        # writers that died mid-publish leave *.tmp orphans; the server
+        # opening its journal is the no-writer moment to sweep them
+        # (clients read the endpoint through :func:`read_endpoint`)
         self.swept_orphans = sweep_orphans(self.root)
 
     def _path(self, campaign_id: str) -> Path:
@@ -97,7 +120,7 @@ class CampaignJournal:
 
     @property
     def endpoint_path(self) -> Path:
-        return self.root / "server.json"
+        return self.root / ENDPOINT_FILE
 
     def publish_endpoint(self, host: str, port: int) -> None:
         import os
@@ -115,10 +138,7 @@ class CampaignJournal:
         )
 
     def read_endpoint(self) -> Optional[Dict[str, object]]:
-        try:
-            return json.loads(self.endpoint_path.read_text())
-        except (OSError, ValueError):
-            return None
+        return read_endpoint(self.root)
 
     def clear_endpoint(self) -> None:
         try:

@@ -21,18 +21,27 @@ counters.
 
 **Durability.**  Campaign membership journals through
 :mod:`repro.atomicio` (:class:`~repro.campaign.journal.CampaignJournal`)
-and results live in the content-addressed cache, so a restarted server
-resumes unfinished campaigns and re-serves completed ones without
-re-executing anything whose result survived.
+once per campaign, at submission (and again only when a resubmission
+raises its priority); results live in the content-addressed cache, and
+completion is derived from it rather than journaled.  A restarted server
+therefore resumes unfinished campaigns and re-serves completed ones
+without re-executing anything whose result survived.  A point is served
+only after its result is durably published to the cache.
 
 Scheduling is priority-first (higher ``priority`` campaigns dispatch
 before lower, FIFO within a priority); a point shared between campaigns
-runs at the highest priority any of them asked for.
+runs at the highest priority any of them asked for.  Dispatch is
+synchronous: when an execution returns, its pool slot goes to the next
+queued point *before* the finished point's result is published, so the
+worker executes while the server writes the cache entry and notifies
+watchers.  Each point's fingerprint is computed once, when its campaign
+is parsed, and the cache is looked up and claimed by it.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import heapq
 import json
 import time
@@ -47,7 +56,7 @@ from repro.campaign.spec import (
     parse_campaign,
     point_from_descriptor,
 )
-from repro.experiments.cache import ResultCache, point_descriptor
+from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentPoint, execute_point
 from repro.obs import CounterSet
 
@@ -63,19 +72,25 @@ class PointTask:
     """One in-flight unique point, shared by every campaign naming it."""
 
     fingerprint: str
-    point: ExperimentPoint
+    #: the point to execute; dropped once the task is done
+    point: Optional[ExperimentPoint]
     label: str
     priority: int
     seq: int
     state: str = "queued"  # queued | running | done
     source: Optional[str] = None  # executed | cache | peer
+    started: float = 0.0
     wall_seconds: float = 0.0
     campaigns: Set[str] = field(default_factory=set)
 
 
 @dataclass
 class CampaignState:
-    """One submitted campaign: ordered membership plus its watchers."""
+    """One submitted campaign: ordered membership plus its watchers.
+
+    Point descriptors are journaled, not kept here; the rare fetch that
+    finds results pruned re-reads them from the campaign's record.
+    """
 
     id: str
     name: str
@@ -83,9 +98,6 @@ class CampaignState:
     #: (fingerprint, label) in submission order — fetch/digest order
     points: List[Tuple[str, str]]
     submitted_at: float
-    #: full point descriptors keyed by fingerprint, journaled so a
-    #: restarted server can re-execute pruned points from scratch
-    descriptors: Dict[str, Dict[str, object]] = field(default_factory=dict)
     done: Set[str] = field(default_factory=set)
     watchers: List[asyncio.Queue] = field(default_factory=list)
 
@@ -121,12 +133,12 @@ class CampaignServer:
         #: lazy-invalidation priority heap of (-priority, seq, fingerprint)
         self._queue: List[Tuple[int, int, str]] = []
         self._seq = 0
+        #: pool slots in use: points executing, or following a peer's claim
         self._running = 0
-        self._wake = asyncio.Event()
+        self._executions: Set[asyncio.Future] = set()
+        self._followers: Set[asyncio.Task] = set()
         self._stopping = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._dispatcher: Optional[asyncio.Task] = None
-        self._point_tasks: Set[asyncio.Task] = set()
         self._owns_executor = executor is None and execute_fn is None
         self._executor = executor
         self._execute = execute_fn or execute_point
@@ -143,24 +155,22 @@ class CampaignServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.journal.publish_endpoint(self.host, self.port)
-        self._dispatcher = asyncio.create_task(self._dispatch_loop())
+        self._dispatch()
 
     async def serve_forever(self) -> None:
         await self._stopping.wait()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, let running points finish."""
+        """Graceful shutdown: stop accepting, let running points finish.
+
+        Points still queued stay journaled and run after a restart.
+        """
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._dispatcher is not None:
-            self._dispatcher.cancel()
-            try:
-                await self._dispatcher
-            except asyncio.CancelledError:
-                pass
-        if self._point_tasks:
-            await asyncio.gather(*self._point_tasks, return_exceptions=True)
+        self._queue.clear()
+        while self._executions or self._followers:
+            await asyncio.wait({*self._executions, *self._followers})
         if self._owns_executor and self._executor is not None:
             self._executor.shutdown(wait=True)
         self.journal.clear_endpoint()
@@ -176,11 +186,6 @@ class CampaignServer:
                 priority=int(record.get("priority", 0)),
                 points=[(p["fingerprint"], p["label"]) for p in record["points"]],
                 submitted_at=float(record.get("submitted_at", 0.0)),
-                descriptors={
-                    p["fingerprint"]: p["descriptor"]
-                    for p in record["points"]
-                    if p.get("descriptor") is not None
-                },
             )
             self.campaigns[campaign.id] = campaign
             for entry in record["points"]:
@@ -194,8 +199,6 @@ class CampaignServer:
                 point = point_from_descriptor(entry["descriptor"])
                 self._enqueue_point(fp, point, entry["label"], campaign)
                 self.metrics.inc("points_recovered")
-            if campaign.done and not campaign.complete:
-                self._journal_campaign(campaign)
             self.metrics.inc("campaigns_recovered")
 
     # -- submission & scheduling ---------------------------------------------
@@ -223,11 +226,14 @@ class CampaignServer:
         )
         self.tasks[fp] = task
         heapq.heappush(self._queue, (-task.priority, task.seq, fp))
-        self._wake.set()
         return task
 
     def submit(self, spec: CampaignSpec) -> Dict[str, object]:
-        """Register a campaign; returns the submission summary."""
+        """Register a campaign; returns the submission summary.
+
+        Dispatch runs at the end of the current event-loop step, so
+        campaigns submitted together start in priority order.
+        """
         cid = spec.campaign_id
         self.metrics.inc("campaigns_submitted")
         self.metrics.inc("points_requested", len(spec.points))
@@ -243,8 +249,7 @@ class CampaignServer:
                     if task is not None and task.state == "queued":
                         task.priority = max(task.priority, spec.priority)
                         heapq.heappush(self._queue, (-task.priority, task.seq, fp))
-                self._wake.set()
-                self._journal_campaign(existing)
+                self._journal_campaign(existing, spec)
             return self._submission_summary(existing, resubmitted=True)
 
         campaign = CampaignState(
@@ -256,10 +261,6 @@ class CampaignServer:
                 for fp, point in zip(spec.fingerprints, spec.points)
             ],
             submitted_at=time.time(),
-            descriptors={
-                fp: point_descriptor(point)
-                for fp, point in zip(spec.fingerprints, spec.points)
-            },
         )
         self.campaigns[cid] = campaign
         for fp, point in zip(spec.fingerprints, spec.points):
@@ -273,7 +274,8 @@ class CampaignServer:
                 self.metrics.inc("points_served_cache")
                 continue
             self._enqueue_point(fp, point, point.label(), campaign)
-        self._journal_campaign(campaign)
+        self._journal_campaign(campaign, spec)
+        asyncio.get_running_loop().call_soon(self._dispatch)
         self._emit(
             campaign,
             {
@@ -298,106 +300,146 @@ class CampaignServer:
             "resubmitted": resubmitted,
         }
 
-    def _journal_campaign(self, campaign: CampaignState) -> None:
-        record_points = [
-            {
-                "fingerprint": fp,
-                "label": label,
-                "descriptor": campaign.descriptors.get(fp),
-            }
-            for fp, label in campaign.points
-        ]
+    def _journal_campaign(self, campaign: CampaignState, spec: CampaignSpec) -> None:
+        """Journal membership: the spec's descriptors, the campaign's
+        name and priority.  Completion is derived from the cache."""
         self.journal.save(
             {
                 "id": campaign.id,
                 "name": campaign.name,
                 "priority": campaign.priority,
                 "submitted_at": campaign.submitted_at,
-                "state": "complete" if campaign.complete else "active",
-                "points": record_points,
-                "done": sorted(campaign.done),
+                "points": [
+                    {"fingerprint": fp, "label": label, "descriptor": descriptor}
+                    for (fp, label), descriptor in zip(
+                        campaign.points, spec.descriptors
+                    )
+                ],
             }
         )
 
     # -- dispatch ------------------------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        while True:
-            while self._queue and self._running < self.jobs:
-                _, _, fp = heapq.heappop(self._queue)
-                task = self.tasks.get(fp)
-                if task is None or task.state != "queued":
-                    continue  # lazily-invalidated heap entry
-                task.state = "running"
-                self._running += 1
-                runner = asyncio.create_task(self._run_point(task))
-                self._point_tasks.add(runner)
-                runner.add_done_callback(self._point_tasks.discard)
-            self._wake.clear()
-            await self._wake.wait()
+    def _dispatch(self) -> None:
+        """Start queued points, highest priority first, while slots are free.
 
-    async def _run_point(self, task: PointTask) -> None:
-        loop = asyncio.get_running_loop()
-        started = time.perf_counter()
-        self._emit_point(task, "running")
+        Synchronous: when an execution returns, :meth:`_executed` calls
+        this before publishing the finished point, so the pool executes
+        the next point while the server writes the cache entry.
+        """
+        while self._queue and self._running < self.jobs:
+            _, _, fp = heapq.heappop(self._queue)
+            task = self.tasks.get(fp)
+            if task is None or task.state != "queued":
+                continue  # lazily-invalidated heap entry
+            task.state = "running"
+            task.started = time.perf_counter()
+            self._emit_point(task, "running")
+            self._running += 1
+            try:
+                holds_slot = self._start(task)
+            except Exception as exc:
+                holds_slot = False
+                self._finish_point(task, error=exc)
+            if not holds_slot:
+                self._running -= 1
+
+    def _start(self, task: PointTask) -> bool:
+        """Serve a cached result, or claim and execute, or follow a peer
+        process's claim; True while the point holds its slot."""
+        if self.cache.get_by_key(task.fingerprint) is not None:
+            self._finish_point(task, "cache")
+            return False
+        if self.cache.claim(task.fingerprint):
+            return self._execute_claimed(task)
+        follower = asyncio.get_running_loop().create_task(self._follow(task))
+        self._followers.add(follower)
+        follower.add_done_callback(self._followers.discard)
+        return True
+
+    def _execute_claimed(self, task: PointTask) -> bool:
+        """With the claim held, submit the point to the pool (True), or
+        serve a result a peer published between the miss and the claim
+        win (False): the peer's result is authoritative."""
+        fp = task.fingerprint
         try:
-            result = self.cache.get(task.point)
-            if result is not None:
-                task.source = "cache"
-                self.metrics.inc("points_served_cache")
-            else:
-                result = await self._execute_or_follow(loop, task)
+            if self.cache.get_by_key(fp) is None:
+                future = asyncio.get_running_loop().run_in_executor(
+                    self._executor, self._execute, task.point
+                )
+                self._executions.add(future)
+                future.add_done_callback(functools.partial(self._executed, task))
+                return True
+        except BaseException:
+            self.cache.release(fp)
+            raise
+        self.cache.release(fp)
+        self._finish_point(task, "peer")
+        return False
+
+    def _executed(self, task: PointTask, future: asyncio.Future) -> None:
+        """An execution returned: hand its slot to the next queued point,
+        then publish this point durably, release its claim, serve it."""
+        self._executions.discard(future)
+        self._running -= 1
+        self._dispatch()
+        error = None
+        try:
+            result, seconds = future.result()
+            self.cache.put(task.point, result)
+            self.metrics.inc("exec_seconds", seconds)
+        except (Exception, asyncio.CancelledError) as exc:
+            error = exc
+        self.cache.release(task.fingerprint)
+        self._finish_point(task, "executed", error)
+
+    async def _follow(self, task: PointTask) -> None:
+        """Wait out a peer process's claim: serve the result it publishes,
+        or execute the point if the claim frees up first."""
+        try:
+            while True:
+                await asyncio.sleep(PEER_POLL_SECONDS)
+                if self.cache.get_by_key(task.fingerprint) is not None:
+                    holds_slot = False
+                    self._finish_point(task, "peer")
+                    break
+                if self.cache.claim(task.fingerprint):
+                    holds_slot = self._execute_claimed(task)
+                    break
         except Exception as exc:
-            task.state = "done"
+            holds_slot = False
+            self._finish_point(task, error=exc)
+        if not holds_slot:
+            self._running -= 1
+            self._dispatch()
+
+    def _finish_point(
+        self,
+        task: PointTask,
+        source: Optional[str] = None,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Mark ``task`` done and notify every campaign naming it."""
+        task.state = "done"
+        task.point = None
+        task.wall_seconds = time.perf_counter() - task.started
+        if error is None:
+            task.source = source
+            self.metrics.inc(
+                "points_executed" if source == "executed" else f"points_served_{source}"
+            )
+            message = None
+        else:
             task.source = "error"
             self.metrics.inc("points_failed")
-            self._finish_point(task, error=f"{type(exc).__name__}: {exc}")
-            return
-        finally:
-            self._running -= 1
-            self._wake.set()
-        task.wall_seconds = time.perf_counter() - started
-        task.state = "done"
-        self._finish_point(task)
-
-    async def _execute_or_follow(self, loop, task: PointTask):
-        """Claim-then-execute, or follow a peer process's execution."""
-        while True:
-            if self.cache.claim(task.fingerprint):
-                try:
-                    # a peer may have published between the miss and the
-                    # claim win; its result is authoritative
-                    result = self.cache.get(task.point)
-                    if result is not None:
-                        task.source = "peer"
-                        self.metrics.inc("points_served_peer")
-                        return result
-                    result, seconds = await loop.run_in_executor(
-                        self._executor, self._execute, task.point
-                    )
-                    self.cache.put(task.point, result)
-                    task.source = "executed"
-                    self.metrics.inc("points_executed")
-                    self.metrics.inc("exec_seconds", seconds)
-                    return result
-                finally:
-                    self.cache.release(task.fingerprint)
-            result = self.cache.get(task.point)
-            if result is not None:
-                task.source = "peer"
-                self.metrics.inc("points_served_peer")
-                return result
-            await asyncio.sleep(PEER_POLL_SECONDS)
-
-    def _finish_point(self, task: PointTask, error: Optional[str] = None) -> None:
+            message = f"{type(error).__name__}: {error}"
         for cid in sorted(task.campaigns):
             campaign = self.campaigns.get(cid)
             if campaign is None:
                 continue
             if error is None:
                 campaign.done.add(task.fingerprint)
-            self._journal_campaign(campaign)
-            self._emit_point(task, "served" if error is None else "failed", cid, error)
+            self._emit_point(task, "served" if error is None else "failed", cid, message)
             if campaign.complete:
                 self._emit(
                     campaign,
@@ -589,14 +631,27 @@ class CampaignServer:
                 results.append(result.to_dict())
         if missing:
             # cached results were pruned after completion: demote the
-            # campaign and re-enqueue so a follow-up fetch succeeds
+            # campaign and re-enqueue from the journaled descriptors so a
+            # follow-up fetch succeeds (membership is unchanged: no save)
+            record = self.journal.load(cid)
+            if record is None:
+                await self._send(
+                    writer,
+                    {
+                        "ok": False,
+                        "error": "results pruned and journal record unreadable",
+                        "missing": missing,
+                    },
+                )
+                return
+            descriptors = {p["fingerprint"]: p["descriptor"] for p in record["points"]}
             labels = dict(campaign.points)
             for entry in missing:
                 fp = entry["fingerprint"]
                 campaign.done.discard(fp)
-                point = point_from_descriptor(campaign.descriptors[fp])
+                point = point_from_descriptor(descriptors[fp])
                 self._enqueue_point(fp, point, labels[fp], campaign)
-            self._journal_campaign(campaign)
+            self._dispatch()
             await self._send(
                 writer,
                 {

@@ -43,13 +43,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.cache import fingerprint
+from repro.experiments.cache import descriptor_fingerprint, point_descriptor
 from repro.experiments.runner import ExperimentPoint
 from repro.workloads.base import Scale
 from repro.workloads.registry import all_workload_names
@@ -192,6 +192,9 @@ class CampaignSpec:
     points: Tuple[ExperimentPoint, ...]
     #: fingerprint per point, aligned with ``points``
     fingerprints: Tuple[str, ...]
+    #: :func:`~repro.experiments.cache.point_descriptor` per point, aligned
+    #: with ``points`` (computed once, with the fingerprint, for the journal)
+    descriptors: Tuple[Dict[str, object], ...] = field(compare=False)
 
     @property
     def campaign_id(self) -> str:
@@ -297,19 +300,21 @@ def parse_campaign(data: dict, default_name: str = "campaign") -> CampaignSpec:
     # duplicate points inside one campaign collapse to the first
     # occurrence: fetch order stays deterministic and the dedupe
     # guarantee starts at home
-    seen: Dict[str, None] = {}
+    seen: Dict[str, Dict[str, object]] = {}
     unique: List[ExperimentPoint] = []
     for point in points:
-        fp = fingerprint(point)
+        descriptor = point_descriptor(point)
+        fp = descriptor_fingerprint(descriptor)
         if fp in seen:
             continue
-        seen[fp] = None
+        seen[fp] = descriptor
         unique.append(point)
     return CampaignSpec(
         name=name,
         priority=priority,
         points=tuple(unique),
         fingerprints=tuple(seen),
+        descriptors=tuple(seen.values()),
     )
 
 

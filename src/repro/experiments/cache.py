@@ -43,12 +43,13 @@ import enum
 import hashlib
 import json
 import os
+import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
-from repro.atomicio import atomic_write_text, sweep_orphans
+from repro.atomicio import TMP_SUFFIX, atomic_write_text, sweep_orphans
 from repro.stats.report import RunResult
 
 #: bump whenever simulator output changes for the same configuration
@@ -86,10 +87,15 @@ def point_descriptor(point) -> Dict[str, object]:
     }
 
 
+def descriptor_fingerprint(descriptor: Dict[str, object]) -> str:
+    """The fingerprint of an already computed :func:`point_descriptor`."""
+    blob = json.dumps(descriptor, sort_keys=True, default=_json_default)
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def fingerprint(point) -> str:
     """Stable content hash identifying one experiment point."""
-    blob = json.dumps(point_descriptor(point), sort_keys=True, default=_json_default)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return descriptor_fingerprint(point_descriptor(point))
 
 
 def default_cache_dir() -> str:
@@ -171,15 +177,13 @@ class ResultCache:
         Flush + fsync before the rename: without it a crash after
         ``os.replace`` could still surface a truncated entry once the
         page cache is lost, and :meth:`get`'s corruption recovery only
-        helps when the torn file fails to parse.
+        helps when the torn file fails to parse.  The entry's key is the
+        hash of the descriptor it stores, computed once.
         """
-        key = fingerprint(point)
+        descriptor = point_descriptor(point)
+        key = descriptor_fingerprint(descriptor)
         path = self.path_for(key)
-        payload = {
-            "key": key,
-            "point": point_descriptor(point),
-            "result": result.to_dict(),
-        }
+        payload = {"key": key, "point": descriptor, "result": result.to_dict()}
         atomic_write_text(path, json.dumps(payload, default=_json_default))
         self.writes += 1
 
@@ -187,9 +191,12 @@ class ResultCache:
     #
     # Concurrent processes sharing this cache dir (parallel run_many
     # invocations, the campaign server next to ad-hoc CLI runs) use claim
-    # files to elect exactly one executor per fingerprint.  A claim is an
-    # O_CREAT|O_EXCL file naming the holder's pid: creation either
-    # succeeds atomically or the point is already being executed.  The
+    # files to elect exactly one executor per fingerprint.  A claim is a
+    # file naming the holder's pid, published complete: it is written to
+    # a temp file first and then hard-linked to the claim path, which
+    # either succeeds atomically or fails because the point is already
+    # being executed.  A waiter therefore never reads a half-written
+    # claim (which would look stale and get a live claim unlinked).  The
     # holder publishes the result (atomic ``put``) *before* releasing, so
     # a waiter polling ``claim_state`` sees the result no later than the
     # release.  A claim whose pid is gone is stale (the holder crashed);
@@ -214,20 +221,28 @@ class ResultCache:
         """
         path = self._claim_path(key)
         self.inflight_dir.mkdir(parents=True, exist_ok=True)
+        body = json.dumps({"pid": os.getpid(), "time": time.time()}).encode("utf-8")
         while True:
+            fd, tmp = tempfile.mkstemp(dir=self.inflight_dir, suffix=TMP_SUFFIX)
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                with os.fdopen(fd, "wb") as handle:
+                    handle.write(body)
+                os.link(tmp, path)
+                return True
             except FileExistsError:
-                if self.claim_state(key) == "stale":
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                    continue  # retry the exclusive create
-                return False
-            with os.fdopen(fd, "w") as handle:
-                json.dump({"pid": os.getpid(), "time": time.time()}, handle)
-            return True
+                if self.claim_state(key) != "stale":
+                    return False
+                try:
+                    path.unlink()
+                except OSError:
+                    pass
+            except FileNotFoundError:
+                pass  # another process opening the cache swept our temp file
+            finally:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
 
     def release(self, key: str) -> None:
         """Drop the in-flight claim for ``key`` (idempotent)."""
@@ -240,9 +255,9 @@ class ResultCache:
         """``"free"`` (no claim), ``"held"`` (live holder) or ``"stale"``.
 
         Stale means the claim file exists but its recorded pid is gone —
-        the holder crashed between claim and release.  An unreadable or
-        torn claim file also reads as stale: whoever wrote it is not
-        publishing results anymore.
+        the holder crashed between claim and release.  :meth:`claim`
+        publishes claims complete, so an unreadable or torn claim file
+        can only be debris from a crashed writer and also reads as stale.
         """
         path = self._claim_path(key)
         try:

@@ -39,6 +39,16 @@ class TestDiscovery:
         journal.publish_endpoint("127.0.0.1", 4141)
         assert discover_endpoint(str(tmp_path)) == ("127.0.0.1", 4141)
 
+    def test_discovery_leaves_inflight_temp_files(self, tmp_path):
+        """Discovery reads ``server.json`` only: a temp file the running
+        server is about to publish must survive a client's lookup."""
+        journal = CampaignJournal(tmp_path)
+        journal.publish_endpoint("127.0.0.1", 4141)
+        pending = tmp_path / "campaigns" / "abc.json.x1.tmp"
+        pending.write_text("{")
+        assert discover_endpoint(str(tmp_path)) == ("127.0.0.1", 4141)
+        assert pending.exists()
+
     def test_unreachable_server_raises(self, tmp_path):
         # a published endpoint nobody is listening on: connection refused,
         # surfaced as a client error rather than a raw OSError

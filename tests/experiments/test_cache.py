@@ -295,6 +295,32 @@ class TestClaims:
         assert cache.claim(self.KEY)
         cache.release(self.KEY)
 
+    def test_claim_is_published_complete(self, tmp_path, monkeypatch):
+        """A waiter probing after any file creation or link inside
+        ``claim`` sees no claim or a live one, never a half-written claim
+        (which reads as stale and would get the live claim unlinked)."""
+        import os
+
+        cache = ResultCache(tmp_path)
+        seen = []
+
+        def probed(real):
+            def call(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.append(cache.claim_state(self.KEY))
+                return out
+
+            return call
+
+        monkeypatch.setattr(os, "open", probed(os.open))
+        monkeypatch.setattr(os, "link", probed(os.link))
+        assert cache.claim(self.KEY)
+        monkeypatch.undo()
+        assert seen and "stale" not in seen, seen
+        assert seen[-1] == "held"
+        assert list(cache.inflight_dir.iterdir()) == [cache._claim_path(self.KEY)]
+        cache.release(self.KEY)
+
     def test_claims_do_not_count_as_entries(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.claim(self.KEY)
