@@ -9,13 +9,14 @@ Scale control: set ``REPRO_SCALE=quick`` for a fast six-workload pass,
 ``standard`` (default) for all 15 workloads at the small experiment
 scale, or ``full`` for the large scale.
 
-Runner control: ``REPRO_JOBS=N`` fans independent simulation points out
-over N worker processes, and ``REPRO_CACHE_DIR=path`` enables the
-persistent result cache so repeat benchmark sessions skip finished
-points entirely.
+Runner control: the session installs ``RunContext.from_env()``, so
+``REPRO_JOBS=N`` fans independent simulation points out over N worker
+processes, ``REPRO_CACHE_DIR=path`` enables the persistent result cache
+so repeat benchmark sessions skip finished points entirely, and
+``REPRO_SHARDS`` / ``REPRO_WINDOW`` / ``REPRO_ADAPTIVE_WINDOW`` shard
+every point.
 """
 
-import os
 from pathlib import Path
 
 import pytest
@@ -29,12 +30,7 @@ _TABLES = []
 
 
 def pytest_configure(config):
-    jobs = os.environ.get("REPRO_JOBS")
-    if jobs:
-        runner.set_default_jobs(int(jobs))
-    cache_dir = os.environ.get("REPRO_CACHE_DIR")
-    if cache_dir:
-        runner.set_cache_dir(cache_dir)
+    runner.install_context(runner.RunContext.from_env())
 
 
 @pytest.fixture(scope="session")

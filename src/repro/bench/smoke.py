@@ -21,7 +21,7 @@ from typing import Dict, List, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.gpu.system import MultiGpuSystem
+from repro.shard.build import ShardingOptions, build_node
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
@@ -101,32 +101,6 @@ def results_digest(result_dicts: List[Dict[str, object]]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _build_node(
-    system_config: SystemConfig,
-    variant: str,
-    seed: int,
-    n_shards: int,
-    window,
-    parallel: bool,
-    adaptive: bool = False,
-):
-    """Single-engine node, or the sharded front end when sharding is asked."""
-    netcrafter = _variant_config(variant)
-    if n_shards > 1 or window is not None or adaptive:
-        from repro.shard.coordinator import ShardedSystem
-
-        return ShardedSystem(
-            config=system_config,
-            netcrafter=netcrafter,
-            seed=seed,
-            n_shards=n_shards,
-            window=window,
-            parallel=parallel,
-            adaptive=adaptive,
-        )
-    return MultiGpuSystem(config=system_config, netcrafter=netcrafter, seed=seed)
-
-
 def run_smoke_grid(
     quick: bool = False,
     seed: int = 0,
@@ -155,6 +129,16 @@ def run_smoke_grid(
     if system_config is None:
         system_config = topology_smoke_config(topology)
     scale = Scale.small()
+    sharding = ShardingOptions(
+        n_shards=n_shards, window=window, parallel=parallel, adaptive=adaptive
+    )
+    if not sharding.active:
+        sharding = None
+    elif sharding.resolve(system_config) is None:
+        # a gate must not fall back to the single engine silently
+        raise ValueError(
+            f"{n_shards} shards do not divide {system_config.n_clusters} clusters"
+        )
     results = []
     total_events = 0
     total_cycles = 0
@@ -162,9 +146,7 @@ def run_smoke_grid(
         trace = get_workload(workload).build(
             n_gpus=system_config.n_gpus, scale=scale, seed=seed
         )
-        node = _build_node(
-            system_config, variant, seed, n_shards, window, parallel, adaptive
-        )
+        node = build_node(system_config, _variant_config(variant), seed, sharding)
         node.load(trace)
         result = node.run()
         results.append(result)
@@ -219,23 +201,17 @@ def bench_sharded_speedup(quick: bool = False) -> Tuple[int, Dict[str, object]]:
         n_gpus=system_config.n_gpus, scale=scale, seed=0
     )
 
-    single = MultiGpuSystem(
-        config=system_config, netcrafter=NetCrafterConfig.full(), seed=0
-    )
+    single = build_node(system_config, NetCrafterConfig.full(), 0)
     single.load(trace)
     start = time.perf_counter()
     single_result = single.run()
     single_wall = time.perf_counter() - start
 
-    from repro.shard.coordinator import ShardedSystem
-
-    sharded = ShardedSystem(
-        config=system_config,
-        netcrafter=NetCrafterConfig.full(),
-        seed=0,
-        n_shards=2,
-        parallel=True,
-        adaptive=True,
+    sharded = build_node(
+        system_config,
+        NetCrafterConfig.full(),
+        0,
+        ShardingOptions(n_shards=2, parallel=True, adaptive=True),
     )
     sharded.load(trace)
     start = time.perf_counter()

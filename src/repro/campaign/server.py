@@ -56,7 +56,7 @@ from repro.campaign.spec import (
     parse_campaign,
     point_from_descriptor,
 )
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, acquire
 from repro.experiments.runner import ExperimentPoint, execute_point
 from repro.obs import CounterSet
 
@@ -347,35 +347,35 @@ class CampaignServer:
     def _start(self, task: PointTask) -> bool:
         """Serve a cached result, or claim and execute, or follow a peer
         process's claim; True while the point holds its slot."""
-        if self.cache.get_by_key(task.fingerprint) is not None:
-            self._finish_point(task, "cache")
-            return False
-        if self.cache.claim(task.fingerprint):
-            return self._execute_claimed(task)
+        holds_slot = self._claim_step(task, hit_source="cache")
+        if holds_slot is not None:
+            return holds_slot
         follower = asyncio.get_running_loop().create_task(self._follow(task))
         self._followers.add(follower)
         follower.add_done_callback(self._followers.discard)
         return True
 
-    def _execute_claimed(self, task: PointTask) -> bool:
-        """With the claim held, submit the point to the pool (True), or
-        serve a result a peer published between the miss and the claim
-        win (False): the peer's result is authoritative."""
-        fp = task.fingerprint
+    def _claim_step(self, task: PointTask, hit_source: str) -> Optional[bool]:
+        """One :func:`~repro.experiments.cache.acquire` step: serve a
+        published result (a peer's, when it landed between the miss and
+        the claim win), or submit the claimed point to the pool (True);
+        ``None`` while a peer process holds the claim."""
+        status, _ = acquire(self.cache, task.fingerprint)
+        if status == "busy":
+            return None
+        if status != "owned":
+            self._finish_point(task, hit_source if status == "hit" else "peer")
+            return False
         try:
-            if self.cache.get_by_key(fp) is None:
-                future = asyncio.get_running_loop().run_in_executor(
-                    self._executor, self._execute, task.point
-                )
-                self._executions.add(future)
-                future.add_done_callback(functools.partial(self._executed, task))
-                return True
+            future = asyncio.get_running_loop().run_in_executor(
+                self._executor, self._execute, task.point
+            )
         except BaseException:
-            self.cache.release(fp)
+            self.cache.release(task.fingerprint)
             raise
-        self.cache.release(fp)
-        self._finish_point(task, "peer")
-        return False
+        self._executions.add(future)
+        future.add_done_callback(functools.partial(self._executed, task))
+        return True
 
     def _executed(self, task: PointTask, future: asyncio.Future) -> None:
         """An execution returned: hand its slot to the next queued point,
@@ -397,15 +397,10 @@ class CampaignServer:
         """Wait out a peer process's claim: serve the result it publishes,
         or execute the point if the claim frees up first."""
         try:
-            while True:
+            holds_slot = None
+            while holds_slot is None:
                 await asyncio.sleep(PEER_POLL_SECONDS)
-                if self.cache.get_by_key(task.fingerprint) is not None:
-                    holds_slot = False
-                    self._finish_point(task, "peer")
-                    break
-                if self.cache.claim(task.fingerprint):
-                    holds_slot = self._execute_claimed(task)
-                    break
+                holds_slot = self._claim_step(task, hit_source="peer")
         except Exception as exc:
             holds_slot = False
             self._finish_point(task, error=exc)

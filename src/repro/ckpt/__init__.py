@@ -335,17 +335,24 @@ def resume(
     # fingerprint — and there the header's mode says which payload kind
     # this file holds
     if header["mode"] == "sharded":
-        return _resume_sharded(
-            payload,
-            config=config,
-            netcrafter=netcrafter,
-            seed=seed,
-            workload=workload,
-            n_shards=n_shards,
-            window=window,
-            parallel=parallel,
-            adaptive=adaptive,
-            obs_spec=obs_spec,
+        from repro.shard.build import ShardingOptions, build_node
+
+        # a sharding plan always builds the sharded front end (a
+        # one-shard plan included), matching the payload kind
+        node = build_node(
+            config,
+            netcrafter,
+            seed,
+            ShardingOptions(n_shards, window, parallel, adaptive),
+            obs_spec,
+        )
+        node.load(workload)
+        return node.resume_run(
+            shard_states=payload["shard_states"],
+            kernel_index=payload["kernel_index"],
+            q=payload["q"],
+            windows_run=payload["windows_run"],
+            mail_seq=payload["mail_seq"],
             checkpointer=checkpointer,
         )
     if header["mode"] != "single":
@@ -369,43 +376,6 @@ def _resume_single(payload, checkpointer: Optional[Checkpointer]):
             f"(kernel {system._kernel_index})"
         )
     return system._collect(system._workload.name)
-
-
-def _resume_sharded(
-    payload,
-    *,
-    config,
-    netcrafter,
-    seed,
-    workload,
-    n_shards,
-    window,
-    parallel,
-    adaptive,
-    obs_spec,
-    checkpointer: Optional[Checkpointer],
-):
-    from repro.shard.coordinator import ShardedSystem
-
-    node = ShardedSystem(
-        config=config,
-        netcrafter=netcrafter,
-        seed=seed,
-        n_shards=n_shards,
-        window=window,
-        parallel=parallel,
-        adaptive=adaptive,
-        obs_spec=obs_spec,
-    )
-    node.load(workload)
-    return node.resume_run(
-        shard_states=payload["shard_states"],
-        kernel_index=payload["kernel_index"],
-        q=payload["q"],
-        windows_run=payload["windows_run"],
-        mail_seq=payload["mail_seq"],
-        checkpointer=checkpointer,
-    )
 
 
 __all__ = [

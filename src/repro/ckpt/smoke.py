@@ -42,6 +42,7 @@ from repro.bench.smoke import (
     topology_smoke_config,
 )
 from repro.ckpt import Checkpointer, CheckpointError, resume, run_fingerprint
+from repro.shard.build import ShardingOptions, build_node
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
@@ -91,20 +92,12 @@ def _point_context(spec: Dict[str, object]):
 
 
 def _build_node(config, netcrafter, spec):
-    if spec["n_shards"] > 1 or spec["window"] is not None:
-        from repro.shard.coordinator import ShardedSystem
-
-        return ShardedSystem(
-            config=config,
-            netcrafter=netcrafter,
-            seed=spec["seed"],
-            n_shards=spec["n_shards"],
-            window=spec["window"],
-            parallel=spec["parallel"],
-        )
-    from repro.gpu.system import MultiGpuSystem
-
-    return MultiGpuSystem(config=config, netcrafter=netcrafter, seed=spec["seed"])
+    sharding = ShardingOptions(
+        n_shards=spec["n_shards"], window=spec["window"], parallel=spec["parallel"]
+    )
+    return build_node(
+        config, netcrafter, spec["seed"], sharding if sharding.active else None
+    )
 
 
 def child_run_killed(spec: Dict[str, object]) -> int:

@@ -18,12 +18,11 @@ so re-generating figures after the first pass is nearly free.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Callable, Dict
 
 from repro.experiments import ablations, chaos, collective, extensions, figures, runner
-from repro.experiments.cache import default_cache_dir
+from repro.experiments.cache import ResultCache, default_cache_dir
 from repro.experiments.report import generate_report
 from repro.experiments.runner import ExperimentScale
 from repro.workloads.base import Scale
@@ -91,6 +90,13 @@ def main(argv=None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate NetCrafter paper figures and ablations.",
     )
+    try:
+        # the REPRO_* variables seed the flag defaults; the cache flags
+        # resolve their own default below
+        env = runner.RunContext.from_env(cache=None)
+    except ValueError as exc:
+        parser.error(f"bad REPRO_* environment setting: {exc}")
+    env_sharding = env.sharding or runner.ShardingOptions()
     parser.add_argument(
         "targets",
         nargs="+",
@@ -111,7 +117,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", "1")),
+        default=env.jobs,
         help="worker processes for independent simulation points "
         "(default: $REPRO_JOBS or 1)",
     )
@@ -136,19 +142,16 @@ def main(argv=None) -> int:
     shard_group.add_argument(
         "--shards",
         type=int,
-        default=int(os.environ["REPRO_SHARDS"])
-        if os.environ.get("REPRO_SHARDS")
-        else None,
+        default=env_sharding.n_shards,
         metavar="N",
         help="simulate each point as N cluster shards in worker processes "
-        "(must divide the config's cluster count; default: $REPRO_SHARDS)",
+        "(must divide the config's cluster count; default: $REPRO_SHARDS "
+        "or 1)",
     )
     shard_group.add_argument(
         "--window",
         type=int,
-        default=int(os.environ["REPRO_WINDOW"])
-        if os.environ.get("REPRO_WINDOW")
-        else None,
+        default=env_sharding.window,
         metavar="CYCLES",
         help="lookahead window size in cycles (default: the inter-cluster "
         "link latency, the maximum safe value)",
@@ -162,8 +165,7 @@ def main(argv=None) -> int:
     shard_group.add_argument(
         "--adaptive-window",
         action="store_true",
-        default=os.environ.get("REPRO_ADAPTIVE_WINDOW", "").lower()
-        in ("1", "true", "yes"),
+        default=env_sharding.adaptive,
         help="derive each shard's lookahead window from replicated "
         "simulation state instead of a fixed size (byte-identical "
         "results, fewer windows on sparse traffic; overrides --window; "
@@ -296,17 +298,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.trace_sample < 1:
-        parser.error("--trace-sample must be >= 1")
-    if args.metrics_interval is not None and args.metrics_interval < 1:
-        parser.error("--metrics-interval must be >= 1")
-    if args.shards is not None and args.shards < 1:
-        parser.error("--shards must be >= 1")
-    if args.window is not None and args.window < 1:
-        parser.error("--window must be >= 1")
-    if args.checkpoint_every is not None and args.checkpoint_every < 1:
-        parser.error("--checkpoint-every must be >= 1")
-
     if (
         args.fault_ber is not None
         or args.fault_drop is not None
@@ -346,30 +337,57 @@ def main(argv=None) -> int:
             )
         )
 
-    if args.topology is not None or args.bw_class:
-        overrides = {}
-        if args.topology is not None:
-            overrides["inter_topology"] = args.topology
-        if args.bw_class:
-            bw = {}
-            for spec in args.bw_class:
-                cls, sep, value = spec.partition("=")
-                if not sep or not cls:
-                    parser.error(f"--bw-class wants CLASS=BW, got {spec!r}")
-                if cls in bw:
-                    parser.error(
-                        f"duplicate --bw-class for class {cls!r} "
-                        f"(already set to {bw[cls]:g})"
-                    )
-                try:
-                    bw[cls] = float(value)
-                except ValueError:
-                    parser.error(f"bad bandwidth in --bw-class {spec!r}")
-            overrides["link_bw_overrides"] = tuple(sorted(bw.items()))
-        try:
-            runner.set_system_overrides(**overrides)
-        except ValueError as exc:
-            parser.error(str(exc))
+    overrides = {}
+    if args.topology is not None:
+        overrides["inter_topology"] = args.topology
+    if args.bw_class:
+        bw = {}
+        for spec in args.bw_class:
+            cls, sep, value = spec.partition("=")
+            if not sep or not cls:
+                parser.error(f"--bw-class wants CLASS=BW, got {spec!r}")
+            if cls in bw:
+                parser.error(
+                    f"duplicate --bw-class for class {cls!r} "
+                    f"(already set to {bw[cls]:g})"
+                )
+            try:
+                bw[cls] = float(value)
+            except ValueError:
+                parser.error(f"bad bandwidth in --bw-class {spec!r}")
+        overrides["link_bw_overrides"] = tuple(sorted(bw.items()))
+    try:
+        checkpointing = None
+        if args.checkpoint_every is not None or args.resume_from is not None:
+            checkpointing = runner.CheckpointOptions(
+                directory=args.checkpoint_dir,
+                every=1 if args.checkpoint_every is None else args.checkpoint_every,
+                resume_from=args.resume_from,
+            )
+        ctx = runner.RunContext(
+            jobs=args.jobs,
+            cache=None
+            if args.no_cache or args.targets == ["list"]
+            else ResultCache(args.cache_dir or default_cache_dir()),
+            observability=runner.ObservabilityOptions(
+                trace=args.trace,
+                trace_sample=args.trace_sample,
+                metrics_interval=args.metrics_interval,
+                profile=args.profile,
+                out_dir=args.obs_dir,
+            ),
+            sharding=runner.ShardingOptions(
+                n_shards=args.shards,
+                window=args.window,
+                parallel=False if args.sequential_shards else None,
+                adaptive=args.adaptive_window,
+            ),
+            checkpointing=checkpointing,
+            system_overrides=overrides,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    if overrides:
         print(
             "topology overrides: "
             + ", ".join(f"{k}={v}" for k, v in sorted(overrides.items()))
@@ -381,47 +399,17 @@ def main(argv=None) -> int:
             print(f"  {name}")
         return 0
 
-    runner.set_default_jobs(args.jobs)
-    runner.set_cache_dir(
-        None if args.no_cache else (args.cache_dir or default_cache_dir())
-    )
-    obs_options = runner.ObservabilityOptions(
-        trace=args.trace,
-        trace_sample=args.trace_sample,
-        metrics_interval=args.metrics_interval,
-        profile=args.profile,
-        out_dir=args.obs_dir,
-    )
-    if obs_options.active:
-        runner.set_observability(obs_options)
+    runner.install_context(ctx)
+    if ctx.observability is not None:
         print(f"observability artifacts -> {args.obs_dir}/ (cache bypassed)")
-    if (
-        args.shards is not None
-        or args.window is not None
-        or args.adaptive_window
-    ):
-        runner.set_sharding(
-            runner.ShardingOptions(
-                n_shards=args.shards or 1,
-                window=args.window,
-                parallel=False if args.sequential_shards else None,
-                adaptive=args.adaptive_window,
-            )
-        )
+    if ctx.sharding is not None:
         mode = "sequential" if args.sequential_shards else "process-parallel"
         window = "adaptive" if args.adaptive_window else (args.window or "max")
         print(
-            f"cluster sharding: {args.shards or 1} shard(s), "
+            f"cluster sharding: {args.shards} shard(s), "
             f"window={window}, {mode}"
         )
-    if args.checkpoint_every is not None or args.resume_from is not None:
-        runner.set_checkpointing(
-            runner.CheckpointOptions(
-                directory=args.checkpoint_dir,
-                every=args.checkpoint_every or 1,
-                resume_from=args.resume_from,
-            )
-        )
+    if ctx.checkpointing is not None:
         print(
             f"checkpointing: every {args.checkpoint_every or 1} kernel(s) "
             f"-> {args.checkpoint_dir}/"

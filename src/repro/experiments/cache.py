@@ -14,7 +14,7 @@ every stale entry silently becomes a miss instead of poisoning figures.
 The cache directory defaults to ``$REPRO_CACHE_DIR`` or ``.repro_cache``
 under the current directory; the experiment CLI enables it by default
 (``--no-cache`` / ``--cache-dir`` override), while library callers opt in
-via :func:`repro.experiments.runner.set_cache_dir`.
+through :class:`repro.experiments.runner.RunContext`'s ``cache``.
 
 Beyond plain storage the cache directory doubles as the coordination
 point for *concurrent* clients sharing it (several ``run_many``
@@ -28,7 +28,8 @@ processes, or the campaign server plus ad-hoc CLI runs):
   execute a point while everyone else observes the in-flight marker and
   waits for the published result (:meth:`ResultCache.claim_state`),
   giving "exactly one execution per fingerprint" across process
-  boundaries without a server in the loop.
+  boundaries without a server in the loop.  :func:`acquire` is the one
+  claim-or-follow step every front end takes per point.
 
 Maintenance for long-lived deployments (the campaign server's cache
 grows without bound otherwise) lives in this module's CLI::
@@ -47,7 +48,7 @@ import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.atomicio import TMP_SUFFIX, atomic_write_text, sweep_orphans
 from repro.stats.report import RunResult
@@ -355,6 +356,36 @@ class ResultCache:
             except OSError:
                 pass
         return removed
+
+
+def acquire(cache, key: str) -> Tuple[str, Optional[RunResult]]:
+    """One non-blocking claim-or-follow step for the point ``key``.
+
+    Returns ``(status, result)``:
+
+    * ``"hit"`` — the result was already published;
+    * ``"peer"`` — this call won the claim, but a peer published the
+      result between the miss and the win; the claim is released again
+      and the peer's result is authoritative;
+    * ``"owned"`` — this call holds the claim: execute, ``put``, then
+      ``release``;
+    * ``"busy"`` — a live peer holds the claim: wait, then step again.
+
+    Only ``cache``'s public ``get_by_key``/``claim``/``release`` are
+    called, so a delegating wrapper (timing or recording proxies) sees
+    every read.  Waiting is the caller's business: the runner sleeps,
+    the campaign server yields to its event loop.
+    """
+    result = cache.get_by_key(key)
+    if result is not None:
+        return "hit", result
+    if not cache.claim(key):
+        return "busy", None
+    result = cache.get_by_key(key)
+    if result is not None:
+        cache.release(key)
+        return "peer", result
+    return "owned", None
 
 
 def main(argv=None) -> int:

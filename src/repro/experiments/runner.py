@@ -14,6 +14,12 @@ Two layers sit on top of that in-process memo:
   (content-addressed by the full configuration) makes repeat figure
   regeneration nearly free across processes.
 
+Every option — jobs, the disk cache, sharding, observability,
+checkpointing, system overrides — travels in one frozen
+:class:`RunContext`, passed explicitly or installed once by the entry
+point (:func:`install_context`), and shipped to pool workers with each
+point.
+
 Every lookup and execution is tallied in :data:`run_stats` so the CLI
 and benchmark harness can report per-point timing, cache effectiveness,
 and parallel speedup.
@@ -24,15 +30,15 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.cache import ResultCache, fingerprint
-from repro.gpu.system import MultiGpuSystem
+from repro.experiments.cache import ResultCache, acquire, fingerprint
 from repro.obs import Observability
+from repro.shard.build import ShardingOptions, build_node
 from repro.shard.coordinator import ShardedSystem
 from repro.shard.shard_system import ShardObsSpec
 from repro.stats.report import RunResult
@@ -87,7 +93,8 @@ class ExperimentPoint:
     """One independent simulation point: a (workload, configuration) tuple.
 
     ``None`` config fields mean "the default"; :meth:`normalized` fills
-    them in so equal points always hash to the same cache key.
+    them in, so equal normalized points are equal (and hash equal): a
+    normalized point is its own in-process memo key.
     """
 
     workload: str
@@ -96,13 +103,15 @@ class ExperimentPoint:
     scale: Optional[Scale] = None
     seed: int = 0
 
-    def normalized(self) -> "ExperimentPoint":
+    def normalized(self, ctx: Optional["RunContext"] = None) -> "ExperimentPoint":
         system = self.system or SystemConfig.default()
-        if _system_overrides:
-            # global topology/bandwidth overrides (the CLI's --topology /
-            # --bw-class) reshape every point, explicit systems included;
-            # idempotent, so re-normalizing cannot double-apply
-            system = system.with_overrides(**_system_overrides)
+        overrides = (_installed if ctx is None else ctx).system_overrides
+        if overrides:
+            # the context's topology/bandwidth overrides (the CLI's
+            # --topology / --bw-class) reshape every point, explicit
+            # systems included; idempotent, so re-normalizing cannot
+            # double-apply
+            system = system.with_overrides(**dict(overrides))
         if (
             system is self.system
             and self.netcrafter is not None
@@ -117,14 +126,8 @@ class ExperimentPoint:
             seed=self.seed,
         )
 
-    def key(self) -> tuple:
-        """In-process memo key (the full normalized configuration)."""
-        p = self.normalized()
-        return (p.workload, p.system, p.netcrafter, p.scale, p.seed)
-
     def label(self) -> str:
-        p = self.normalized()
-        return f"{p.workload}/seed{p.seed}"
+        return f"{self.workload}/seed{self.seed}"
 
 
 @dataclass
@@ -211,8 +214,10 @@ def reset_run_stats() -> None:
 
 
 @dataclass(frozen=True)
-class ObservabilityOptions:
-    """What per-run observability artifacts the harness should produce.
+class ObservabilityOptions(ShardObsSpec):
+    """What per-run observability artifacts the harness should produce:
+    the instrument recipe, which also configures every shard, plus where
+    the artifacts go.
 
     Any enabled artifact forces the point to actually simulate (cache
     lookups and stores are bypassed): a cached result has no trace to
@@ -220,22 +225,12 @@ class ObservabilityOptions:
     cached timing entry either.
     """
 
-    trace: bool = False
-    #: keep every Nth packet lifecycle (1 = all)
-    trace_sample: int = 1
-    #: metrics snapshot period in cycles; None disables the time-series
-    metrics_interval: Optional[int] = None
-    profile: bool = False
     out_dir: str = "results/obs"
-
-    @property
-    def active(self) -> bool:
-        return self.trace or self.metrics_interval is not None or self.profile
 
 
 @dataclass(frozen=True)
 class CheckpointOptions:
-    """Kernel-boundary checkpointing for every subsequent simulation point.
+    """Kernel-boundary checkpointing for every simulation point.
 
     Each point's latest resumable state is published (atomically,
     durably) to ``<directory>/<run-fingerprint>.ckpt`` — content-
@@ -256,134 +251,87 @@ class CheckpointOptions:
     every: int = 1
     resume_from: Optional[str] = None
 
-
-#: module-level so forked run_many workers inherit it
-_ckpt_options: Optional[CheckpointOptions] = None
-
-
-def set_checkpointing(options: Optional[CheckpointOptions]) -> None:
-    """Checkpoint/resume every subsequent point (``None`` disables)."""
-    global _ckpt_options
-    _ckpt_options = options
-
-
-def checkpoint_options() -> Optional[CheckpointOptions]:
-    """The active checkpoint options, or ``None`` when disabled."""
-    return _ckpt_options
+    def __post_init__(self) -> None:
+        if self.every < 1:
+            raise ValueError(f"checkpoint period must be >= 1, got {self.every}")
 
 
 @dataclass(frozen=True)
-class ShardingOptions:
-    """How each simulation point is split across cluster shards.
+class RunContext:
+    """Everything a run needs besides its points, passed explicitly.
 
-    Sharding is *intra-run* parallelism: one simulation is decomposed
-    into per-cluster shards advancing in conservative lookahead windows
-    (:class:`~repro.shard.coordinator.ShardedSystem`).  Results are
-    byte-identical to the single-engine run, so the result cache stays
-    shared between modes and the choice is purely about wall-clock.
-
-    Points whose system config the shard count does not divide fall back
-    to the single engine (identical results) rather than failing a whole
-    figure sweep.
+    Frozen and picklable: :func:`run_many` ships it to its pool workers
+    with every point, so workers see the same options whatever the
+    multiprocessing start method.  Construction validates every option
+    (bad values fail here, not once per point deep inside a worker) and
+    drops options that enable nothing, so ``None`` means "off".
     """
 
-    n_shards: int = 1
-    #: lookahead window in cycles; ``None`` means the maximum safe value
-    #: (the inter-cluster link latency), clamped per-point when smaller
-    window: Optional[int] = None
-    #: ``None`` = processes exactly when ``n_shards > 1``; ``False``
-    #: forces sequential-windowed mode (debugging, digest comparisons)
-    parallel: Optional[bool] = None
-    #: adaptive lookahead: stretch each shard's window from replicated
-    #: simulation state instead of the fixed size (byte-identical
-    #: results, so cache keys are unaffected); ``window`` is ignored
-    adaptive: bool = False
+    #: worker processes :func:`run_many` uses when none is passed
+    jobs: int = 1
+    #: the persistent result cache, also the cross-process claim point
+    cache: Optional[ResultCache] = None
+    observability: Optional[ObservabilityOptions] = None
+    sharding: Optional[ShardingOptions] = None
+    checkpointing: Optional[CheckpointOptions] = None
+    #: ``SystemConfig`` field overrides applied to every point at
+    #: normalization (the CLI's --topology/--bw-class); a mapping or
+    #: (field, value) pairs, stored sorted
+    system_overrides: Tuple[Tuple[str, object], ...] = ()
 
-    @property
-    def active(self) -> bool:
-        return self.n_shards > 1 or self.window is not None or self.adaptive
-
-    def use_processes(self) -> bool:
-        return self.n_shards > 1 if self.parallel is None else self.parallel
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+        if self.observability is not None and not self.observability.active:
+            object.__setattr__(self, "observability", None)
+        if self.sharding is not None and not self.sharding.active:
+            object.__setattr__(self, "sharding", None)
+        overrides = tuple(sorted(dict(self.system_overrides).items()))
+        if overrides:
+            SystemConfig.default().with_overrides(**dict(overrides))  # validate
+        object.__setattr__(self, "system_overrides", overrides)
 
     @classmethod
-    def from_env(cls) -> Optional["ShardingOptions"]:
-        """Honour ``REPRO_SHARDS`` / ``REPRO_WINDOW`` /
-        ``REPRO_ADAPTIVE_WINDOW`` (all unset -> None)."""
-        shards = os.environ.get("REPRO_SHARDS")
-        window = os.environ.get("REPRO_WINDOW")
-        adaptive = os.environ.get("REPRO_ADAPTIVE_WINDOW", "").lower() in (
-            "1",
-            "true",
-            "yes",
-        )
-        if not shards and not window and not adaptive:
-            return None
-        return cls(
-            n_shards=int(shards) if shards else 1,
-            window=int(window) if window else None,
-            adaptive=adaptive,
-        )
+    def from_env(cls, **fields: object) -> "RunContext":
+        """A context from ``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
+        ``REPRO_SHARDS``, ``REPRO_WINDOW`` and ``REPRO_ADAPTIVE_WINDOW``.
+
+        Unset variables keep the defaults (no disk cache, no sharding).
+        ``fields`` given explicitly win and leave their variables unread.
+        """
+        env = os.environ
+        if "jobs" not in fields:
+            fields["jobs"] = int(env.get("REPRO_JOBS") or 1)
+        if "cache" not in fields:
+            cache_dir = env.get("REPRO_CACHE_DIR")
+            fields["cache"] = ResultCache(cache_dir) if cache_dir else None
+        if "sharding" not in fields:
+            shards, window = env.get("REPRO_SHARDS"), env.get("REPRO_WINDOW")
+            fields["sharding"] = ShardingOptions(
+                n_shards=int(shards) if shards else 1,
+                window=int(window) if window else None,
+                adaptive=env.get("REPRO_ADAPTIVE_WINDOW", "").lower()
+                in ("1", "true", "yes"),
+            )
+        return cls(**fields)
 
 
-_cache: Dict[tuple, RunResult] = {}
-_default_jobs = 1
-_disk_cache: Optional[ResultCache] = None
-#: module-level so forked run_many workers inherit it
-_obs_options: Optional[ObservabilityOptions] = None
-#: module-level for the same reason; seeded from the environment
-_sharding_options: Optional[ShardingOptions] = ShardingOptions.from_env()
-#: SystemConfig field overrides applied to every point at normalization
-#: (the CLI's --topology/--bw-class); module-level so forked run_many
-#: workers inherit it, though points are normalized before pickling
-_system_overrides: Dict[str, object] = {}
+#: the context used when a call passes none; entry points (the CLI, the
+#: benchmark session) install theirs so the figure drivers need no
+#: context parameter
+_installed = RunContext()
 
 
-def set_system_overrides(**overrides: object) -> None:
-    """Apply ``SystemConfig`` field overrides to every subsequent point.
-
-    Used by the CLI's topology flags so a whole figure sweep can be
-    re-run on a different fabric (``inter_topology``, per-class
-    ``link_bw_overrides``, ...).  Overrides are validated eagerly
-    against the default config so bad values fail here, not deep inside
-    a worker.  Call with no arguments to clear.
-    """
-    global _system_overrides
-    if overrides:
-        SystemConfig.default().with_overrides(**overrides)  # validate
-    _system_overrides = dict(overrides)
+def install_context(ctx: RunContext) -> RunContext:
+    """Make ``ctx`` the default context; returns the one it replaces."""
+    global _installed
+    previous, _installed = _installed, ctx
+    return previous
 
 
-def system_overrides() -> Dict[str, object]:
-    """The active global system overrides (empty when disabled)."""
-    return dict(_system_overrides)
-
-
-def set_sharding(options: Optional[ShardingOptions]) -> None:
-    """Shard every subsequent simulation point (``None`` disables)."""
-    global _sharding_options
-    _sharding_options = (
-        options if options is not None and options.active else None
-    )
-
-
-def sharding_options() -> Optional[ShardingOptions]:
-    """The active sharding options, or ``None`` when disabled."""
-    return _sharding_options
-
-
-def set_observability(options: Optional[ObservabilityOptions]) -> None:
-    """Produce trace/metrics/profile artifacts for every subsequent run.
-
-    Pass ``None`` (or options with nothing enabled) to turn it back off.
-    """
-    global _obs_options
-    _obs_options = options if options is not None and options.active else None
-
-
-def observability_options() -> Optional[ObservabilityOptions]:
-    """The active observability options, or ``None`` when disabled."""
-    return _obs_options
+def current_context() -> RunContext:
+    """The installed default context."""
+    return _installed
 
 
 def _write_artifacts(
@@ -413,230 +361,159 @@ def _write_artifacts(
         result.profile_path = str(profile)
 
 
+#: the in-process memo, keyed by normalized point
+_cache: Dict[ExperimentPoint, RunResult] = {}
+
+
 def clear_cache() -> None:
     """Drop the in-process memo (the disk cache is left untouched)."""
     _cache.clear()
 
 
-def set_default_jobs(jobs: int) -> None:
-    """Worker-process count :func:`run_many` uses when none is passed."""
-    global _default_jobs
-    _default_jobs = max(1, int(jobs))
-
-
-def set_cache_dir(path: Optional[str]) -> None:
-    """Enable the persistent disk cache rooted at ``path`` (None disables)."""
-    global _disk_cache
-    _disk_cache = ResultCache(path) if path else None
-
-
-def disk_cache() -> Optional[ResultCache]:
-    """The active persistent cache, or ``None`` when disabled."""
-    return _disk_cache
-
-
-def _simulate(point: ExperimentPoint) -> RunResult:
-    point = point.normalized()
+def _simulate(point: ExperimentPoint, ctx: RunContext) -> RunResult:
+    point = point.normalized(ctx)
+    system = point.system
     trace = get_workload(point.workload).build(
-        n_gpus=point.system.n_gpus, scale=point.scale, seed=point.seed
+        n_gpus=system.n_gpus, scale=point.scale, seed=point.seed
     )
-    options = _obs_options
-    sharding = _sharding_options
-    use_shards = (
-        sharding is not None
-        and sharding.active
-        and point.system.n_clusters % sharding.n_shards == 0
-    )
-    if use_shards:
-        lookahead = point.system.effective_inter_link_latency
-        n_shards = sharding.n_shards
-        eff_window = (
-            None if sharding.window is None else min(sharding.window, lookahead)
-        )
-        parallel = sharding.use_processes()
-        adaptive = sharding.adaptive
-    else:
-        n_shards, eff_window, parallel, adaptive = 1, None, False, False
-    spec = (
-        ShardObsSpec(
-            trace=options.trace,
-            trace_sample=options.trace_sample,
-            metrics_interval=options.metrics_interval,
-            profile=options.profile,
-        )
-        if options is not None
-        else None
-    )
+    options = ctx.observability
+    plan = ctx.sharding.resolve(system) if ctx.sharding is not None else None
 
     checkpointer = None
-    if _ckpt_options is not None:
+    if ctx.checkpointing is not None:
         from repro import ckpt as _ckpt
 
+        # the single engine snapshots as the 1-shard, default-window shape
+        shape = plan or ShardingOptions(parallel=False)
         fp = _ckpt.run_fingerprint(
-            point.system,
-            point.netcrafter,
-            point.seed,
-            trace,
-            n_shards=n_shards,
-            window=eff_window,
+            system, point.netcrafter, point.seed, trace,
+            n_shards=shape.n_shards, window=shape.window,
         )
-        snapshot_path = Path(_ckpt_options.directory) / f"{fp}.ckpt"
         checkpointer = _ckpt.Checkpointer(
-            path=snapshot_path, fingerprint=fp, every=_ckpt_options.every
+            path=Path(ctx.checkpointing.directory) / f"{fp}.ckpt",
+            fingerprint=fp,
+            every=ctx.checkpointing.every,
         )
-        resume_path = None
-        if _ckpt_options.resume_from:
-            source = Path(_ckpt_options.resume_from)
-            if source.is_dir():
-                # per-point lookup in a checkpoint directory: points
-                # without a snapshot simply start fresh
-                candidate = source / f"{fp}.ckpt"
-                if candidate.exists():
-                    resume_path = candidate
-            else:
-                # an explicit snapshot file must match this point —
-                # resume() raises FingerprintMismatchError otherwise
-                resume_path = source
-        if resume_path is not None:
+        resume_from = ctx.checkpointing.resume_from
+        if resume_from and Path(resume_from).is_dir():
+            # per-point lookup in a checkpoint directory: points without
+            # a snapshot simply start fresh
+            resume_from = Path(resume_from) / f"{fp}.ckpt"
+            resume_from = resume_from if resume_from.exists() else None
+        # an explicit snapshot file must match this point — resume()
+        # raises FingerprintMismatchError otherwise
+        if resume_from:
             return _ckpt.resume(
-                resume_path,
-                config=point.system,
+                resume_from,
+                config=system,
                 netcrafter=point.netcrafter,
                 seed=point.seed,
                 workload=trace,
-                n_shards=n_shards,
-                window=eff_window,
-                parallel=parallel,
-                adaptive=adaptive,
-                obs_spec=spec,
+                n_shards=shape.n_shards,
+                window=shape.window,
+                parallel=shape.parallel,
+                adaptive=shape.adaptive,
+                obs_spec=options,
                 checkpointer=checkpointer,
             )
 
-    if use_shards:
-        node = ShardedSystem(
-            config=point.system,
-            netcrafter=point.netcrafter,
-            seed=point.seed,
-            n_shards=n_shards,
-            window=eff_window,
-            parallel=parallel,
-            adaptive=adaptive,
-            obs_spec=spec,
-        )
-        node.load(trace)
-        node._ckpt_hook = checkpointer
-        result = node.run()
-        if options is not None:
-            _write_artifacts(options, node.merged_obs(), point, result)
-        return result
-    obs = spec.build() if spec is not None else None
-    node = MultiGpuSystem(
-        config=point.system, netcrafter=point.netcrafter, seed=point.seed, obs=obs
-    )
+    node = build_node(system, point.netcrafter, point.seed, plan, options)
     node.load(trace)
     node._ckpt_hook = checkpointer
     result = node.run()
-    if obs is not None:
+    if options is not None:
+        obs = node.merged_obs() if isinstance(node, ShardedSystem) else node.obs
         _write_artifacts(options, obs, point, result)
     return result
 
 
-def execute_point(point: ExperimentPoint) -> Tuple[RunResult, float]:
-    """Simulate one point unconditionally, timing it.
+def execute_point(
+    point: ExperimentPoint, ctx: Optional[RunContext] = None
+) -> Tuple[RunResult, float]:
+    """Simulate one point unconditionally under ``ctx``, timing it.
 
     The public execution entry for front ends layering their own
     serving policy over the runner (the campaign server's worker pool,
     ``run_many``'s process-pool workers): no cache lookups, no stores,
     no in-flight registration — callers own those.  Picklable, so it can
-    be shipped to a ``ProcessPoolExecutor`` directly.
+    be shipped to a ``ProcessPoolExecutor`` directly; ``ctx`` defaults
+    to the installed context of the process it runs in.
     """
     start = time.perf_counter()
-    result = _simulate(point)
+    result = _simulate(point, _installed if ctx is None else ctx)
     return result, time.perf_counter() - start
 
 
-def _record_executed(point: ExperimentPoint, result: RunResult, seconds: float) -> None:
+def _record(
+    point: ExperimentPoint,
+    result: RunResult,
+    seconds: float,
+    use_cache: bool,
+    cache: Optional[ResultCache],
+) -> None:
+    """Tally an executed point, memoize it and publish it to ``cache``."""
     run_stats.executed += 1
     run_stats.exec_seconds += seconds
     run_stats.timings.append((point.label(), seconds))
+    if use_cache:
+        _cache[point] = result
+    if cache is not None:
+        cache.put(point, result)
 
 
-def _disk_get(point: ExperimentPoint) -> Optional[RunResult]:
-    """Disk-cache read that folds quarantine tallies into run_stats."""
-    before = _disk_cache.corrupt
-    loaded = _disk_cache.get(point)
-    run_stats.corrupt_entries += _disk_cache.corrupt - before
-    return loaded
+def _step(
+    cache: ResultCache, point: ExperimentPoint, key: str, followed: bool = False
+) -> Tuple[str, Optional[RunResult]]:
+    """:func:`acquire` for ``point``, folded into the memo and run_stats.
 
-
-def _lookup(point: ExperimentPoint, use_cache: bool) -> Optional[RunResult]:
-    """Memory then disk lookup; promotes disk hits into the memo."""
-    if not use_cache:
-        return None
-    key = point.key()
-    cached = _cache.get(key)
-    if cached is not None:
-        run_stats.memory_hits += 1
-        return cached
-    if _disk_cache is not None:
-        loaded = _disk_get(point)
-        if loaded is not None:
+    A result read before this process ever saw the point busy is a disk
+    hit; one published by a peer it had to wait for is an in-flight share.
+    """
+    before = cache.corrupt
+    status, result = acquire(cache, key)
+    run_stats.corrupt_entries += cache.corrupt - before
+    if result is not None:
+        _cache[point] = result
+        if status == "hit" and not followed:
             run_stats.disk_hits += 1
-            _cache[key] = loaded
-            return loaded
-    return None
-
-
-def _store(point: ExperimentPoint, result: RunResult, use_cache: bool) -> None:
-    if not use_cache:
-        return
-    _cache[point.key()] = result
-    if _disk_cache is not None:
-        _disk_cache.put(point, result)
+        else:
+            run_stats.inflight_hits += 1
+    return status, result
 
 
 #: how often a waiter re-checks a peer's in-flight execution
 _CLAIM_POLL_SECONDS = 0.05
 
 
-def _claims_active(use_cache: bool) -> bool:
-    """Cross-process claims engage exactly when the disk cache does."""
-    return use_cache and _disk_cache is not None
+def _serve(
+    cache: ResultCache,
+    point: ExperimentPoint,
+    key: str,
+    ctx: RunContext,
+    followed: bool = False,
+) -> RunResult:
+    """Claim-or-follow ``point`` until it is served.
 
-
-def _resolve_in_flight(point: ExperimentPoint, use_cache: bool) -> RunResult:
-    """Serve a point someone else claimed: wait, or take over.
-
-    Polls the shared cache dir until the claim holder publishes the
-    result (counted as an in-flight share), the claim goes stale (the
-    holder crashed — steal it and execute), or the claim is released
-    without a result (the holder failed or ran uncached — claim and
-    execute).  Exactly-one-execution is therefore best effort under
-    crashes, but a waiter can never return a wrong result and never
-    deadlocks on a dead peer.
+    Steps until the result is published (by anyone), or this process
+    wins the claim — the point was never claimed, its holder released it
+    without a result, or the holder crashed and its stale claim is
+    stolen — and executes it.  Exactly-one-execution is therefore best
+    effort under crashes, but a waiter can never return a wrong result
+    and never deadlocks on a dead peer.  ``followed`` says a step
+    already found the point busy.
     """
-    key = fingerprint(point)
     while True:
-        loaded = _disk_get(point)
-        if loaded is not None:
-            run_stats.inflight_hits += 1
-            _cache[point.key()] = loaded
-            return loaded
-        if _disk_cache.claim(key):
+        status, result = _step(cache, point, key, followed)
+        if status == "owned":
             try:
-                # the peer may have published between the poll and the
-                # claim win; prefer its result over a re-execution
-                loaded = _disk_get(point)
-                if loaded is not None:
-                    run_stats.inflight_hits += 1
-                    _cache[point.key()] = loaded
-                    return loaded
-                result, seconds = execute_point(point)
-                _record_executed(point, result, seconds)
-                _store(point, result, use_cache)
+                result, seconds = execute_point(point, ctx)
+                _record(point, result, seconds, True, cache)
             finally:
-                _disk_cache.release(key)
+                cache.release(key)
             return result
+        if status != "busy":
+            return result
+        followed = True
         time.sleep(_CLAIM_POLL_SECONDS)
 
 
@@ -647,112 +524,115 @@ def run_one(
     scale: Optional[Scale] = None,
     seed: int = 0,
     use_cache: bool = True,
+    ctx: Optional[RunContext] = None,
 ) -> RunResult:
-    """Simulate one (workload, configuration) point."""
+    """Simulate one (workload, configuration) point under ``ctx``."""
+    ctx = _installed if ctx is None else ctx
     point = ExperimentPoint(
         workload=workload, system=system, netcrafter=netcrafter, scale=scale, seed=seed
-    ).normalized()
-    use_cache = use_cache and _obs_options is None
+    ).normalized(ctx)
+    use_cache = use_cache and ctx.observability is None
     run_stats.points += 1
-    cached = _lookup(point, use_cache)
-    if cached is not None:
-        return cached
-    if _claims_active(use_cache):
-        key = fingerprint(point)
-        if not _disk_cache.claim(key):
-            return _resolve_in_flight(point, use_cache)
-        try:
-            result, seconds = execute_point(point)
-            _record_executed(point, result, seconds)
-            _store(point, result, use_cache)
-        finally:
-            _disk_cache.release(key)
+    if use_cache:
+        cached = _cache.get(point)
+        if cached is not None:
+            run_stats.memory_hits += 1
+            return cached
+    cache = ctx.cache if use_cache else None
+    if cache is None:
+        result, seconds = execute_point(point, ctx)
+        _record(point, result, seconds, use_cache, None)
         return result
-    result, seconds = execute_point(point)
-    _record_executed(point, result, seconds)
-    _store(point, result, use_cache)
-    return result
+    return _serve(cache, point, fingerprint(point), ctx)
+
+
+def _executions(owned: List[ExperimentPoint], jobs: int, ctx: RunContext):
+    """Yield ``(point, result, seconds)`` as the owned points finish."""
+    if jobs > 1 and len(owned) > 1:
+        # workers execute only; the cache stays with the claim holder
+        worker_ctx = replace(ctx, cache=None)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(owned))) as pool:
+            futures = {
+                pool.submit(execute_point, point, worker_ctx): point
+                for point in owned
+            }
+            for future in as_completed(futures):
+                yield (futures[future], *future.result())
+    else:
+        for point in owned:
+            yield (point, *execute_point(point, ctx))
 
 
 def run_many(
     points: Sequence[ExperimentPoint],
     jobs: Optional[int] = None,
     use_cache: bool = True,
+    ctx: Optional[RunContext] = None,
 ) -> List[RunResult]:
     """Run a batch of independent points, fanning misses out over workers.
 
     Returns results in ``points`` order.  Duplicate points are simulated
     once; cached points (in-process memo first, then the persistent disk
-    cache when enabled) are never re-simulated.  With ``jobs > 1`` the
-    remaining misses run on a ``ProcessPoolExecutor``; results are
-    bit-identical to a serial pass because each point's simulation is a
-    deterministic function of its configuration.
+    cache when enabled) are never re-simulated.  With ``jobs > 1`` (by
+    default ``ctx.jobs``) the remaining misses run on a
+    ``ProcessPoolExecutor``; results are bit-identical to a serial pass
+    because each point's simulation is a deterministic function of its
+    configuration and ``ctx``.
     """
     batch_start = time.perf_counter()
-    jobs = _default_jobs if jobs is None else max(1, int(jobs))
-    use_cache = use_cache and _obs_options is None
-    normalized = [p.normalized() for p in points]
+    ctx = _installed if ctx is None else ctx
+    jobs = ctx.jobs if jobs is None else max(1, int(jobs))
+    use_cache = use_cache and ctx.observability is None
+    cache = ctx.cache if use_cache else None
+    normalized = [p.normalized(ctx) for p in points]
     run_stats.points += len(normalized)
     run_stats.batches += 1
     run_stats.max_jobs = max(run_stats.max_jobs, jobs)
 
-    results: Dict[tuple, RunResult] = {}
-    pending: List[ExperimentPoint] = []
+    results: Dict[ExperimentPoint, Optional[RunResult]] = {}
+    keys: Dict[ExperimentPoint, str] = {}
+    owned: List[ExperimentPoint] = []
+    following: List[ExperimentPoint] = []
     for point in normalized:
-        key = point.key()
-        if key in results:
+        if point in results:
             run_stats.memory_hits += 1  # duplicate within this batch
             continue
-        cached = _lookup(point, use_cache)
+        cached = _cache.get(point) if use_cache else None
         if cached is not None:
-            results[key] = cached
+            run_stats.memory_hits += 1
+            results[point] = cached
             continue
-        results[key] = None  # placeholder so duplicates don't re-queue
-        pending.append(point)
+        # cross-process dedupe: one claim step per miss in the shared
+        # cache dir; points another process is executing are followed
+        status = "owned"
+        if cache is not None:
+            keys[point] = fingerprint(point)
+            status, cached = _step(cache, point, keys[point])
+        results[point] = cached  # None holds the slot for duplicates
+        if status == "owned":
+            owned.append(point)
+        elif status == "busy":
+            following.append(point)
 
-    if pending:
-        # cross-process dedupe: claim each miss in the shared cache dir;
-        # points another process is already executing are *followed*
-        # (poll for its published result) instead of re-executed
-        if _claims_active(use_cache):
-            owned = [p for p in pending if _disk_cache.claim(fingerprint(p))]
-            owned_keys = {p.key() for p in owned}
-            following = [p for p in pending if p.key() not in owned_keys]
-        else:
-            owned, following = pending, []
-        try:
-            if jobs > 1 and len(owned) > 1:
-                with ProcessPoolExecutor(max_workers=min(jobs, len(owned))) as pool:
-                    futures = {
-                        pool.submit(execute_point, point): point for point in owned
-                    }
-                    # publish (and release the claim) per point as it
-                    # finishes so concurrent followers unblock early
-                    for future in as_completed(futures):
-                        point = futures[future]
-                        result, seconds = future.result()
-                        _record_executed(point, result, seconds)
-                        _store(point, result, use_cache)
-                        if _claims_active(use_cache):
-                            _disk_cache.release(fingerprint(point))
-                        results[point.key()] = result
-            else:
-                for point in owned:
-                    result, seconds = execute_point(point)
-                    _record_executed(point, result, seconds)
-                    _store(point, result, use_cache)
-                    if _claims_active(use_cache):
-                        _disk_cache.release(fingerprint(point))
-                    results[point.key()] = result
-        finally:
-            if _claims_active(use_cache):
-                for point in owned:  # idempotent; frees peers after a crash
-                    _disk_cache.release(fingerprint(point))
-        for point in following:
-            results[point.key()] = _resolve_in_flight(point, use_cache)
+    executions = _executions(owned, jobs, ctx)
+    try:
+        for point, result, seconds in executions:
+            _record(point, result, seconds, use_cache, cache)
+            results[point] = result
+            if cache is not None:
+                # release per point so concurrent followers unblock early
+                cache.release(keys[point])
+    finally:
+        executions.close()  # shuts the pool down now, not at collection
+        if cache is not None:
+            for point in owned:
+                if results[point] is None:  # frees peers after a failure
+                    cache.release(keys[point])
+    for point in following:
+        results[point] = _serve(cache, point, keys[point], ctx, followed=True)
 
     run_stats.wall_seconds += time.perf_counter() - batch_start
-    return [results[point.key()] for point in normalized]
+    return [results[point] for point in normalized]
 
 
 def run_batch(

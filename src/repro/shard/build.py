@@ -1,0 +1,104 @@
+"""The one node builder: single engine or cluster-sharded front end.
+
+Every path that simulates a point — the experiment runner, checkpoint
+resume, the smoke and kill-and-resume gates, the sharded-speedup macro —
+builds its node here, so the rules for when a run shards, how its
+window is clamped and how its shards are driven exist once.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional, Union
+
+from repro.config import SystemConfig
+from repro.core.config import NetCrafterConfig
+from repro.gpu.system import MultiGpuSystem
+from repro.shard.coordinator import ShardedSystem
+from repro.shard.shard_system import ShardObsSpec
+
+
+@dataclass(frozen=True)
+class ShardingOptions:
+    """How each simulation point is split across cluster shards.
+
+    Sharding is *intra-run* parallelism: one simulation is decomposed
+    into per-cluster shards advancing in conservative lookahead windows
+    (:class:`~repro.shard.coordinator.ShardedSystem`).  Results are
+    byte-identical to the single-engine run, so the result cache stays
+    shared between modes and the choice is purely about wall-clock.
+
+    Points whose system config the shard count does not divide fall back
+    to the single engine (identical results) rather than failing a whole
+    figure sweep.
+    """
+
+    n_shards: int = 1
+    #: lookahead window in cycles; ``None`` means the maximum safe value
+    #: (the inter-cluster link latency), clamped per-point when smaller
+    window: Optional[int] = None
+    #: ``None`` = processes exactly when ``n_shards > 1``; ``False``
+    #: forces sequential-windowed mode (debugging, digest comparisons)
+    parallel: Optional[bool] = None
+    #: adaptive lookahead: stretch each shard's window from replicated
+    #: simulation state instead of the fixed size (byte-identical
+    #: results, so cache keys are unaffected); ``window`` is ignored
+    adaptive: bool = False
+
+    def __post_init__(self) -> None:
+        if self.n_shards < 1:
+            raise ValueError(f"shard count must be >= 1, got {self.n_shards}")
+        if self.window is not None and self.window < 1:
+            raise ValueError(f"window must be >= 1, got {self.window}")
+
+    @property
+    def active(self) -> bool:
+        return self.n_shards > 1 or self.window is not None or self.adaptive
+
+    def resolve(self, config: SystemConfig) -> Optional["ShardingOptions"]:
+        """The concrete plan for one point on ``config``.
+
+        ``None`` when the shard count does not divide the cluster count
+        (the point runs on the single engine); otherwise the window is
+        clamped to the point's lookahead and the drive mode is decided.
+        Resolving a resolved plan returns an equal plan.
+        """
+        if config.n_clusters % self.n_shards:
+            return None
+        lookahead = config.effective_inter_link_latency
+        return ShardingOptions(
+            n_shards=self.n_shards,
+            window=None if self.window is None else min(self.window, lookahead),
+            parallel=self.n_shards > 1 if self.parallel is None else self.parallel,
+            adaptive=self.adaptive,
+        )
+
+
+def build_node(
+    config: SystemConfig,
+    netcrafter: NetCrafterConfig,
+    seed: int,
+    sharding: Optional[ShardingOptions] = None,
+    obs_spec: Optional[ShardObsSpec] = None,
+) -> Union[MultiGpuSystem, ShardedSystem]:
+    """An unloaded node simulating one (config, netcrafter, seed) run.
+
+    A :class:`ShardedSystem` when ``sharding`` is given and resolves to a
+    plan for ``config`` (a one-shard plan included, which checkpoint
+    resume of a 1-shard snapshot needs); a :class:`MultiGpuSystem`
+    otherwise.  ``obs_spec`` configures the same observability either way.
+    """
+    plan = sharding.resolve(config) if sharding is not None else None
+    if plan is None:
+        obs = obs_spec.build() if obs_spec is not None else None
+        return MultiGpuSystem(config=config, netcrafter=netcrafter, seed=seed, obs=obs)
+    return ShardedSystem(
+        config=config,
+        netcrafter=netcrafter,
+        seed=seed,
+        n_shards=plan.n_shards,
+        window=plan.window,
+        parallel=plan.parallel,
+        adaptive=plan.adaptive,
+        obs_spec=obs_spec,
+    )

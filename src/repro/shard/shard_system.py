@@ -63,9 +63,19 @@ class ShardObsSpec:
     """Picklable recipe for per-shard observability instruments."""
 
     trace: bool = False
+    #: keep every Nth packet lifecycle (1 = all)
     trace_sample: int = 1
+    #: metrics snapshot period in cycles; None disables the time-series
     metrics_interval: Optional[int] = None
     profile: bool = False
+
+    def __post_init__(self) -> None:
+        if self.trace_sample < 1:
+            raise ValueError(f"trace sample must be >= 1, got {self.trace_sample}")
+        if self.metrics_interval is not None and self.metrics_interval < 1:
+            raise ValueError(
+                f"metrics interval must be >= 1, got {self.metrics_interval}"
+            )
 
     @property
     def active(self) -> bool:

@@ -16,9 +16,10 @@ from pathlib import Path
 CLIENT = """\
 import json, sys
 from repro.experiments import runner
+from repro.experiments.cache import ResultCache
 from repro.workloads.base import Scale
 
-runner.set_cache_dir(sys.argv[2])
+runner.install_context(runner.RunContext(cache=ResultCache(sys.argv[2])))
 points = [
     runner.ExperimentPoint(workload=w, scale=Scale.tiny(), seed=0)
     for w in ("gups", "mt")

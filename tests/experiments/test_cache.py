@@ -218,29 +218,28 @@ class TestQuarantine:
         must read as a miss, re-simulate, and be tallied in
         ExecutionStats.corrupt_entries — never crash the sweep."""
         from repro.experiments.runner import (
+            RunContext,
             clear_cache,
             reset_run_stats,
             run_one,
             run_stats,
-            set_cache_dir,
         )
 
-        set_cache_dir(str(tmp_path))
+        ctx = RunContext(cache=ResultCache(tmp_path))
         clear_cache()
         reset_run_stats()
         try:
-            first = run_one("gups", scale=Scale.tiny())
+            first = run_one("gups", scale=Scale.tiny(), ctx=ctx)
             cache = ResultCache(tmp_path)
             path = cache.path_for(fingerprint(_point()))
             blob = path.read_text()
             path.write_text(blob[: len(blob) // 2])
             clear_cache()  # force the disk read
-            again = run_one("gups", scale=Scale.tiny())
+            again = run_one("gups", scale=Scale.tiny(), ctx=ctx)
             assert again.cycles == first.cycles
             assert run_stats.corrupt_entries == 1
             assert run_stats.executed == 2
         finally:
-            set_cache_dir(None)
             clear_cache()
             reset_run_stats()
 
@@ -328,6 +327,55 @@ class TestClaims:
         assert cache.info()["inflight_claims"] == 1
         cache.release(self.KEY)
         assert cache.info()["inflight_claims"] == 0
+
+
+class TestAcquire:
+    """The one claim-or-follow step shared by the runner and the server."""
+
+    def test_statuses(self, tmp_path):
+        from repro.experiments.cache import acquire
+
+        cache = ResultCache(tmp_path)
+        key = fingerprint(_point())
+        assert acquire(cache, key) == ("owned", None)
+        assert cache.claim_state(key) == "held"
+        assert acquire(cache, key) == ("busy", None)
+        cache.put(_point(), _result())
+        cache.release(key)
+        status, result = acquire(cache, key)
+        assert status == "hit" and result.cycles == 123
+        assert cache.claim_state(key) == "free"
+
+    def test_peer_result_after_the_claim_win(self, tmp_path):
+        from repro.experiments.cache import acquire
+
+        calls = []
+
+        class Peer:
+            """Publishes the point between the miss and the claim."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def get_by_key(self, key):
+                calls.append("get")
+                return self.inner.get_by_key(key)
+
+            def claim(self, key):
+                calls.append("claim")
+                self.inner.put(_point(), _result())
+                return self.inner.claim(key)
+
+            def release(self, key):
+                calls.append("release")
+                self.inner.release(key)
+
+        cache = ResultCache(tmp_path)
+        key = fingerprint(_point())
+        status, result = acquire(Peer(cache), key)
+        assert status == "peer" and result.cycles == 123
+        assert calls == ["get", "claim", "get", "release"]
+        assert cache.claim_state(key) == "free"
 
 
 class TestMaintenance:

@@ -11,15 +11,13 @@ from repro.workloads.base import Scale
 @pytest.fixture(autouse=True)
 def _isolated_runner_state(tmp_path, monkeypatch):
     # the CLI enables the disk cache by default; keep it out of the repo
-    # and undo the global runner knobs it sets
+    # and undo the context it installs
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    previous = runner.current_context()
     yield
-    runner.set_cache_dir(None)
-    runner.set_default_jobs(1)
+    runner.install_context(previous)
     runner.reset_run_stats()
     runner.clear_cache()
-    runner.set_observability(None)
-    runner.set_system_overrides()
 
 
 @pytest.fixture
@@ -71,12 +69,12 @@ def test_jobs_flag_parallel_run_and_summary(capsys, tiny_quick, tmp_path):
     assert "fig3" in out
     assert "run summary" in out
     assert "disk cache hits" in out
-    assert len(runner.disk_cache()) > 0
+    assert len(runner.current_context().cache) > 0
 
 
 def test_no_cache_flag_disables_disk_cache(capsys, tiny_quick, tmp_path):
     assert main(["fig6", "--scale", "quick", "--no-cache"]) == 0
-    assert runner.disk_cache() is None
+    assert runner.current_context().cache is None
     assert not (tmp_path / "cache").exists()
 
 
@@ -172,3 +170,44 @@ def test_bw_class_valid_for_topology(capsys):
                  "--bw-class", "down=64"]) == 0
     out = capsys.readouterr().out
     assert "topology overrides" in out
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--shards", "0", "--window", "4"],
+        ["--window", "-3"],
+        ["--shards", "-2", "--adaptive-window"],
+    ],
+    ids=["zero-shards", "negative-window", "negative-shards-adaptive"],
+)
+def test_bad_sharding_flags_exit_2(capsys, flags):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig6", *flags])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
+def test_bad_environment_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("REPRO_SHARDS", "0")
+    with pytest.raises(SystemExit) as exc:
+        main(["list"])
+    assert exc.value.code == 2
+    assert "REPRO_" in capsys.readouterr().err
+
+
+def test_cli_installs_its_context(capsys, tiny_quick, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    assert main(["fig6", "--scale", "quick", "--cache-dir", str(tmp_path),
+                 "--shards", "2", "--sequential-shards"]) == 0
+    ctx = runner.current_context()
+    assert ctx.jobs == 2
+    assert ctx.cache.root == tmp_path
+    assert (ctx.sharding.n_shards, ctx.sharding.parallel) == (2, False)
+    assert "cluster sharding: 2 shard(s)" in capsys.readouterr().out
+
+
+def test_bad_checkpoint_period_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fig6", "--checkpoint-every", "0"])
+    assert exc.value.code == 2

@@ -4,19 +4,20 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
+from repro.experiments.cache import ResultCache
 from repro.experiments.runner import (
     ExperimentPoint,
     ExperimentScale,
     ObservabilityOptions,
+    RunContext,
     clear_cache,
-    disk_cache,
+    current_context,
+    install_context,
     reset_run_stats,
     run_many,
     run_one,
     run_pair,
     run_stats,
-    set_cache_dir,
-    set_observability,
 )
 from repro.workloads.base import Scale
 
@@ -25,13 +26,23 @@ from repro.workloads.base import Scale
 def _fresh_cache():
     clear_cache()
     reset_run_stats()
-    set_cache_dir(None)
-    set_observability(None)
+    previous = install_context(RunContext())
     yield
     clear_cache()
     reset_run_stats()
-    set_cache_dir(None)
-    set_observability(None)
+    install_context(previous)
+
+
+def _install(**fields):
+    """Install a context whose disk cache (if any) lives at ``cache``."""
+    cache = fields.pop("cache", None)
+    install_context(
+        RunContext(cache=ResultCache(cache) if cache else None, **fields)
+    )
+
+
+def disk_cache():
+    return current_context().cache
 
 
 def test_run_one_returns_result():
@@ -132,7 +143,7 @@ class TestRunMany:
 
 class TestDiskCache:
     def test_results_persist_across_memo_clears(self, tmp_path):
-        set_cache_dir(str(tmp_path))
+        _install(cache=tmp_path)
         first = run_many(_tiny_points())
         assert len(disk_cache()) == 4
         clear_cache()  # drop the in-process memo, keep the disk
@@ -144,7 +155,7 @@ class TestDiskCache:
         assert [r.to_dict() for r in second] == [r.to_dict() for r in first]
 
     def test_run_one_uses_disk_cache(self, tmp_path):
-        set_cache_dir(str(tmp_path))
+        _install(cache=tmp_path)
         first = run_one("gups", scale=Scale.tiny())
         clear_cache()
         second = run_one("gups", scale=Scale.tiny())
@@ -152,7 +163,7 @@ class TestDiskCache:
         assert second.to_dict() == first.to_dict()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        set_cache_dir(str(tmp_path))
+        _install(cache=tmp_path)
         run_one("gups", scale=Scale.tiny())
         for path in tmp_path.rglob("*.json"):
             path.write_text("{ not json")
@@ -177,14 +188,14 @@ class TestObservability:
 
     def test_inactive_options_are_a_no_op(self):
         assert not ObservabilityOptions().active
-        set_observability(ObservabilityOptions())
+        _install(observability=ObservabilityOptions())
         a = run_one("gups", scale=Scale.tiny())
         b = run_one("gups", scale=Scale.tiny())
         assert a is b  # caching still on
         assert a.trace_path is None
 
     def test_artifacts_written_and_paths_on_result(self, tmp_path):
-        set_observability(self._options(tmp_path))
+        _install(observability=self._options(tmp_path))
         result = run_one("gups", scale=Scale.tiny())
         import json
 
@@ -202,8 +213,10 @@ class TestObservability:
         assert len(metrics_lines) >= 2  # meta header + samples
 
     def test_observed_runs_bypass_caches(self, tmp_path):
-        set_cache_dir(str(tmp_path / "cache"))
-        set_observability(self._options(tmp_path, profile=False))
+        _install(
+            cache=tmp_path / "cache",
+            observability=self._options(tmp_path, profile=False),
+        )
         a = run_one("gups", scale=Scale.tiny())
         b = run_one("gups", scale=Scale.tiny())
         assert a is not b  # memo bypassed: each run has its own trace
@@ -211,17 +224,19 @@ class TestObservability:
         assert len(disk_cache()) == 0  # instrumented results not persisted
 
     def test_disabling_restores_caching(self, tmp_path):
-        set_observability(self._options(tmp_path, profile=False))
+        _install(observability=self._options(tmp_path, profile=False))
         run_one("gups", scale=Scale.tiny())
-        set_observability(None)
+        _install()
         a = run_one("gups", scale=Scale.tiny())
         b = run_one("gups", scale=Scale.tiny())
         assert a is b
         assert a.trace_path is None
 
     def test_run_many_observed(self, tmp_path):
-        set_observability(
-            self._options(tmp_path, trace=False, metrics_interval=500, profile=False)
+        _install(
+            observability=self._options(
+                tmp_path, trace=False, metrics_interval=500, profile=False
+            )
         )
         results = run_many(
             [
@@ -255,3 +270,206 @@ class TestExperimentScale:
         assert ExperimentScale.from_env().scale == Scale.default()
         monkeypatch.delenv("REPRO_SCALE")
         assert ExperimentScale.from_env().scale == Scale.small()
+
+
+class PublishingCache(ResultCache):
+    """A cache on which a peer publishes the point, and releases its
+    claim, in the instant between this process's miss and its claim win."""
+
+    def __init__(self, root, point, result):
+        super().__init__(root)
+        self.point = point
+        self.result = result
+
+    def claim(self, key):
+        self.put(self.point, self.result)
+        return super().claim(key)
+
+
+class TestPeerRecheck:
+    """Regression: a claim win is not an execution licence — the runner
+    rechecks the cache after winning, like the campaign server does."""
+
+    @pytest.mark.parametrize("entry", ["run_one", "run_many"])
+    def test_result_published_before_the_claim_win_is_served(self, tmp_path, entry):
+        from repro.experiments.cache import fingerprint
+        from repro.stats.collectors import RunStats
+        from repro.stats.report import RunResult
+
+        point = ExperimentPoint(workload="gups", scale=Scale.tiny()).normalized()
+        published = RunResult(
+            workload="gups", config_label="peer", cycles=123, stats=RunStats()
+        )
+        cache = PublishingCache(tmp_path, point, published)
+        ctx = RunContext(cache=cache)
+        if entry == "run_one":
+            result = run_one("gups", scale=Scale.tiny(), ctx=ctx)
+        else:
+            (result,) = run_many([point], ctx=ctx)
+        assert result.cycles == 123
+        assert run_stats.executed == 0
+        assert run_stats.inflight_hits == 1
+        assert run_stats.disk_hits == 0
+        assert cache.claim_state(fingerprint(point)) == "free"
+
+
+@pytest.mark.parametrize("jobs", [1, 2], ids=["serial", "pool"])
+def test_failed_execution_releases_its_claims(tmp_path, jobs):
+    from repro.experiments.cache import fingerprint
+
+    ctx = RunContext(cache=ResultCache(tmp_path))
+    points = [
+        ExperimentPoint(workload=name, scale=Scale.tiny()).normalized()
+        for name in ("no-such-workload", "nor-this-one")
+    ]
+    with pytest.raises(KeyError):
+        run_many(points, jobs=jobs, ctx=ctx)
+    for point in points:
+        assert ctx.cache.claim_state(fingerprint(point)) == "free"
+    with pytest.raises(KeyError):
+        run_one("no-such-workload", scale=Scale.tiny(), ctx=ctx)
+    assert ctx.cache.claim_state(fingerprint(points[0])) == "free"
+
+
+class TestRunContext:
+    @pytest.mark.parametrize(
+        "sharding",
+        [
+            dict(n_shards=0, window=4),
+            dict(window=-3),
+            dict(n_shards=-2, adaptive=True),
+        ],
+        ids=["zero-shards", "negative-window", "negative-shards-adaptive"],
+    )
+    def test_bad_sharding_rejected_at_construction(self, sharding):
+        from repro.shard.build import ShardingOptions
+
+        with pytest.raises(ValueError):
+            RunContext(sharding=ShardingOptions(**sharding))
+
+    def test_bad_values_rejected(self):
+        from repro.experiments.runner import CheckpointOptions
+
+        with pytest.raises(ValueError):
+            RunContext(jobs=0)
+        with pytest.raises(ValueError):
+            RunContext(observability=ObservabilityOptions(trace_sample=0))
+        with pytest.raises(ValueError):
+            RunContext(checkpointing=CheckpointOptions(every=0))
+        with pytest.raises(ValueError):
+            RunContext(system_overrides={"link_bw_overrides": (("up", 32.0),)})
+
+    def test_inactive_options_normalize_to_none(self):
+        from repro.shard.build import ShardingOptions
+
+        ctx = RunContext(
+            observability=ObservabilityOptions(), sharding=ShardingOptions()
+        )
+        assert ctx.observability is None and ctx.sharding is None
+
+    def test_from_env(self, monkeypatch, tmp_path):
+        for name in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_SHARDS",
+                     "REPRO_WINDOW", "REPRO_ADAPTIVE_WINDOW"):
+            monkeypatch.delenv(name, raising=False)
+        assert RunContext.from_env() == RunContext()
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        monkeypatch.setenv("REPRO_WINDOW", "4")
+        monkeypatch.setenv("REPRO_ADAPTIVE_WINDOW", "yes")
+        ctx = RunContext.from_env()
+        assert ctx.jobs == 3
+        assert ctx.cache.root == tmp_path
+        assert (ctx.sharding.n_shards, ctx.sharding.window) == (2, 4)
+        assert ctx.sharding.adaptive
+        # explicit fields win and leave their variables unread
+        assert RunContext.from_env(cache=None).cache is None
+        monkeypatch.setenv("REPRO_SHARDS", "0")
+        with pytest.raises(ValueError):
+            RunContext.from_env()
+
+    def test_explicit_context_overrides_the_installed_one(self, tmp_path):
+        ctx = RunContext(cache=ResultCache(tmp_path))
+        run_one("gups", scale=Scale.tiny(), ctx=ctx)
+        assert len(ctx.cache) == 1
+        assert current_context().cache is None
+
+    def test_system_overrides_reshape_points(self):
+        ctx = RunContext(system_overrides={"inter_topology": "ring"})
+        point = ExperimentPoint(workload="gups").normalized(ctx)
+        assert point.system.inter_topology == "ring"
+        assert ExperimentPoint(workload="gups").normalized().system == (
+            SystemConfig.default()
+        )
+
+
+SPAWN_CLIENT = """\
+import json, multiprocessing, sys
+from pathlib import Path
+
+from repro.bench.smoke import results_digest
+from repro.experiments.runner import (
+    CheckpointOptions, ExperimentPoint, ObservabilityOptions, RunContext,
+    run_many,
+)
+from repro.shard.build import ShardingOptions
+from repro.workloads.base import Scale
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    out = Path(sys.argv[1])
+    ctx = RunContext(
+        jobs=2,
+        observability=ObservabilityOptions(trace=True, out_dir=str(out / "obs")),
+        sharding=ShardingOptions(n_shards=2),
+        checkpointing=CheckpointOptions(directory=str(out / "ckpt")),
+    )
+    points = [
+        ExperimentPoint(workload=w, scale=Scale.tiny()) for w in ("gups", "mt")
+    ]
+    results = run_many(points, ctx=ctx)
+    print(json.dumps({
+        "digest": results_digest([r.to_dict() for r in results]),
+        "traces": [r.trace_path for r in results],
+        "snapshots": sorted(p.name for p in (out / "ckpt").glob("*.ckpt")),
+    }))
+"""
+
+
+def test_spawned_workers_get_the_full_context(tmp_path):
+    """Pool workers started with ``spawn`` (no inherited module state)
+    trace, shard and checkpoint exactly like forked ones, and their
+    results match an in-process serial run."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.bench.smoke import results_digest
+
+    (tmp_path / "client.py").write_text(SPAWN_CLIENT)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    proc = subprocess.run(
+        [sys.executable, str(tmp_path / "client.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(path and Path(path).exists() for path in report["traces"]), report
+    assert len(set(report["traces"])) == 2
+    assert len(report["snapshots"]) == 2, report
+
+    serial = run_many(
+        [ExperimentPoint(workload=w, scale=Scale.tiny()) for w in ("gups", "mt")],
+        jobs=1,
+        use_cache=False,
+    )
+    assert report["digest"] == results_digest([r.to_dict() for r in serial])
