@@ -30,12 +30,26 @@ only after its result is durably published to the cache.
 
 Scheduling is priority-first (higher ``priority`` campaigns dispatch
 before lower, FIFO within a priority); a point shared between campaigns
-runs at the highest priority any of them asked for.  Dispatch is
-synchronous: when an execution returns, its pool slot goes to the next
-queued point *before* the finished point's result is published, so the
-worker executes while the server writes the cache entry and notifies
-watchers.  Each point's fingerprint is computed once, when its campaign
-is parsed, and the cache is looked up and claimed by it.
+runs at the highest priority any of them asked for.  The pool is kept
+one point ahead: up to ``POINTS_PER_WORKER`` (two) points per worker are
+claimed and handed to it, one executing and one waiting in the
+executor's queue, so a worker starts its next point the moment it
+finishes the last instead of idling through the server's round trip.
+A point's ``running`` event therefore means "handed to the pool", and
+its ``wall_seconds`` count from that moment; a campaign arriving later,
+however urgent, can wait behind at most ``2 * jobs`` already dispatched
+points.  When an execution returns, the freed slot goes to the next
+queued point *before* the finished point's result is published.
+:meth:`CampaignServer.stop` lets every dispatched point finish, publish
+and release its claim.  Each point's fingerprint is computed once, when
+its campaign is parsed, and the cache is looked up and claimed by it.
+
+``fetch`` serves the results this server published itself from memory:
+the last ``FETCH_LRU_ENTRIES`` payloads it ``put`` are kept, and one is
+used only while its cache file still exists, so a pruned result is
+still noticed and re-executed.  Every other result is read from the
+cache.  A request line longer than ``MAX_REQUEST_BYTES``, or one that is
+not a JSON object, gets an error reply.
 """
 
 from __future__ import annotations
@@ -44,8 +58,10 @@ import asyncio
 import functools
 import heapq
 import json
+import os
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from collections import OrderedDict
+from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -65,6 +81,16 @@ PROTOCOL_VERSION = 1
 
 #: how often a point following a cross-process claim re-polls the cache
 PEER_POLL_SECONDS = 0.05
+
+#: pool slots per worker: one point executing, one queued behind it
+POINTS_PER_WORKER = 2
+
+#: results this server published that ``fetch`` serves from memory
+#: (a few KB each for the serving benchmark's tiny points)
+FETCH_LRU_ENTRIES = 128
+
+#: longest request line read; a longer one gets an error reply
+MAX_REQUEST_BYTES = 4 * 1024 * 1024
 
 
 @dataclass
@@ -133,13 +159,17 @@ class CampaignServer:
         #: lazy-invalidation priority heap of (-priority, seq, fingerprint)
         self._queue: List[Tuple[int, int, str]] = []
         self._seq = 0
-        #: pool slots in use: points executing, or following a peer's claim
+        #: pool slots in use: points handed to the pool, or following a
+        #: peer's claim; at most ``POINTS_PER_WORKER * jobs``
         self._running = 0
+        #: fingerprint -> ``to_dict()`` of the results this server put,
+        #: least recently used first
+        self._published: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
         self._executions: Set[asyncio.Future] = set()
         self._followers: Set[asyncio.Task] = set()
         self._stopping = asyncio.Event()
         self._server: Optional[asyncio.base_events.Server] = None
-        self._owns_executor = executor is None and execute_fn is None
+        self._owns_executor = executor is None
         self._executor = executor
         self._execute = execute_fn or execute_point
 
@@ -148,10 +178,17 @@ class CampaignServer:
     async def start(self) -> None:
         """Bind, recover journaled campaigns, and begin dispatching."""
         if self._owns_executor:
-            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+            # an injected execute_fn runs on threads (it need not pickle),
+            # still ``jobs`` at a time
+            injected = self._execute is not execute_point
+            pool = ThreadPoolExecutor if injected else ProcessPoolExecutor
+            self._executor = pool(max_workers=self.jobs)
         self._recover()
         self._server = await asyncio.start_server(
-            self._handle_connection, host=self.host, port=self.port
+            self._handle_connection,
+            host=self.host,
+            port=self.port,
+            limit=MAX_REQUEST_BYTES,
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.journal.publish_endpoint(self.host, self.port)
@@ -161,7 +198,8 @@ class CampaignServer:
         await self._stopping.wait()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, let running points finish.
+        """Graceful shutdown: stop accepting, let every point already
+        handed to the pool finish, publish and release its claim.
 
         Points still queued stay journaled and run after a restart.
         """
@@ -323,11 +361,12 @@ class CampaignServer:
     def _dispatch(self) -> None:
         """Start queued points, highest priority first, while slots are free.
 
-        Synchronous: when an execution returns, :meth:`_executed` calls
-        this before publishing the finished point, so the pool executes
-        the next point while the server writes the cache entry.
+        There are ``POINTS_PER_WORKER`` slots per worker, so each worker
+        has a point queued behind the one it executes.  Synchronous: when
+        an execution returns, :meth:`_executed` calls this before
+        publishing the finished point.
         """
-        while self._queue and self._running < self.jobs:
+        while self._queue and self._running < POINTS_PER_WORKER * self.jobs:
             _, _, fp = heapq.heappop(self._queue)
             task = self.tasks.get(fp)
             if task is None or task.state != "queued":
@@ -387,11 +426,37 @@ class CampaignServer:
         try:
             result, seconds = future.result()
             self.cache.put(task.point, result)
+            self._remember(task.fingerprint, result.to_dict())
             self.metrics.inc("exec_seconds", seconds)
         except (Exception, asyncio.CancelledError) as exc:
             error = exc
         self.cache.release(task.fingerprint)
         self._finish_point(task, "executed", error)
+
+    def _remember(self, fp: str, payload: Dict[str, object]) -> None:
+        """Keep a published result's payload for :meth:`_published_result`."""
+        self._published[fp] = payload
+        self._published.move_to_end(fp)
+        if len(self._published) > FETCH_LRU_ENTRIES:
+            self._published.popitem(last=False)
+
+    def _published_result(self, fp: str) -> Optional[Dict[str, object]]:
+        """The result payload of ``fp``, or None when it is not cached.
+
+        A payload this server published comes from memory while its
+        cache file exists; any other is read from the cache.
+        """
+        payload = self._published.get(fp)
+        if payload is not None:
+            try:
+                os.stat(self.cache.path_for(fp))
+            except OSError:
+                del self._published[fp]  # pruned: the read below misses
+            else:
+                self._published.move_to_end(fp)
+                return payload
+        result = self.cache.get_by_key(fp)
+        return None if result is None else result.to_dict()
 
     async def _follow(self, task: PointTask) -> None:
         """Wait out a peer process's claim: serve the result it publishes,
@@ -487,23 +552,42 @@ class CampaignServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            line = await reader.readline()
+            try:
+                line = await reader.readuntil(b"\n")
+            except asyncio.IncompleteReadError as exc:
+                line = exc.partial  # the client closed without a newline
+            except asyncio.LimitOverrunError:
+                await self._skip_line(reader)
+                await self._send(
+                    writer,
+                    {
+                        "ok": False,
+                        "error": f"request too large (limit {MAX_REQUEST_BYTES} bytes)",
+                    },
+                )
+                return
             if not line:
                 return
             try:
                 request = json.loads(line)
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):
                 await self._send(writer, {"ok": False, "error": "bad JSON request"})
                 return
+            if not isinstance(request, dict):
+                await self._send(
+                    writer, {"ok": False, "error": "request must be a JSON object"}
+                )
+                return
             op = request.get("op")
-            handler = {
+            handlers = {
                 "ping": self._op_ping,
                 "submit": self._op_submit,
                 "status": self._op_status,
                 "fetch": self._op_fetch,
                 "watch": self._op_watch,
                 "shutdown": self._op_shutdown,
-            }.get(op)
+            }
+            handler = handlers.get(op) if isinstance(op, str) else None
             if handler is None:
                 await self._send(
                     writer, {"ok": False, "error": f"unknown op {op!r}"}
@@ -518,6 +602,15 @@ class CampaignServer:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
+
+    @staticmethod
+    async def _skip_line(reader: asyncio.StreamReader) -> None:
+        """Read and drop the rest of an over-long request line, so the
+        error reply is not lost to a reset from unread input."""
+        while True:
+            chunk = await reader.read(1 << 16)
+            if not chunk or b"\n" in chunk:
+                return
 
     async def _send(self, writer: asyncio.StreamWriter, payload: Dict) -> None:
         payload.setdefault("v", PROTOCOL_VERSION)
@@ -546,6 +639,14 @@ class CampaignServer:
         except CampaignSpecError as exc:
             await self._send(writer, {"ok": False, "error": str(exc)})
             return
+        except (AttributeError, TypeError, ValueError) as exc:
+            # a value of the wrong type deep in the campaign, e.g. a seed
+            # that is not a number or a flap window that is not an object
+            await self._send(
+                writer,
+                {"ok": False, "error": f"bad campaign: {type(exc).__name__}: {exc}"},
+            )
+            return
         summary = self.submit(spec)
         await self._send(writer, {"ok": True, **summary})
 
@@ -566,14 +667,22 @@ class CampaignServer:
             "states": states,
         }
 
-    async def _op_status(self, request, writer) -> None:
+    async def _find_campaign(self, request, writer) -> Optional[CampaignState]:
+        """The campaign ``request`` names, or None after an error reply."""
         cid = request.get("campaign")
-        if cid is not None:
-            campaign = self.campaigns.get(cid)
+        if not isinstance(cid, str):
+            error = f"campaign id must be a string, got {type(cid).__name__}"
+        elif cid not in self.campaigns:
+            error = f"unknown campaign {cid!r}"
+        else:
+            return self.campaigns[cid]
+        await self._send(writer, {"ok": False, "error": error})
+        return None
+
+    async def _op_status(self, request, writer) -> None:
+        if request.get("campaign") is not None:
+            campaign = await self._find_campaign(request, writer)
             if campaign is None:
-                await self._send(
-                    writer, {"ok": False, "error": f"unknown campaign {cid!r}"}
-                )
                 return
             await self._send(
                 writer,
@@ -599,13 +708,10 @@ class CampaignServer:
         )
 
     async def _op_fetch(self, request, writer) -> None:
-        cid = request.get("campaign")
-        campaign = self.campaigns.get(cid)
+        campaign = await self._find_campaign(request, writer)
         if campaign is None:
-            await self._send(
-                writer, {"ok": False, "error": f"unknown campaign {cid!r}"}
-            )
             return
+        cid = campaign.id
         if not campaign.complete:
             await self._send(
                 writer,
@@ -619,11 +725,11 @@ class CampaignServer:
         results = []
         missing = []
         for fp, label in campaign.points:
-            result = self.cache.get_by_key(fp)
-            if result is None:
+            payload = self._published_result(fp)
+            if payload is None:
                 missing.append({"fingerprint": fp, "label": label})
             else:
-                results.append(result.to_dict())
+                results.append(payload)
         if missing:
             # cached results were pruned after completion: demote the
             # campaign and re-enqueue from the journaled descriptors so a
@@ -670,13 +776,10 @@ class CampaignServer:
         )
 
     async def _op_watch(self, request, writer) -> None:
-        cid = request.get("campaign")
-        campaign = self.campaigns.get(cid)
+        campaign = await self._find_campaign(request, writer)
         if campaign is None:
-            await self._send(
-                writer, {"ok": False, "error": f"unknown campaign {cid!r}"}
-            )
             return
+        cid = campaign.id
         queue: asyncio.Queue = asyncio.Queue()
         campaign.watchers.append(queue)
         try:

@@ -49,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.cache import descriptor_fingerprint, point_descriptor
+from repro.experiments.cache import descriptor_fingerprint, point_descriptors
 from repro.experiments.runner import ExperimentPoint
 from repro.workloads.base import Scale
 from repro.workloads.registry import all_workload_names
@@ -193,7 +193,8 @@ class CampaignSpec:
     #: fingerprint per point, aligned with ``points``
     fingerprints: Tuple[str, ...]
     #: :func:`~repro.experiments.cache.point_descriptor` per point, aligned
-    #: with ``points`` (computed once, with the fingerprint, for the journal)
+    #: with ``points`` (computed once, with the fingerprint, for the journal;
+    #: points with equal configs share their dicts, so treat as read-only)
     descriptors: Tuple[Dict[str, object], ...] = field(compare=False)
 
     @property
@@ -302,8 +303,7 @@ def parse_campaign(data: dict, default_name: str = "campaign") -> CampaignSpec:
     # guarantee starts at home
     seen: Dict[str, Dict[str, object]] = {}
     unique: List[ExperimentPoint] = []
-    for point in points:
-        descriptor = point_descriptor(point)
+    for point, descriptor in zip(points, point_descriptors(points)):
         fp = descriptor_fingerprint(descriptor)
         if fp in seen:
             continue

@@ -48,7 +48,7 @@ import tempfile
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.atomicio import TMP_SUFFIX, atomic_write_text, sweep_orphans
 from repro.stats.report import RunResult
@@ -70,22 +70,52 @@ def _json_default(obj: object) -> object:
     raise TypeError(f"cannot fingerprint {type(obj).__name__}: {obj!r}")
 
 
-def point_descriptor(point) -> Dict[str, object]:
+def point_descriptor(point, config_dict: Callable = asdict) -> Dict[str, object]:
     """The full configuration content of a normalized experiment point.
 
     ``point`` is any object with ``workload``, ``system``, ``netcrafter``,
     ``scale`` and ``seed`` attributes whose config objects are dataclasses
     (duck-typed to avoid a circular import with the runner).
+    ``config_dict`` turns each config into its dict; it defaults to
+    :func:`dataclasses.asdict`.
     """
     return {
         "format": CACHE_FORMAT_VERSION,
         "result_schema": RunResult.SCHEMA_VERSION,
         "workload": point.workload,
-        "system": asdict(point.system),
-        "netcrafter": asdict(point.netcrafter),
-        "scale": asdict(point.scale),
+        "system": config_dict(point.system),
+        "netcrafter": config_dict(point.netcrafter),
+        "scale": config_dict(point.scale),
         "seed": point.seed,
     }
+
+
+def point_descriptors(points: Iterable) -> List[Dict[str, object]]:
+    """:func:`point_descriptor` of each of ``points``, converting each
+    distinct config once.
+
+    The points of one campaign share a handful of configs, and ``asdict``
+    deep-copies every nested field, so converting each config once makes
+    the descriptors several times cheaper.  Configs are matched by value
+    *and* ``repr``: ``1``, ``1.0`` and ``True`` compare equal but
+    serialize, and so fingerprint, differently.  A config with an
+    unhashable field is converted every time.  The memo lives for this
+    one call, and descriptors sharing a config share its dict, so treat
+    the descriptors as read-only.
+    """
+    memo: Dict[Tuple[object, str], Dict[str, object]] = {}
+
+    def config_dict(config) -> Dict[str, object]:
+        key = (config, repr(config))
+        try:
+            cached = memo.get(key)
+        except TypeError:
+            return asdict(config)
+        if cached is None:
+            cached = memo[key] = asdict(config)
+        return cached
+
+    return [point_descriptor(point, config_dict) for point in points]
 
 
 def descriptor_fingerprint(descriptor: Dict[str, object]) -> str:
