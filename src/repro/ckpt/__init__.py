@@ -45,10 +45,13 @@ import json
 import pickle
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.atomicio import atomic_write_bytes, sweep_orphans
 from repro.network.ids import FLIT_IDS, PACKET_IDS
+
+if TYPE_CHECKING:
+    from repro.shard.build import ShardingOptions
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
@@ -304,29 +307,36 @@ def resume(
     netcrafter,
     seed: int,
     workload,
-    n_shards: int = 1,
-    window: Optional[int] = None,
-    parallel: bool = False,
-    adaptive: bool = False,
+    sharding: Optional[ShardingOptions] = None,
     obs_spec=None,
     checkpointer: Optional[Checkpointer] = None,
 ):
     """Continue a snapshotted run to completion; returns its RunResult.
 
     The caller passes the run configuration it *intends* to resume —
-    exactly what it would have used to construct the system — and the
-    snapshot's stamped fingerprint must match
-    (:class:`FingerprintMismatchError` otherwise).  ``checkpointer``
-    replaces the snapshot's embedded hook: pass one to keep
-    checkpointing from where the run left off, or ``None`` (default) to
-    resume without further snapshots.
+    exactly what it would have used to construct the system, with
+    ``sharding`` the :class:`~repro.shard.build.ShardingOptions` (or
+    ``None`` for the single engine) — and the snapshot's stamped
+    fingerprint must match (:class:`FingerprintMismatchError`
+    otherwise).  ``checkpointer`` replaces the snapshot's embedded hook:
+    pass one to keep checkpointing from where the run left off, or
+    ``None`` (default) to resume without further snapshots.
 
     The result is byte-identical to the uninterrupted run's: the resumed
     system replays the exact tail of the boundary event the snapshot was
     taken inside, with the same event keys and sequence numbers.
     """
+    from repro.shard.build import ShardingOptions, build_node
+
+    # the single engine snapshots as the 1-shard, default-window shape
+    sharding = sharding or ShardingOptions(parallel=False)
     expected = run_fingerprint(
-        config, netcrafter, seed, workload, n_shards=n_shards, window=window
+        config,
+        netcrafter,
+        seed,
+        workload,
+        n_shards=sharding.n_shards,
+        window=sharding.window,
     )
     header, payload = read_snapshot(path, expected_fingerprint=expected)
     # the fingerprint covers n_shards/window, so after it matches the
@@ -335,17 +345,9 @@ def resume(
     # fingerprint — and there the header's mode says which payload kind
     # this file holds
     if header["mode"] == "sharded":
-        from repro.shard.build import ShardingOptions, build_node
-
         # a sharding plan always builds the sharded front end (a
         # one-shard plan included), matching the payload kind
-        node = build_node(
-            config,
-            netcrafter,
-            seed,
-            ShardingOptions(n_shards, window, parallel, adaptive),
-            obs_spec,
-        )
+        node = build_node(config, netcrafter, seed, sharding, obs_spec)
         node.load(workload)
         return node.resume_run(
             shard_states=payload["shard_states"],

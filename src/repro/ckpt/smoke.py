@@ -91,13 +91,15 @@ def _point_context(spec: Dict[str, object]):
     return config, netcrafter, trace, fingerprint
 
 
-def _build_node(config, netcrafter, spec):
+def _sharding(spec) -> Optional[ShardingOptions]:
     sharding = ShardingOptions(
         n_shards=spec["n_shards"], window=spec["window"], parallel=spec["parallel"]
     )
-    return build_node(
-        config, netcrafter, spec["seed"], sharding if sharding.active else None
-    )
+    return sharding if sharding.active else None
+
+
+def _build_node(config, netcrafter, spec):
+    return build_node(config, netcrafter, spec["seed"], _sharding(spec))
 
 
 def child_run_killed(spec: Dict[str, object]) -> int:
@@ -120,9 +122,7 @@ def child_resume(spec: Dict[str, object]) -> int:
         netcrafter=netcrafter,
         seed=spec["seed"],
         workload=trace,
-        n_shards=spec["n_shards"],
-        window=spec["window"],
-        parallel=spec["parallel"],
+        sharding=_sharding(spec),
     )
     print(json.dumps(result.to_dict()))
     return 0

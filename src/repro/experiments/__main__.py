@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from typing import Callable, Dict
 
 from repro.experiments import ablations, chaos, collective, extensions, figures, runner
@@ -298,6 +299,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
+    chaos_opts = None
     if (
         args.fault_ber is not None
         or args.fault_drop is not None
@@ -324,17 +326,13 @@ def main(argv=None) -> int:
                 flaps = tuple(windows)
         except ValueError as exc:
             parser.error(f"bad fault sweep spec: {exc}")
-        chaos.set_chaos_options(
-            chaos.ChaosOptions(
-                bers=bers,
-                drop_rate=args.fault_drop
-                if args.fault_drop is not None
-                else defaults.drop_rate,
-                flaps=flaps,
-                seed=args.fault_seed
-                if args.fault_seed is not None
-                else defaults.seed,
-            )
+        chaos_opts = chaos.ChaosOptions(
+            bers=bers,
+            drop_rate=args.fault_drop
+            if args.fault_drop is not None
+            else defaults.drop_rate,
+            flaps=flaps,
+            seed=args.fault_seed if args.fault_seed is not None else defaults.seed,
         )
 
     overrides = {}
@@ -416,7 +414,9 @@ def main(argv=None) -> int:
             + (f", resuming from {args.resume_from}" if args.resume_from else "")
         )
     exp = SCALES[args.scale]()
-    targets = list(DRIVERS) + ["tables"] if args.targets == ["all"] else args.targets
+    # bind this invocation's --fault-* options to the chaos target only
+    drivers = {**DRIVERS, "chaos": partial(chaos.chaos_ber_sweep, opts=chaos_opts)}
+    targets = list(drivers) + ["tables"] if args.targets == ["all"] else args.targets
     for target in targets:
         if target == "tables":
             _print_tables()
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
             generate_report(exp, path=args.output)
             print(f"report written to {args.output}")
             continue
-        driver = DRIVERS.get(target)
+        driver = drivers.get(target)
         if driver is None:
             print(f"unknown target {target!r}; try 'list'", file=sys.stderr)
             return 2

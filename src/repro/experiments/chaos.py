@@ -38,14 +38,6 @@ class ChaosOptions:
     seed: int = 1
 
 
-_chaos_options = ChaosOptions()
-
-
-def set_chaos_options(options: ChaosOptions) -> None:
-    global _chaos_options
-    _chaos_options = options
-
-
 def _fault_system(ber: float, opts: ChaosOptions) -> SystemConfig:
     return SystemConfig.default().with_overrides(
         faults=FaultConfig(
@@ -57,10 +49,13 @@ def _fault_system(ber: float, opts: ChaosOptions) -> SystemConfig:
     )
 
 
-def chaos_ber_sweep(exp: Optional[ExperimentScale] = None) -> FigureResult:
-    """BER sweep x {baseline, NetCrafter} on the first workload of ``exp``."""
+def chaos_ber_sweep(
+    exp: Optional[ExperimentScale] = None, opts: Optional[ChaosOptions] = None
+) -> FigureResult:
+    """BER sweep x {baseline, NetCrafter} on the first workload of ``exp``,
+    shaped by ``opts`` (the default :class:`ChaosOptions` when omitted)."""
     exp = exp or ExperimentScale.quick()
-    opts = _chaos_options
+    opts = opts or ChaosOptions()
     workload = exp.workload_names()[0]
     systems = [_fault_system(ber, opts) for ber in opts.bers]
     variants = [

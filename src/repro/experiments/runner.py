@@ -409,10 +409,7 @@ def _simulate(point: ExperimentPoint, ctx: RunContext) -> RunResult:
                 netcrafter=point.netcrafter,
                 seed=point.seed,
                 workload=trace,
-                n_shards=shape.n_shards,
-                window=shape.window,
-                parallel=shape.parallel,
-                adaptive=shape.adaptive,
+                sharding=shape,
                 obs_spec=options,
                 checkpointer=checkpointer,
             )

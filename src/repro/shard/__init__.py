@@ -11,8 +11,11 @@ as cross-cluster flits are exchanged at window boundaries.
 :class:`~repro.shard.coordinator.ShardedSystem` exploits this to run a
 node as ``n_shards`` single-engine shards (contiguous cluster ranges),
 either round-robin in one process (*sequential-windowed*) or as
-persistent worker processes (*process-parallel*).  Both modes produce
-``RunResult`` payloads byte-identical to
+persistent worker processes (*process-parallel*).  Both modes share one
+transport — the verb protocol of :func:`repro.shard.worker.serve` with
+column-encoded :class:`~repro.shard.mailbox.MailBatch` mail — served
+in-process or over a pipe.  Both produce ``RunResult`` payloads
+byte-identical to
 :class:`~repro.gpu.system.MultiGpuSystem` — the digest gate in
 :mod:`repro.bench.smoke` checks exactly that.
 """

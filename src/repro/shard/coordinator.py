@@ -3,6 +3,8 @@
 Drives ``n_shards`` :class:`~repro.shard.shard_system.ShardSystem`
 instances — in-process (*sequential-windowed*) or as worker processes
 (*process-parallel*) — in bounded windows of conservative lookahead.
+Both modes speak the same verb protocol (:func:`repro.shard.worker.serve`)
+and exchange the same column-encoded mail; only the pipe differs.
 
 The window loop
 ---------------
@@ -22,9 +24,9 @@ Each iteration the coordinator:
    shards leap ahead when cross-shard traffic is sparse and fall back
    to latency-sized windows under bursts, with per-shard frontiers
    replacing the aligned clock;
-3. collects the shards' outboxes through the validating
-   :class:`~repro.shard.mailbox.Mailbox` (header-only column batches in
-   process-parallel mode) for delivery next iteration.
+3. validates the shards' outbox batches on their header columns
+   through :class:`~repro.shard.mailbox.Mailbox` and routes them to
+   their destination shards for delivery next iteration.
 
 Window boundaries never influence simulated event order — both modes
 reproduce the single-engine digests byte-for-byte; adaptive mode only
@@ -51,7 +53,7 @@ from repro.gpu.cta import WorkloadTrace
 from repro.gpu.node import check_trim_granularity
 from repro.gpu.system import config_label
 from repro.obs.merge import MergedObservability, merge_observability
-from repro.shard.mailbox import MailBatch, MailItem, Mailbox
+from repro.shard.mailbox import MailBatch, Mailbox
 from repro.shard.merge import ShardReport, ShardStatus, merge_reports
 from repro.shard.partition import ShardPlan
 from repro.shard.shard_system import ShardObsSpec, open_shard
@@ -74,13 +76,6 @@ def _available_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # pragma: no cover - non-Linux
         return os.cpu_count() or 1
-
-
-def _parcel_min_arrival(parcel) -> int:
-    """Earliest arrival in one pending-mail parcel (batch or sorted list)."""
-    if isinstance(parcel, MailBatch):
-        return min(parcel.arrivals)
-    return parcel[0].arrival
 
 
 class ShardedSystem:
@@ -195,9 +190,7 @@ class ShardedSystem:
                 handles, [("launch", kernel_index, q)] * self.n_shards
             )
             self.coord_stats.launches += 1
-            return self._window_loop(
-                handles, mailbox, statuses, kernel_index, pending_mail=[]
-            )
+            return self._window_loop(handles, mailbox, statuses, kernel_index)
         finally:
             for handle in handles:
                 handle.close()
@@ -255,9 +248,7 @@ class ShardedSystem:
             handles, [("begin",)] * self.n_shards
         )
         self.coord_stats.launches += 1  # begin() launches kernel 0
-        return self._window_loop(
-            handles, mailbox, statuses, kernel_index=0, pending_mail=[]
-        )
+        return self._window_loop(handles, mailbox, statuses, kernel_index=0)
 
     def _finish(self, handles, q: int) -> RunResult:
         reports: List[ShardReport] = self._broadcast(
@@ -279,17 +270,13 @@ class ShardedSystem:
         mailbox: Mailbox,
         statuses: List[ShardStatus],
         kernel_index: int,
-        pending_mail: List[MailItem],
     ) -> RunResult:
         kernels = self._workload.kernels
         stats = self.coord_stats
         n = self.n_shards
-        # pending[dst]: parcels awaiting delivery to shard ``dst`` — live
-        # MailItem lists (sequential mode) or MailBatch columns (parallel
-        # mode, routed on headers alone, payload never unpickled here)
-        pending: List[List[object]] = [[] for _ in range(n)]
-        for item in pending_mail:
-            pending[self.plan.shard_of_cluster(item.dst_cluster)].append([item])
+        # pending[dst]: MailBatch parcels awaiting delivery to shard
+        # ``dst``, routed on headers alone (payload never unpickled here)
+        pending: List[List[MailBatch]] = [[] for _ in range(n)]
         # per-shard simulated frontier: the boundary each shard last ran
         # to (monotone between kernel launches; a launch re-anchors it)
         frontier = [0] * n
@@ -335,28 +322,16 @@ class ShardedSystem:
                 for i, until in enumerate(self._untils(statuses, pending)):
                     if until > frontier[i]:
                         frontier[i] = until
-                commands = []
-                for i in range(n):
-                    parcels = pending[i]
-                    if self.parallel:
-                        mail = tuple(parcels)
-                    elif not parcels:
-                        mail = []
-                    elif len(parcels) == 1:
-                        mail = parcels[0]  # already in delivery order
-                    else:
-                        mail = sorted(
-                            (item for parcel in parcels for item in parcel),
-                            key=MailItem.sort_key,
-                        )
-                    commands.append(("window", frontier[i], mail))
-                replies = self._broadcast(handles, commands)
+                replies = self._broadcast(
+                    handles,
+                    [("window", frontier[i], tuple(pending[i])) for i in range(n)],
+                )
             self.windows_run += 1
             stats.windows += 1
             statuses, pending = self._ingest(mailbox, replies, frontier)
 
     def _untils(
-        self, statuses: List[ShardStatus], pending: List[List[object]]
+        self, statuses: List[ShardStatus], pending: List[List[MailBatch]]
     ) -> List[int]:
         """Per-shard window boundaries from the current candidate times.
 
@@ -382,8 +357,8 @@ class ShardedSystem:
         cands = []
         for i, status in enumerate(statuses):
             cand = _INF if status.next_event is None else status.next_event[0]
-            for parcel in pending[i]:
-                first = _parcel_min_arrival(parcel)
+            for batch in pending[i]:
+                first = min(batch.arrivals)
                 if first < cand:
                     cand = first
             cands.append(cand)
@@ -421,36 +396,20 @@ class ShardedSystem:
 
         Every outbox item is validated against its *destination* shard's
         frontier — the cycle that shard has already simulated to — via
-        the per-link monotone-sequence mailbox.  Parallel replies route
-        as opaque :class:`MailBatch` columns; sequential replies carry
-        live items, collated into delivery order here.
+        the per-link monotone-sequence mailbox.  Batches route as opaque
+        :class:`MailBatch` columns; the destination's engine calendar
+        orders them by delivery key, so no merge happens here.
         """
         stats = self.coord_stats
         statuses: List[ShardStatus] = []
-        pending: List[List[object]] = [[] for _ in range(self.n_shards)]
+        pending: List[List[MailBatch]] = [[] for _ in range(self.n_shards)]
         for shard_out, status in replies:
             statuses.append(status)
-            if not shard_out:
-                continue
-            if self.parallel:
-                for dst in sorted(shard_out):
-                    batch = shard_out[dst]
-                    mailbox.validate_batch(batch, frontier[dst])
-                    pending[dst].append(batch)
-                    stats.mail_items += len(batch)
-            else:
-                groups: dict = {}
-                for item in shard_out:
-                    dst = self.plan.shard_of_cluster(item.dst_cluster)
-                    group = groups.get(dst)
-                    if group is None:
-                        groups[dst] = [item]
-                    else:
-                        group.append(item)
-                for dst in sorted(groups):
-                    items = mailbox.collate(groups[dst], boundary=frontier[dst])
-                    pending[dst].append(items)
-                    stats.mail_items += len(items)
+            for dst in sorted(shard_out):
+                batch = shard_out[dst]
+                mailbox.validate_batch(batch, frontier[dst])
+                pending[dst].append(batch)
+                stats.mail_items += len(batch)
         return statuses, pending
 
     def _quiesce_cycle(self, t_done: int, max_drain: Tuple[int, int]) -> int:

@@ -1,21 +1,24 @@
-"""Cross-shard flit transport: boundary links and the ordered mailbox.
+"""Cross-shard flit transport: boundary links, mail batches, the mailbox.
 
 A :class:`BoundaryFlitLink` stands in for an inter-cluster link whose
 destination switch lives in another shard.  It inherits the real
 :class:`~repro.network.link.FlitLink` serialization and pacing — wire
 timing is identical to the single-engine run — but delivery lands in a
-local *outbox* instead of a remote sink.  The coordinator drains every
-shard's outbox at each window boundary, validates the batch through
-:class:`Mailbox`, and forwards each item to its destination shard, which
-injects it into its own engine at the precomputed arrival cycle.
+local *outbox* instead of a remote sink.  At each window boundary the
+shard column-encodes its outbox into one :class:`MailBatch` per
+destination shard; the coordinator validates each batch's headers
+through :class:`Mailbox` and forwards it to its destination shard, which
+injects every flit into its own engine at the precomputed arrival cycle.
 
 Determinism: every item carries the *delivery schedule key* its flit
 would have received from :meth:`FlitLink._deliver` in a single shared
 engine — the negative sub-cycle key ordering deliveries before local
 events, by per-link sequence then link rank.  The receiving shard
-injects with exactly that key, and the mailbox sorts by ``(arrival,
-skey)``, so delivery order is a pure function of simulated wire traffic,
-never of shard scheduling.
+injects with exactly that key, and the engine calendar orders events by
+``(arrival, skey)`` — globally unique, since ranks are unique per
+directed link and sequence numbers per-link monotone — so delivery
+order is a pure function of simulated wire traffic, never of shard
+scheduling or of the order batches reach the shard.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ class DuplicateDeliveryError(RuntimeError):
 
 @dataclass(slots=True)
 class MailItem:
-    """One cross-shard flit in flight, with its full ordering key."""
+    """One cross-shard flit in flight, with its full ordering key
+    (outbox form; it crosses shards column-encoded in a :class:`MailBatch`)."""
 
     arrival: int
     #: the delivery's sub-cycle schedule key (negative; see FlitLink)
@@ -52,35 +56,6 @@ class MailItem:
     dst_cluster: int
     link_seq: int
     flit: Flit
-
-    def sort_key(self) -> Tuple[int, int]:
-        # (arrival, skey) is globally unique: ranks are unique per
-        # directed link and the sequence number is per-link monotone
-        return (self.arrival, self.skey)
-
-    # one MailItem per boundary flit per window: tuple state keeps the
-    # pickled batch compact (see Flit.__getstate__)
-    def __getstate__(self):
-        return (
-            self.arrival,
-            self.skey,
-            self.send_cycle,
-            self.src_cluster,
-            self.dst_cluster,
-            self.link_seq,
-            self.flit,
-        )
-
-    def __setstate__(self, state):
-        (
-            self.arrival,
-            self.skey,
-            self.send_cycle,
-            self.src_cluster,
-            self.dst_cluster,
-            self.link_seq,
-            self.flit,
-        ) = state
 
 
 class BoundaryFlitLink(FlitLink):
@@ -135,15 +110,15 @@ class BoundaryFlitLink(FlitLink):
 class MailBatch:
     """A window's mail for one destination shard, in column form.
 
-    Process-parallel transport representation of a ``List[MailItem]``.
-    The per-item ordering columns (``arrivals``/``skeys``/
+    The transport representation of a ``List[MailItem]`` in both drive
+    modes.  The per-item ordering columns (``arrivals``/``skeys``/
     ``send_cycles``) travel as ``array('q')`` buffers, and the flits
     themselves as **one** opaque pickle blob per destination shard: the
-    sending worker pickles its outbox exactly once (letting the pickle
+    sending shard pickles its outbox exactly once (letting the pickle
     memo intern the stable ``Packet`` / ``StitchSegment`` tuple-state
     prefix shared by a packet's flits), the coordinator routes and
     validates on the header columns without ever unpickling the
-    payload, and only the destination worker pays the single ``loads``.
+    payload, and only the destination shard pays the single ``loads``.
 
     The per-item link identity columns are delta-encoded away: a
     shard's outbox drains link by link, and each boundary link's
@@ -213,27 +188,6 @@ class MailBatch:
         for k in range(0, len(runs), 4):
             yield runs[k], runs[k + 1], runs[k + 2], runs[k + 3]
 
-    def decode(self) -> List[MailItem]:
-        """Rebuild the ``MailItem`` list (destination worker side)."""
-        flits = pickle.loads(self.payload)
-        items: List[MailItem] = []
-        index = 0
-        for src, dst, first_seq, count in self.iter_links():
-            for offset in range(count):
-                items.append(
-                    MailItem(
-                        arrival=self.arrivals[index],
-                        skey=self.skeys[index],
-                        send_cycle=self.send_cycles[index],
-                        src_cluster=src,
-                        dst_cluster=dst,
-                        link_seq=first_seq + offset,
-                        flit=flits[index],
-                    )
-                )
-                index += 1
-        return items
-
     # batches cross the worker pipe inside command tuples; tuple state
     # keeps the pickled form to the raw column buffers plus the blob
     def __getstate__(self):
@@ -256,49 +210,29 @@ class MailBatch:
 
 
 class Mailbox:
-    """Validates and orders boundary-flit batches between windows."""
+    """Validates boundary-flit batches between windows.
+
+    Validation only: delivery order is the destination engine's
+    calendar order by ``(arrival, skey)``, not the mailbox's.
+    """
 
     def __init__(self) -> None:
         #: (src_cluster, dst_cluster) -> last link_seq seen
         self._last_seq: Dict[Tuple[int, int], int] = {}
 
-    def collate(self, items: List[MailItem], boundary: int) -> List[MailItem]:
-        """Validate a window's outbox batch and return it in delivery order.
-
-        ``boundary`` is the window-end cycle the batch was produced by;
-        every arrival must lie strictly beyond it (the receiver has
-        already simulated up to and including ``boundary``).
-        """
-        for item in items:
-            if item.arrival <= boundary:
-                raise LateDeliveryError(
-                    f"flit {item.flit.fid} on link {item.src_cluster}->"
-                    f"{item.dst_cluster} arrives at {item.arrival}, not "
-                    f"beyond the window boundary {boundary}"
-                )
-            key = (item.src_cluster, item.dst_cluster)
-            last = self._last_seq.get(key, -1)
-            if item.link_seq <= last:
-                raise DuplicateDeliveryError(
-                    f"link {item.src_cluster}->{item.dst_cluster} sequence "
-                    f"regressed: {item.link_seq} after {last}"
-                )
-            self._last_seq[key] = item.link_seq
-        return sorted(items, key=MailItem.sort_key)
-
     def validate_batch(self, batch: MailBatch, boundary: int) -> None:
-        """Header-only :meth:`collate` for a columnar batch.
+        """Validate one batch against its destination's frontier.
 
         Checks every arrival lies strictly beyond the destination
         shard's simulated frontier ``boundary`` and that per-link
         sequence numbers stay monotone — without touching the flit
-        payload blob, which stays opaque until the destination worker
+        payload blob, which stays opaque until the destination shard
         decodes it.  Both checks are per *link run*, not per item: the
         arrival floor is the C-speed column minimum, and sequence
         contiguity within a run is guaranteed by ``MailBatch.encode``
         (a non-contiguous sequence starts a new run), so advancing the
-        per-link cursor by whole runs enforces exactly the per-item
-        monotone contract :meth:`collate` checks.
+        per-link cursor by whole runs enforces the per-item monotone
+        contract.
         """
         if not len(batch):
             return

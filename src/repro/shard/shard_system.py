@@ -12,8 +12,8 @@ and the per-shard report.  The coordinator drives a shard through four
 verbs:
 
 * :meth:`begin` — load bookkeeping + launch kernel 0 at cycle 0;
-* :meth:`window` — inject a batch of cross-shard mail, run the local
-  engine to an exact boundary cycle, and hand back the outbox;
+* :meth:`window` — inject the window's cross-shard mail batches, run
+  the local engine to an exact boundary cycle, and hand back the outbox;
 * :meth:`launch_kernel` — replay the next kernel launch at the quiesce
   cycle ``q`` the coordinator computed analytically;
 * :meth:`finish` — drain, snapshot, and report.
@@ -160,35 +160,15 @@ class ShardSystem(NodeCore):
         return self.status()
 
     def window(
-        self, until: int, mail: List[MailItem]
-    ) -> Tuple[List[MailItem], ShardStatus]:
-        """Inject ``mail``, run to exactly ``until``, drain the outbox."""
-        self._install_ids()
-        try:
-            inject = self.engine.inject
-            switches = self.topology.switches
-            for item in mail:
-                inject(
-                    item.arrival,
-                    item.skey,
-                    switches[item.dst_cluster].receive_flit_from_network,
-                    item.flit,
-                )
-            outbox = self._run_window(until)
-        finally:
-            self._save_ids()
-        return outbox, self.status()
-
-    def window_batches(
         self, until: int, batches, flits_per_batch
     ) -> Tuple[List[MailItem], ShardStatus]:
-        """:meth:`window` fed straight from decoded ``MailBatch`` columns.
+        """Inject mail, run to exactly ``until``, drain the outbox.
 
-        Process-parallel fast path: the worker already unpickled each
-        batch's flit payload, so the mail injects directly off the
-        column buffers — no intermediate ``MailItem`` per flit.  Every
-        delivery's ``(arrival, skey)`` pair is globally unique, so the
-        batch-by-batch injection order matches :meth:`window` exactly.
+        ``batches`` are this window's :class:`~repro.shard.mailbox.MailBatch`
+        parcels and ``flits_per_batch`` their already-unpickled payloads;
+        mail injects straight off the column buffers.  Every delivery's
+        ``(arrival, skey)`` pair is globally unique and the engine
+        calendar orders by it, so the parcel order does not matter.
         """
         self._install_ids()
         try:
@@ -232,7 +212,7 @@ class ShardSystem(NodeCore):
         trips; the simulated event sequence is identical.
         """
         self.launch_kernel(kernel_index, q)
-        return self.window(until, [])
+        return self.window(until, (), ())
 
     def launch_kernel(self, kernel_index: int, q: int) -> ShardStatus:
         """Replay the launch of kernel ``kernel_index`` at cycle ``q``.

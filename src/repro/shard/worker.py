@@ -1,9 +1,8 @@
-"""Process-parallel shard execution: persistent workers over pipes.
+"""Shard transport: one verb protocol, served over a pipe or in-process.
 
-Each shard runs in its own ``multiprocessing.Process`` hosting one
-:class:`~repro.shard.shard_system.ShardSystem`, built locally in the
-worker from picklable inputs (configs, seed, workload, obs spec).  The
-coordinator drives it with small command tuples over a pipe::
+A coordinator drives each :class:`~repro.shard.shard_system.ShardSystem`
+with small command tuples, answered by :func:`serve` — the only shard
+verb dispatcher::
 
     ("begin",)                        -> ("ok", ShardStatus)
     ("window", until, batches)        -> ("ok", (out_batches, ShardStatus))
@@ -13,6 +12,12 @@ coordinator drives it with small command tuples over a pipe::
     ("snapshot",)                     -> ("ok", bytes)  # pickled ShardSystem
     ("exit",)                         -> worker terminates
 
+Process-parallel mode runs each shard in its own persistent
+``multiprocessing.Process`` (:class:`RemoteShard`), built locally in the
+worker from picklable inputs (configs, seed, workload, obs spec).
+Sequential-windowed mode (:class:`LocalShard`) calls :func:`serve`
+directly, so both modes exchange the same encoded mail.
+
 Commands and replies cross the pipe as explicit ``pickle.dumps``
 payloads over ``send_bytes``/``recv_bytes`` (highest protocol), so the
 coordinator can count the exact bytes serialized per verb.  Mailbox
@@ -20,11 +25,12 @@ traffic travels as :class:`~repro.shard.mailbox.MailBatch` columns:
 ``batches`` is the sequence of batches destined to this shard and
 ``out_batches`` maps destination shard index to one encoded batch of
 this window's outbox — pickled once here, routed by the coordinator on
-the header columns alone, and decoded only by the destination worker.
+the header columns alone, and decoded only by the destination shard.
 ``launch_window`` fuses the kernel-boundary launch with the first
 window after it (the post-launch window boundary is deterministic, so
 the coordinator needs no intermediate status), halving the per-boundary
-round trips.
+round trips.  A :class:`LocalShard` skips only the outer pipe pickling
+(and ``exit``); its batches carry the same pickled flit payloads.
 
 Any worker exception is shipped back as ``("error", traceback)`` and
 re-raised in the coordinator.
@@ -35,9 +41,9 @@ Checkpoint resume hands the worker a previously pickled shard
 serves the same verb loop from the restored state.
 
 Requester contexts (the ``on_complete`` closures riding on packets)
-are the one unpicklable part of a boundary flit.  The worker swaps each
-one for a :class:`CtxToken` before its outbox is pickled and swaps the
-original back when the token returns home on a response packet; the
+are the one unpicklable part of a boundary flit.  :func:`serve` swaps
+each one for a :class:`CtxToken` before the outbox is pickled and swaps
+the original back when the token returns home on a response packet; the
 stash entry is never popped, because a multi-flit packet pickled in
 separate window batches arrives as several object copies, each of which
 must be restorable.
@@ -95,9 +101,6 @@ class ContextStash:
                     self._store[key] = ctx
                     packet.context = CtxToken(self.shard_index, key)
 
-    def restore(self, items: List[MailItem]) -> None:
-        self.restore_flits(item.flit for item in items)
-
     def restore_flits(self, flits) -> None:
         for flit in flits:
             for packet in _packets_of(flit):
@@ -129,6 +132,40 @@ def _encode_outbox(shard, stash: ContextStash, outbox) -> Dict[int, MailBatch]:
     return {dst: MailBatch.encode(items) for dst, items in groups.items()}
 
 
+def serve(shard: ShardSystem, stash: ContextStash, message: tuple):
+    """Apply one coordinator command to ``shard``; returns the reply payload.
+
+    The one shard-verb dispatcher: worker processes call it from their
+    pipe loop and :class:`LocalShard` calls it in-process, so both drive
+    modes run every verb — and every mail batch — through the same code.
+    """
+    verb = message[0]
+    if verb == "window":
+        _, until, batches = message
+        # one loads per batch; restore the stashed contexts on the live
+        # flit lists, then inject straight off the columns
+        flits_per_batch = [pickle.loads(batch.payload) for batch in batches]
+        for flits in flits_per_batch:
+            stash.restore_flits(flits)
+        outbox, status = shard.window(until, batches, flits_per_batch)
+        return _encode_outbox(shard, stash, outbox), status
+    if verb == "launch_window":
+        _, kernel_index, q, until = message
+        outbox, status = shard.launch_window(kernel_index, q, until)
+        return _encode_outbox(shard, stash, outbox), status
+    if verb == "begin":
+        return shard.begin()
+    if verb == "launch":
+        _, kernel_index, q = message
+        return shard.launch_kernel(kernel_index, q)
+    if verb == "finish":
+        _, q_final = message
+        return shard.finish(q_final)
+    if verb == "snapshot":
+        return shard.snapshot_state()
+    raise RuntimeError(f"unknown shard command {verb!r}")
+
+
 def worker_main(
     conn,
     config,
@@ -153,40 +190,10 @@ def worker_main(
         stash = ContextStash(shard_index)
         while True:
             message = pickle.loads(conn.recv_bytes())
-            verb = message[0]
-            if verb == "window":
-                _, until, batches = message
-                # decode payloads here (one loads per batch), restore the
-                # stashed contexts on the live flit lists, and inject
-                # straight off the columns — no MailItem per flit
-                flits_per_batch = [
-                    pickle.loads(batch.payload) for batch in batches
-                ]
-                for flits in flits_per_batch:
-                    stash.restore_flits(flits)
-                outbox, status = shard.window_batches(
-                    until, batches, flits_per_batch
-                )
-                reply = ("ok", (_encode_outbox(shard, stash, outbox), status))
-            elif verb == "launch_window":
-                _, kernel_index, q, until = message
-                outbox, status = shard.launch_window(kernel_index, q, until)
-                reply = ("ok", (_encode_outbox(shard, stash, outbox), status))
-            elif verb == "begin":
-                reply = ("ok", shard.begin())
-            elif verb == "launch":
-                _, kernel_index, q = message
-                reply = ("ok", shard.launch_kernel(kernel_index, q))
-            elif verb == "finish":
-                _, q_final = message
-                reply = ("ok", shard.finish(q_final))
-            elif verb == "snapshot":
-                reply = ("ok", shard.snapshot_state())
-            elif verb == "exit":
+            if message[0] == "exit":
                 conn.close()
                 return
-            else:  # pragma: no cover - protocol error
-                raise RuntimeError(f"unknown shard command {verb!r}")
+            reply = ("ok", serve(shard, stash, message))
             conn.send_bytes(pickle.dumps(reply, proto))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover
         return
@@ -308,25 +315,20 @@ class RemoteShard:
 class LocalShard:
     """In-process handle with the same start/collect surface.
 
-    Sequential-windowed mode: flits cross shards as live objects, so no
-    context tokenization is needed (every closure stays valid).
+    Sequential-windowed mode serves the worker protocol in-process:
+    every command goes through :func:`serve` with this shard's own
+    :class:`ContextStash`, so mail crosses the same pickle boundary and
+    context-token swap as it does between worker processes — only the
+    pipe is missing.
     """
 
-    _METHODS = {
-        "begin": "begin",
-        "window": "window",
-        "launch": "launch_kernel",
-        "launch_window": "launch_window",
-        "finish": "finish",
-        "snapshot": "snapshot_state",
-    }
-
-    def __init__(self, system: ShardSystem) -> None:
-        self.system = system
+    def __init__(self, shard: ShardSystem) -> None:
+        self.shard = shard
+        self._stash = ContextStash(shard.shard_index)
         self._pending = None
 
     def start(self, verb: str, *args) -> None:
-        self._pending = getattr(self.system, self._METHODS[verb])(*args)
+        self._pending = serve(self.shard, self._stash, (verb,) + args)
 
     def collect(self):
         result = self._pending

@@ -40,6 +40,11 @@ class TestEmission:
     def test_update_baseline_promotes_the_run(self, tmp_path):
         code, first = _run(tmp_path)
         assert code == 0
+        # lower the baseline's rate (as TestCompare._baseline does) so the
+        # second 1-repeat run passes the gate whatever the host speed
+        (row,) = first["benchmarks"]
+        row["units_per_second"] = 1.0
+        row["wall_seconds"] = float(row["work_units"])
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(first))
         code, second = _run(

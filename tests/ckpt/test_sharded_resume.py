@@ -23,6 +23,7 @@ from repro.ckpt import (
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.gpu.system import MultiGpuSystem
+from repro.shard.build import ShardingOptions
 from repro.shard.coordinator import ShardedSystem
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
@@ -87,8 +88,7 @@ def test_every_boundary_matches_the_single_engine(
             netcrafter=NC,
             seed=0,
             workload=trace,
-            n_shards=n_shards,
-            parallel=parallel,
+            sharding=ShardingOptions(n_shards=n_shards, parallel=parallel),
         )
         assert digestable_payload(result.to_dict()) == reference, (
             f"{n_shards}-shard {'parallel' if parallel else 'sequential'} "
@@ -106,8 +106,7 @@ def test_snapshot_crosses_drive_modes(trace, reference, tmp_path):
         netcrafter=NC,
         seed=0,
         workload=trace,
-        n_shards=2,
-        parallel=True,
+        sharding=ShardingOptions(n_shards=2, parallel=True),
     )
     assert digestable_payload(result.to_dict()) == reference
 
@@ -118,8 +117,7 @@ def test_snapshot_crosses_drive_modes(trace, reference, tmp_path):
         netcrafter=NC,
         seed=0,
         workload=trace,
-        n_shards=2,
-        parallel=False,
+        sharding=ShardingOptions(n_shards=2, parallel=False),
     )
     assert digestable_payload(result.to_dict()) == reference
 
@@ -142,8 +140,7 @@ def test_window_override_rides_the_fingerprint(trace, reference, tmp_path):
         netcrafter=NC,
         seed=0,
         workload=trace,
-        n_shards=2,
-        window=window,
+        sharding=ShardingOptions(n_shards=2, window=window, parallel=False),
     )
     assert digestable_payload(result.to_dict()) == reference
 
@@ -156,8 +153,7 @@ def test_window_override_rides_the_fingerprint(trace, reference, tmp_path):
             netcrafter=NC,
             seed=0,
             workload=trace,
-            n_shards=2,
-            window=window + 1,
+            sharding=ShardingOptions(n_shards=2, window=window + 1, parallel=False),
         )
 
 

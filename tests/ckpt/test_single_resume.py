@@ -26,6 +26,7 @@ from repro.ckpt import (
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.gpu.system import MultiGpuSystem
+from repro.shard.build import ShardingOptions
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
@@ -143,7 +144,7 @@ class TestLoudFailures:
                 netcrafter=NC,
                 seed=0,
                 workload=trace,
-                n_shards=2,
+                sharding=ShardingOptions(n_shards=2, parallel=False),
             )
 
     def test_foreign_file_is_not_a_snapshot(self, tmp_path):

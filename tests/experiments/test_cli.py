@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import runner
+from repro.experiments import chaos, runner
 from repro.experiments.__main__ import DRIVERS, main
 from repro.experiments.runner import ExperimentScale
 from repro.workloads.base import Scale
@@ -211,3 +211,15 @@ def test_bad_checkpoint_period_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fig6", "--checkpoint-every", "0"])
     assert exc.value.code == 2
+
+
+def test_fault_options_do_not_leak_into_a_later_invocation(capsys, tiny_quick):
+    # one process, two CLI calls: the second, without --fault-* flags,
+    # must sweep the default BERs, not the first call's
+    assert main(["chaos", "--scale", "quick", "--no-cache", "--fault-ber", "0"]) == 0
+    first = capsys.readouterr().out
+    assert "ber=0" in first and "ber=0.0005" not in first
+    assert main(["chaos", "--scale", "quick", "--no-cache"]) == 0
+    second = capsys.readouterr().out
+    for ber in chaos.ChaosOptions().bers:
+        assert f"ber={ber:g}" in second
