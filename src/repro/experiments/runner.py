@@ -28,7 +28,9 @@ and parallel speedup.
 from __future__ import annotations
 
 import os
+import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -37,10 +39,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.cache import ResultCache, acquire, fingerprint
+from repro.gpu.cta import WorkloadTrace
 from repro.obs import Observability
 from repro.shard.build import ShardingOptions, build_node
 from repro.shard.coordinator import ShardedSystem
 from repro.shard.shard_system import ShardObsSpec
+from repro.sim.collector import collector_paused
 from repro.stats.report import RunResult
 from repro.workloads.base import Scale
 from repro.workloads.registry import all_workload_names, get_workload
@@ -370,12 +374,46 @@ def clear_cache() -> None:
     _cache.clear()
 
 
+#: traces kept for the next points.  A grid expands workload -> variant
+#: -> seed, so a variant's points reuse the traces its sibling variant
+#: built when the grid has at most this many seeds (serving rounds have
+#: two); each kept trace holds about 1 MB at the default scale
+_TRACE_MEMO_SIZE = 2
+
+#: the most recently used traces, keyed by (workload, n_gpus, scale,
+#: seed), least recent first.  Sharing one trace between runs is sound
+#: because no run mutates the trace it loads.
+_traces: "OrderedDict[Tuple[str, int, Scale, int], WorkloadTrace]" = OrderedDict()
+_traces_lock = threading.Lock()
+
+
+def _trace(workload: str, n_gpus: int, scale: Scale, seed: int) -> WorkloadTrace:
+    """The workload's trace, built or reused from :data:`_traces`."""
+    key = (workload, n_gpus, scale, seed)
+    with _traces_lock:
+        trace = _traces.get(key)
+        if trace is not None:
+            _traces.move_to_end(key)
+            return trace
+    trace = get_workload(workload).build(n_gpus=n_gpus, scale=scale, seed=seed)
+    with _traces_lock:
+        _traces[key] = trace
+        while len(_traces) > _TRACE_MEMO_SIZE:
+            _traces.popitem(last=False)
+    return trace
+
+
 def _simulate(point: ExperimentPoint, ctx: RunContext) -> RunResult:
+    # the node must be unreachable when the policy's exit collection
+    # runs, so it lives only in _simulate_point's frame
+    with collector_paused():
+        return _simulate_point(point, ctx)
+
+
+def _simulate_point(point: ExperimentPoint, ctx: RunContext) -> RunResult:
     point = point.normalized(ctx)
     system = point.system
-    trace = get_workload(point.workload).build(
-        n_gpus=system.n_gpus, scale=point.scale, seed=point.seed
-    )
+    trace = _trace(point.workload, system.n_gpus, point.scale, point.seed)
     options = ctx.observability
     plan = ctx.sharding.resolve(system) if ctx.sharding is not None else None
 

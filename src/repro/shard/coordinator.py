@@ -19,9 +19,10 @@ Each iteration the coordinator:
    inter-cluster link latency): a flit sent at ``t >= t*`` cannot
    arrive before ``t + 1 + W > t* + window``, so no shard ever needs an
    input it has not been given.  In *adaptive* mode
-   (:meth:`ShardedSystem._untils`) each shard's boundary stretches
-   independently as far as the same safety argument allows — quiet
-   shards leap ahead when cross-shard traffic is sparse and fall back
+   (:meth:`ShardedSystem._untils`) a shard that is alone within one
+   latency of the earliest candidate stretches its boundary as far as
+   the same safety argument allows — a quiet stretch of the run leaps
+   ahead when cross-shard traffic is sparse, and every shard falls back
    to latency-sized windows under bursts, with per-shard frontiers
    replacing the aligned clock;
 3. validates the shards' outbox batches on their header columns
@@ -121,6 +122,7 @@ class ShardedSystem:
         #: actually run workers concurrently (see :meth:`_broadcast`)
         self._overlap_windows = parallel and _available_cpus() > 1
         self._workload: Optional[WorkloadTrace] = None
+        self._handles: List[object] = []
         self._reports: Optional[List[ShardReport]] = None
         self._merged_obs: Optional[MergedObservability] = None
         self.windows_run = 0
@@ -217,6 +219,10 @@ class ShardedSystem:
                 )
             else:
                 handles.append(LocalShard(open_shard(*args, shard_state=state)))
+        # the shards live as long as the node, like a single engine's
+        # components: dropped at the end of a run, their graphs would be
+        # the run's cyclic garbage (repro.sim.collector)
+        self._handles = handles
         return handles
 
     def _broadcast(self, handles, commands) -> List[object]:
@@ -338,8 +344,8 @@ class ShardedSystem:
         ``cand[s]`` is the earliest thing shard ``s`` can possibly do:
         its next pending event or its earliest undelivered mail arrival.
         Fixed mode runs every shard to ``min(cand) + window`` — the
-        classic conservative lookahead.  Adaptive mode stretches each
-        shard independently to::
+        classic conservative lookahead.  Adaptive mode bounds each shard
+        by::
 
             until[s] = min(min(cand[x] for x != s) + L,
                            cand[s] + 1 + 2 * L)
@@ -350,9 +356,18 @@ class ShardedSystem:
         chain that left ``s`` itself and bounced back (two hops:
         ``>= cand[s] + 2 + 2 * L``), so every arrival lands strictly
         beyond ``until[s]`` — the same safety contract the fixed window
-        provides, without capping quiet shards at ``t* + window``.  The
-        inputs are deterministic simulation state, so adaptive windows
-        replay identically across drive modes and shard counts.
+        provides.
+
+        Only the earliest shard can use that bound to run past
+        ``B = min(cand) + L``; every other shard stops at ``B``.  It
+        keeps the stretch only when it is alone before ``B``.  When two
+        or more shards have a candidate at or before ``B``, the earliest
+        one stops at ``B`` too: stretching it to ``second + L`` would
+        stop the second shard ``B`` short of it, the next window would
+        swap their roles, and the two would take turns instead of
+        running side by side.  The inputs are deterministic simulation
+        state, so adaptive windows replay identically across drive
+        modes and shard counts.
         """
         cands = []
         for i, status in enumerate(statuses):
@@ -370,10 +385,10 @@ class ShardedSystem:
         m2 = min(
             (c for i, c in enumerate(cands) if i != i1), default=_INF
         )
-        untils = []
-        for i, cand in enumerate(cands):
-            other = m2 if i == i1 else m1
-            untils.append(min(other + lookahead, cand + 1 + 2 * lookahead))
+        boundary = m1 + lookahead
+        untils = [boundary] * self.n_shards
+        if m2 > boundary:
+            untils[i1] = min(m2 + lookahead, m1 + 1 + 2 * lookahead)
         return untils
 
     def _post_launch_until(self, q: int) -> int:

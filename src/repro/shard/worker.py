@@ -60,6 +60,7 @@ from typing import Dict, List, Optional
 
 from repro.shard.mailbox import MailBatch, MailItem
 from repro.shard.shard_system import ShardObsSpec, ShardSystem, open_shard
+from repro.sim.collector import collector_paused
 from repro.stats.coord import CoordStats
 
 
@@ -184,17 +185,21 @@ def worker_main(
     """
     proto = pickle.HIGHEST_PROTOCOL
     try:
-        shard = open_shard(
-            config, netcrafter, seed, shard_index, n_shards, obs_spec, workload, shard_state
-        )
-        stash = ContextStash(shard_index)
-        while True:
-            message = pickle.loads(conn.recv_bytes())
-            if message[0] == "exit":
-                conn.close()
-                return
-            reply = ("ok", serve(shard, stash, message))
-            conn.send_bytes(pickle.dumps(reply, proto))
+        # the worker's whole life is one shard's run, which makes no
+        # cyclic garbage (repro.sim.collector)
+        with collector_paused():
+            shard = open_shard(
+                config, netcrafter, seed, shard_index, n_shards, obs_spec,
+                workload, shard_state,
+            )
+            stash = ContextStash(shard_index)
+            while True:
+                message = pickle.loads(conn.recv_bytes())
+                if message[0] == "exit":
+                    conn.close()
+                    return
+                reply = ("ok", serve(shard, stash, message))
+                conn.send_bytes(pickle.dumps(reply, proto))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover
         return
     except Exception:
