@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.config import NetCrafterConfig
 from repro.experiments.figures import FigureResult
 from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
-from repro.stats.report import geometric_mean
 
 
 def _speedups(exp: ExperimentScale, variant: NetCrafterConfig) -> List[float]:
@@ -143,22 +142,3 @@ def ablate_cq_capacity(
         notes="the CQ mostly needs to cover bursts; Table 2's 1024 entries "
         "are comfortably sufficient",
     )
-
-
-def ablation_summary(exp: Optional[ExperimentScale] = None) -> str:
-    """One-line geomean per ablation, for quick reporting."""
-    exp = exp or ExperimentScale.standard()
-    lines = []
-    for driver in (
-        ablate_scheduler,
-        ablate_early_release,
-        ablate_pooling_grace,
-        ablate_cq_capacity,
-    ):
-        result = driver(exp)
-        means = ", ".join(
-            f"{name}={geometric_mean(values):.3f}"
-            for name, values in result.series.items()
-        )
-        lines.append(f"{result.figure_id}: {means}")
-    return "\n".join(lines)

@@ -54,30 +54,6 @@ class FigureResult:
             lines.append(f"-- {self.notes}")
         return "\n".join(lines)
 
-    def to_bars(self, series_name: Optional[str] = None, width: int = 40) -> str:
-        """Render one series as a horizontal ASCII bar chart.
-
-        Gives the terminal output the visual shape of the paper's bar
-        figures; bars scale to the series maximum.
-        """
-        if series_name is None:
-            series_name = next(iter(self.series))
-        values = self.series[series_name]
-        if not values:
-            return f"== {self.figure_id}: {self.title} == (empty)"
-        peak = max(max(values), 1e-12)
-        label_width = max(len(lbl) for lbl in self.labels)
-        lines = [f"== {self.figure_id}: {self.title} [{series_name}] =="]
-        for label, value in zip(self.labels, values):
-            bar = "#" * max(0, round(width * value / peak))
-            lines.append(f"{label:{label_width}s} | {bar} {value:.3f}")
-        return "\n".join(lines)
-
-
-def _workloads(exp: Optional[ExperimentScale]) -> List[str]:
-    exp = exp or ExperimentScale.standard()
-    return exp.workload_names()
-
 
 def _exp(exp: Optional[ExperimentScale]) -> ExperimentScale:
     return exp or ExperimentScale.standard()

@@ -41,10 +41,6 @@ class _Wavefront:
         self.index = 0
         self.outstanding = 0
 
-    @property
-    def finished_issuing(self) -> bool:
-        return self.index >= len(self.trace.accesses)
-
 
 class ComputeUnit(Component):
     """One CU with its private L1 TLB and L1 vector cache."""

@@ -24,7 +24,7 @@ from repro.network.topology import Topology, build_topology
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.engine import Engine
-from repro.stats.assemble import controller_row, link_row
+from repro.stats.assemble import SliceHarvest, controller_row, link_row
 from repro.stats.collectors import RunStats
 from repro.vm.gmmu import WalkRetrySchedule
 from repro.vm.page_table import PageTable
@@ -197,25 +197,14 @@ class NodeCore:
         """Periodic snapshot; stops once the run finished.
 
         Post-finish firings sample nothing so the series stays
-        monotonic: :meth:`_final_metrics_sample` appends the
-        authoritative final snapshot at the finish cycle itself.
+        monotonic: :meth:`harvest` appends the authoritative final
+        snapshot at the finish cycle itself.
         """
         if self.stats.finish_cycle is not None:
             return
         metrics = self.obs.metrics
         metrics.sample(self.engine.now)
         self.engine.schedule(metrics.interval, self._sample_metrics)
-
-    def _final_metrics_sample(self, cycle: int) -> None:
-        """Close the series at the finish ``cycle``.
-
-        Samples past it are dropped (a shard's window may overshoot the
-        finish cycle; the single-engine sampler never does), so
-        cumulative series end exactly at the aggregate totals.
-        """
-        metrics = self.obs.metrics
-        metrics.samples = [row for row in metrics.samples if row["cycle"] <= cycle]
-        metrics.sample(cycle)
 
     # -- workload loading and dispatch -------------------------------------
 
@@ -304,16 +293,28 @@ class NodeCore:
         block.flits_entered += snap[3] - mark[3]
         block.flits_absorbed += snap[4] - mark[4]
 
-    # -- result rows -------------------------------------------------------
+    # -- end-of-run harvest ------------------------------------------------
 
-    def _result_rows(self) -> dict:
-        """The row-level totals both result assemblers take, by keyword."""
+    def harvest(self, cycle: int) -> SliceHarvest:
+        """Close the metrics series at the finish ``cycle`` and snapshot
+        this slice's result rows for :func:`~repro.stats.assemble.assemble_result`.
+
+        Samples past ``cycle`` are dropped (a shard's window may
+        overshoot the finish cycle; the single-engine sampler never
+        does), so cumulative series end exactly at the aggregate totals.
+        """
+        metrics = self.obs.metrics
+        if metrics is not None:
+            metrics.samples = [row for row in metrics.samples if row["cycle"] <= cycle]
+            metrics.sample(cycle)
         topo = self.topology
         gpus = self.gpus.values()
-        return dict(
+        return SliceHarvest(
             stats=self.stats,
-            events_processed=self.engine.events_processed,
+            events=self.engine.events_processed,
             inter_rows=[link_row(link) for link in topo.inter_links],
+            up_rows=[link_row(link) for link in topo.gpu_uplinks.values()],
+            down_rows=[link_row(link) for link in topo.gpu_downlinks.values()],
             controller_rows=[controller_row(c) for c in topo.controllers],
             l2_accesses=sum(gpu.l2.read_requests + gpu.l2.write_requests for gpu in gpus),
             dram_accesses=sum(gpu.dram.reads + gpu.dram.writes for gpu in gpus),

@@ -17,7 +17,7 @@ from repro.gpu.cta import KernelTrace
 from repro.gpu.node import NodeCore
 from repro.network.ids import reset_run_ids
 from repro.obs import Observability
-from repro.stats.assemble import assemble_result, link_row
+from repro.stats.assemble import assemble_result
 from repro.stats.report import RunResult
 
 
@@ -152,14 +152,13 @@ class MultiGpuSystem(NodeCore):
     # -- result assembly ---------------------------------------------------------------
 
     def _collect(self, workload_name: str) -> RunResult:
-        if self.obs.metrics is not None:
-            self._final_metrics_sample(self.stats.finish_cycle)
+        cycles = self.stats.finish_cycle
         return assemble_result(
             workload=workload_name,
             config_label=self._config_label(),
-            cycles=self.stats.finish_cycle,
-            intra_rows=[link_row(link) for link in self.topology.intra_links()],
-            **self._result_rows(),
+            cycles=cycles,
+            kernel_count=self.stats.kernel_count,
+            slices=[self.harvest(cycles)],
         )
 
     def _config_label(self) -> str:

@@ -85,9 +85,6 @@ class L2Cache(Component):
 
     # -- internals ---------------------------------------------------------------
 
-    def _bank_of(self, addr: int) -> int:
-        return (addr // self.line_bytes) % self.banks
-
     def _lookup(
         self, addr: int, nbytes: int, is_write: bool, callback: Callable[[], None]
     ) -> None:

@@ -118,25 +118,12 @@ class Flit:
         return self.used_bytes + self._seg_payload_bytes
 
     @property
-    def is_tail(self) -> bool:
-        return self.index == self.packet_flit_count - 1
-
-    @property
-    def is_head(self) -> bool:
-        return self.index == 0
-
-    @property
     def dst_gpu(self) -> int:
         return self.packet.dst_gpu
 
     @property
     def is_ptw(self) -> bool:
         return self.packet._ptw
-
-    @property
-    def is_single_flit_packet(self) -> bool:
-        """True when this flit carries an entire packet (header included)."""
-        return self.packet_flit_count == 1
 
     def stitch_cost(self) -> int:
         """Bytes of parent-flit space this flit needs when stitched."""

@@ -267,9 +267,6 @@ class FlitLink(Traced, Component):
         self._bpc_num, self._bpc_den = num, den
         self._degraded = degraded
 
-    def _next_free_cycle_floor(self) -> int:
-        return self._anchor + (self._sent_bytes * self._bpc_den) // self._bpc_num
-
     def ready_at(self) -> int:
         """First integer cycle during which a new flit may start."""
         if self._flap_edges:

@@ -157,10 +157,6 @@ class ClusterSwitch(Traced, Component):
         """Route traffic for ``dst_cluster`` over the ``via_cluster`` link."""
         self._next_hop[dst_cluster] = via_cluster
 
-    @property
-    def egress_controllers(self) -> Dict[int, "EgressControllerProtocol"]:
-        return dict(self._egress)
-
     # -- ingress ----------------------------------------------------------
 
     def receive_packet_from_gpu(self, packet: Packet) -> None:

@@ -1,8 +1,10 @@
-"""Merge per-shard observability payloads into single artifacts.
+"""Merge per-shard instruments into one :class:`~repro.obs.Observability`.
 
-A sharded run produces one trace / metrics / profile payload per shard.
-These helpers fold them into objects exposing the same export surface
-as the originals (``to_jsonl`` / ``to_chrome`` / ``to_json``), so the
+Every shard of a sharded run carries its own tracer, metrics registry
+and profiler, and hands them back with its ``finish`` reply.
+:func:`merge_observability` folds them into a plain
+:class:`~repro.obs.Observability` of real :class:`EventTracer`,
+:class:`MetricsRegistry` and :class:`EngineProfiler` objects, so the
 experiment runner's artifact writer works unchanged on sharded runs and
 ``python -m repro.obs.validate`` accepts the merged output.
 
@@ -13,23 +15,28 @@ interleave badly across shards — a boundary flit's ``wire_start`` is
 emitted by the sender at the send cycle while its ``deliver`` is
 emitted by the receiver at least ``1 + link latency`` cycles later, so
 the cycle ordering alone already separates them.
+
+Shard registries prefix every metric name with ``s<shard>.``, so the
+union of names (in shard order) is collision-free and each merged
+sample is the union of the shards' same-cycle samples.  Profiles sum
+per-callback dispatch counts and wall time.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
-from repro.obs.metrics import METRICS_SCHEMA_VERSION
-from repro.obs.tracer import EventTracer
+from repro.obs import Observability
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profiler import EngineProfiler
+from repro.obs.tracer import NULL_TRACER, EventTracer, NullTracer
 
 
-def merge_traces(reports) -> Optional[EventTracer]:
-    """Fold shard trace payloads into one :class:`EventTracer`.
+def merge_traces(tracers: List) -> Union[EventTracer, NullTracer]:
+    """Fold shard tracers (in shard order) into one :class:`EventTracer`.
 
-    Returns ``None`` when no shard traced.  The result is a real tracer
-    whose ring holds the merged records, so ``to_jsonl``/``to_chrome``
-    behave exactly as in the single-engine path; ``dropped`` sums the
+    Returns :data:`NULL_TRACER` when no shard traced.  The merged
+    tracer's ring holds every shard's records; ``dropped`` sums the
     shards' ring overflows (a positive sum flags the merged trace as
     partial, which the validator honours).
     """
@@ -37,141 +44,67 @@ def merge_traces(reports) -> Optional[EventTracer]:
     sample = 1
     dropped = 0
     traced = False
-    for report in reports:
-        if report.trace_records is None:
+    for shard_index, tracer in enumerate(tracers):
+        if not tracer.enabled:
             continue
         traced = True
-        sample = report.trace_sample
-        dropped += report.trace_dropped
-        for position, record in enumerate(report.trace_records):
-            tagged.append((record["cycle"], report.shard_index, position, record))
+        sample = tracer.sample
+        dropped += tracer.dropped
+        for position, record in enumerate(tracer.events()):
+            tagged.append((record["cycle"], shard_index, position, record))
     if not traced:
-        return None
+        return NULL_TRACER
     tagged.sort(key=lambda entry: entry[:3])
-    tracer = EventTracer(sample=sample, ring_capacity=max(1, len(tagged)))
-    tracer._events.extend(entry[3] for entry in tagged)
-    tracer.emitted = len(tagged) + dropped
-    return tracer
+    merged = EventTracer(sample=sample, ring_capacity=max(1, len(tagged)))
+    merged._events.extend(entry[3] for entry in tagged)
+    merged.emitted = len(tagged) + dropped
+    return merged
 
 
-class MergedMetrics:
-    """Shard metric series joined on the sample cycle.
+def merge_metrics(registries: List[MetricsRegistry]) -> Optional[MetricsRegistry]:
+    """Join shard series on the sample cycle; ``None`` when metrics were off.
 
-    Shard registries prefix every metric name with ``s<shard>.``, so the
-    union of names is collision-free and each merged row is the union of
-    the shards' same-cycle rows.
+    The merged registry has names but no sources: it holds the joined
+    series only, and never samples.
     """
-
-    def __init__(self, interval: int, names: List[str], samples: List[dict]) -> None:
-        self.interval = interval
-        self._names = names
-        self.samples = samples
-
-    def names(self) -> List[str]:
-        return list(self._names)
-
-    def to_jsonl(self, path: str) -> int:
-        with open(path, "w") as handle:
-            handle.write(
-                json.dumps(
-                    {
-                        "meta": True,
-                        "schema": METRICS_SCHEMA_VERSION,
-                        "interval": self.interval,
-                        "metrics": self.names(),
-                    }
-                )
-            )
-            handle.write("\n")
-            for row in self.samples:
-                handle.write(json.dumps(row))
-                handle.write("\n")
-        return len(self.samples)
-
-
-def merge_metrics(reports) -> Optional[MergedMetrics]:
-    """Join shard metric rows by cycle; ``None`` when metrics were off."""
-    interval = None
-    names: List[str] = []
+    if not registries:
+        return None
     by_cycle: Dict[int, dict] = {}
-    for report in reports:
-        if report.metrics_rows is None:
-            continue
-        interval = report.metrics_interval
-        names.extend(report.metrics_names)
-        for row in report.metrics_rows:
-            merged = by_cycle.setdefault(int(row["cycle"]), {"cycle": row["cycle"]})
-            merged.update(row)
-    if interval is None:
-        return None
-    samples = [by_cycle[cycle] for cycle in sorted(by_cycle)]
-    return MergedMetrics(interval=interval, names=names, samples=samples)
-
-
-class MergedProfile:
-    """Summed per-callback dispatch counts and wall time across shards."""
-
-    def __init__(self, doc: dict) -> None:
-        self._doc = doc
-
-    def to_dict(self) -> dict:
-        return self._doc
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as handle:
-            json.dump(self._doc, handle, indent=2)
-
-
-def merge_profiles(reports) -> Optional[MergedProfile]:
-    events = 0
-    wall = 0.0
-    by_key: Dict[str, List[float]] = {}
-    profiled = False
-    for report in reports:
-        if report.profile is None:
-            continue
-        profiled = True
-        events += int(report.profile["events"])
-        wall += float(report.profile["wall_seconds"])
-        for row in report.profile["by_callback"]:
-            entry = by_key.setdefault(row["callback"], [0, 0.0])
-            entry[0] += int(row["count"])
-            entry[1] += float(row["seconds"])
-    if not profiled:
-        return None
-    rows = [
-        {"callback": key, "count": int(count), "seconds": secs}
-        for key, (count, secs) in by_key.items()
-    ]
-    rows.sort(key=lambda row: -row["seconds"])
-    return MergedProfile(
-        {"events": events, "wall_seconds": wall, "by_callback": rows}
+    for registry in registries:
+        for row in registry.samples:
+            joined = by_cycle.setdefault(int(row["cycle"]), {"cycle": row["cycle"]})
+            joined.update(row)
+    merged = MetricsRegistry(registries[0].interval)
+    merged._sources = dict.fromkeys(
+        name for registry in registries for name in registry.names()
     )
+    merged.samples = [by_cycle[cycle] for cycle in sorted(by_cycle)]
+    return merged
 
 
-class MergedObservability:
-    """An :class:`~repro.obs.Observability`-shaped bundle of merged
-    artifacts, accepted by the runner's artifact writer."""
-
-    def __init__(self, tracer, metrics, profiler) -> None:
-        from repro.obs.tracer import NULL_TRACER
-
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        self.profiler = profiler
-
-    @property
-    def enabled(self) -> bool:
-        return (
-            self.tracer.enabled
-            or self.metrics is not None
-            or self.profiler is not None
-        )
+def merge_profiles(profilers: List[EngineProfiler]) -> Optional[EngineProfiler]:
+    """Sum shard profiles per callback; ``None`` when profiling was off."""
+    if not profilers:
+        return None
+    merged = EngineProfiler()
+    for profiler in profilers:
+        merged.events += profiler.events
+        merged.wall_seconds += profiler.wall_seconds
+        for key, count, seconds in profiler.hotspots():
+            entry = merged.by_key.setdefault(key, [0, 0.0])
+            entry[0] += count
+            entry[1] += seconds
+    return merged
 
 
-def merge_observability(reports) -> MergedObservability:
-    return MergedObservability(
-        tracer=merge_traces(reports),
-        metrics=merge_metrics(reports),
-        profiler=merge_profiles(reports),
+def merge_observability(bundles: List[Observability]) -> Observability:
+    """One bundle from the shards' bundles, given in shard order."""
+    return Observability(
+        tracer=merge_traces([obs.tracer for obs in bundles]),
+        metrics=merge_metrics(
+            [obs.metrics for obs in bundles if obs.metrics is not None]
+        ),
+        profiler=merge_profiles(
+            [obs.profiler for obs in bundles if obs.profiler is not None]
+        ),
     )

@@ -29,39 +29,43 @@ class MetricsRegistry:
         if interval <= 0:
             raise ValueError("metrics interval must be positive")
         self.interval = int(interval)
-        self._sources: List[Tuple[str, Callable[[], float]]] = []
-        self._names: set = set()
+        #: name -> source, in registration order; ``None`` marks a name
+        #: whose source was dropped by pickling (see ``__getstate__``)
+        self._sources: Dict[str, Optional[Callable[[], float]]] = {}
         self.samples: List[Dict[str, float]] = []
 
     def register(self, name: str, source: Callable[[], float]) -> None:
-        """Register ``source`` under ``name``; names must be unique."""
+        """Register ``source`` under ``name``; names must be unique.
+
+        A name restored without its source may be registered again: it
+        keeps its place in :meth:`names`.
+        """
         if name == "cycle":
             raise ValueError("'cycle' is reserved for the sample timestamp")
-        if name in self._names:
+        if self._sources.get(name) is not None:
             raise ValueError(f"metric {name!r} already registered")
-        self._names.add(name)
-        self._sources.append((name, source))
+        self._sources[name] = source
 
     def names(self) -> List[str]:
-        return [name for name, _ in self._sources]
+        return list(self._sources)
 
     # -- snapshot protocol -------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Pickle the series, not the sources.
+        """Pickle the names and the series, not the sources.
 
         Gauge sources are closures over live simulator objects and cannot
-        (and should not) be serialized; whoever restores a registry must
-        re-register its sources against the restored system — the system
-        classes do this via their ``_register_metrics`` wiring.
+        (and should not) be serialized; whoever restores a registry that
+        keeps sampling must re-register its sources against the restored
+        system — the system classes do this via their
+        ``_register_metrics`` wiring.
         """
-        return {"interval": self.interval, "samples": self.samples}
+        return {"interval": self.interval, "names": self.names(), "samples": self.samples}
 
     def __setstate__(self, state: dict) -> None:
         self.interval = state["interval"]
         self.samples = state["samples"]
-        self._sources = []
-        self._names = set()
+        self._sources = dict.fromkeys(state["names"])
 
     # -- sampling ----------------------------------------------------------
 
@@ -73,7 +77,7 @@ class MetricsRegistry:
         of duplicating the timestamp.
         """
         row: Dict[str, float] = {"cycle": int(cycle)}
-        for name, source in self._sources:
+        for name, source in self._sources.items():
             row[name] = source()
         if self.samples and self.samples[-1]["cycle"] == row["cycle"]:
             self.samples[-1] = row
@@ -85,7 +89,7 @@ class MetricsRegistry:
 
     def series(self, name: str) -> List[Tuple[int, float]]:
         """The (cycle, value) time series of one metric."""
-        if name not in self._names:
+        if name not in self._sources:
             raise KeyError(f"unknown metric {name!r}")
         return [(int(row["cycle"]), row[name]) for row in self.samples]
 

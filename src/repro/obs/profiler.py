@@ -60,20 +60,6 @@ class EngineProfiler:
         rows.sort(key=lambda row: -row[2])
         return rows
 
-    def report_lines(self, top: int = 15) -> List[str]:
-        lines = [
-            f"events dispatched:  {self.events}"
-            f"  ({self.wall_seconds:.3f}s inside callbacks)"
-        ]
-        for key, count, secs in self.hotspots()[:top]:
-            share = 100.0 * secs / self.wall_seconds if self.wall_seconds else 0.0
-            per_event = 1e6 * secs / count if count else 0.0
-            lines.append(
-                f"{key:40s} {count:>9d} events  {secs:7.3f}s"
-                f"  ({share:4.1f}%, {per_event:6.2f}us/event)"
-            )
-        return lines
-
     def to_dict(self) -> Dict[str, object]:
         return {
             "events": self.events,

@@ -53,12 +53,13 @@ from repro.core.config import NetCrafterConfig
 from repro.gpu.cta import WorkloadTrace
 from repro.gpu.node import check_trim_granularity
 from repro.gpu.system import config_label
-from repro.obs.merge import MergedObservability, merge_observability
+from repro.obs import Observability
+from repro.obs.merge import merge_observability
 from repro.shard.mailbox import MailBatch, Mailbox
-from repro.shard.merge import ShardReport, ShardStatus, merge_reports
 from repro.shard.partition import ShardPlan
-from repro.shard.shard_system import ShardObsSpec, open_shard
+from repro.shard.shard_system import ShardObsSpec, ShardStatus, open_shard
 from repro.shard.worker import LocalShard, RemoteShard
+from repro.stats.assemble import assemble_result
 from repro.stats.coord import CoordStats
 from repro.stats.report import RunResult
 
@@ -123,8 +124,7 @@ class ShardedSystem:
         self._overlap_windows = parallel and _available_cpus() > 1
         self._workload: Optional[WorkloadTrace] = None
         self._handles: List[object] = []
-        self._reports: Optional[List[ShardReport]] = None
-        self._merged_obs: Optional[MergedObservability] = None
+        self._merged_obs: Optional[Observability] = None
         self.windows_run = 0
         #: coordination-overhead breakdown of the last/current run
         self.coord_stats = CoordStats()
@@ -149,7 +149,7 @@ class ShardedSystem:
             for handle in handles:
                 handle.close()
 
-    def merged_obs(self) -> MergedObservability:
+    def merged_obs(self) -> Observability:
         """Merged observability artifacts of the last :meth:`run`."""
         if self._merged_obs is None:
             raise RuntimeError("run() has not completed")
@@ -257,17 +257,14 @@ class ShardedSystem:
         return self._window_loop(handles, mailbox, statuses, kernel_index=0)
 
     def _finish(self, handles, q: int) -> RunResult:
-        reports: List[ShardReport] = self._broadcast(
-            handles, [("finish", q)] * self.n_shards
-        )
-        self._reports = reports
-        self._merged_obs = merge_observability(reports)
-        return merge_reports(
-            reports,
+        replies = self._broadcast(handles, [("finish", q)] * self.n_shards)
+        self._merged_obs = merge_observability([obs for _, obs in replies])
+        return assemble_result(
             workload=self._workload.name,
             config_label=config_label(self.config, self.netcrafter),
             cycles=q,
             kernel_count=len(self._workload.kernels),
+            slices=[harvest for harvest, _ in replies],
         )
 
     def _window_loop(

@@ -4,11 +4,11 @@ A :class:`ShardSystem` owns a contiguous cluster range — the GPUs, the
 cluster switches, the intra-cluster links, and the *outgoing* halves of
 inter-cluster links (boundary links when the destination cluster lives
 in another shard).  Construction, observability, CTA dispatch, phase
-accounting and the result rows come from
+accounting and the end-of-run harvest come from
 :class:`~repro.gpu.node.NodeCore`, shared with the single engine; this
 module adds only what the sharded drive needs — the boundary links,
-strided ID streams, the coordinator verbs, :meth:`ShardSystem.status`
-and the per-shard report.  The coordinator drives a shard through four
+strided ID streams, the coordinator verbs and the per-window
+:class:`ShardStatus`.  The coordinator drives a shard through four
 verbs:
 
 * :meth:`begin` — load bookkeeping + launch kernel 0 at cycle 0;
@@ -16,7 +16,9 @@ verbs:
   the local engine to an exact boundary cycle, and hand back the outbox;
 * :meth:`launch_kernel` — replay the next kernel launch at the quiesce
   cycle ``q`` the coordinator computed analytically;
-* :meth:`finish` — drain, snapshot, and report.
+* :meth:`finish` — drain, then hand back the slice's
+  :class:`~repro.stats.assemble.SliceHarvest` and its own
+  observability instruments.
 
 Determinism: local events are keyed ``(time, skey=schedule-cycle,
 seq)``, and cross-shard mail is injected with the sub-cycle delivery
@@ -53,9 +55,30 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import EngineProfiler
 from repro.obs.tracer import NULL_TRACER, EventTracer
 from repro.shard.mailbox import BoundaryFlitLink, MailItem
-from repro.shard.merge import ShardReport, ShardStatus
 from repro.shard.partition import ShardPlan
-from repro.stats.assemble import link_row
+from repro.stats.assemble import SliceHarvest
+
+
+@dataclass
+class ShardStatus:
+    """One shard's progress snapshot at a window boundary."""
+
+    #: (time, skey) of the next pending event, or None when drained
+    next_event: Optional[Tuple[int, int]]
+    #: pending events excluding the metrics sampler's self-reschedule
+    real_pending: int
+    #: wavefronts of the current kernel still running on owned GPUs
+    wavefronts_remaining: int
+    #: cycle the shard's last owned wavefront completed (or the launch
+    #: cycle, for shards with no work in the current kernel)
+    last_wf_cycle: int
+    #: True when every owned RDMA engine's posted-write/invalidation
+    #: counters are zero
+    counters_zero: bool
+    #: lexicographic max over owned GPUs of (last_drain_cycle,
+    #: last_drain_skey) — when the quiesce poll chain would first observe
+    #: this shard's counters at zero
+    max_drain: Tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -245,8 +268,8 @@ class ShardSystem(NodeCore):
             self._save_ids()
         return self.status()
 
-    def finish(self, q_final: int) -> ShardReport:
-        """Drain residual events and harvest this shard's report."""
+    def finish(self, q_final: int) -> Tuple[SliceHarvest, Observability]:
+        """Drain residual events; harvest the slice and its instruments."""
         self._install_ids()
         try:
             # set before the drain: it also stops the metrics sampler
@@ -260,7 +283,7 @@ class ShardSystem(NodeCore):
             self._phase_close(q_final)
         finally:
             self._save_ids()
-        return self._report(q_final)
+        return self.harvest(q_final), self.obs
 
     def snapshot_state(self) -> bytes:
         """Serialize this shard's complete simulation state.
@@ -309,7 +332,7 @@ class ShardSystem(NodeCore):
         if self._wavefronts_remaining == 0:
             self._last_wf_cycle = self.engine.now
 
-    # -- status / report ----------------------------------------------------
+    # -- status -------------------------------------------------------------
 
     def status(self) -> ShardStatus:
         sampler_pending = (
@@ -332,28 +355,6 @@ class ShardSystem(NodeCore):
             counters_zero=counters_zero,
             max_drain=max_drain,
         )
-
-    def _report(self, q_final: int) -> ShardReport:
-        topo = self.topology
-        report = ShardReport(
-            shard_index=self.shard_index,
-            up_rows=[link_row(link) for link in topo.gpu_uplinks.values()],
-            down_rows=[link_row(link) for link in topo.gpu_downlinks.values()],
-            **self._result_rows(),
-        )
-        obs = self.obs
-        if obs.tracer.enabled:
-            report.trace_records = obs.tracer.events()
-            report.trace_sample = obs.tracer.sample
-            report.trace_dropped = obs.tracer.dropped
-        if obs.metrics is not None:
-            self._final_metrics_sample(q_final)
-            report.metrics_rows = obs.metrics.samples
-            report.metrics_names = obs.metrics.names()
-            report.metrics_interval = obs.metrics.interval
-        if obs.profiler is not None:
-            report.profile = obs.profiler.to_dict()
-        return report
 
 
 def open_shard(

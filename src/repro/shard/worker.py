@@ -8,7 +8,7 @@ verb dispatcher::
     ("window", until, batches)        -> ("ok", (out_batches, ShardStatus))
     ("launch", k, q)                  -> ("ok", ShardStatus)
     ("launch_window", k, q, until)    -> ("ok", (out_batches, ShardStatus))
-    ("finish", q)                     -> ("ok", ShardReport)
+    ("finish", q)                     -> ("ok", (SliceHarvest, Observability))
     ("snapshot",)                     -> ("ok", bytes)  # pickled ShardSystem
     ("exit",)                         -> worker terminates
 
@@ -281,7 +281,7 @@ class RemoteShard:
         """Graceful teardown: exit verb, drain, join — terminate last.
 
         Killing the worker outright can catch it mid-``conn.send`` and
-        strand a partially written reply (trace batches, shard reports),
+        strand a partially written reply (a finish reply carrying a trace),
         so escalation is the last resort.  Two details make the graceful
         path reliable: any not-yet-collected replies are drained while
         waiting (a worker blocked writing a large payload into a full

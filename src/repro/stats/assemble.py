@@ -1,4 +1,4 @@
-"""Canonical result assembly from row-level stat snapshots.
+"""Canonical result assembly from per-slice harvests.
 
 :class:`~repro.gpu.system.MultiGpuSystem` and the cluster-sharded
 coordinator (:mod:`repro.shard`) must produce **byte-identical**
@@ -6,12 +6,14 @@ coordinator (:mod:`repro.shard`) must produce **byte-identical**
 run.  The only parts of assembly that are sensitive to evaluation order
 are floating-point accumulations (link busy-cycle sums); everything else
 is integer arithmetic.  Both paths therefore funnel through this module:
-each extracts per-link / per-controller *rows* (ints plus one
-already-divided busy-cycle float each) in the topology's canonical
-order, and :func:`assemble_result` folds them with a fixed operation
-order.  A sharded run concatenates its shards' row lists — which, for
-contiguous cluster ownership, reproduces the global topology order — and
-gets the same float accumulation sequence as the single-engine run.
+each node slice (the whole node on a single engine, one cluster range
+per shard) ends its run with one :class:`SliceHarvest` of per-link /
+per-controller *rows* (ints plus one already-divided busy-cycle float
+each) in the topology's canonical order, and :func:`assemble_result`
+folds a list of them with a fixed operation order.  Shards own
+contiguous cluster ranges, so concatenating their rows in shard order
+reproduces the global topology order — and the same float accumulation
+sequence as the single-engine run.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.stats.report import RunResult
 __all__ = [
     "ControllerRow",
     "LinkRow",
+    "SliceHarvest",
     "assemble_result",
     "controller_row",
     "link_row",
@@ -79,31 +82,54 @@ def controller_row(controller) -> ControllerRow:
     )
 
 
+@dataclass
+class SliceHarvest:
+    """One node slice's end-of-run totals, rows in topology order."""
+
+    stats: RunStats
+    events: int
+    inter_rows: List[LinkRow]
+    up_rows: List[LinkRow]
+    down_rows: List[LinkRow]
+    controller_rows: List[ControllerRow]
+    l2_accesses: int
+    dram_accesses: int
+
+
 def assemble_result(
     workload: str,
     config_label: str,
     cycles: int,
-    stats: RunStats,
-    events_processed: int,
-    inter_rows: List[LinkRow],
-    intra_rows: List[LinkRow],
-    controller_rows: List[ControllerRow],
-    l2_accesses: int,
-    dram_accesses: int,
+    kernel_count: int,
+    slices: List[SliceHarvest],
 ) -> RunResult:
-    """Fold rows into a :class:`RunResult` with a fixed operation order.
+    """Fold slice harvests into a :class:`RunResult` with a fixed operation order.
 
-    Callers must pass rows in the topology's canonical order (the order
-    ``Topology.inter_links`` / ``intra_links()`` / ``controllers``
-    iterate) so the float accumulations below see the same addend
-    sequence regardless of how the run was executed.
+    ``slices`` are in cluster order (one for a single engine, one per
+    shard).  The remaining slices' stats fold into the first slice's, so
+    a single-engine run merges nothing.  Intra rows are every slice's
+    uplinks, then every slice's downlinks — for one slice exactly
+    ``Topology.intra_links()`` — so the float accumulations below see
+    the same addend sequence however the run was executed.
     """
+    stats = slices[0].stats
+    for other in slices[1:]:
+        stats.merge(other.stats)
+    stats.kernel_count = kernel_count
+    stats.finish_cycle = cycles
+    inter_rows = [row for part in slices for row in part.inter_rows]
+    intra_rows = [row for part in slices for row in part.up_rows] + [
+        row for part in slices for row in part.down_rows
+    ]
+    controller_rows = [row for part in slices for row in part.controller_rows]
+    l2_accesses = sum(part.l2_accesses for part in slices)
+    dram_accesses = sum(part.dram_accesses for part in slices)
     result = RunResult(
         workload=workload,
         config_label=config_label,
         cycles=cycles,
         stats=stats,
-        events_processed=events_processed,
+        events_processed=sum(part.events for part in slices),
     )
     for flits, wire_bytes, useful_bytes, busy_cycles in inter_rows:
         result.inter_flits_sent += flits

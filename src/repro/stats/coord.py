@@ -19,9 +19,10 @@ class CoordStats:
     """Per-run coordination-overhead breakdown for a sharded run.
 
     ``pickle_bytes_out``/``pickle_bytes_in`` count the exact serialized
-    command/reply payloads crossing worker pipes (process-parallel mode
-    only; sequential-windowed mode moves live objects and pickles
-    nothing).  ``idle_wait_seconds`` is wall time the coordinator spent
+    command/reply payloads crossing worker pipes.  Only the
+    process-parallel handle (``RemoteShard``) counts them: in-process
+    shards pickle their mail batches too, but pass commands and replies
+    without a pipe and count no bytes.  ``idle_wait_seconds`` is wall time the coordinator spent
     blocked on worker replies — parallelism payoff hides shard compute
     inside it, so on a single CPU it approximates the whole simulation.
     """

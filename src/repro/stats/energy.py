@@ -59,14 +59,6 @@ class EnergyBreakdown:
     def from_dict(cls, data: Dict[str, Dict[str, float]]) -> "EnergyBreakdown":
         return cls(components={k: float(v) for k, v in data["components"].items()})
 
-    def as_rows(self) -> str:
-        lines = [
-            f"{name:16s} {value / 1e6:10.3f} uJ"
-            for name, value in sorted(self.components.items())
-        ]
-        lines.append(f"{'total':16s} {self.total_pj / 1e6:10.3f} uJ")
-        return "\n".join(lines)
-
 
 def energy_from_totals(
     inter_bytes: int,

@@ -38,9 +38,3 @@ def test_ablate_search_depth():
 def test_ablate_cq_capacity():
     result = ablations.ablate_cq_capacity(EXP, capacities=(64, 1024))
     _check(result, {"cq_64", "cq_1024"})
-
-
-def test_ablation_summary_lines():
-    summary = ablations.ablation_summary(EXP)
-    assert "abl_scheduler" in summary
-    assert "abl_cq_capacity" in summary

@@ -119,27 +119,6 @@ def test_fig22():
     assert "32:32" in r.labels  # homogeneous configuration present
 
 
-def test_to_bars_rendering():
-    from repro.experiments.figures import FigureResult
-
-    result = FigureResult(
-        "figY", "Bars", ["aa", "b"], {"speed": [2.0, 1.0], "other": [1.0, 1.0]}
-    )
-    bars = result.to_bars("speed", width=10)
-    assert "[speed]" in bars
-    assert "aa | ########## 2.000" in bars
-    assert "b  | ##### 1.000" in bars
-    # defaults to the first series
-    assert "[speed]" in result.to_bars()
-
-
-def test_to_bars_empty_series():
-    from repro.experiments.figures import FigureResult
-
-    result = FigureResult("figZ", "Empty", [], {"s": []})
-    assert "(empty)" in result.to_bars("s")
-
-
 def test_table1_matches_paper():
     rows = figures.table1_flit_census()
     by_type = {r["request_type"]: r for r in rows}

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from repro.network.flit import (
     STITCH_METADATA_BYTES,
-    Flit,
     StitchKind,
     segment_packet,
 )
@@ -20,8 +19,6 @@ def _packet(ptype=PacketType.READ_RSP, payload=None, dst=1):
 def test_read_rsp_segments_into_five_flits():
     flits = segment_packet(_packet(), 16)
     assert [f.used_bytes for f in flits] == [16, 16, 16, 16, 4]
-    assert flits[-1].is_tail
-    assert flits[0].is_head
 
 
 def test_single_flit_packet():
@@ -29,7 +26,6 @@ def test_single_flit_packet():
     assert len(flits) == 1
     assert flits[0].used_bytes == 12
     assert flits[0].empty_bytes == 4
-    assert flits[0].is_single_flit_packet
 
 
 def test_invalid_flit_size_rejected():

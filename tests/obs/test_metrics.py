@@ -1,6 +1,7 @@
 """Tests for the metrics time-series registry."""
 
 import json
+import pickle
 
 import pytest
 
@@ -27,6 +28,23 @@ class TestRegistration:
         reg.register("b", lambda: 0)
         reg.register("a", lambda: 0)
         assert reg.names() == ["b", "a"]
+
+    def test_pickle_keeps_names_and_series_but_not_sources(self):
+        reg = MetricsRegistry(100)
+        reg.register("b", lambda: 1)
+        reg.register("a", lambda: 2)
+        reg.sample(0)
+        restored = pickle.loads(pickle.dumps(reg))
+        assert restored.names() == ["b", "a"]
+        assert restored.samples == [{"cycle": 0, "b": 1, "a": 2}]
+        # re-registering rebinds a restored name in place, once
+        restored.register("a", lambda: 3)
+        restored.register("b", lambda: 4)
+        with pytest.raises(ValueError):
+            restored.register("a", lambda: 5)
+        restored.sample(100)
+        assert restored.names() == ["b", "a"]
+        assert restored.samples[-1] == {"cycle": 100, "b": 4, "a": 3}
 
 
 class TestSampling:

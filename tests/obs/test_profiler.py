@@ -82,13 +82,6 @@ class TestEngineIntegration:
 
 
 class TestReporting:
-    def test_report_lines(self):
-        profiler = EngineProfiler()
-        profiler.dispatch(_Widget().tick, ())
-        lines = profiler.report_lines()
-        assert "events dispatched:  1" in lines[0]
-        assert any("_Widget.tick" in line for line in lines[1:])
-
     def test_json_round_trip(self, tmp_path):
         profiler = EngineProfiler()
         profiler.dispatch(_Widget().tick, ())

@@ -15,7 +15,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.shard.coordinator import ShardedSystem
 from repro.shard.mailbox import MailBatch
-from repro.shard.merge import ShardStatus
+from repro.shard.shard_system import ShardStatus
 
 #: 4 clusters x 2 GPUs, link latency L = 128
 L = 128

@@ -49,9 +49,3 @@ def test_custom_model_constants():
     assert custom.components["inter_links"] == pytest.approx(
         2 * default.components["inter_links"]
     )
-
-
-def test_rows_rendering():
-    _system, result = _run()
-    rows = result.energy.as_rows()
-    assert "total" in rows and "dram" in rows and "uJ" in rows
