@@ -13,8 +13,7 @@ Runner control: the session installs ``RunContext.from_env()``, so
 ``REPRO_JOBS=N`` fans independent simulation points out over N worker
 processes, ``REPRO_CACHE_DIR=path`` enables the persistent result cache
 so repeat benchmark sessions skip finished points entirely, and
-``REPRO_SHARDS`` / ``REPRO_WINDOW`` / ``REPRO_ADAPTIVE_WINDOW`` shard
-every point.
+``REPRO_SHARDS=N`` shards every point into N cluster shards.
 """
 
 from pathlib import Path

@@ -105,19 +105,17 @@ def run_smoke_grid(
     quick: bool = False,
     seed: int = 0,
     n_shards: int = 1,
-    window=None,
     parallel: bool = False,
     system_config: SystemConfig = None,
     topology: str = "mesh",
     collective: bool = False,
-    adaptive: bool = False,
 ):
     """Simulate the grid; returns (results, total_events, total_cycles).
 
-    With ``n_shards > 1`` (or an explicit ``window``) every point runs
-    through :class:`~repro.shard.coordinator.ShardedSystem` instead of
-    the single engine; by the lookahead-window construction the results
-    — and therefore the digest — are byte-identical.
+    With ``n_shards > 1`` every point runs through
+    :class:`~repro.shard.coordinator.ShardedSystem` instead of the single
+    engine; by the lookahead-window construction the results — and
+    therefore the digest — are byte-identical.
 
     ``topology`` selects the fabric's standard smoke node
     (:func:`topology_smoke_config`); every registered topology carries
@@ -129,9 +127,7 @@ def run_smoke_grid(
     if system_config is None:
         system_config = topology_smoke_config(topology)
     scale = Scale.small()
-    sharding = ShardingOptions(
-        n_shards=n_shards, window=window, parallel=parallel, adaptive=adaptive
-    )
+    sharding = ShardingOptions(n_shards=n_shards, parallel=parallel)
     if not sharding.active:
         sharding = None
     elif sharding.resolve(system_config) is None:
@@ -192,8 +188,9 @@ def bench_sharded_speedup(quick: bool = False) -> Tuple[int, Dict[str, object]]:
     ``cpus`` records how many were available so a single-core runner's
     numbers are not mistaken for a regression.
     """
-    import os
     import time
+
+    from repro.shard.coordinator import _available_cpus
 
     system_config = _macro_config()
     scale = Scale.small() if quick else Scale.default()
@@ -211,7 +208,7 @@ def bench_sharded_speedup(quick: bool = False) -> Tuple[int, Dict[str, object]]:
         system_config,
         NetCrafterConfig.full(),
         0,
-        ShardingOptions(n_shards=2, parallel=True, adaptive=True),
+        ShardingOptions(n_shards=2, parallel=True),
     )
     sharded.load(trace)
     start = time.perf_counter()
@@ -233,7 +230,7 @@ def bench_sharded_speedup(quick: bool = False) -> Tuple[int, Dict[str, object]]:
         "speedup": single_wall / sharded_wall if sharded_wall > 0 else 0.0,
         "shards": 2,
         "windows": sharded.windows_run,
-        "cpus": len(os.sched_getaffinity(0)),
+        "cpus": _available_cpus(),
     }
     # the per-window coordination-overhead breakdown: verb round trips,
     # exact pickle bytes over the worker pipes, coordinator idle wait
@@ -252,6 +249,42 @@ def _grid_key(
     grid = "quick" if quick else "full"
     key = grid if topology == "mesh" else f"{topology}:{grid}"
     return f"collective:{key}" if collective else key
+
+
+def check_digest(
+    digest: str,
+    grid_key: str,
+    *,
+    expect_file=None,
+    expect_digest=None,
+    reference: str = "committed single-engine digest",
+) -> int:
+    """Compare a grid digest against the expected one and report it.
+
+    The expected digest is ``expect_digest`` or, given ``expect_file``,
+    that file's ``grid_key`` entry.  Returns the gate's exit code: 0 on
+    a match (or with nothing to compare), 1 on a mismatch, 2 when the
+    file has no entry for the grid.
+    """
+    import sys
+    from pathlib import Path
+
+    expected = expect_digest
+    if expect_file:
+        expected = json.loads(Path(expect_file).read_text()).get(grid_key)
+        if expected is None:
+            print(
+                f"{expect_file} has no entry for the {grid_key!r} grid",
+                file=sys.stderr,
+            )
+            return 2
+    if expected is None:
+        return 0
+    if digest == expected:
+        print(f"digest matches the {reference}")
+        return 0
+    print(f"DIGEST MISMATCH: expected {expected}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:
@@ -295,21 +328,9 @@ def main(argv=None) -> int:
         help="run every point as N cluster shards (default 1: single engine)",
     )
     parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        metavar="CYCLES",
-        help="lookahead window override (default: the inter-cluster latency)",
-    )
-    parser.add_argument(
         "--parallel",
         action="store_true",
         help="shards in worker processes (default: sequential round-robin)",
-    )
-    parser.add_argument(
-        "--adaptive",
-        action="store_true",
-        help="adaptive lookahead windows (digest-identical to fixed)",
     )
     parser.add_argument(
         "--expect-digest",
@@ -340,48 +361,29 @@ def main(argv=None) -> int:
         )
         return 2
     grid_key = _grid_key(args.quick, args.topology, args.collective)
+    sharding = ShardingOptions(n_shards=args.shards, parallel=args.parallel)
     results, events, cycles = run_smoke_grid(
         quick=args.quick,
         seed=args.seed,
         n_shards=args.shards,
-        window=args.window,
         parallel=args.parallel,
         topology=args.topology,
         collective=args.collective,
-        adaptive=args.adaptive,
     )
     digest = results_digest([r.to_dict() for r in results])
-    mode = (
-        "single-engine"
-        if args.shards <= 1 and args.window is None and not args.adaptive
-        else f"{args.shards} shard(s), "
-        + ("process-parallel" if args.parallel else "sequential-windowed")
-        + (", adaptive" if args.adaptive else "")
-    )
     print(
-        f"smoke grid [{grid_key}] {mode}: "
+        f"smoke grid [{grid_key}] {sharding.describe()}: "
         f"{len(results)} points, {cycles} cycles, {events} events"
     )
     print(f"digest {digest}")
-
-    exit_code = 0
-    expected = args.expect_digest
-    if args.expect_file:
-        committed = json.loads(Path(args.expect_file).read_text())
-        expected = committed.get(grid_key)
-        if expected is None:
-            print(
-                f"{args.expect_file} has no entry for the "
-                f"{grid_key!r} grid",
-                file=sys.stderr,
-            )
-            return 2
-    if expected is not None:
-        if digest == expected:
-            print("digest matches the committed single-engine digest")
-        else:
-            print(f"DIGEST MISMATCH: expected {expected}", file=sys.stderr)
-            exit_code = 1
+    exit_code = check_digest(
+        digest,
+        grid_key,
+        expect_file=args.expect_file,
+        expect_digest=args.expect_digest,
+    )
+    if exit_code == 2:
+        return exit_code
 
     if args.write_file:
         path = Path(args.write_file)

@@ -55,7 +55,7 @@ if TYPE_CHECKING:
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 4
+SNAPSHOT_FORMAT_VERSION = 5
 
 _MAGIC = b"REPROCKPT\n"
 
@@ -83,7 +83,6 @@ def run_fingerprint(
     seed: int,
     workload,
     n_shards: int = 1,
-    window: Optional[int] = None,
 ) -> str:
     """Content hash of everything a resumed run must agree on.
 
@@ -111,7 +110,6 @@ def run_fingerprint(
         "kernels": len(workload.kernels),
         "wavefronts": sum(k.wavefront_count() for k in workload.kernels),
         "n_shards": n_shards,
-        "window": window,
     }
     blob = json.dumps(descriptor, sort_keys=True, default=_default)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -328,22 +326,16 @@ def resume(
     """
     from repro.shard.build import ShardingOptions, build_node
 
-    # the single engine snapshots as the 1-shard, default-window shape
+    # the single engine snapshots as the 1-shard shape
     sharding = sharding or ShardingOptions(parallel=False)
     expected = run_fingerprint(
-        config,
-        netcrafter,
-        seed,
-        workload,
-        n_shards=sharding.n_shards,
-        window=sharding.window,
+        config, netcrafter, seed, workload, n_shards=sharding.n_shards
     )
     header, payload = read_snapshot(path, expected_fingerprint=expected)
-    # the fingerprint covers n_shards/window, so after it matches the
-    # only remaining ambiguity is n_shards=1 with no window — both a
-    # MultiGpuSystem and a 1-shard ShardedSystem produce that
-    # fingerprint — and there the header's mode says which payload kind
-    # this file holds
+    # the fingerprint covers n_shards, so after it matches the only
+    # remaining ambiguity is n_shards=1 — both a MultiGpuSystem and a
+    # 1-shard ShardedSystem produce that fingerprint — and there the
+    # header's mode says which payload kind this file holds
     if header["mode"] == "sharded":
         # a sharding plan always builds the sharded front end (a
         # one-shard plan included), matching the payload kind

@@ -53,12 +53,6 @@ def main(argv=None) -> int:
         default=1,
         help="number of cluster shards (default: 1 = single engine)",
     )
-    parser.add_argument(
-        "--window",
-        type=int,
-        default=None,
-        help="conservative lookahead window override (cycles)",
-    )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--parallel",
@@ -104,7 +98,6 @@ def main(argv=None) -> int:
         args.quick,
         topology=args.topology,
         n_shards=args.shards,
-        window=args.window,
         parallel=args.parallel,
         seed=args.seed,
         snapshot_dir=Path(args.snapshot_dir),

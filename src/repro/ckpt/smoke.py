@@ -37,6 +37,7 @@ from typing import Dict, List, Optional
 from repro.bench.smoke import (
     _grid_key,
     _variant_config,
+    check_digest,
     results_digest,
     smoke_points,
     topology_smoke_config,
@@ -81,20 +82,13 @@ def _point_context(spec: Dict[str, object]):
         n_gpus=config.n_gpus, scale=Scale.small(), seed=spec["seed"]
     )
     fingerprint = run_fingerprint(
-        config,
-        netcrafter,
-        spec["seed"],
-        trace,
-        n_shards=spec["n_shards"],
-        window=spec["window"],
+        config, netcrafter, spec["seed"], trace, n_shards=spec["n_shards"]
     )
     return config, netcrafter, trace, fingerprint
 
 
 def _sharding(spec) -> Optional[ShardingOptions]:
-    sharding = ShardingOptions(
-        n_shards=spec["n_shards"], window=spec["window"], parallel=spec["parallel"]
-    )
+    sharding = ShardingOptions(n_shards=spec["n_shards"], parallel=spec["parallel"])
     return sharding if sharding.active else None
 
 
@@ -171,7 +165,6 @@ def kill_and_resume_point(
     seed: int = 0,
     topology: str = "mesh",
     n_shards: int = 1,
-    window: Optional[int] = None,
     parallel: bool = False,
     kill_at: int = 1,
 ) -> Dict[str, object]:
@@ -183,16 +176,13 @@ def kill_and_resume_point(
     """
     snapshot_dir = Path(snapshot_dir)
     snapshot_dir.mkdir(parents=True, exist_ok=True)
-    mode = "single" if n_shards <= 1 and window is None else (
-        "par" if parallel else "seq"
-    )
+    mode = "single" if n_shards <= 1 else ("par" if parallel else "seq")
     spec = {
         "workload": workload,
         "variant": variant,
         "seed": seed,
         "topology": topology,
         "n_shards": n_shards,
-        "window": window,
         "parallel": parallel,
         "kill_at": kill_at,
         "snapshot": str(
@@ -225,7 +215,6 @@ def run_smoke(
     *,
     topology: str = "mesh",
     n_shards: int = 1,
-    window: Optional[int] = None,
     parallel: bool = False,
     seed: int = 0,
     snapshot_dir: Path = Path("results/ckpt-smoke"),
@@ -234,12 +223,7 @@ def run_smoke(
 ) -> int:
     """The ``python -m repro.ckpt --smoke`` gate; returns an exit code."""
     grid_key = _grid_key(quick, topology)
-    mode = (
-        "single-engine"
-        if n_shards <= 1 and window is None
-        else f"{n_shards} shard(s), "
-        + ("process-parallel" if parallel else "sequential-windowed")
-    )
+    mode = ShardingOptions(n_shards=n_shards, parallel=parallel).describe()
     print(f"ckpt kill-and-resume smoke [{grid_key}] {mode}")
     results: List[Dict[str, object]] = []
     for workload, variant in smoke_points(quick):
@@ -250,7 +234,6 @@ def run_smoke(
             seed=seed,
             topology=topology,
             n_shards=n_shards,
-            window=window,
             parallel=parallel,
         )
         print(f"  {workload}/{variant}: killed at checkpoint, resumed OK")
@@ -258,21 +241,14 @@ def run_smoke(
     digest = results_digest(results)
     print(f"resumed-grid digest {digest}")
 
-    exit_code = 0
-    if expect_file:
-        committed = json.loads(Path(expect_file).read_text())
-        expected = committed.get(grid_key)
-        if expected is None:
-            print(
-                f"{expect_file} has no entry for the {grid_key!r} grid",
-                file=sys.stderr,
-            )
-            return 2
-        if digest == expected:
-            print("digest matches the committed uninterrupted-run digest")
-        else:
-            print(f"DIGEST MISMATCH: expected {expected}", file=sys.stderr)
-            exit_code = 1
+    exit_code = check_digest(
+        digest,
+        grid_key,
+        expect_file=expect_file,
+        reference="committed uninterrupted-run digest",
+    )
+    if exit_code == 2:
+        return exit_code
 
     if midrun_probe:
         # the grid workloads quiesce once; mm2 has a true mid-run
@@ -285,7 +261,6 @@ def run_smoke(
             seed=seed,
             topology=topology,
             n_shards=n_shards,
-            window=window,
             parallel=parallel,
             kill_at=1,
         )
@@ -295,7 +270,6 @@ def run_smoke(
             "seed": seed,
             "topology": topology,
             "n_shards": n_shards,
-            "window": window,
             "parallel": parallel,
         }
         config, netcrafter, trace, _ = _point_context(spec)

@@ -180,14 +180,6 @@ class SystemConfig:
             raise ValueError(f"no such GPU {gpu}")
         return gpu // self.gpus_per_cluster
 
-    def gpus_in_cluster(self, cluster: int) -> range:
-        start = cluster * self.gpus_per_cluster
-        return range(start, start + self.gpus_per_cluster)
-
-    @property
-    def bandwidth_ratio(self) -> float:
-        return self.intra_cluster_bw / self.inter_cluster_bw
-
     def bandwidth_of(self, bw_class: str) -> float:
         """Bytes/cycle for an inter-switch link of ``bw_class``.
 

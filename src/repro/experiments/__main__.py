@@ -6,7 +6,7 @@ Usage::
     python -m repro.experiments fig14 --scale quick
     python -m repro.experiments fig3 fig9 --scale standard
     python -m repro.experiments all --scale quick --jobs 4
-    python -m repro.experiments fig14 --shards 2 --window 4
+    python -m repro.experiments fig14 --shards 2
     python -m repro.experiments fig14 --trace --metrics-interval 1000 --profile
 
 Independent simulation points fan out over ``--jobs`` worker processes,
@@ -150,27 +150,10 @@ def main(argv=None) -> int:
         "or 1)",
     )
     shard_group.add_argument(
-        "--window",
-        type=int,
-        default=env_sharding.window,
-        metavar="CYCLES",
-        help="lookahead window size in cycles (default: the inter-cluster "
-        "link latency, the maximum safe value)",
-    )
-    shard_group.add_argument(
         "--sequential-shards",
         action="store_true",
         help="drive the shards round-robin in this process instead of "
         "worker processes (debugging / digest comparisons)",
-    )
-    shard_group.add_argument(
-        "--adaptive-window",
-        action="store_true",
-        default=env_sharding.adaptive,
-        help="derive each shard's lookahead window from replicated "
-        "simulation state instead of a fixed size (byte-identical "
-        "results, fewer windows on sparse traffic; overrides --window; "
-        "default: $REPRO_ADAPTIVE_WINDOW)",
     )
     topo_group = parser.add_argument_group(
         "topology",
@@ -376,9 +359,7 @@ def main(argv=None) -> int:
             ),
             sharding=runner.ShardingOptions(
                 n_shards=args.shards,
-                window=args.window,
                 parallel=False if args.sequential_shards else None,
-                adaptive=args.adaptive_window,
             ),
             checkpointing=checkpointing,
             system_overrides=overrides,
@@ -401,12 +382,7 @@ def main(argv=None) -> int:
     if ctx.observability is not None:
         print(f"observability artifacts -> {args.obs_dir}/ (cache bypassed)")
     if ctx.sharding is not None:
-        mode = "sequential" if args.sequential_shards else "process-parallel"
-        window = "adaptive" if args.adaptive_window else (args.window or "max")
-        print(
-            f"cluster sharding: {args.shards} shard(s), "
-            f"window={window}, {mode}"
-        )
+        print(f"cluster sharding: {ctx.sharding.describe()}")
     if ctx.checkpointing is not None:
         print(
             f"checkpointing: every {args.checkpoint_every or 1} kernel(s) "

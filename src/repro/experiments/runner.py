@@ -297,8 +297,8 @@ class RunContext:
 
     @classmethod
     def from_env(cls, **fields: object) -> "RunContext":
-        """A context from ``REPRO_JOBS``, ``REPRO_CACHE_DIR``,
-        ``REPRO_SHARDS``, ``REPRO_WINDOW`` and ``REPRO_ADAPTIVE_WINDOW``.
+        """A context from ``REPRO_JOBS``, ``REPRO_CACHE_DIR`` and
+        ``REPRO_SHARDS``.
 
         Unset variables keep the defaults (no disk cache, no sharding).
         ``fields`` given explicitly win and leave their variables unread.
@@ -310,13 +310,8 @@ class RunContext:
             cache_dir = env.get("REPRO_CACHE_DIR")
             fields["cache"] = ResultCache(cache_dir) if cache_dir else None
         if "sharding" not in fields:
-            shards, window = env.get("REPRO_SHARDS"), env.get("REPRO_WINDOW")
-            fields["sharding"] = ShardingOptions(
-                n_shards=int(shards) if shards else 1,
-                window=int(window) if window else None,
-                adaptive=env.get("REPRO_ADAPTIVE_WINDOW", "").lower()
-                in ("1", "true", "yes"),
-            )
+            shards = env.get("REPRO_SHARDS")
+            fields["sharding"] = ShardingOptions(n_shards=int(shards) if shards else 1)
         return cls(**fields)
 
 
@@ -421,11 +416,10 @@ def _simulate_point(point: ExperimentPoint, ctx: RunContext) -> RunResult:
     if ctx.checkpointing is not None:
         from repro import ckpt as _ckpt
 
-        # the single engine snapshots as the 1-shard, default-window shape
+        # the single engine snapshots as the 1-shard shape
         shape = plan or ShardingOptions(parallel=False)
         fp = _ckpt.run_fingerprint(
-            system, point.netcrafter, point.seed, trace,
-            n_shards=shape.n_shards, window=shape.window,
+            system, point.netcrafter, point.seed, trace, n_shards=shape.n_shards
         )
         checkpointer = _ckpt.Checkpointer(
             path=Path(ctx.checkpointing.directory) / f"{fp}.ckpt",

@@ -14,7 +14,7 @@ Kernels of a workload execute sequentially (e.g. DNN layers).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.vm.page_table import PAGE_SIZE
 
@@ -45,10 +45,6 @@ class MemAccess:
     @property
     def vpn(self) -> int:
         return self.vaddr // PAGE_SIZE
-
-    @property
-    def line_vaddr(self) -> int:
-        return self.vaddr - (self.vaddr % LINE_BYTES)
 
 
 @dataclass
@@ -127,7 +123,3 @@ class WorkloadTrace:
 
     def total_accesses(self) -> int:
         return sum(kernel.access_count() for kernel in self.kernels)
-
-    def iter_page_owners(self) -> Iterator:
-        for kernel in self.kernels:
-            yield from kernel.page_owner.items()

@@ -68,10 +68,6 @@ class Directory:
             del self._sharers[line]
         return targets
 
-    def drop_line(self, addr: int) -> None:
-        """Forget a line entirely (e.g. home-side eviction)."""
-        self._sharers.pop(self._line(addr), None)
-
     @property
     def lines_tracked(self) -> int:
         return len(self._sharers)

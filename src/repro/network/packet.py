@@ -66,11 +66,6 @@ class PacketType(enum.Enum):
             PacketType.INV_RSP,
         )
 
-    @property
-    def is_coherence(self) -> bool:
-        """Hardware-coherence extension traffic (not in Table 1)."""
-        return self in (PacketType.INV_REQ, PacketType.INV_RSP)
-
 
 #: Header size per packet type (bytes).  Requests carry a full 12-byte
 #: header (4 B metadata + 8 B address); responses carry 4 B of metadata

@@ -2,8 +2,8 @@
 
 Every path that simulates a point — the experiment runner, checkpoint
 resume, the smoke and kill-and-resume gates, the sharded-speedup macro —
-builds its node here, so the rules for when a run shards, how its
-window is clamped and how its shards are driven exist once.
+builds its node here, so the rules for when a run shards and how its
+shards are driven exist once.
 """
 
 from __future__ import annotations
@@ -34,43 +34,37 @@ class ShardingOptions:
     """
 
     n_shards: int = 1
-    #: lookahead window in cycles; ``None`` means the maximum safe value
-    #: (the inter-cluster link latency), clamped per-point when smaller
-    window: Optional[int] = None
     #: ``None`` = processes exactly when ``n_shards > 1``; ``False``
     #: forces sequential-windowed mode (debugging, digest comparisons)
     parallel: Optional[bool] = None
-    #: adaptive lookahead: stretch each shard's window from replicated
-    #: simulation state instead of the fixed size (byte-identical
-    #: results, so cache keys are unaffected); ``window`` is ignored
-    adaptive: bool = False
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
             raise ValueError(f"shard count must be >= 1, got {self.n_shards}")
-        if self.window is not None and self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
 
     @property
     def active(self) -> bool:
-        return self.n_shards > 1 or self.window is not None or self.adaptive
+        return self.n_shards > 1
+
+    def describe(self) -> str:
+        """The drive-mode label every front end prints."""
+        if not self.active:
+            return "single-engine"
+        mode = "sequential-windowed" if self.parallel is False else "process-parallel"
+        return f"{self.n_shards} shard(s), {mode}"
 
     def resolve(self, config: SystemConfig) -> Optional["ShardingOptions"]:
         """The concrete plan for one point on ``config``.
 
         ``None`` when the shard count does not divide the cluster count
-        (the point runs on the single engine); otherwise the window is
-        clamped to the point's lookahead and the drive mode is decided.
-        Resolving a resolved plan returns an equal plan.
+        (the point runs on the single engine); otherwise the drive mode
+        is decided.  Resolving a resolved plan returns an equal plan.
         """
         if config.n_clusters % self.n_shards:
             return None
-        lookahead = config.effective_inter_link_latency
         return ShardingOptions(
             n_shards=self.n_shards,
-            window=None if self.window is None else min(self.window, lookahead),
             parallel=self.n_shards > 1 if self.parallel is None else self.parallel,
-            adaptive=self.adaptive,
         )
 
 
@@ -97,8 +91,6 @@ def build_node(
         netcrafter=netcrafter,
         seed=seed,
         n_shards=plan.n_shards,
-        window=plan.window,
         parallel=plan.parallel,
-        adaptive=plan.adaptive,
         obs_spec=obs_spec,
     )

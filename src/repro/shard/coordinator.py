@@ -14,24 +14,22 @@ Each iteration the coordinator:
 1. computes each shard's *candidate* time — its earliest pending event
    or undelivered mail arrival; nothing the shard does can precede it;
 2. runs every shard to its window boundary, delivering the previous
-   window's mail.  In fixed mode every shard runs to ``t* + window``
-   (``t*`` the global minimum candidate, ``window <= W``, the
-   inter-cluster link latency): a flit sent at ``t >= t*`` cannot
-   arrive before ``t + 1 + W > t* + window``, so no shard ever needs an
-   input it has not been given.  In *adaptive* mode
-   (:meth:`ShardedSystem._untils`) a shard that is alone within one
-   latency of the earliest candidate stretches its boundary as far as
-   the same safety argument allows — a quiet stretch of the run leaps
-   ahead when cross-shard traffic is sparse, and every shard falls back
-   to latency-sized windows under bursts, with per-shard frontiers
-   replacing the aligned clock;
+   window's mail.  With ``L`` the inter-cluster link latency and ``t*``
+   the global minimum candidate, every shard runs to ``t* + L``: a flit
+   sent at ``t >= t*`` cannot arrive before ``t + 1 + L > t* + L``, so
+   no shard ever needs an input it has not been given.  A shard that is
+   alone within one latency of ``t*`` stretches its boundary as far as
+   the same safety argument allows (:meth:`ShardedSystem._untils`) — a
+   quiet stretch of the run leaps ahead when cross-shard traffic is
+   sparse, and every shard falls back to latency-sized windows under
+   bursts, with per-shard frontiers replacing the aligned clock;
 3. validates the shards' outbox batches on their header columns
    through :class:`~repro.shard.mailbox.Mailbox` and routes them to
    their destination shards for delivery next iteration.
 
-Window boundaries never influence simulated event order — both modes
-reproduce the single-engine digests byte-for-byte; adaptive mode only
-changes how much wall-clock coordination that reproduction costs.
+Window boundaries never influence simulated event order — both drive
+modes reproduce the single-engine digests byte-for-byte; the boundaries
+only decide how much wall-clock coordination that reproduction costs.
 
 Kernel boundaries are resolved analytically.  When no mail is pending,
 every wavefront has completed, and every RDMA posted-write/invalidation
@@ -93,11 +91,13 @@ class ShardedSystem:
         netcrafter: Optional[NetCrafterConfig] = None,
         seed: int = 0,
         n_shards: int = 1,
-        window: Optional[int] = None,
         parallel: bool = False,
         obs_spec: Optional[ShardObsSpec] = None,
-        adaptive: bool = False,
+        # goes once the benchmark suite builds its node through build_node
+        adaptive: bool = True,
     ) -> None:
+        if not adaptive:
+            raise ValueError("adaptive windows are the only window rule")
         self.config = config or SystemConfig.default()
         self.netcrafter = netcrafter or NetCrafterConfig.baseline()
         check_trim_granularity(self.config, self.netcrafter)
@@ -111,14 +111,6 @@ class ShardedSystem:
         self.n_shards = n_shards
         self.parallel = parallel
         self.obs_spec = obs_spec or ShardObsSpec()
-        lookahead = self.config.effective_inter_link_latency
-        self.window = lookahead if window is None else window
-        if not 1 <= self.window <= lookahead:
-            raise ValueError(
-                f"window must be in 1..{lookahead} "
-                f"(the inter-cluster link latency), got {self.window}"
-            )
-        self.adaptive = adaptive
         #: overlap remote window execution only when the host can
         #: actually run workers concurrently (see :meth:`_broadcast`)
         self._overlap_windows = parallel and _available_cpus() > 1
@@ -340,9 +332,7 @@ class ShardedSystem:
 
         ``cand[s]`` is the earliest thing shard ``s`` can possibly do:
         its next pending event or its earliest undelivered mail arrival.
-        Fixed mode runs every shard to ``min(cand) + window`` — the
-        classic conservative lookahead.  Adaptive mode bounds each shard
-        by::
+        Each shard is bounded by::
 
             until[s] = min(min(cand[x] for x != s) + L,
                            cand[s] + 1 + 2 * L)
@@ -352,8 +342,7 @@ class ShardedSystem:
         ``>= cand[x]``, arriving ``>= cand[x] + 1 + L``) or from a
         chain that left ``s`` itself and bounced back (two hops:
         ``>= cand[s] + 2 + 2 * L``), so every arrival lands strictly
-        beyond ``until[s]`` — the same safety contract the fixed window
-        provides.
+        beyond ``until[s]``.
 
         Only the earliest shard can use that bound to run past
         ``B = min(cand) + L``; every other shard stops at ``B``.  It
@@ -363,8 +352,7 @@ class ShardedSystem:
         stop the second shard ``B`` short of it, the next window would
         swap their roles, and the two would take turns instead of
         running side by side.  The inputs are deterministic simulation
-        state, so adaptive windows replay identically across drive
-        modes and shard counts.
+        state, so the windows replay identically across drive modes.
         """
         cands = []
         for i, status in enumerate(statuses):
@@ -374,8 +362,6 @@ class ShardedSystem:
                 if first < cand:
                     cand = first
             cands.append(cand)
-        if not self.adaptive:
-            return [min(cands) + self.window] * self.n_shards
         lookahead = self.config.effective_inter_link_latency
         m1 = min(cands)
         i1 = cands.index(m1)
@@ -396,8 +382,6 @@ class ShardedSystem:
         post-launch statuses — checkpoint resume, which re-enters the
         loop through a plain ``launch`` verb, recomputes the same value.
         """
-        if not self.adaptive:
-            return q + self.window
         lookahead = self.config.effective_inter_link_latency
         if self.n_shards == 1:
             return q + 1 + 2 * lookahead

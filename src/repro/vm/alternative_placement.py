@@ -8,15 +8,13 @@ comparison can be reproduced:
 
 * ``interleave`` — pages round-robin across GPUs regardless of affinity
   (UVM's default striping);
-* ``single_gpu`` — everything on GPU 0 (the no-placement worst case);
-* ``random`` — uniform random owner per page (seeded).
+* ``single_gpu`` — everything on GPU 0 (the no-placement worst case).
 
 CTA scheduling is left untouched: the study isolates *data placement*.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Dict
 
 from repro.gpu.cta import KernelTrace, WorkloadTrace
@@ -49,19 +47,6 @@ def single_gpu_placement(trace: WorkloadTrace, n_gpus: int, gpu: int = 0) -> Wor
     if not 0 <= gpu < n_gpus:
         raise ValueError(f"no such GPU {gpu}")
     return _rewrite(trace, n_gpus, lambda vpn, index, n: gpu)
-
-
-def random_placement(trace: WorkloadTrace, n_gpus: int, seed: int = 0) -> WorkloadTrace:
-    """Place every page on a uniformly random GPU (seeded)."""
-    rng = random.Random(seed)
-    assignment: Dict[int, int] = {}
-
-    def policy(vpn: int, index: int, n: int) -> int:
-        if vpn not in assignment:
-            assignment[vpn] = rng.randrange(n)
-        return assignment[vpn]
-
-    return _rewrite(trace, n_gpus, policy)
 
 
 def access_locality(trace: WorkloadTrace) -> Dict[str, float]:

@@ -122,25 +122,29 @@ def test_snapshot_crosses_drive_modes(trace, reference, tmp_path):
     assert digestable_payload(result.to_dict()) == reference
 
 
-def test_window_override_rides_the_fingerprint(trace, reference, tmp_path):
-    """A narrow-window snapshot resumes byte-identically, and the window
-    is part of the fingerprint (a different one refuses)."""
-    window = 4
-    fingerprint = run_fingerprint(CONFIG, NC, 0, trace, n_shards=2, window=window)
+def test_shard_count_rides_the_fingerprint(trace, tmp_path):
+    """A narrow-window snapshot (half the lookahead of ``CONFIG``)
+    resumes byte-identically to the single engine on the same config,
+    and the shard count is part of the fingerprint (a different one
+    refuses)."""
+    config = CONFIG.with_overrides(inter_link_latency=4)
+    single = MultiGpuSystem(config=config, netcrafter=NC, seed=0)
+    single.load(trace)
+    reference = digestable_payload(single.run().to_dict())
+
+    fingerprint = run_fingerprint(config, NC, 0, trace, n_shards=2)
     hook = KeepEvery(path=tmp_path / "w.ckpt", fingerprint=fingerprint, every=1)
-    node = ShardedSystem(
-        config=CONFIG, netcrafter=NC, seed=0, n_shards=2, window=window
-    )
+    node = ShardedSystem(config=config, netcrafter=NC, seed=0, n_shards=2)
     attach_checkpointing(node, hook)
     node.load(trace)
     assert digestable_payload(node.run().to_dict()) == reference
     result = resume(
         tmp_path / "w.ckpt.b1",
-        config=CONFIG,
+        config=config,
         netcrafter=NC,
         seed=0,
         workload=trace,
-        sharding=ShardingOptions(n_shards=2, window=window, parallel=False),
+        sharding=ShardingOptions(n_shards=2, parallel=False),
     )
     assert digestable_payload(result.to_dict()) == reference
 
@@ -149,11 +153,11 @@ def test_window_override_rides_the_fingerprint(trace, reference, tmp_path):
     with pytest.raises(FingerprintMismatchError):
         resume(
             tmp_path / "w.ckpt.b1",
-            config=CONFIG,
+            config=config,
             netcrafter=NC,
             seed=0,
             workload=trace,
-            sharding=ShardingOptions(n_shards=2, window=window + 1, parallel=False),
+            sharding=ShardingOptions(n_shards=4, parallel=False),
         )
 
 

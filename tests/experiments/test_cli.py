@@ -175,11 +175,10 @@ def test_bw_class_valid_for_topology(capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--shards", "0", "--window", "4"],
-        ["--window", "-3"],
-        ["--shards", "-2", "--adaptive-window"],
+        ["--shards", "0"],
+        ["--shards", "-2", "--sequential-shards"],
     ],
-    ids=["zero-shards", "negative-window", "negative-shards-adaptive"],
+    ids=["zero-shards", "negative-shards-sequential"],
 )
 def test_bad_sharding_flags_exit_2(capsys, flags):
     with pytest.raises(SystemExit) as exc:

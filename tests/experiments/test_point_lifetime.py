@@ -89,7 +89,7 @@ def test_runs_leave_the_trace_unchanged(workload, tmp_path):
     path = tmp_path / "s.ckpt"
     hook = _KeepFirst(
         path=path,
-        fingerprint=run_fingerprint(CONFIG, nc, 0, trace, n_shards=2, window=None),
+        fingerprint=run_fingerprint(CONFIG, nc, 0, trace, n_shards=2),
         every=1,
     )
     sharded = ShardedSystem(config=CONFIG, netcrafter=nc, seed=0, n_shards=2)

@@ -335,11 +335,10 @@ class TestRunContext:
     @pytest.mark.parametrize(
         "sharding",
         [
-            dict(n_shards=0, window=4),
-            dict(window=-3),
-            dict(n_shards=-2, adaptive=True),
+            dict(n_shards=0),
+            dict(n_shards=-2, parallel=False),
         ],
-        ids=["zero-shards", "negative-window", "negative-shards-adaptive"],
+        ids=["zero-shards", "negative-shards-sequential"],
     )
     def test_bad_sharding_rejected_at_construction(self, sharding):
         from repro.shard.build import ShardingOptions
@@ -368,20 +367,16 @@ class TestRunContext:
         assert ctx.observability is None and ctx.sharding is None
 
     def test_from_env(self, monkeypatch, tmp_path):
-        for name in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_SHARDS",
-                     "REPRO_WINDOW", "REPRO_ADAPTIVE_WINDOW"):
+        for name in ("REPRO_JOBS", "REPRO_CACHE_DIR", "REPRO_SHARDS"):
             monkeypatch.delenv(name, raising=False)
         assert RunContext.from_env() == RunContext()
         monkeypatch.setenv("REPRO_JOBS", "3")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_SHARDS", "2")
-        monkeypatch.setenv("REPRO_WINDOW", "4")
-        monkeypatch.setenv("REPRO_ADAPTIVE_WINDOW", "yes")
         ctx = RunContext.from_env()
         assert ctx.jobs == 3
         assert ctx.cache.root == tmp_path
-        assert (ctx.sharding.n_shards, ctx.sharding.window) == (2, 4)
-        assert ctx.sharding.adaptive
+        assert ctx.sharding.n_shards == 2
         # explicit fields win and leave their variables unread
         assert RunContext.from_env(cache=None).cache is None
         monkeypatch.setenv("REPRO_SHARDS", "0")

@@ -25,7 +25,6 @@ def test_access_validation():
 def test_access_derived_fields():
     acc = MemAccess(vaddr=PAGE_SIZE * 3 + 130, nbytes=8)
     assert acc.vpn == 3
-    assert acc.line_vaddr == PAGE_SIZE * 3 + 128
 
 
 def test_kernel_counts():
@@ -62,4 +61,3 @@ def test_workload_totals():
     trace = WorkloadTrace(name="w", kernels=[kernel, kernel])
     trace.validate()
     assert trace.total_accesses() == 4
-    assert list(trace.iter_page_owners()) == [(0, 0), (0, 0)]

@@ -45,12 +45,6 @@ class TestDirectory:
         assert d.take_invalidation_targets(0x40, writer_gpu=1) == [3]
         assert d.lines_tracked == 0
 
-    def test_drop_line(self):
-        d = Directory(home_gpu=0)
-        d.record_sharer(0x40, 1)
-        d.drop_line(0x47)
-        assert d.sharers_of(0x40) == set()
-
     def test_peak_tracking(self):
         d = Directory(home_gpu=0)
         d.record_sharer(0x0, 1)

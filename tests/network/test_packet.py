@@ -44,10 +44,8 @@ def test_coherence_extension_types():
     assert inv_req.flit_count(16) == 1
     assert inv_rsp.bytes_required == 4
     assert inv_rsp.bytes_padded(16) == 12
-    assert PacketType.INV_REQ.is_coherence
     assert PacketType.INV_RSP.is_response
     assert not PacketType.INV_REQ.is_ptw
-    assert not PacketType.READ_REQ.is_coherence
 
 
 @pytest.mark.parametrize("ptype", list(PacketType))

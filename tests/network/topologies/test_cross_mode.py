@@ -56,10 +56,11 @@ def test_process_parallel_reproduces_the_single_engine(topology):
 
 
 def test_narrow_window_reproduces_the_single_engine():
-    # window=1 maximizes coordinator round-trips, the harshest ordering
+    # a 1-cycle inter-cluster link keeps every window at most 3 cycles
+    # long, maximizing coordinator round-trips: the harshest ordering
     # test for virtual-node mailbox traffic
-    config = topology_smoke_config("star")
-    assert _sharded(config, n_shards=2, window=1) == _single(config)
+    config = topology_smoke_config("star").with_overrides(inter_link_latency=1)
+    assert _sharded(config, n_shards=2) == _single(config)
 
 
 def test_bandwidth_overrides_change_results_but_stay_shardable():

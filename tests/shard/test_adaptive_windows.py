@@ -1,7 +1,7 @@
 """Adaptive window boundaries (``ShardedSystem._untils``) on hand-made
 candidate times.
 
-The digest-level guarantee (adaptive windows reproduce fixed windows)
+The digest-level guarantee (sharded runs reproduce the single engine)
 lives in ``test_adaptive_property.py``; this file pins the boundary
 rule itself: the earliest shard keeps its stretch only when it is alone
 within one link latency of the minimum candidate, so two busy shards
@@ -34,7 +34,7 @@ def _status(next_cycle):
 
 
 def _untils(cands, pending=None):
-    node = ShardedSystem(config=CONFIG, n_shards=len(cands), adaptive=True)
+    node = ShardedSystem(config=CONFIG, n_shards=len(cands))
     pending = pending or [[] for _ in cands]
     return node._untils([_status(c) for c in cands], pending)
 
@@ -68,9 +68,3 @@ def test_pending_mail_counts_as_a_candidate():
         array("q", [100]), array("q", [99]), array("q", [0]), array("q"), b""
     )
     assert _untils([0, None], [[], [batch]]) == [L, L]
-
-
-def test_fixed_windows_are_unchanged():
-    node = ShardedSystem(config=CONFIG, n_shards=2, window=L // 2)
-    statuses = [_status(0), _status(100)]
-    assert node._untils(statuses, [[], []]) == [L // 2, L // 2]

@@ -5,7 +5,6 @@ import pytest
 from repro.vm.alternative_placement import (
     access_locality,
     interleave_placement,
-    random_placement,
     single_gpu_placement,
 )
 from repro.workloads.base import Scale
@@ -32,14 +31,6 @@ def test_single_gpu_places_everything_on_one():
     assert set(out.kernels[0].page_owner.values()) == {2}
     with pytest.raises(ValueError):
         single_gpu_placement(_trace(), N_GPUS, gpu=9)
-
-
-def test_random_placement_deterministic_per_seed():
-    a = random_placement(_trace(), N_GPUS, seed=3)
-    b = random_placement(_trace(), N_GPUS, seed=3)
-    assert a.kernels[0].page_owner == b.kernels[0].page_owner
-    c = random_placement(_trace(), N_GPUS, seed=4)
-    assert a.kernels[0].page_owner != c.kernels[0].page_owner
 
 
 def test_rewrites_leave_access_streams_untouched():
