@@ -211,12 +211,12 @@ def read_snapshot(
 class Checkpointer:
     """Kernel-boundary snapshot hook for both execution front ends.
 
-    Install on a :class:`~repro.gpu.system.MultiGpuSystem` or
-    :class:`~repro.shard.coordinator.ShardedSystem` via
-    :func:`attach_checkpointing`.  Every ``every``-th completed kernel
-    (and always the final boundary) the current state is published to
-    ``path`` — one file, last boundary wins, so ``path`` always holds
-    the latest resumable state.  The hook observes only: it schedules no
+    Installed as the ``_ckpt_hook`` of a
+    :class:`~repro.gpu.system.MultiGpuSystem` or
+    :class:`~repro.shard.coordinator.ShardedSystem`.  Every ``every``-th
+    completed kernel (and always the final boundary) the current state
+    is published to ``path`` — one file, last boundary wins, so ``path``
+    always holds the latest resumable state.  The hook observes only: it schedules no
     events and mutates no simulator state, so hooked and unhooked runs
     are byte-identical.
 
@@ -288,11 +288,6 @@ class Checkpointer:
     def after_save(self, boundary: int) -> None:
         """Post-publish extension point (the kill-and-resume smoke uses
         a subclass that hard-kills the process here)."""
-
-
-def attach_checkpointing(node, checkpointer: Optional[Checkpointer]) -> None:
-    """Install (or clear, with ``None``) the boundary hook on a system."""
-    node._ckpt_hook = checkpointer
 
 
 # -- resume ------------------------------------------------------------------
@@ -378,7 +373,6 @@ __all__ = [
     "SnapshotFormatError",
     "FingerprintMismatchError",
     "Checkpointer",
-    "attach_checkpointing",
     "run_fingerprint",
     "write_snapshot",
     "read_header",

@@ -301,18 +301,6 @@ class ClusterQueue:
             if part.flits and part.is_blocked(now)
         ]
 
-    def earliest_blocked(self, now: int) -> Optional[QueuePartition]:
-        """The non-empty blocked partition whose timer expires first.
-
-        Used by the work-conserving override: when every serviceable
-        partition is empty, the egress serves a timer-blocked partition
-        rather than idling the link (see the controller's ``_pump``).
-        """
-        blocked = self.blocked_partitions(now)
-        if not blocked:
-            return None
-        return min(blocked, key=lambda part: part.blocked_until)
-
     def stitch_candidates(
         self, parent: Flit, search_depth: int
     ) -> Iterable[Flit]:

@@ -61,14 +61,6 @@ class EgressStats:
             self.data_flits += 1
             self.data_bytes += useful
 
-    def padded_fraction_distribution(self, flit_size: int) -> Counter:
-        """Map padded-fraction (0.0-1.0) -> flit count (Figure 6)."""
-        dist = Counter()
-        for used, count in self.occupancy.items():
-            padded = (flit_size - used) / flit_size
-            dist[round(padded, 2)] += count
-        return dist
-
 
 class NetCrafterController(Traced, Component):
     """Egress controller for a single destination cluster."""

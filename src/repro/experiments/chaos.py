@@ -25,7 +25,6 @@ from repro.core.config import NetCrafterConfig
 from repro.experiments.figures import FigureResult
 from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
 from repro.faults.config import FaultConfig, FlapWindow
-from repro.stats.collectors import LatencyStat
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,8 @@ def chaos_ber_sweep(
         series["nc_retransmit"].append(
             float(faults.flits_retransmitted) if faults is not None else 0.0
         )
-        # Answer from the serialized histogram so the table reads the
-        # same whether this point was just simulated (raw samples still
-        # in memory) or came back from the result cache.
         series["nc_recovery_p50"].append(
-            LatencyStat.from_dict(faults.recovery_latency.to_dict()).percentile(50)
-            if faults is not None
-            else 0.0
+            faults.recovery_latency.percentile(50) if faults is not None else 0.0
         )
 
     clean_speedup = series["nc_speedup"][0]

@@ -29,7 +29,7 @@ once at query time.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Tuple
 
 from repro.faults.process import FATE_CORRUPT, FATE_OK, CorruptedTransmission
 from repro.obs.tracer import Traced
@@ -71,9 +71,7 @@ class LinkStats:
     ``busy_cycles`` is derived from the exact byte count at query time
     (one division), so it carries at most one ulp of rounding error no
     matter how many transmissions were accumulated — which is why
-    ``OVERCOUNT_TOLERANCE`` can be this tight.  Tests may still *assign*
-    ``busy_cycles`` directly to fabricate a stat; the assigned value then
-    overrides the byte-derived one.
+    ``OVERCOUNT_TOLERANCE`` can be this tight.
     """
 
     #: rounding headroom before busy > elapsed counts as a bug; a single
@@ -90,7 +88,6 @@ class LinkStats:
         self._bpc_den = den
         #: exact bytes serialized onto the wire (busy time numerator)
         self.busy_bytes = 0
-        self._busy_override: Optional[float] = None
         self.flits = 0
         self.packets = 0
         self.wire_bytes = 0
@@ -100,7 +97,6 @@ class LinkStats:
         #: extra busy time is derived by division once at query time
         #: (:attr:`busy_extra`), never by accumulating per-flit floats
         self._degraded_bytes: Dict[Tuple[int, int, int, int], int] = {}
-        self._busy_extra_override = 0.0
         #: worst busy-beyond-elapsed excess ever observed by
         #: :meth:`utilization`; nonzero means some counter double-counted
         self.overcount_cycles = 0.0
@@ -120,29 +116,18 @@ class LinkStats:
         nonzero under fault-injected flaps.  Derived per rate regime
         with one division each, so it carries a few ulps of rounding no
         matter how many flits a flap covered."""
-        extra = self._busy_extra_override
+        extra = 0.0
         for (num, den, nom_num, nom_den), nbytes in self._degraded_bytes.items():
             extra += (nbytes * den) / num - (nbytes * nom_den) / nom_num
         return extra
 
-    @busy_extra.setter
-    def busy_extra(self, value: float) -> None:
-        self._degraded_bytes.clear()
-        self._busy_extra_override = float(value)
-
     @property
     def busy_cycles(self) -> float:
         """Cycles the wire spent serializing (bytes / bandwidth, once)."""
-        if self._busy_override is not None:
-            return self._busy_override
         busy = self.busy_bytes * self._bpc_den / self._bpc_num
         if self.busy_extra:
             busy += self.busy_extra
         return busy
-
-    @busy_cycles.setter
-    def busy_cycles(self, value: float) -> None:
-        self._busy_override = float(value)
 
     @property
     def overcounted(self) -> bool:

@@ -4,38 +4,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, List, Optional
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix64(value: int, occurrence: int) -> int:
-    """Deterministic 64-bit hash of a (value, duplicate-index) pair.
-
-    splitmix64-style finalizer: stable across processes and Python
-    versions (unlike ``hash``), cheap, and well-scrambled so bottom-k
-    selection behaves like uniform sampling.
-    """
-    x = (value * 0x9E3779B97F4A7C15 + occurrence * 0xBF58476D1CE4E5B9 + 1) & _MASK64
-    x ^= x >> 30
-    x = (x * 0xBF58476D1CE4E5B9) & _MASK64
-    x ^= x >> 27
-    x = (x * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
+from typing import Dict, Optional, Tuple
 
 
 class LatencyStat:
-    """Mean/max/percentiles over recorded latencies.
+    """Count, mean, max and percentiles over recorded latencies.
 
-    Keeps every sample up to a bound (simulation runs are small) plus a
-    fixed-bucket histogram that never drops anything; percentiles come
-    from the raw samples while they are complete and degrade to
-    histogram resolution (~12.5% relative error) beyond the bound or
-    after a serialization round-trip.
+    The record is one fixed-bucket histogram (see :meth:`bucket_floor`)
+    that never drops a sample; percentiles answer with a bucket's lower
+    edge (at most ``2**-HIST_SUB_BITS`` below the exact value).  The
+    histogram is also the serialized form, so a freshly simulated stat
+    and its cached copy answer every query identically, and merging is
+    a sum, so any merge order gives the same stat.
     """
 
-    #: above this many samples, stop retaining them raw
-    MAX_SAMPLES = 200_000
     #: log2 sub-bucket resolution of the fixed histogram: each power-of-
     #: two range splits into 2**HIST_SUB_BITS linear buckets, bounding
     #: relative quantization error at 2**-HIST_SUB_BITS
@@ -45,7 +27,6 @@ class LatencyStat:
         self.count = 0
         self.total = 0
         self.max = 0
-        self._samples = []
         #: bucket floor -> sample count; see :meth:`bucket_floor`
         self._hist: Counter = Counter()
 
@@ -65,8 +46,6 @@ class LatencyStat:
         self.total += latency
         if latency > self.max:
             self.max = latency
-        if len(self._samples) < self.MAX_SAMPLES:
-            self._samples.append(latency)
         self._hist[self.bucket_floor(latency)] += 1
 
     def mean(self) -> float:
@@ -79,25 +58,17 @@ class LatencyStat:
         """Floor-based nearest-rank index into ``n`` ordered samples.
 
         ``round()`` (banker's rounding) made p50/p99 depend on
-        sample-count parity and let the raw-sample and histogram paths
-        disagree at bucket edges; one shared floor rule keeps both paths
-        on the same rank.  ``p * (n - 1)`` before the division so integer
-        percentiles stay exact in floating point.
+        sample-count parity; the floor rule does not.  ``p * (n - 1)``
+        before the division so integer percentiles stay exact in
+        floating point.
         """
         return max(0, min(n - 1, math.floor(p * (n - 1) / 100)))
 
     def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0-100) by floor-based nearest-rank.
-
-        Computed over the raw samples when any are retained; otherwise
-        (after deserialization) over the histogram, answering with the
-        bucket's lower edge.
-        """
+        """The ``p``-th percentile (0-100) by floor-based nearest-rank,
+        answered with the lower edge of the bucket holding that rank."""
         if not 0 <= p <= 100:
             raise ValueError("percentile must be within 0..100")
-        if self._samples:
-            ordered = sorted(self._samples)
-            return float(ordered[self._rank(p, len(ordered))])
         n = sum(self._hist.values())
         if n == 0:
             return 0.0
@@ -110,60 +81,16 @@ class LatencyStat:
         return float(max(self._hist))  # pragma: no cover - defensive
 
     def merge(self, other: "LatencyStat") -> None:
-        """Fold ``other`` in; merged percentiles are order-independent.
-
-        The retained-sample union is capped by a deterministic bottom-k
-        selection over the combined *multiset* (see :meth:`_bottom_k`),
-        so the merge is commutative **and** associative: any merge tree
-        over the same stats keeps exactly the same samples — unlike the
-        former "first ``room`` of ``other``" rule, which systematically
-        over-weighted the self/earlier stat's distribution in merged
-        percentiles.
-        """
         self.count += other.count
         self.total += other.total
         self.max = max(self.max, other.max)
         self._hist.update(other._hist)
-        combined = self._samples + other._samples
-        if len(combined) > self.MAX_SAMPLES:
-            combined = self._bottom_k(combined, self.MAX_SAMPLES)
-        self._samples = combined
-
-    @staticmethod
-    def _bottom_k(samples: List[int], k: int) -> List[int]:
-        """The ``k`` samples with the smallest stable selection keys.
-
-        Each copy of a value is keyed ``(duplicate-index, hash(value,
-        duplicate-index))``: a pure function of the multiset (duplicate
-        indices are enumerated over the sorted samples), so any merge
-        order selects the same survivors.  Ordering by duplicate index
-        *first* makes the survivors of every value a prefix of its
-        copies, so truncation never re-keys a survivor — which is what
-        makes the capped merge associative, not just commutative:
-        ``bottom_k(bottom_k(A|B) | C) == bottom_k(A|B|C)`` because every
-        element keeps the same key in both evaluations (the standard
-        mergeable bottom-k sketch argument).  The cost is a mild bias
-        toward distinct values over heavy hitters in the retained set;
-        the histogram keeps full counts either way.
-        """
-        occurrences: Counter = Counter()
-        keyed = []
-        for value in sorted(samples):
-            index = occurrences[value]
-            keyed.append((index, _mix64(value, index), value))
-            occurrences[value] += 1
-        keyed.sort()
-        return sorted(value for _, _, value in keyed[:k])
 
     # -- serialization (persistent result cache) ---------------------------
     #
-    # Raw samples are NOT serialized: a single run records hundreds of
-    # thousands of latencies per stat, which used to balloon every cache
-    # entry by megabytes of JSON.  The fixed-bucket histogram preserves
-    # percentile queries to bounded relative error at a few hundred
-    # buckets.  Legacy "samples" payloads predate the histogram and are
-    # rejected so cache reads treat them as misses, never as results
-    # with silently empty percentiles.
+    # Legacy "samples" payloads predate the histogram and are rejected so
+    # cache reads treat them as misses, never as results with silently
+    # empty percentiles.
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -187,15 +114,104 @@ class LatencyStat:
         return stat
 
 
-class FaultStats:
+def _encode(value: object) -> object:
+    """The tagged JSON form of one stats-block attribute."""
+    if isinstance(value, LatencyStat):
+        return {"__latency__": value.to_dict()}
+    if isinstance(value, Counter):
+        # [key, count] pairs: JSON object keys must be strings
+        return {"__counter__": sorted(value.items())}
+    if isinstance(value, FaultStats):
+        return {"__faults__": value.to_dict()}
+    if isinstance(value, dict):  # phase name -> PhaseStats
+        return {"__phases__": {name: value[name].to_dict() for name in sorted(value)}}
+    return value
+
+
+def _decode(value: object) -> object:
+    """Inverse of :func:`_encode`."""
+    if not isinstance(value, dict):
+        return value
+    if "__latency__" in value:
+        return LatencyStat.from_dict(value["__latency__"])
+    if "__counter__" in value:
+        return Counter({int(k): int(v) for k, v in value["__counter__"]})
+    if "__faults__" in value:
+        return FaultStats.from_dict(value["__faults__"])
+    if "__phases__" in value:
+        return {
+            name: PhaseStats.from_dict(block)
+            for name, block in value["__phases__"].items()
+        }
+    return value
+
+
+class _StatsBlock:
+    """The one merge and serialization rule of the run's stats blocks.
+
+    Both walk the attributes in ``vars()`` order, so any attribute added
+    to a block's ``__init__`` merges and round-trips with no code change
+    (and cache files, written without ``sort_keys``, keep their bytes).
+    ``_``-prefixed attributes are transient bookkeeping and are skipped;
+    ``None`` attributes are optional blocks (``RunStats.faults``,
+    ``RunStats.phases``) that this run never created, and are omitted so
+    a run without them serializes as a build without the subsystem would.
+
+    Merging folds another part of the same run in (one per cluster
+    shard): ints add, Counters and latency histograms sum, nested blocks
+    merge recursively.  Every operation is a sum or a max, so a sharded
+    run aggregates to the single engine's stats in any merge order.
+    """
+
+    #: run-global milestones every part observes identically: merged by
+    #: max, and always serialized (even while still ``None``)
+    _MAX_FIELDS: Tuple[str, ...] = ()
+
+    def merge(self, other: "_StatsBlock") -> None:
+        for key, value in vars(other).items():
+            if key.startswith("_") or value is None:
+                continue
+            mine = getattr(self, key)
+            if key in self._MAX_FIELDS:
+                setattr(self, key, value if mine is None else max(mine, value))
+                continue
+            if mine is None:  # an optional block only ``other`` has
+                mine = type(value)()
+                setattr(self, key, mine)
+            if isinstance(value, Counter):
+                mine.update(value)
+            elif isinstance(value, dict):  # phase name -> PhaseStats
+                for name, block in value.items():
+                    mine.setdefault(name, PhaseStats()).merge(block)
+            elif isinstance(value, (LatencyStat, _StatsBlock)):
+                mine.merge(value)
+            else:
+                setattr(self, key, mine + value)
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            key: _encode(value)
+            for key, value in vars(self).items()
+            if not key.startswith("_")
+            and (value is not None or key in self._MAX_FIELDS)
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "_StatsBlock":
+        stats = cls()
+        for key, value in data.items():
+            setattr(stats, key, _decode(value))
+        return stats
+
+
+class FaultStats(_StatsBlock):
     """Fault-injection and reliability-layer counters for one run.
 
     Exists only when the fault subsystem is attached
     (``RunStats.faults`` stays ``None`` otherwise, keeping fault-free
     serialization byte-identical to builds without the subsystem).
-    Merging is deterministic: plain counters sum and the recovery
-    histogram merges through :class:`LatencyStat`'s order-independent
-    bottom-k, so sharded runs aggregate to the single-engine totals.
+    Every field sums on merge, so sharded runs aggregate to the
+    single-engine totals.
     """
 
     def __init__(self) -> None:
@@ -224,35 +240,8 @@ class FaultStats:
         #: clean delivery
         self.recovery_latency = LatencyStat()
 
-    def merge(self, other: "FaultStats") -> None:
-        for key, value in vars(other).items():
-            mine = getattr(self, key)
-            if isinstance(value, LatencyStat):
-                mine.merge(value)
-            else:
-                setattr(self, key, mine + value)
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for key, value in vars(self).items():
-            if isinstance(value, LatencyStat):
-                out[key] = {"__latency__": value.to_dict()}
-            else:
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FaultStats":
-        stats = cls()
-        for key, value in data.items():
-            if isinstance(value, dict) and "__latency__" in value:
-                setattr(stats, key, LatencyStat.from_dict(value["__latency__"]))
-            else:
-                setattr(stats, key, value)
-        return stats
-
-
-class PhaseStats:
+class PhaseStats(_StatsBlock):
     """Per-phase traffic and latency breakdown for one workload phase.
 
     Collective workloads label their kernels with a phase name
@@ -265,12 +254,10 @@ class PhaseStats:
     engine byte-for-byte: traffic counters are per-shard-disjoint and
     *sum*; ``kernels``/``cycles`` are run-global milestones every shard
     observes identically (kernel boundaries are proven globally) and
-    merge by *max*; the latency histogram merges through
-    :class:`LatencyStat`'s order-independent bottom-k.
+    merge by *max*; the latency histogram sums.
     """
 
-    #: run-global fields every shard reports identically (max-merge)
-    _GLOBAL_FIELDS = ("kernels", "cycles")
+    _MAX_FIELDS = ("kernels", "cycles")
 
     def __init__(self) -> None:
         #: kernels executed under this phase label
@@ -292,43 +279,19 @@ class PhaseStats:
             return 0.0
         return self.flits_absorbed / self.flits_entered
 
-    def merge(self, other: "PhaseStats") -> None:
-        for key, value in vars(other).items():
-            mine = getattr(self, key)
-            if isinstance(value, LatencyStat):
-                mine.merge(value)
-            elif key in self._GLOBAL_FIELDS:
-                setattr(self, key, max(mine, value))
-            else:
-                setattr(self, key, mine + value)
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for key, value in vars(self).items():
-            if isinstance(value, LatencyStat):
-                out[key] = {"__latency__": value.to_dict()}
-            else:
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "PhaseStats":
-        stats = cls()
-        for key, value in data.items():
-            if isinstance(value, dict) and "__latency__" in value:
-                setattr(stats, key, LatencyStat.from_dict(value["__latency__"]))
-            else:
-                setattr(stats, key, value)
-        return stats
-
-
-class RunStats:
+class RunStats(_StatsBlock):
     """Counters updated in place by CUs, GMMUs, RDMA engines, etc.
 
     One instance exists per simulation run; the experiment harness reads
     it (together with link and controller stats) into a
-    :class:`~repro.stats.report.RunResult`.
+    :class:`~repro.stats.report.RunResult`.  ``kernel_count`` and
+    ``finish_cycle`` are run-global milestones, not per-shard partial
+    sums: they merge by max, and the result assembler assigns both after
+    merging.
     """
+
+    _MAX_FIELDS = ("kernel_count", "finish_cycle")
 
     def __init__(self) -> None:
         # instruction/work proxies
@@ -425,94 +388,3 @@ class RunStats:
             count for bucket, count in self.read_req_bytes_hist.items() if bucket <= nbytes
         )
         return small / total
-
-    def merge(self, other: "RunStats") -> None:
-        """Fold another run's counters in (cluster-shard aggregation).
-
-        Generic over attribute additions, like serialization below: ints
-        sum, Counters update, LatencyStats merge deterministically.
-        ``kernel_count`` and ``finish_cycle`` are run-global milestones
-        owned by the sharding coordinator, not per-shard partial sums, so
-        they are skipped here and assigned explicitly after merging.
-        """
-        for key, value in vars(other).items():
-            if (
-                key in ("kernel_count", "finish_cycle")
-                or key.startswith("_")
-                or value is None
-            ):
-                continue
-            mine = getattr(self, key)
-            if isinstance(value, LatencyStat):
-                mine.merge(value)
-            elif isinstance(value, Counter):
-                mine.update(value)
-            elif isinstance(value, FaultStats):
-                if mine is None:
-                    mine = FaultStats()
-                    setattr(self, key, mine)
-                mine.merge(value)
-            elif key == "phases":
-                for name, block in value.items():
-                    self.phase(name).merge(block)
-            else:
-                setattr(self, key, mine + value)
-
-    # -- serialization (persistent result cache) ---------------------------
-    #
-    # Counters and latency stats are wrapped in tagged dicts so the format
-    # stays generic over attribute additions: any plain-scalar counter added
-    # to ``__init__`` round-trips with no serializer change.  Counter keys
-    # are kept as ``[key, count]`` pairs because JSON object keys must be
-    # strings.
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {}
-        for key, value in vars(self).items():
-            if key.startswith("_"):
-                # transient routing pointers, not run results
-                continue
-            if isinstance(value, LatencyStat):
-                out[key] = {"__latency__": value.to_dict()}
-            elif isinstance(value, Counter):
-                out[key] = {"__counter__": sorted(value.items())}
-            elif isinstance(value, FaultStats):
-                out[key] = {"__faults__": value.to_dict()}
-            elif key == "phases" and value is not None:
-                out[key] = {
-                    "__phases__": {
-                        name: value[name].to_dict() for name in sorted(value)
-                    }
-                }
-            elif value is None and key != "finish_cycle":
-                # optional sub-stat blocks (``faults``, ``phases``) are
-                # omitted when absent, so enabling-capable builds
-                # serialize byte-identically to builds without them
-                continue
-            else:
-                out[key] = value
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "RunStats":
-        stats = cls()
-        for key, value in data.items():
-            if isinstance(value, dict) and "__latency__" in value:
-                setattr(stats, key, LatencyStat.from_dict(value["__latency__"]))
-            elif isinstance(value, dict) and "__counter__" in value:
-                pairs: List = value["__counter__"]
-                setattr(stats, key, Counter({int(k): int(v) for k, v in pairs}))
-            elif isinstance(value, dict) and "__faults__" in value:
-                setattr(stats, key, FaultStats.from_dict(value["__faults__"]))
-            elif isinstance(value, dict) and "__phases__" in value:
-                setattr(
-                    stats,
-                    key,
-                    {
-                        name: PhaseStats.from_dict(block)
-                        for name, block in value["__phases__"].items()
-                    },
-                )
-            else:
-                setattr(stats, key, value)
-        return stats

@@ -13,8 +13,6 @@ it by allocating the page's frame on that GPU.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.vm.page_table import PAGE_SIZE, PageTable
 
 #: physical frame-space per GPU (frames, not bytes): 2^24 frames = 64 GB
@@ -58,7 +56,6 @@ class LaspPlacement:
     def __init__(self, address_space: AddressSpace, page_table: PageTable) -> None:
         self.address_space = address_space
         self.page_table = page_table
-        self._page_owner: Dict[int, int] = {}
 
     def map_page(self, vpn: int, owner_gpu: int) -> int:
         """Place virtual page ``vpn`` on ``owner_gpu`` (idempotent).
@@ -71,16 +68,5 @@ class LaspPlacement:
         if existing is not None:
             return existing
         paddr = self.address_space.alloc_frame(owner_gpu)
-        self._page_owner[vpn] = owner_gpu
         self.page_table.map(vpn, paddr, leaf_owner_hint=owner_gpu)
         return paddr
-
-    def owner_of_vpn(self, vpn: int) -> Optional[int]:
-        return self._page_owner.get(vpn)
-
-    def pages_on(self, gpu: int) -> int:
-        return sum(1 for owner in self._page_owner.values() if owner == gpu)
-
-    @property
-    def pages_mapped(self) -> int:
-        return len(self._page_owner)

@@ -15,7 +15,6 @@ import pytest
 from repro.bench.smoke import digestable_payload
 from repro.ckpt import (
     Checkpointer,
-    attach_checkpointing,
     read_header,
     resume,
     run_fingerprint,
@@ -63,7 +62,7 @@ def _snapshot_all_boundaries(trace, tmp_path, n_shards, parallel):
     node = ShardedSystem(
         config=CONFIG, netcrafter=NC, seed=0, n_shards=n_shards, parallel=parallel
     )
-    attach_checkpointing(node, hook)
+    node._ckpt_hook = hook
     node.load(trace)
     payload = digestable_payload(node.run().to_dict())
     return hook, payload
@@ -135,7 +134,7 @@ def test_shard_count_rides_the_fingerprint(trace, tmp_path):
     fingerprint = run_fingerprint(config, NC, 0, trace, n_shards=2)
     hook = KeepEvery(path=tmp_path / "w.ckpt", fingerprint=fingerprint, every=1)
     node = ShardedSystem(config=config, netcrafter=NC, seed=0, n_shards=2)
-    attach_checkpointing(node, hook)
+    node._ckpt_hook = hook
     node.load(trace)
     assert digestable_payload(node.run().to_dict()) == reference
     result = resume(
@@ -174,7 +173,7 @@ def test_resumed_metrics_keep_every_column(trace, tmp_path, parallel):
     node = ShardedSystem(
         config=CONFIG, netcrafter=NC, seed=0, n_shards=2, obs_spec=spec
     )
-    attach_checkpointing(node, hook)
+    node._ckpt_hook = hook
     node.load(trace)
     uninterrupted = digestable_payload(node.run().to_dict())
     reference = node.merged_obs().metrics

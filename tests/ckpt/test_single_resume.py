@@ -18,7 +18,6 @@ from repro.ckpt import (
     Checkpointer,
     FingerprintMismatchError,
     SnapshotFormatError,
-    attach_checkpointing,
     read_header,
     resume,
     run_fingerprint,
@@ -57,7 +56,7 @@ def _checkpointed_run(trace, tmp_path):
     fingerprint = run_fingerprint(CONFIG, NC, 0, trace)
     hook = KeepEvery(path=tmp_path / "s.ckpt", fingerprint=fingerprint, every=1)
     node = MultiGpuSystem(config=CONFIG, netcrafter=NC, seed=0)
-    attach_checkpointing(node, hook)
+    node._ckpt_hook = hook
     node.load(trace)
     return hook, digestable_payload(node.run().to_dict())
 
@@ -90,7 +89,7 @@ def test_every_option_skips_intermediate_boundaries(tmp_path):
     fingerprint = run_fingerprint(CONFIG, NC, 0, trace)
     hook = Checkpointer(path=tmp_path / "s.ckpt", fingerprint=fingerprint, every=4)
     node = MultiGpuSystem(config=CONFIG, netcrafter=NC, seed=0)
-    attach_checkpointing(node, hook)
+    node._ckpt_hook = hook
     node.load(trace)
     node.run()
     # every 4th boundary plus the final one (lenet has 10 kernels)

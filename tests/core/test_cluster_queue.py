@@ -309,27 +309,6 @@ def test_push_front_allowed_when_space_exists():
     assert len(q) == 1
 
 
-def test_earliest_blocked_picks_soonest_expiry():
-    q = _queue()
-    q.push(_flit(PacketType.READ_REQ))
-    q.push(_flit(PacketType.WRITE_RSP))
-    a, b = q.partitions()
-    a.blocked_until, b.blocked_until = 80, 40
-    assert q.earliest_blocked(now=0) is b
-    # expired timers no longer count as blocked
-    assert q.earliest_blocked(now=40) is a
-    assert q.earliest_blocked(now=100) is None
-
-
-def test_earliest_blocked_ignores_empty_partitions():
-    q = _queue()
-    q.push(_flit(PacketType.READ_REQ))
-    part = q.partitions()[0]
-    part.blocked_until = 50
-    q.pop_from(part)  # now empty: nothing to serve even if "blocked"
-    assert q.earliest_blocked(now=0) is None
-
-
 def test_stitch_candidates_cross_partitions_bounded_depth():
     q = _queue()
     parent = segment_packet(

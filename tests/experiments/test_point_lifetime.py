@@ -17,7 +17,7 @@ import shutil
 import pytest
 
 from repro.bench.smoke import results_digest
-from repro.ckpt import Checkpointer, attach_checkpointing, resume, run_fingerprint
+from repro.ckpt import Checkpointer, resume, run_fingerprint
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments import runner
@@ -93,7 +93,7 @@ def test_runs_leave_the_trace_unchanged(workload, tmp_path):
         every=1,
     )
     sharded = ShardedSystem(config=CONFIG, netcrafter=nc, seed=0, n_shards=2)
-    attach_checkpointing(sharded, hook)
+    sharded._ckpt_hook = hook
     sharded.load(trace)
     sharded.run()
     resume(

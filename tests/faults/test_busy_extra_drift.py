@@ -66,15 +66,6 @@ def test_busy_extra_sums_across_rate_regimes():
     assert stats.busy_cycles == pytest.approx(64 / 16 + 8.0)
 
 
-def test_busy_extra_assignment_still_overrides():
-    # tests (and merge paths) may fabricate the stat directly; assignment
-    # replaces any accumulated regimes rather than stacking on top
-    stats = LinkStats(NOMINAL)
-    stats.add_degraded_bytes(SIZE, *DEGRADED.as_integer_ratio(), *(16.0).as_integer_ratio())
-    stats.busy_extra = 3.0
-    assert stats.busy_extra == 3.0
-
-
 def _flit(addr):
     packet = Packet(ptype=PacketType.READ_RSP, src_gpu=0, dst_gpu=2, addr=addr)
     packet.inject_cycle = 0

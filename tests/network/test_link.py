@@ -117,11 +117,14 @@ class TestFlitLink:
 
 
 class TestUtilizationOvercount:
+    # busy time is fabricated through ``busy_bytes``: at the default
+    # 1 B/cycle, N busy bytes are N busy cycles
+
     def test_overcount_recorded_not_hidden(self):
         """Regression: busy > elapsed used to clamp to 1.0 silently,
         hiding upstream double-count bugs behind a plausible plot."""
         stats = LinkStats()
-        stats.busy_cycles = 150.0
+        stats.busy_bytes = 150
         assert stats.utilization(100) == 1.0
         assert stats.overcounted
         assert stats.overcount_cycles == pytest.approx(50.0)
@@ -129,21 +132,24 @@ class TestUtilizationOvercount:
     def test_strict_mode_raises(self):
         stats = LinkStats()
         stats.strict = True
-        stats.busy_cycles = 150.0
+        stats.busy_bytes = 150
         with pytest.raises(UtilizationOvercountError):
             stats.utilization(100)
 
     def test_float_headroom_tolerated(self):
-        stats = LinkStats()
+        # a rate just under 1 B/cycle makes 100 bytes 100 + 4e-8 busy
+        # cycles: sub-tolerance float drift is not an overcount
+        stats = LinkStats(bytes_per_cycle=1 - 4e-10)
         stats.strict = True
-        # sub-tolerance float accumulation drift is not an overcount
-        stats.busy_cycles = 100.0 + 100 * LinkStats.OVERCOUNT_TOLERANCE / 2
+        stats.busy_bytes = 100
+        assert 100.0 < stats.busy_cycles
+        assert stats.busy_cycles - 100.0 < 100 * LinkStats.OVERCOUNT_TOLERANCE
         assert stats.utilization(100) == 1.0
         assert not stats.overcounted
 
     def test_worst_excess_retained(self):
         stats = LinkStats()
-        stats.busy_cycles = 150.0
+        stats.busy_bytes = 150
         stats.utilization(100)
         stats.utilization(120)  # smaller excess must not shrink the record
         assert stats.overcount_cycles == pytest.approx(50.0)
@@ -151,7 +157,7 @@ class TestUtilizationOvercount:
     def test_healthy_utilization_unchanged(self):
         stats = LinkStats()
         stats.strict = True
-        stats.busy_cycles = 73.0
+        stats.busy_bytes = 73
         assert stats.utilization(100) == pytest.approx(0.73)
         assert not stats.overcounted
 

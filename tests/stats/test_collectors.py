@@ -33,10 +33,12 @@ class TestLatencyStat:
         stat = LatencyStat()
         for latency in range(1, 101):
             stat.record(latency)
+        # answers are bucket floors: 48..55 share one bucket (width 8),
+        # 88..95 and 96..103 likewise
         assert stat.percentile(0) == 1.0
-        assert stat.percentile(50) == pytest.approx(50.0, abs=1)
-        assert stat.percentile(95) == pytest.approx(95.0, abs=1)
-        assert stat.percentile(100) == 100.0
+        assert stat.percentile(50) == 48.0
+        assert stat.percentile(95) == 88.0
+        assert stat.percentile(100) == 96.0
 
     def test_percentile_empty_and_bounds(self):
         stat = LatencyStat()
@@ -44,23 +46,9 @@ class TestLatencyStat:
         with pytest.raises(ValueError):
             stat.percentile(101)
 
-    def test_sample_cap(self):
-        stat = LatencyStat()
-        stat.MAX_SAMPLES = 10  # instance attribute shadows the class bound
-        for latency in range(100):
-            stat.record(latency)
-        assert stat.count == 100
-        assert len(stat._samples) == 10
-
     def test_merge_is_order_independent(self):
-        """Regression: merge used to keep the first ``room`` samples of
-        ``other``, so a.merge(b) and b.merge(a) disagreed on percentiles
-        whenever the cap truncated — merged stats were biased toward
-        whichever shard merged first."""
-
         def shard(values):
             stat = LatencyStat()
-            stat.MAX_SAMPLES = 50
             for v in values:
                 stat.record(v)
             return stat
@@ -71,22 +59,11 @@ class TestLatencyStat:
         ab.merge(shard(high))
         ba = shard(high)
         ba.merge(shard(low))
-        assert ab._samples == ba._samples
         for p in (0, 25, 50, 75, 90, 99, 100):
             assert ab.percentile(p) == ba.percentile(p)
-        # both shards survive in the retained set (no one-sided bias)
-        assert any(v < 100 for v in ab._samples)
-        assert any(v >= 1000 for v in ab._samples)
-
-    def test_merge_within_cap_keeps_everything(self):
-        a, b = LatencyStat(), LatencyStat()
-        for v in (1, 2, 3):
-            a.record(v)
-        for v in (4, 5):
-            b.record(v)
-        a.merge(b)
-        assert sorted(a._samples) == [1, 2, 3, 4, 5]
-        assert a.count == 5
+        # both shards are represented in the merged distribution
+        assert ab.percentile(25) < 100
+        assert ab.percentile(75) >= 960  # bucket floor of 1000..1023
 
     def test_bucket_floor(self):
         # exact below 2**(HIST_SUB_BITS + 1)
@@ -99,12 +76,12 @@ class TestLatencyStat:
 
     def test_histogram_percentile_error_bounded(self):
         stat = LatencyStat()
-        for v in range(1, 2001):
+        values = range(1, 2001)
+        for v in values:
             stat.record(v)
-        restored = LatencyStat.from_dict(stat.to_dict())
         for p in (10, 50, 90, 99):
-            exact = stat.percentile(p)
-            approx = restored.percentile(p)
+            exact = float(values[LatencyStat._rank(p, len(values))])
+            approx = stat.percentile(p)
             assert exact * (1 - 2**-LatencyStat.HIST_SUB_BITS) <= approx <= exact
 
     def test_serialized_payload_has_no_raw_samples(self):
@@ -166,9 +143,8 @@ class TestRunStats:
 
 class TestPercentileRanking:
     """Regression for the banker's-rounding percentile bug: ``round()``
-    made p50 depend on sample-count parity and let the raw and histogram
-    paths land on different ranks at bucket edges.  Both paths now share
-    one floor-based nearest-rank rule."""
+    made p50 depend on sample-count parity.  Percentiles now use one
+    floor-based nearest-rank rule."""
 
     @staticmethod
     def _stat(values):
@@ -202,12 +178,11 @@ class TestPercentileRanking:
         assert self._stat([10, 20]).percentile(50) == 10.0
         assert self._stat([10, 20, 30, 40]).percentile(50) == 20.0
 
-    def test_raw_and_histogram_paths_agree_on_same_rank(self):
-        # values below 2**(HIST_SUB_BITS+1) have exact histogram buckets,
-        # so the two paths must return identical percentiles
-        values = [1, 2, 3, 5, 7, 11, 13, 15] * 3
-        raw = self._stat(values)
-        hist_only = LatencyStat.from_dict(raw.to_dict())
-        assert not hist_only._samples
-        for p in (0, 10, 25, 50, 75, 90, 99, 100):
-            assert raw.percentile(p) == hist_only.percentile(p), p
+    def test_serialized_copy_agrees_at_every_percentile(self):
+        # values above 16 fall in coarse buckets; the copy must still
+        # answer exactly what the stat it was serialized from answers
+        values = [1, 2, 3, 5, 7, 11, 13, 15, 17, 100, 341, 1023, 5000] * 3
+        stat = self._stat(values)
+        restored = LatencyStat.from_dict(stat.to_dict())
+        for p in range(101):
+            assert stat.percentile(p) == restored.percentile(p), p

@@ -57,14 +57,14 @@ class TestLaspPlacement:
         placement, space = self._placement()
         paddr = placement.map_page(0x1000, owner_gpu=2)
         assert space.home_of(paddr) == 2
-        assert placement.owner_of_vpn(0x1000) == 2
+        assert space.home_of(placement.page_table.translate_vpn(0x1000)) == 2
 
     def test_map_page_idempotent(self):
-        placement, _ = self._placement()
+        placement, space = self._placement()
         first = placement.map_page(0x1000, 1)
         second = placement.map_page(0x1000, 3)  # later hint ignored
         assert first == second
-        assert placement.owner_of_vpn(0x1000) == 1
+        assert space.home_of(placement.page_table.translate_vpn(0x1000)) == 1
 
     def test_translation_installed(self):
         placement, _ = self._placement()
@@ -72,10 +72,10 @@ class TestLaspPlacement:
         assert placement.page_table.translate_vpn(0x77) == paddr
 
     def test_pages_on_counts(self):
-        placement, _ = self._placement()
+        placement, space = self._placement()
         placement.map_page(1, 0)
         placement.map_page(2, 0)
         placement.map_page(3, 1)
-        assert placement.pages_on(0) == 2
-        assert placement.pages_on(1) == 1
-        assert placement.pages_mapped == 3
+        homes = [space.home_of(placement.page_table.translate_vpn(v)) for v in (1, 2, 3)]
+        assert homes.count(0) == 2
+        assert homes.count(1) == 1
