@@ -14,10 +14,13 @@ a versioned, fingerprint-stamped snapshot file, and resumes it to a
 **byte-identical** final result.
 
 Why kernel boundaries: the coordinator and the single engine both prove
-the system quiesced there (no wavefronts, no posted writes, no in-flight
-cross-cluster traffic), so the live object graph contains no transient
-requester closures and the remaining schedule is a pure function of the
-serialized state.  The snapshot hook is a pure observer — it schedules
+the system quiesced there (no wavefronts, no posted writes), so the
+remaining schedule is a pure function of the serialized state.  The
+whole graph pickles: requests are requester-table tags (plain ints on
+the packet, the table in the requesting RDMA engine) and every
+continuation on the event path is a bound method or a
+``functools.partial`` over one — which is what lets a fault-injected
+run, with retry clones still in flight at the boundary, checkpoint too.  The snapshot hook is a pure observer — it schedules
 no events — so a checkpointed run's event stream, sequence numbers and
 digest are identical to an unhooked run's.
 
@@ -55,7 +58,7 @@ if TYPE_CHECKING:
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 5
+SNAPSHOT_FORMAT_VERSION = 6
 
 _MAGIC = b"REPROCKPT\n"
 

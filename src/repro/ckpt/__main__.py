@@ -80,7 +80,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-midrun-probe",
         action="store_true",
-        help="skip the mm2 mid-run-boundary equivalence probe",
+        help="skip the mm2 mid-run-boundary equivalence probes (fault-free and faulted)",
     )
     # internal child entry points (spec JSON as the positional arg)
     parser.add_argument("--run-killed", metavar="SPEC_JSON", default=None)

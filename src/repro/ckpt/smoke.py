@@ -18,9 +18,11 @@ one.  The sweep runs in all three execution modes (single-engine,
 sequential-windowed, process-parallel) and on any topology-zoo shape
 with a committed digest entry.
 
-A multi-kernel probe (``mm2``, killed at its *mid-run* boundary) rides
-along: smoke-grid workloads quiesce once at the end, so the probe is
-what exercises resume with real follow-on kernels.
+Two multi-kernel probes (``mm2``, killed at its *mid-run* boundary)
+ride along: smoke-grid workloads quiesce once at the end, so the probes
+are what exercise resume with real follow-on kernels.  The second runs
+under :data:`PROBE_FAULTS`, whose short RDMA timeout leaves retry
+clones and backstop timers pending in the snapshot.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from repro.bench.smoke import (
     topology_smoke_config,
 )
 from repro.ckpt import Checkpointer, CheckpointError, resume, run_fingerprint
+from repro.faults.config import FaultConfig
 from repro.shard.build import ShardingOptions, build_node
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
@@ -52,6 +55,8 @@ KILL_EXIT_CODE = 43
 #: exit code when the child finished without ever being killed (a bug:
 #: the kill boundary never fired)
 RAN_TO_COMPLETION_CODE = 47
+#: the faulted probe's :class:`~repro.faults.config.FaultConfig` fields
+PROBE_FAULTS = {"ber": 1e-4, "drop_rate": 0.01, "seed": 5, "rdma_timeout": 256}
 
 
 class KillAfterSave(Checkpointer):
@@ -77,6 +82,8 @@ class KillAfterSave(Checkpointer):
 def _point_context(spec: Dict[str, object]):
     """(config, netcrafter, trace, fingerprint) for one point spec."""
     config = topology_smoke_config(spec["topology"])
+    if spec.get("faults"):
+        config = config.with_overrides(faults=FaultConfig(**spec["faults"]))
     netcrafter = _variant_config(spec["variant"])
     trace = get_workload(spec["workload"]).build(
         n_gpus=config.n_gpus, scale=Scale.small(), seed=spec["seed"]
@@ -167,8 +174,12 @@ def kill_and_resume_point(
     n_shards: int = 1,
     parallel: bool = False,
     kill_at: int = 1,
+    faults: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """Save → hard-kill → resume one point across real process boundaries.
+
+    ``faults`` holds :class:`~repro.faults.config.FaultConfig` fields to
+    run the point under.
 
     Returns the resumed run's ``RunResult.to_dict`` payload; raises
     :class:`~repro.ckpt.CheckpointError` if the child did not die at the
@@ -177,6 +188,8 @@ def kill_and_resume_point(
     snapshot_dir = Path(snapshot_dir)
     snapshot_dir.mkdir(parents=True, exist_ok=True)
     mode = "single" if n_shards <= 1 else ("par" if parallel else "seq")
+    if faults:
+        mode += "-faulted"
     spec = {
         "workload": workload,
         "variant": variant,
@@ -185,6 +198,7 @@ def kill_and_resume_point(
         "n_shards": n_shards,
         "parallel": parallel,
         "kill_at": kill_at,
+        "faults": faults,
         "snapshot": str(
             snapshot_dir / f"{topology}-{workload}-{variant}-{mode}.ckpt"
         ),
@@ -251,40 +265,36 @@ def run_smoke(
         return exit_code
 
     if midrun_probe:
-        # the grid workloads quiesce once; mm2 has a true mid-run
-        # boundary, so kill there and compare against an in-process
-        # uninterrupted reference
-        probe = kill_and_resume_point(
-            "mm2",
-            "full",
-            snapshot_dir=snapshot_dir,
-            seed=seed,
-            topology=topology,
-            n_shards=n_shards,
-            parallel=parallel,
-            kill_at=1,
-        )
-        spec = {
-            "workload": "mm2",
-            "variant": "full",
-            "seed": seed,
-            "topology": topology,
-            "n_shards": n_shards,
-            "parallel": parallel,
-        }
-        config, netcrafter, trace, _ = _point_context(spec)
-        reference = _build_node(config, netcrafter, spec)
-        reference.load(trace)
-        # compare via the canonical digest: the probe payload round-tripped
-        # through JSON (tuples have become lists), so compare the digests,
-        # which canonicalize both sides the same way
-        if results_digest([probe]) == results_digest([reference.run().to_dict()]):
-            print("mm2 mid-run boundary: killed at kernel 1/2, resumed byte-identical")
-        else:
-            print(
-                "mm2 mid-run boundary: resumed result DIVERGED from the "
-                "uninterrupted run",
-                file=sys.stderr,
-            )
-            exit_code = 1
+        where = dict(seed=seed, topology=topology, n_shards=n_shards, parallel=parallel)
+        for faults in (None, PROBE_FAULTS):
+            if not _midrun_probe(snapshot_dir, faults, **where):
+                exit_code = 1
     return exit_code
+
+
+def _midrun_probe(snapshot_dir: Path, faults, **where) -> bool:
+    """Kill ``mm2`` at its mid-run boundary, resume it, and compare
+    against an in-process uninterrupted run; True when they match.
+
+    The grid workloads quiesce once; mm2 has a true mid-run boundary.
+    """
+    probe = kill_and_resume_point(
+        "mm2", "full", snapshot_dir=snapshot_dir, kill_at=1, faults=faults, **where
+    )
+    spec = {"workload": "mm2", "variant": "full", "faults": faults, **where}
+    config, netcrafter, trace, _ = _point_context(spec)
+    reference = _build_node(config, netcrafter, spec)
+    reference.load(trace)
+    label = "faulted mm2" if faults else "mm2"
+    # compare via the canonical digest: the probe payload round-tripped
+    # through JSON (tuples have become lists), so compare the digests,
+    # which canonicalize both sides the same way
+    if results_digest([probe]) == results_digest([reference.run().to_dict()]):
+        print(f"{label} mid-run boundary: killed at kernel 1/2, resumed byte-identical")
+        return True
+    print(
+        f"{label} mid-run boundary: resumed result DIVERGED from the "
+        "uninterrupted run",
+        file=sys.stderr,
+    )
+    return False

@@ -95,10 +95,6 @@ class ClusterQueue:
         """Entries available to :meth:`push`; reservations are not free."""
         return self.capacity - self._count - self._reserved
 
-    @property
-    def reserved_entries(self) -> int:
-        return self._reserved
-
     def is_empty(self) -> bool:
         return self._count == 0
 
@@ -124,9 +120,6 @@ class ClusterQueue:
 
     def partitions(self) -> List[QueuePartition]:
         return [self._partitions[key] for key in self._order]
-
-    def get_partition(self, key: str) -> Optional[QueuePartition]:
-        return self._partitions.get(key)
 
     # -- enqueue / dequeue --------------------------------------------------
 

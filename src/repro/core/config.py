@@ -87,15 +87,6 @@ class NetCrafterConfig:
             or (self.enable_pooling and self.selective_pooling)
         )
 
-    @property
-    def any_feature_enabled(self) -> bool:
-        return (
-            self.enable_stitching
-            or self.enable_trimming
-            or self.enable_sequencing
-            or self.priority_mode is not PriorityMode.NONE
-        )
-
     def with_overrides(self, **kwargs) -> "NetCrafterConfig":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)

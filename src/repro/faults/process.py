@@ -13,8 +13,8 @@ the sender schedules its retransmission from its own clock and must not
 share mutable fault state with a receiver that — under sequential
 windowed sharding — may not have processed the poisoned delivery yet.
 The envelope delegates the attributes cross-shard plumbing touches
-(``packet``, ``segments``, ``fid``) so mailboxes and context stashes
-handle it like any wire flit.
+(``packet``, ``segments``, ``fid``) so boundary mailboxes handle it
+like any wire flit.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ class CorruptedTransmission:
     def __init__(self, flit) -> None:
         self.flit = flit
 
-    # the attributes boundary mailboxes and context stashes read off a
-    # wire flit, delegated so envelopes cross shards like clean flits
+    # the attributes boundary mailboxes read off a wire flit, delegated
+    # so envelopes cross shards like clean flits
     @property
     def packet(self):
         return self.flit.packet

@@ -14,6 +14,7 @@ Remote data is cached only in the L1 (never the local L2 partition).
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Optional, Tuple
 
 from repro.config import SystemConfig
@@ -134,7 +135,7 @@ class ComputeUnit(Component):
             return
         self.gpu.gmmu.translate(
             access.vpn,
-            lambda paddr: self._translated(wf, access, paddr),
+            partial(self._translated, wf, access),
         )
 
     def _translated(self, wf: _Wavefront, access: MemAccess, page_paddr: int) -> None:
@@ -161,7 +162,7 @@ class ComputeUnit(Component):
             self.stats.l1_misses += 1
         else:
             self.stats.l1_sector_misses += 1
-        self._fetch(access, pa, needed_mask, lambda: self._resume(wf))
+        self._fetch(access, pa, needed_mask, partial(self._resume, wf))
 
     def _do_write(self, wf: _Wavefront, access: MemAccess, pa: int) -> None:
         """Write-through, write-no-allocate, posted completion."""
@@ -222,7 +223,7 @@ class ComputeUnit(Component):
                 line_pa,
                 self.config.line_bytes,
                 False,
-                lambda: self._fill(key, line_pa, local_mask),
+                partial(self._fill, key, line_pa, local_mask),
             )
             return
         crosses = self.gpu.cluster_of(home) != self.gpu.cluster_id
@@ -240,7 +241,7 @@ class ComputeUnit(Component):
             addr=line_pa,
             bytes_needed=access.nbytes,
             sector_offset=offset_in_line // sector,
-            on_complete=lambda pkt: self._fill_from_packet(key, line_pa, pkt),
+            on_complete=partial(self._fill_from_packet, key, line_pa),
             trim_allowed=trim_allowed,
             sector_fetch=sector_fetch,
             fetch_sector_mask=fetch_mask if sector_fetch else None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List, Optional
 
 from repro.config import SystemConfig
@@ -120,7 +121,7 @@ class Gpu(Component):
         if self._uplink is None:
             raise RuntimeError(f"{self.name} has no uplink attached")
         if not self._uplink.send(packet):
-            self._uplink.notify_on_space(lambda: self.inject_packet(packet))
+            self._uplink.notify_on_space(partial(self.inject_packet, packet))
 
     def receive_packet(self, packet: Packet) -> None:
         """Sink for the switch->GPU downlink."""

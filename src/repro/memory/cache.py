@@ -196,11 +196,6 @@ class SectorCache:
     def accesses(self) -> int:
         return self.hits + self.misses + self.sector_misses
 
-    def miss_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return (self.misses + self.sector_misses) / self.accesses
-
     def occupancy(self) -> int:
         """Number of resident lines (tests/debug)."""
         return sum(len(s) for s in self._sets.values())

@@ -67,7 +67,3 @@ class Directory:
         if not self._sharers[line]:
             del self._sharers[line]
         return targets
-
-    @property
-    def lines_tracked(self) -> int:
-        return len(self._sharers)

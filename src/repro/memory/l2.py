@@ -13,6 +13,7 @@ asynchronously.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, List, Tuple
 
 from repro.memory.cache import SectorCache
@@ -110,7 +111,7 @@ class L2Cache(Component):
         if status == "full":
             self._stalled.append((line, 0, False, callback))
             return
-        self.dram.access(self.line_bytes, lambda: self._fill(line))
+        self.dram.access(self.line_bytes, partial(self._fill, line))
 
     def _fill(self, line: int) -> None:
         evicted = self.tags.fill(line)

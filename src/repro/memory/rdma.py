@@ -15,28 +15,14 @@ bits that let the NetCrafter Trim Engine shrink the response in flight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.network.packet import CACHE_LINE_BYTES, Packet, PacketType
 from repro.obs.tracer import Traced
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.stats.collectors import RunStats
-
-
-@dataclass
-class _RequestContext:
-    """Requester-side bookkeeping that rides on the packet (simulation
-    plumbing; physically this is the packet ID + requester tables)."""
-
-    send_cycle: int
-    crosses_cluster: bool
-    on_complete: Optional[Callable[[Packet], None]]
-    #: set by the first response to arrive; under fault injection the
-    #: timeout backstop may have cloned the request, so a later duplicate
-    #: response must not complete (or drain-count) the request twice
-    completed: bool = False
 
 
 class RdmaEngine(Traced, Component):
@@ -65,6 +51,14 @@ class RdmaEngine(Traced, Component):
         self.responses_received = 0
         self.outstanding_writes = 0
         self.outstanding_invalidations = 0
+        #: requester table: tag -> (request, send cycle, crosses cluster,
+        #: on_complete).  The tag travels in the 4 B header metadata and
+        #: the home GPU copies it onto the response, which is matched
+        #: here (Section 2.1's packet ID + requester table)
+        self._outstanding: Dict[
+            int, Tuple[Packet, int, bool, Optional[Callable[..., None]]]
+        ] = {}
+        self._next_tag = 0
         #: cycle at which both outstanding counters last returned to zero,
         #: and the schedule key of the event that drained them; sharded
         #: coordinators read these to time kernel-boundary quiesce (the
@@ -143,13 +137,8 @@ class RdmaEngine(Traced, Component):
             trim_allowed=trim_allowed,
             sector_fetch=sector_fetch,
             filled_sector_mask=fetch_sector_mask,
-            context=_RequestContext(
-                send_cycle=self.now,
-                crosses_cluster=self._crosses_cluster(dst_gpu),
-                on_complete=on_complete,
-            ),
         )
-        self._send(packet)
+        self._send(packet, on_complete)
 
     def remote_write(self, dst_gpu: int, addr: int) -> None:
         """Posted write-through of a line to its home GPU."""
@@ -158,14 +147,9 @@ class RdmaEngine(Traced, Component):
             src_gpu=self.gpu_id,
             dst_gpu=dst_gpu,
             addr=addr,
-            context=_RequestContext(
-                send_cycle=self.now,
-                crosses_cluster=self._crosses_cluster(dst_gpu),
-                on_complete=None,
-            ),
         )
         self.outstanding_writes += 1
-        self._send(packet)
+        self._send(packet, None)
 
     def remote_pt_read(
         self, dst_gpu: int, addr: int, on_complete: Callable[[], None]
@@ -178,13 +162,8 @@ class RdmaEngine(Traced, Component):
             src_gpu=self.gpu_id,
             dst_gpu=dst_gpu,
             addr=addr,
-            context=_RequestContext(
-                send_cycle=self.now,
-                crosses_cluster=self._crosses_cluster(dst_gpu),
-                on_complete=lambda _pkt: on_complete(),
-            ),
         )
-        self._send(packet)
+        self._send(packet, on_complete)
 
     def remote_invalidate(self, dst_gpu: int, addr: int) -> None:
         """Send a coherence invalidation for a line to a sharer GPU."""
@@ -193,55 +172,55 @@ class RdmaEngine(Traced, Component):
             src_gpu=self.gpu_id,
             dst_gpu=dst_gpu,
             addr=addr,
-            context=_RequestContext(
-                send_cycle=self.now,
-                crosses_cluster=self._crosses_cluster(dst_gpu),
-                on_complete=None,
-            ),
         )
         self.outstanding_invalidations += 1
         self.stats.coherence_inv_sent += 1
         if self._crosses_cluster(dst_gpu):
             self.stats.coherence_inv_sent_inter += 1
-        self._send(packet)
+        self._send(packet, None)
 
-    def _send(self, packet: Packet) -> None:
+    def _send(
+        self, packet: Packet, on_complete: Optional[Callable[..., None]]
+    ) -> None:
+        """Tag ``packet``, enter it in the requester table, inject it.
+
+        ``on_complete`` gets the response packet, except for PT reads,
+        whose walker continuation takes no argument.
+        """
         if self._inject is None:
             raise RuntimeError(f"{self.name} is not attached to a network")
+        tag = self._next_tag
+        self._next_tag = tag + 1
+        packet.tag = tag
+        self._outstanding[tag] = (
+            packet, self.now, self._crosses_cluster(packet.dst_gpu), on_complete
+        )
         packet.inject_cycle = self.now
         self.requests_sent += 1
         if self._trace_on:
             self._tracer.packet_event(self.now, "inject", packet, lane=self.name)
         self._inject(packet)
         if self._faults is not None:
-            self.schedule(self._faults.rdma_timeout, self._backstop, packet, packet.context, 0)
+            self.schedule(self._faults.rdma_timeout, self._backstop, tag, 0)
 
-    def _backstop(self, packet: Packet, ctx: _RequestContext, attempt: int) -> None:
+    def _backstop(self, tag: int, attempt: int) -> None:
         """Timeout fired: re-issue the request unless it completed."""
-        if ctx.completed:
+        entry = self._outstanding.get(tag)
+        if entry is None:
             return
+        packet = entry[0]
         cfg = self._faults
         if attempt + 1 > cfg.max_rdma_retries:
             raise RuntimeError(
-                f"{self.name}: request {packet.pid} ({packet.ptype.name} to "
+                f"{self.name}: request tag {tag} ({packet.ptype.name} to "
                 f"GPU {packet.dst_gpu}, addr {packet.addr:#x}) unanswered "
                 f"after {attempt + 1} RDMA timeouts"
             )
         # a fresh packet (new pid) re-enters the network: reassembly
         # tracks received flit indices per pid, so re-injecting the old
         # pid would trip its duplicate guard if the original's flits
-        # partially arrived.  The context object is shared, so whichever
+        # partially arrived.  The clone keeps the tag, so whichever
         # copy's response arrives first completes the request.
-        clone = self._clone_request(packet)
-        self._fault_stats.rdma_retries += 1
-        self.requests_sent += 1
-        if self._trace_on:
-            self._tracer.packet_event(self.now, "inject", clone, lane=self.name)
-        self._inject(clone)
-        backoff = min(cfg.rdma_timeout << (attempt + 1), cfg.rdma_backoff_cap)
-        self.schedule(backoff, self._backstop, clone, ctx, attempt + 1)
-
-    def _clone_request(self, packet: Packet) -> Packet:
         clone = Packet(
             ptype=packet.ptype,
             src_gpu=packet.src_gpu,
@@ -253,10 +232,16 @@ class RdmaEngine(Traced, Component):
             trim_allowed=packet.trim_allowed,
             sector_fetch=packet.sector_fetch,
             filled_sector_mask=packet.filled_sector_mask,
-            context=packet.context,
+            tag=tag,
         )
         clone.inject_cycle = self.now
-        return clone
+        self._fault_stats.rdma_retries += 1
+        self.requests_sent += 1
+        if self._trace_on:
+            self._tracer.packet_event(self.now, "inject", clone, lane=self.name)
+        self._inject(clone)
+        backoff = min(cfg.rdma_timeout << (attempt + 1), cfg.rdma_backoff_cap)
+        self.schedule(backoff, self._backstop, tag, attempt + 1)
 
     # -- responder / completion side --------------------------------------------
 
@@ -278,7 +263,7 @@ class RdmaEngine(Traced, Component):
         if self._on_read_served is not None:
             self._on_read_served(packet.addr, packet.src_gpu)
         self._l2_request(
-            packet.addr, CACHE_LINE_BYTES, False, lambda: self._respond_read(packet)
+            packet.addr, CACHE_LINE_BYTES, False, partial(self._respond_read, packet)
         )
 
     def _respond_read(self, request: Packet) -> None:
@@ -300,7 +285,7 @@ class RdmaEngine(Traced, Component):
             trim_allowed=request.trim_allowed,
             sector_fetch=request.sector_fetch,
             filled_sector_mask=filled_mask,
-            context=request.context,
+            tag=request.tag,
         )
         self._send_response(response)
 
@@ -309,7 +294,7 @@ class RdmaEngine(Traced, Component):
         if self._on_write_served is not None:
             self._on_write_served(packet.addr, packet.src_gpu)
         self._l2_request(
-            packet.addr, CACHE_LINE_BYTES, True, lambda: self._respond_ack(packet)
+            packet.addr, CACHE_LINE_BYTES, True, partial(self._respond_ack, packet)
         )
 
     def _serve_invalidate(self, packet: Packet) -> None:
@@ -323,7 +308,7 @@ class RdmaEngine(Traced, Component):
             src_gpu=self.gpu_id,
             dst_gpu=packet.src_gpu,
             addr=packet.addr,
-            context=packet.context,
+            tag=packet.tag,
         )
         self._send_response(response)
 
@@ -333,14 +318,14 @@ class RdmaEngine(Traced, Component):
             src_gpu=self.gpu_id,
             dst_gpu=request.src_gpu,
             addr=request.addr,
-            context=request.context,
+            tag=request.tag,
         )
         self._send_response(response)
 
     def _serve_pt_read(self, packet: Packet) -> None:
         self.requests_served += 1
         self._l2_request(
-            packet.addr, 8, False, lambda: self._respond_pt(packet)
+            packet.addr, 8, False, partial(self._respond_pt, packet)
         )
 
     def _respond_pt(self, request: Packet) -> None:
@@ -349,7 +334,7 @@ class RdmaEngine(Traced, Component):
             src_gpu=self.gpu_id,
             dst_gpu=request.src_gpu,
             addr=request.addr,
-            context=request.context,
+            tag=request.tag,
         )
         self._send_response(response)
 
@@ -360,34 +345,40 @@ class RdmaEngine(Traced, Component):
         self._inject(response)
 
     def _complete_response(self, packet: Packet) -> None:
-        ctx: _RequestContext = packet.context
-        if self._faults is not None:
+        entry = self._outstanding.pop(packet.tag, None)
+        if entry is None:
+            if self._faults is None:
+                raise RuntimeError(
+                    f"{self.name}: response {packet.pid} ({packet.ptype.name} "
+                    f"from GPU {packet.src_gpu}) carries tag {packet.tag}, "
+                    "which no outstanding request holds"
+                )
             # with the retry backstop active the same logical request may
             # answer more than once (original + clone both survive);
             # only the first response completes it
-            if ctx.completed:
-                self._fault_stats.rdma_duplicate_responses += 1
-                return
-            ctx.completed = True
+            self._fault_stats.rdma_duplicate_responses += 1
+            return
+        _request, send_cycle, crosses_cluster, on_complete = entry
         self.responses_received += 1
         if packet.ptype is PacketType.READ_RSP:
-            latency = self.now - ctx.send_cycle
-            if ctx.crosses_cluster:
+            latency = self.now - send_cycle
+            if crosses_cluster:
                 self.stats.remote_read_latency_inter.record(latency)
                 # per-phase breakdown for phase-labelled (collective)
                 # workloads; no-op when no phase is live
                 self.stats.record_phase_read_latency(latency)
             else:
                 self.stats.remote_read_latency_intra.record(latency)
+            on_complete(packet)
+        elif packet.ptype is PacketType.PT_RSP:
+            on_complete()
         elif packet.ptype is PacketType.WRITE_RSP:
             self.outstanding_writes -= 1
             if not self.outstanding_writes and not self.outstanding_invalidations:
                 self.last_drain_cycle = self.now
                 self.last_drain_skey = self.engine.cur_skey
-        elif packet.ptype is PacketType.INV_RSP:
+        else:  # INV_RSP
             self.outstanding_invalidations -= 1
             if not self.outstanding_writes and not self.outstanding_invalidations:
                 self.last_drain_cycle = self.now
                 self.last_drain_skey = self.engine.cur_skey
-        if ctx.on_complete is not None:
-            ctx.on_complete(packet)

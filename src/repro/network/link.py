@@ -129,10 +129,6 @@ class LinkStats:
             busy += self.busy_extra
         return busy
 
-    @property
-    def overcounted(self) -> bool:
-        return self.overcount_cycles > 0.0
-
     def utilization(self, elapsed_cycles: int) -> float:
         """Fraction of cycles the wire was occupied.
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.network.ids import PACKET_IDS
 
@@ -56,15 +56,6 @@ class PacketType(enum.Enum):
     def is_ptw(self) -> bool:
         """Whether this type belongs to page-table-walk traffic."""
         return self in (PacketType.PT_REQ, PacketType.PT_RSP)
-
-    @property
-    def is_response(self) -> bool:
-        return self in (
-            PacketType.READ_RSP,
-            PacketType.WRITE_RSP,
-            PacketType.PT_RSP,
-            PacketType.INV_RSP,
-        )
 
 
 #: Header size per packet type (bytes).  Requests carry a full 12-byte
@@ -121,8 +112,7 @@ class Packet:
     ``payload_bytes`` may shrink below the type default when the Trim
     Engine removes unneeded sectors from a READ_RSP; any mutation of the
     payload size must go through :meth:`resize_payload` so the cached
-    flit-count layout stays coherent.  ``on_delivery`` is invoked by the
-    destination GPU's RDMA engine once the reassembled packet arrives.
+    flit-count layout stays coherent.
     """
 
     ptype: PacketType
@@ -141,10 +131,9 @@ class Packet:
     #: set on responses: bitmask of 16 B (or configured) sectors actually
     #: carried; ``None`` means the full line
     filled_sector_mask: Optional[int] = None
-    #: opaque requester context, copied onto the response by the home GPU
-    #: (simulation-level plumbing for completion callbacks)
-    context: Any = None
-    on_delivery: Optional[Callable[["Packet"], None]] = None
+    #: requester-table tag (header metadata): the requesting RDMA engine
+    #: stamps it on a request, the home GPU copies it onto the response
+    tag: int = -1
     #: identifier used for flit reassembly and stitching metadata
     pid: int = field(default_factory=PACKET_IDS)
     #: filled by the Trim Engine: original payload size before trimming
@@ -233,8 +222,7 @@ class Packet:
             self.trim_allowed,
             self.sector_fetch,
             self.filled_sector_mask,
-            self.context,
-            self.on_delivery,
+            self.tag,
             self.pid,
             self.original_payload_bytes,
             self.inject_cycle,
@@ -255,8 +243,7 @@ class Packet:
             self.trim_allowed,
             self.sector_fetch,
             self.filled_sector_mask,
-            self.context,
-            self.on_delivery,
+            self.tag,
             self.pid,
             self.original_payload_bytes,
             self.inject_cycle,

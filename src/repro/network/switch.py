@@ -10,6 +10,7 @@ which the attached links enforce.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict
 
 from repro.faults.process import CorruptedTransmission
@@ -221,7 +222,7 @@ class ClusterSwitch(Traced, Component):
         link = self._gpu_links[packet.dst_gpu]
         if not link.send(packet):
             self.packets_routed -= 1  # retry will re-count
-            link.notify_on_space(lambda: self._route(packet))
+            link.notify_on_space(partial(self._route, packet))
 
 
 class EgressControllerProtocol:

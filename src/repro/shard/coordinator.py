@@ -177,9 +177,13 @@ class ShardedSystem:
         try:
             mailbox = Mailbox()
             mailbox._last_seq.update(mail_seq)
-            kernels = self._workload.kernels
-            if kernel_index >= len(kernels):
-                return self._finish(handles, q)
+            if kernel_index >= len(self._workload.kernels):
+                # the snapshot cannot tell whether events were pending at
+                # the final boundary, so close and let the loop drain
+                statuses = self._broadcast(handles, [("close", q)] * self.n_shards)
+                return self._window_loop(
+                    handles, mailbox, statuses, kernel_index, q_final=q
+                )
             statuses = self._broadcast(
                 handles, [("launch", kernel_index, q)] * self.n_shards
             )
@@ -265,7 +269,15 @@ class ShardedSystem:
         mailbox: Mailbox,
         statuses: List[ShardStatus],
         kernel_index: int,
+        q_final: Optional[int] = None,
     ) -> RunResult:
+        """Run windows and kernel launches until the run ends.
+
+        ``q_final`` is set once the shards are closed at the final
+        boundary; the windows then go on until no shard has a pending
+        event or mail.  Fault retries can still be in flight there, and
+        the single engine runs them out too.
+        """
         kernels = self._workload.kernels
         stats = self.coord_stats
         n = self.n_shards
@@ -277,8 +289,10 @@ class ShardedSystem:
         frontier = [0] * n
         while True:
             have_mail = any(pending)
+            idle = not have_mail and all(s.real_pending == 0 for s in statuses)
             at_boundary = (
-                not have_mail
+                q_final is None
+                and not have_mail
                 and all(s.wavefronts_remaining == 0 for s in statuses)
                 and all(s.counters_zero for s in statuses)
             )
@@ -294,7 +308,11 @@ class ShardedSystem:
                         self, handles, kernel_index, q, mailbox
                     )
                 if kernel_index >= len(kernels):
-                    return self._finish(handles, q)
+                    if idle:
+                        return self._finish(handles, q)
+                    q_final = q
+                    statuses = self._broadcast(handles, [("close", q)] * n)
+                    continue
                 # fused launch+window: after the launch every shard's
                 # next event is the launch injected at key (q, q), so
                 # the first post-launch window boundary is known here —
@@ -308,7 +326,9 @@ class ShardedSystem:
                 )
                 frontier = [until] * n
             else:
-                if not have_mail and all(s.real_pending == 0 for s in statuses):
+                if idle:
+                    if q_final is not None:
+                        return self._finish(handles, q_final)
                     left = sum(s.wavefronts_remaining for s in statuses)
                     raise RuntimeError(
                         "simulation drained without completing all wavefronts "

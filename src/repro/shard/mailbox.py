@@ -145,7 +145,7 @@ class MailBatch:
 
     @classmethod
     def encode(cls, items: List[MailItem]) -> "MailBatch":
-        """Column-encode ``items`` (contexts must already be tokenized)."""
+        """Column-encode ``items``; the flits are pickled once, together."""
         arrivals = array("q")
         skeys = array("q")
         send_cycles = array("q")

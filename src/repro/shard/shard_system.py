@@ -8,7 +8,7 @@ accounting and the end-of-run harvest come from
 :class:`~repro.gpu.node.NodeCore`, shared with the single engine; this
 module adds only what the sharded drive needs — the boundary links,
 strided ID streams, the coordinator verbs and the per-window
-:class:`ShardStatus`.  The coordinator drives a shard through four
+:class:`ShardStatus`.  The coordinator drives a shard through five
 verbs:
 
 * :meth:`begin` — load bookkeeping + launch kernel 0 at cycle 0;
@@ -16,6 +16,8 @@ verbs:
   the local engine to an exact boundary cycle, and hand back the outbox;
 * :meth:`launch_kernel` — replay the next kernel launch at the quiesce
   cycle ``q`` the coordinator computed analytically;
+* :meth:`close` — end the run at the final boundary, when events are
+  still pending there (the coordinator keeps windowing until they drain);
 * :meth:`finish` — drain, then hand back the slice's
   :class:`~repro.stats.assemble.SliceHarvest` and its own
   observability instruments.
@@ -268,19 +270,32 @@ class ShardSystem(NodeCore):
             self._save_ids()
         return self.status()
 
+    def close(self, q_final: int) -> ShardStatus:
+        """End the run at the final kernel boundary ``q_final``.
+
+        This is what the single engine does at its last boundary: set
+        the finish cycle (which also stops the metrics sampler), flush
+        the L1s and close the last phase.  Events still pending — fault
+        retries and their answers — run on afterwards, in windows, as
+        they run on after the single engine's finish.
+        """
+        self.stats.finish_cycle = q_final
+        if self.config.coherence == "software":
+            # the single-engine run flushes L1s at the final kernel
+            # boundary; pure state clear, no counters touched
+            for gpu in self.gpus.values():
+                gpu.invalidate_l1s()
+        self._phase_close(q_final)
+        return self.status()
+
     def finish(self, q_final: int) -> Tuple[SliceHarvest, Observability]:
-        """Drain residual events; harvest the slice and its instruments."""
+        """Close the run if the coordinator has not, drain the residual
+        local events, and harvest the slice and its instruments."""
         self._install_ids()
         try:
-            # set before the drain: it also stops the metrics sampler
-            self.stats.finish_cycle = q_final
-            if self.config.coherence == "software":
-                # the single-engine run flushes L1s at the final kernel
-                # boundary; pure state clear, no counters touched
-                for gpu in self.gpus.values():
-                    gpu.invalidate_l1s()
+            if self.stats.finish_cycle is None:
+                self.close(q_final)
             self.engine.run_until_idle()
-            self._phase_close(q_final)
         finally:
             self._save_ids()
         return self.harvest(q_final), self.obs
@@ -288,12 +303,13 @@ class ShardSystem(NodeCore):
     def snapshot_state(self) -> bytes:
         """Serialize this shard's complete simulation state.
 
-        Only meaningful at a coordinator-proven kernel boundary: the
-        shard is quiesced there, so no pending packet carries a live
-        requester closure (the engine's dispatched-prefix entries are
-        dropped by ``Engine.__getstate__``) and no cross-shard context
-        token is outstanding.  The striped ID cursors ride along in
-        ``_pid_state``/``_fid_state``, saved by the last verb.
+        Taken at a coordinator-proven kernel boundary.  Every pending
+        continuation is a bound method or a ``functools.partial`` over
+        one, and requests in flight (fault retries) are requester-table
+        tags, so the whole shard pickles; the engine's dispatched-prefix
+        entries are dropped by ``Engine.__getstate__``.  The striped ID
+        cursors ride along in ``_pid_state``/``_fid_state``, saved by the
+        last verb.
         """
         import pickle
 

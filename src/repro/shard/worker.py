@@ -8,6 +8,7 @@ verb dispatcher::
     ("window", until, batches)        -> ("ok", (out_batches, ShardStatus))
     ("launch", k, q)                  -> ("ok", ShardStatus)
     ("launch_window", k, q, until)    -> ("ok", (out_batches, ShardStatus))
+    ("close", q)                      -> ("ok", ShardStatus)
     ("finish", q)                     -> ("ok", (SliceHarvest, Observability))
     ("snapshot",)                     -> ("ok", bytes)  # pickled ShardSystem
     ("exit",)                         -> worker terminates
@@ -40,13 +41,9 @@ Checkpoint resume hands the worker a previously pickled shard
 :meth:`~repro.shard.shard_system.ShardSystem.from_snapshot_state` and
 serves the same verb loop from the restored state.
 
-Requester contexts (the ``on_complete`` closures riding on packets)
-are the one unpicklable part of a boundary flit.  :func:`serve` swaps
-each one for a :class:`CtxToken` before the outbox is pickled and swaps
-the original back when the token returns home on a response packet; the
-stash entry is never popped, because a multi-flit packet pickled in
-separate window batches arrives as several object copies, each of which
-must be restorable.
+Nothing in a boundary flit needs translating on the way: a request
+carries its requester-table tag as a plain int, and the requester's
+completion continuation stays home in its RDMA engine's table.
 """
 
 from __future__ import annotations
@@ -55,7 +52,6 @@ import multiprocessing
 import pickle
 import time
 import traceback
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.shard.mailbox import MailBatch, MailItem
@@ -64,54 +60,8 @@ from repro.sim.collector import collector_paused
 from repro.stats.coord import CoordStats
 
 
-@dataclass(frozen=True)
-class CtxToken:
-    """Placeholder for a stashed requester context (home shard + key)."""
-
-    home: int
-    key: int
-
-
-def _packets_of(flit) -> List[object]:
-    """The flit's packet plus every stitched segment's packet."""
-    packets = [flit.packet]
-    for segment in flit.segments:
-        packets.append(segment.flit.packet)
-    return packets
-
-
-class ContextStash:
-    """Token swap for requester callbacks crossing the pickle boundary."""
-
-    def __init__(self, shard_index: int) -> None:
-        self.shard_index = shard_index
-        self._store: Dict[int, object] = {}
-        self._next_key = 0
-
-    def tokenize(self, items: List[MailItem]) -> None:
-        # every non-token context is stashed, not just those carrying an
-        # on_complete closure: the fault backstop marks ``ctx.completed``
-        # on the requester's original object, which a pickled copy of a
-        # WRITE/INV context (on_complete=None) could never reach
-        for item in items:
-            for packet in _packets_of(item.flit):
-                ctx = packet.context
-                if ctx is not None and not isinstance(ctx, CtxToken):
-                    key = self._next_key
-                    self._next_key = key + 1
-                    self._store[key] = ctx
-                    packet.context = CtxToken(self.shard_index, key)
-
-    def restore_flits(self, flits) -> None:
-        for flit in flits:
-            for packet in _packets_of(flit):
-                ctx = packet.context
-                if isinstance(ctx, CtxToken) and ctx.home == self.shard_index:
-                    packet.context = self._store[ctx.key]
-
-
-def _encode_outbox(shard, stash: ContextStash, outbox) -> Dict[int, MailBatch]:
-    """Tokenize contexts and column-encode the outbox per destination shard.
+def _encode_outbox(shard, outbox) -> Dict[int, MailBatch]:
+    """Column-encode the outbox per destination shard.
 
     Pickling happens here, exactly once per destination: one ``dumps``
     over each destination's flit list lets the pickle memo dedupe the
@@ -120,7 +70,6 @@ def _encode_outbox(shard, stash: ContextStash, outbox) -> Dict[int, MailBatch]:
     """
     if not outbox:
         return {}
-    stash.tokenize(outbox)
     shard_of = shard.plan.shard_of_cluster
     groups: Dict[int, List[MailItem]] = {}
     for item in outbox:
@@ -133,7 +82,7 @@ def _encode_outbox(shard, stash: ContextStash, outbox) -> Dict[int, MailBatch]:
     return {dst: MailBatch.encode(items) for dst, items in groups.items()}
 
 
-def serve(shard: ShardSystem, stash: ContextStash, message: tuple):
+def serve(shard: ShardSystem, message: tuple):
     """Apply one coordinator command to ``shard``; returns the reply payload.
 
     The one shard-verb dispatcher: worker processes call it from their
@@ -143,22 +92,22 @@ def serve(shard: ShardSystem, stash: ContextStash, message: tuple):
     verb = message[0]
     if verb == "window":
         _, until, batches = message
-        # one loads per batch; restore the stashed contexts on the live
-        # flit lists, then inject straight off the columns
+        # one loads per batch, then inject straight off the columns
         flits_per_batch = [pickle.loads(batch.payload) for batch in batches]
-        for flits in flits_per_batch:
-            stash.restore_flits(flits)
         outbox, status = shard.window(until, batches, flits_per_batch)
-        return _encode_outbox(shard, stash, outbox), status
+        return _encode_outbox(shard, outbox), status
     if verb == "launch_window":
         _, kernel_index, q, until = message
         outbox, status = shard.launch_window(kernel_index, q, until)
-        return _encode_outbox(shard, stash, outbox), status
+        return _encode_outbox(shard, outbox), status
     if verb == "begin":
         return shard.begin()
     if verb == "launch":
         _, kernel_index, q = message
         return shard.launch_kernel(kernel_index, q)
+    if verb == "close":
+        _, q_final = message
+        return shard.close(q_final)
     if verb == "finish":
         _, q_final = message
         return shard.finish(q_final)
@@ -192,13 +141,12 @@ def worker_main(
                 config, netcrafter, seed, shard_index, n_shards, obs_spec,
                 workload, shard_state,
             )
-            stash = ContextStash(shard_index)
             while True:
                 message = pickle.loads(conn.recv_bytes())
                 if message[0] == "exit":
                     conn.close()
                     return
-                reply = ("ok", serve(shard, stash, message))
+                reply = ("ok", serve(shard, message))
                 conn.send_bytes(pickle.dumps(reply, proto))
     except (EOFError, KeyboardInterrupt):  # pragma: no cover
         return
@@ -321,19 +269,17 @@ class LocalShard:
     """In-process handle with the same start/collect surface.
 
     Sequential-windowed mode serves the worker protocol in-process:
-    every command goes through :func:`serve` with this shard's own
-    :class:`ContextStash`, so mail crosses the same pickle boundary and
-    context-token swap as it does between worker processes — only the
-    pipe is missing.
+    every command goes through :func:`serve`, so mail crosses the same
+    pickle boundary as it does between worker processes — only the pipe
+    is missing.
     """
 
     def __init__(self, shard: ShardSystem) -> None:
         self.shard = shard
-        self._stash = ContextStash(shard.shard_index)
         self._pending = None
 
     def start(self, verb: str, *args) -> None:
-        self._pending = serve(self.shard, self._stash, (verb,) + args)
+        self._pending = serve(self.shard, (verb,) + args)
 
     def collect(self):
         result = self._pending

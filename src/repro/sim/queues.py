@@ -36,10 +36,6 @@ class BoundedQueue:
     def __iter__(self) -> Iterator[Any]:
         return iter(self._items)
 
-    @property
-    def free_slots(self) -> int:
-        return self.capacity - len(self._items)
-
     def is_full(self) -> bool:
         return len(self._items) >= self.capacity
 

@@ -379,12 +379,3 @@ class RunStats(_StatsBlock):
         """Bucket an inter-cluster read by needed bytes (<=16/32/48/64)."""
         bucket = min(64, ((max(1, bytes_needed) + 15) // 16) * 16)
         self.read_req_bytes_hist[bucket] += 1
-
-    def fraction_requests_at_most(self, nbytes: int) -> float:
-        total = sum(self.read_req_bytes_hist.values())
-        if total == 0:
-            return 0.0
-        small = sum(
-            count for bucket, count in self.read_req_bytes_hist.items() if bucket <= nbytes
-        )
-        return small / total

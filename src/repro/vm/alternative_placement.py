@@ -15,18 +15,17 @@ CTA scheduling is left untouched: the study isolates *data placement*.
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Dict, Optional
 
 from repro.gpu.cta import KernelTrace, WorkloadTrace
 
-PlacementRewrite = Callable[[int, int, int], int]  # (vpn, index, n_gpus) -> owner
 
-
-def _rewrite(trace: WorkloadTrace, n_gpus: int, policy: PlacementRewrite) -> WorkloadTrace:
+def _rewrite(trace: WorkloadTrace, n_gpus: int, gpu: Optional[int]) -> WorkloadTrace:
+    """Re-own every page: round-robin by sorted VPN, or all on ``gpu``."""
     kernels = []
     for kernel in trace.kernels:
         new_owner: Dict[int, int] = {
-            vpn: policy(vpn, index, n_gpus)
+            vpn: index % n_gpus if gpu is None else gpu
             for index, vpn in enumerate(sorted(kernel.page_owner))
         }
         kernels.append(
@@ -39,14 +38,14 @@ def _rewrite(trace: WorkloadTrace, n_gpus: int, policy: PlacementRewrite) -> Wor
 
 def interleave_placement(trace: WorkloadTrace, n_gpus: int) -> WorkloadTrace:
     """Stripe every page round-robin across GPUs."""
-    return _rewrite(trace, n_gpus, lambda vpn, index, n: index % n)
+    return _rewrite(trace, n_gpus, None)
 
 
 def single_gpu_placement(trace: WorkloadTrace, n_gpus: int, gpu: int = 0) -> WorkloadTrace:
     """Place every page on one GPU (the no-placement worst case)."""
     if not 0 <= gpu < n_gpus:
         raise ValueError(f"no such GPU {gpu}")
-    return _rewrite(trace, n_gpus, lambda vpn, index, n: gpu)
+    return _rewrite(trace, n_gpus, gpu)
 
 
 def access_locality(trace: WorkloadTrace) -> Dict[str, float]:

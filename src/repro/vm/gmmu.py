@@ -21,6 +21,7 @@ one event, in the order the polling chains would have run them.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.memory.mshr import Mshr
@@ -224,7 +225,7 @@ class Gmmu(Component):
         self.pte_access(
             pte_addr,
             node_gpu,
-            lambda: self._walk_step(vpn, start_cycle, path, index + 1),
+            partial(self._walk_step, vpn, start_cycle, path, index + 1),
         )
 
     def _finish_walk(self, vpn: int, start_cycle: int) -> None:
@@ -239,10 +240,6 @@ class Gmmu(Component):
         self._walkers_busy -= 1
         self._dispatch()
         self._wake()
-
-    @property
-    def walkers_busy(self) -> int:
-        return self._walkers_busy
 
     @property
     def walks_queued(self) -> int:

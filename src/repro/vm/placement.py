@@ -46,9 +46,6 @@ class AddressSpace:
             raise ValueError(f"physical address {paddr:#x} outside any GPU")
         return gpu
 
-    def frames_allocated(self, gpu: int) -> int:
-        return self._next_frame[gpu] - gpu * FRAMES_PER_GPU
-
 
 class LaspPlacement:
     """Maps virtual pages onto GPUs per the workload's LASP owner hints."""

@@ -70,11 +70,6 @@ class Tlb:
     def accesses(self) -> int:
         return self.hits + self.misses
 
-    def hit_rate(self) -> float:
-        if self.accesses == 0:
-            return 0.0
-        return self.hits / self.accesses
-
 
 class PageWalkCache:
     """Longest-prefix cache over upper page-table levels (1-3).

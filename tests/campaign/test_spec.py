@@ -40,7 +40,7 @@ class TestGridExpansion:
         from repro.bench.smoke import smoke_points
 
         spec = parse_campaign(_quick_grid())
-        got = [(p.workload, "full" if p.netcrafter.any_feature_enabled else "baseline") for p in spec.points]
+        got = [(p.workload, "full" if p.netcrafter.enable_stitching else "baseline") for p in spec.points]
         assert got == smoke_points(quick=True)
 
     def test_expansion_matches_explicit_points(self):
@@ -67,7 +67,7 @@ class TestGridExpansion:
         point = spec.points[0]
         assert point.seed == 0
         assert point.scale == Scale.small()
-        assert not point.netcrafter.any_feature_enabled
+        assert point.netcrafter == NetCrafterConfig.baseline()
 
     def test_topology_and_system_block(self):
         spec = parse_campaign(
@@ -94,7 +94,7 @@ class TestGridExpansion:
             {"points": [{"workload": "gups", "variant": {"base": "full", "pooling_window": 64}}]}
         )
         nc = spec.points[0].netcrafter
-        assert nc.any_feature_enabled and nc.pooling_window == 64
+        assert nc.enable_stitching and nc.pooling_window == 64
 
     def test_duplicate_points_collapse_to_first(self):
         spec = parse_campaign(
@@ -228,7 +228,7 @@ class TestExampleCampaigns:
         from repro.bench.smoke import smoke_points
 
         spec = load_campaign("examples/campaigns/smoke_quick.json")
-        got = [(p.workload, "full" if p.netcrafter.any_feature_enabled else "baseline") for p in spec.points]
+        got = [(p.workload, "full" if p.netcrafter.enable_stitching else "baseline") for p in spec.points]
         assert got == smoke_points(quick=True)
         assert all(p.scale == Scale.small() for p in spec.points)
 

@@ -59,8 +59,8 @@ def test_ptw_partition_split_out():
     q.push(_flit(PacketType.READ_REQ))
     keys = {p.key for p in q.partitions()}
     assert PTW_PARTITION in keys
-    assert q.get_partition(PTW_PARTITION) is not None
-    assert len(q.get_partition(PTW_PARTITION)) == 2
+    parts = {p.key: p for p in q.partitions()}
+    assert len(parts[PTW_PARTITION]) == 2
 
 
 def test_ptw_partition_even_when_untyped():
@@ -270,10 +270,10 @@ def test_pop_reserved_holds_the_entry():
     popped = q.pop_reserved(part)
     # the freed slot is reserved for the popped flit's possible return
     assert q.free_entries == 0
-    assert q.reserved_entries == 1
+    assert q._reserved == 1
     assert not q.push(_flit())
     q.push_front(popped, part.key, reserved=True)
-    assert q.reserved_entries == 0
+    assert q._reserved == 0
     assert part.flits[0] is popped
     assert len(q) == 2
 
@@ -285,7 +285,7 @@ def test_release_reservation_frees_the_entry():
     part = q.partitions()[0]
     q.pop_reserved(part)
     q.release_reservation()
-    assert q.reserved_entries == 0
+    assert q._reserved == 0
     assert q.free_entries == 1
     assert q.push(_flit())
 

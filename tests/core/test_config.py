@@ -12,7 +12,6 @@ def test_baseline_has_nothing_enabled():
     assert not cfg.enable_sequencing
     assert not cfg.enable_pooling
     assert not cfg.partition_by_type
-    assert not cfg.any_feature_enabled
     assert cfg.effective_priority is PriorityMode.NONE
     assert not cfg.separate_ptw_partition
 
@@ -54,7 +53,6 @@ def test_full_enables_all_three_mechanisms():
     assert cfg.enable_sequencing
     assert cfg.effective_priority is PriorityMode.PTW
     assert cfg.separate_ptw_partition
-    assert cfg.any_feature_enabled
 
 
 def test_sequencing_only():

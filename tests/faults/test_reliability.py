@@ -257,13 +257,37 @@ def test_rdma_duplicate_response_deduped():
         src_gpu=2,
         dst_gpu=0,
         addr=0x40,
-        context=request.context,
+        tag=request.tag,
     )
     rdma._complete_response(response)
+    assert rdma._outstanding == {}  # the first answer retires the tag
     rdma._complete_response(response)  # the clone's answer arrives late
     assert len(completions) == 1
     assert rdma.responses_received == 1
     assert fstats.rdma_duplicate_responses == 1
+
+
+def test_rdma_backstop_clone_keeps_the_tag():
+    from repro.memory.rdma import RdmaEngine
+    from repro.stats.collectors import RunStats
+
+    engine = Engine()
+    rdma = RdmaEngine(engine, "rdma0", 0, lambda gpu: gpu // 2, RunStats())
+    injected = []
+    rdma.attach(injected.append, lambda *a: None)
+    fstats = FaultStats()
+    rdma.attach_faults(FaultConfig(ber=1e-4, rdma_timeout=16), fstats)
+    rdma.remote_read(2, 0x40, 64, 0, lambda packet: None)
+    engine.run(until=16)
+    original, clone = injected
+    assert clone.pid != original.pid and clone.tag == original.tag
+    assert fstats.rdma_retries == 1
+    rdma._complete_response(
+        Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, tag=clone.tag)
+    )
+    # the answered request's next timeout finds no table entry: no retry
+    engine.run(until=1000)
+    assert len(injected) == 2 and fstats.rdma_retries == 1
 
 
 def test_rdma_backstop_gives_up_eventually():

@@ -70,3 +70,31 @@ def test_faulty_run_is_shard_invariant(single_engine, kwargs):
     assert results_digest([sharded.to_dict()]) == results_digest(
         [single_engine.to_dict()]
     )
+
+
+@pytest.mark.parametrize(
+    "workload, scale",
+    [("gups", Scale.small()), ("mt", Scale.tiny())],
+    ids=["gups-small", "mt-tiny"],
+)
+def test_retries_in_flight_after_the_last_kernel_are_delivered(workload, scale):
+    # with a short RDMA timeout, retry clones and their late answers are
+    # still crossing the inter-cluster links when the last kernel ends;
+    # the single engine runs them out, and the shards must deliver the
+    # cross-shard part of that traffic too
+    config = SystemConfig.default().with_overrides(
+        faults=FaultConfig(ber=1e-4, drop_rate=0.01, seed=5, rdma_timeout=256)
+    )
+    trace = get_workload(workload).build(n_gpus=config.n_gpus, scale=scale, seed=0)
+    payloads = []
+    for node in (
+        MultiGpuSystem(config=config, netcrafter=NetCrafterConfig.full(), seed=0),
+        ShardedSystem(
+            config=config, netcrafter=NetCrafterConfig.full(), seed=0, n_shards=2
+        ),
+    ):
+        node.load(trace)
+        payloads.append(node.run().to_dict())
+    single, sharded = payloads
+    assert single["stats"]["faults"]["__faults__"]["rdma_duplicate_responses"] > 0
+    assert results_digest([sharded]) == results_digest([single])

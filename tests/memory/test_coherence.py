@@ -24,7 +24,7 @@ class TestDirectory:
         d.record_sharer(0x1000, 2)
         d.record_sharer(0x1008, 3)  # same line
         assert d.sharers_of(0x1000) == {2, 3}
-        assert d.lines_tracked == 1
+        assert len(d._sharers) == 1
 
     def test_invalidation_targets_exclude_writer(self):
         d = Directory(home_gpu=0)
@@ -43,7 +43,7 @@ class TestDirectory:
         d = Directory(home_gpu=0)
         d.record_sharer(0x40, 3)
         assert d.take_invalidation_targets(0x40, writer_gpu=1) == [3]
-        assert d.lines_tracked == 0
+        assert len(d._sharers) == 0
 
     def test_peak_tracking(self):
         d = Directory(home_gpu=0)

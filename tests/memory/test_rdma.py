@@ -137,3 +137,41 @@ def test_counters():
     assert a.requests_sent == 2
     assert b.requests_served == 2
     assert a.responses_received == 2
+
+
+def test_response_with_no_outstanding_tag_raises():
+    eng = Engine()
+    a, b, _l2a, _l2b, _stats = _pair(eng)
+    a.remote_write(2, 0x40)
+    eng.run()
+    assert a.outstanding_writes == 0 and a._outstanding == {}
+    # fault-free, nothing answers twice: a stray response is a bug
+    stray = Packet(ptype=PacketType.WRITE_RSP, src_gpu=2, dst_gpu=0, tag=0)
+    with pytest.raises(RuntimeError, match=r"rdma0: .* carries tag 0"):
+        a.receive_packet(stray)
+
+
+@pytest.mark.parametrize("n_shards", [1, 2])
+def test_requester_tables_drain_on_the_quick_smoke_points(n_shards):
+    from repro.bench.smoke import _variant_config, smoke_points, topology_smoke_config
+    from repro.shard.build import ShardingOptions, build_node
+    from repro.workloads.base import Scale
+    from repro.workloads.registry import get_workload
+
+    config = topology_smoke_config("mesh")
+    sharding = ShardingOptions(n_shards, parallel=False) if n_shards > 1 else None
+    for workload, variant in smoke_points(quick=True):
+        node = build_node(config, _variant_config(variant), 0, sharding)
+        node.load(
+            get_workload(workload).build(
+                n_gpus=config.n_gpus, scale=Scale.small(), seed=0
+            )
+        )
+        node.run()
+        if sharding is None:
+            gpus = list(node.gpus.values())
+        else:
+            gpus = [gpu for h in node._handles for gpu in h.shard.gpus.values()]
+        assert len(gpus) == config.n_gpus
+        assert sum(gpu.rdma._next_tag for gpu in gpus) > 0
+        assert all(gpu.rdma._outstanding == {} for gpu in gpus), (workload, variant)

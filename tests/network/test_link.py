@@ -126,7 +126,6 @@ class TestUtilizationOvercount:
         stats = LinkStats()
         stats.busy_bytes = 150
         assert stats.utilization(100) == 1.0
-        assert stats.overcounted
         assert stats.overcount_cycles == pytest.approx(50.0)
 
     def test_strict_mode_raises(self):
@@ -145,7 +144,7 @@ class TestUtilizationOvercount:
         assert 100.0 < stats.busy_cycles
         assert stats.busy_cycles - 100.0 < 100 * LinkStats.OVERCOUNT_TOLERANCE
         assert stats.utilization(100) == 1.0
-        assert not stats.overcounted
+        assert stats.overcount_cycles == 0.0
 
     def test_worst_excess_retained(self):
         stats = LinkStats()
@@ -159,7 +158,7 @@ class TestUtilizationOvercount:
         stats.strict = True
         stats.busy_bytes = 73
         assert stats.utilization(100) == pytest.approx(0.73)
-        assert not stats.overcounted
+        assert stats.overcount_cycles == 0.0
 
 
 class TestIntegerAccounting:
@@ -201,7 +200,7 @@ class TestIntegerAccounting:
         link.stats.strict = True
         self._saturate(eng, link, 500)
         assert link.stats.utilization(eng.now) <= 1.0  # strict: no raise
-        assert not link.stats.overcounted
+        assert link.stats.overcount_cycles == 0.0
 
     def test_timestamps_stay_integers(self):
         eng = Engine()
@@ -241,7 +240,7 @@ class TestIntegerAccounting:
         eng.run()
         assert link.stats.busy_bytes == 50 * 80
         assert link.stats.utilization(eng.now) <= 1.0
-        assert not link.stats.overcounted
+        assert link.stats.overcount_cycles == 0.0
 
 
 class TestPacketLink:

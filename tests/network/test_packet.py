@@ -44,7 +44,6 @@ def test_coherence_extension_types():
     assert inv_req.flit_count(16) == 1
     assert inv_rsp.bytes_required == 4
     assert inv_rsp.bytes_padded(16) == 12
-    assert PacketType.INV_RSP.is_response
     assert not PacketType.INV_REQ.is_ptw
 
 
@@ -62,10 +61,10 @@ def test_ptw_classification():
 
 
 def test_response_classification():
-    assert PacketType.READ_RSP.is_response
-    assert PacketType.WRITE_RSP.is_response
-    assert PacketType.PT_RSP.is_response
-    assert not PacketType.READ_REQ.is_response
+    # responses carry only the 4 B metadata; requests add the 8 B address
+    for ptype in (PacketType.READ_RSP, PacketType.WRITE_RSP, PacketType.PT_RSP):
+        assert HEADER_BYTES[ptype] == 4
+    assert HEADER_BYTES[PacketType.READ_REQ] == 12
 
 
 def test_default_payload_from_type():

@@ -18,7 +18,7 @@ from repro.shard.mailbox import (
     Mailbox,
 )
 from repro.shard.shard_system import ShardSystem
-from repro.shard.worker import ContextStash, serve
+from repro.shard.worker import serve
 from repro.sim.engine import Engine
 
 
@@ -118,7 +118,7 @@ class TestCollateOrdering:
         shard.topology.switches[3].receive_flit_from_network = (
             lambda flit: seen.append((shard.engine.now, flit.used_bytes))
         )
-        outbox, _status = serve(shard, ContextStash(3), ("window", 20, tuple(batches)))
+        outbox, _status = serve(shard, ("window", 20, tuple(batches)))
         assert outbox == {}
         return seen
 

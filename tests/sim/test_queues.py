@@ -128,7 +128,7 @@ def test_counters():
     q.pop()
     assert q.total_pushed == 2
     assert q.total_popped == 1
-    assert q.free_slots == 1
+    assert q.capacity - len(q) == 1
 
 
 @given(st.lists(st.sampled_from(["push", "pop"]), max_size=200), st.integers(1, 8))

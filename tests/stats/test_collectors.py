@@ -133,12 +133,12 @@ class TestRunStats:
         stats.record_read_request_bytes(8)
         stats.record_read_request_bytes(30)
         stats.record_read_request_bytes(64)
-        assert stats.fraction_requests_at_most(16) == pytest.approx(1 / 3)
-        assert stats.fraction_requests_at_most(32) == pytest.approx(2 / 3)
-        assert stats.fraction_requests_at_most(64) == pytest.approx(1.0)
+        # one read each at most 16, at most 32 and at most 64 bytes
+        hist = stats.read_req_bytes_hist
+        assert [hist[b] for b in (16, 32, 48, 64)] == [1, 1, 0, 1]
 
     def test_fraction_empty(self):
-        assert RunStats().fraction_requests_at_most(16) == 0.0
+        assert sum(RunStats().read_req_bytes_hist.values()) == 0
 
 
 class TestPercentileRanking:

@@ -50,7 +50,8 @@ def test_all_work_completes_under_every_config(label, sys_cfg, nc_cfg):
     assert result.stats.finish_cycle is not None
     for gpu in system.gpus.values():
         assert gpu.rdma.outstanding_writes == 0
-        assert gpu.gmmu.walkers_busy == 0
+        assert gpu.rdma._outstanding == {}
+        assert gpu.gmmu._walkers_busy == 0
         assert gpu.gmmu.walks_queued == 0
     for switch in system.topology.switches.values():
         assert switch.reassembly.pending_packets() == 0

@@ -97,7 +97,7 @@ def test_walker_pool_limits_parallelism():
     for i in range(6):
         h.gmmu.translate(0x1000 + i * 0x400, lambda p: None)
     h.engine.run(until=25)  # past L2 TLB + PWC latency of first dispatches
-    assert h.gmmu.walkers_busy <= 2
+    assert h.gmmu._walkers_busy <= 2
     h.engine.run()
     assert h.stats.ptw_walks == 6
 
