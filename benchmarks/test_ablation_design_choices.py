@@ -4,13 +4,13 @@ Not paper figures — these quantify the deviations the reproduction
 documents, so a reviewer can see what each one is worth.
 """
 
-from repro.experiments import ablations
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_ablation_scheduler(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        ablations.ablate_scheduler, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("abl_scheduler", exp), rounds=1, iterations=1
     )
     record_table(result)
     age = geometric_mean(result.series["age"])
@@ -23,7 +23,7 @@ def test_ablation_scheduler(benchmark, exp, record_table):
 
 def test_ablation_early_release(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        ablations.ablate_early_release, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("abl_early_release", exp), rounds=1, iterations=1
     )
     record_table(result)
     on = geometric_mean(result.series["early_release"])
@@ -33,7 +33,7 @@ def test_ablation_early_release(benchmark, exp, record_table):
 
 def test_ablation_pooling_grace(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        ablations.ablate_pooling_grace, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("abl_pooling_grace", exp), rounds=1, iterations=1
     )
     record_table(result)
     for name, values in result.series.items():
@@ -42,7 +42,7 @@ def test_ablation_pooling_grace(benchmark, exp, record_table):
 
 def test_ablation_search_depth(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        ablations.ablate_search_depth, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("abl_search_depth", exp), rounds=1, iterations=1
     )
     record_table(result)
     shallow = result.series["depth_1"]
@@ -54,7 +54,7 @@ def test_ablation_search_depth(benchmark, exp, record_table):
 
 def test_ablation_cq_capacity(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        ablations.ablate_cq_capacity, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("abl_cq_capacity", exp), rounds=1, iterations=1
     )
     record_table(result)
     small = geometric_mean(result.series["cq_64"])

@@ -1,12 +1,12 @@
 """Extension: the energy implication of NetCrafter's traffic reduction."""
 
-from repro.experiments import extensions
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_ext_energy(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        extensions.ext_energy, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("ext_energy", exp), rounds=1, iterations=1
     )
     record_table(result)
     network = geometric_mean(result.series["network_energy"])

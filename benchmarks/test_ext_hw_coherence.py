@@ -5,13 +5,13 @@ gives Stitching additional opportunities, and that NetCrafter keeps its
 gains under a hardware-coherent baseline.
 """
 
-from repro.experiments import extensions
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_ext_hw_coherence(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        extensions.ext_hw_coherence, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("ext_coherence", exp), rounds=1, iterations=1
     )
     record_table(result)
     nc_sw = geometric_mean(result.series["nc_over_sw"])
@@ -28,7 +28,7 @@ def test_ext_hw_coherence(benchmark, exp, record_table):
 
 def test_ext_coherence_traffic(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        extensions.ext_coherence_traffic, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("ext_coherence_traffic", exp), rounds=1, iterations=1
     )
     record_table(result)
     # write-heavy sharing workloads generate invalidations

@@ -6,12 +6,12 @@ four-cluster nodes and on a ring inter-cluster fabric with multi-hop
 routing.
 """
 
-from repro.experiments import extensions
+from repro.experiments import run_figure
 
 
 def test_ext_scaling(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        extensions.ext_scaling, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("ext_scaling", exp), rounds=1, iterations=1
     )
     record_table(result)
     speedups = dict(zip(result.labels, result.series["netcrafter"]))

@@ -4,12 +4,12 @@ Paper: the ideal configuration averages ~1.5x over the non-uniform
 baseline, showing the lower-bandwidth network is the bottleneck.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig03_ideal_speedup(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig3_ideal_speedup, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig3", exp), rounds=1, iterations=1
     )
     record_table(result)
     speedups = result.series["ideal_speedup"]

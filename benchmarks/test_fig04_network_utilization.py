@@ -4,12 +4,12 @@ Paper: the non-uniform configuration runs the lower-bandwidth links hot
 (congestion); the ideal configuration sits far below saturation.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig04_network_utilization(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig4_network_utilization, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig4", exp), rounds=1, iterations=1
     )
     record_table(result)
     non_uniform = result.series["non_uniform"]

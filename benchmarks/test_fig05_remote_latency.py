@@ -5,12 +5,12 @@ non-uniform baseline's (normalized to 1.0), because congestion at the
 lower-bandwidth network inflates queueing delay.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig05_remote_latency(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig5_remote_latency, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig5", exp), rounds=1, iterations=1
     )
     record_table(result)
     ideal = result.series["ideal"]

@@ -4,12 +4,12 @@ Paper: on average ~42% of lower-bandwidth-network flits carry 25% or
 75% padding, the headroom Stitching reclaims.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig06_flit_occupancy(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig6_flit_occupancy, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig6", exp), rounds=1, iterations=1
     )
     record_table(result)
     either = [v for v in result.series["either"] if v > 0]

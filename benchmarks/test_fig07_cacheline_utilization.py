@@ -5,12 +5,12 @@ Paper: the sparse workloads (GUPS, SPMV, MIS, PR) need <=16 bytes of the
 while streaming workloads need the whole line.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig07_cacheline_utilization(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig7_cacheline_utilization, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig7", exp), rounds=1, iterations=1
     )
     record_table(result)
     le16 = dict(zip(result.labels, result.series["<= 16B"]))

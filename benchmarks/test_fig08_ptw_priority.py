@@ -4,13 +4,13 @@ Paper: prioritizing PTW-related accesses improves performance while
 prioritizing the same fraction of data accesses does not (Observation 3).
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_fig08_ptw_priority(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig8_ptw_priority, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig8", exp), rounds=1, iterations=1
     )
     record_table(result)
     ptw = geometric_mean(result.series["prioritize_ptw"])

@@ -5,12 +5,12 @@ small enough that prioritizing them costs data traffic little
 (Observation 4).
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig09_ptw_fraction(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig9_ptw_fraction, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig9", exp), rounds=1, iterations=1
     )
     record_table(result)
     fractions = result.series["ptw"]

@@ -4,12 +4,12 @@ Paper: pooling significantly raises the stitched fraction by waiting for
 candidates to arrive.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig12_stitch_rate(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig12_stitch_rate, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig12", exp), rounds=1, iterations=1
     )
     record_table(result)
     without = result.series["stitching"]

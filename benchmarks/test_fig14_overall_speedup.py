@@ -6,13 +6,13 @@ sector-cache alternative helps the sparse workloads but hurts workloads
 with spatial locality.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_fig14_overall_speedup(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig14_overall_speedup, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig14", exp), rounds=1, iterations=1
     )
     record_table(result)
     stitch = result.series["stitching"]

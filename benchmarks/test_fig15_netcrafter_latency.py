@@ -3,13 +3,13 @@
 Paper: traffic reduction lowers average inter-cluster access latency.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_fig15_netcrafter_latency(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig15_netcrafter_latency, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig15", exp), rounds=1, iterations=1
     )
     record_table(result)
     crafted = result.series["netcrafter"]

@@ -5,12 +5,12 @@ locality because every fill is partial, while Trimming (inter-cluster
 fills only) stays close to the baseline.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig16_l1_mpki(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig16_l1_mpki, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig16", exp), rounds=1, iterations=1
     )
     record_table(result)
     baseline = result.series["baseline"]

@@ -4,12 +4,12 @@ Paper: selective Trimming keeps MPKI below the all-trimming sector
 approach at every granularity, and coarser granularity lowers MPKI.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig17_trim_granularity(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig17_trim_granularity, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig17", exp), rounds=1, iterations=1
     )
     record_table(result)
     trim = result.series["trimming"]

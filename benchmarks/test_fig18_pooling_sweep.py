@@ -4,13 +4,13 @@ Paper: 32 cycles is the sweet spot; longer windows add latency faster
 than they add stitching, and some workloads degrade even at 32.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_fig18_pooling_sweep(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig18_pooling_sweep, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig18", exp), rounds=1, iterations=1
     )
     record_table(result)
     means = {

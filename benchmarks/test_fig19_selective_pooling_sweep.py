@@ -4,13 +4,13 @@ Paper: exempting PTW flits removes the pathological degradations of
 plain pooling; 32 cycles remains the sweet spot.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_fig19_selective_pooling_sweep(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig19_selective_pooling_sweep, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig19", exp), rounds=1, iterations=1
     )
     record_table(result)
     means = {
@@ -26,8 +26,8 @@ def test_fig19_selective_beats_plain_pooling(benchmark, exp):
     """Cross-check of the paper's Fig 18 vs 19 story: selective >= plain."""
 
     def compare():
-        plain = figures.fig18_pooling_sweep(exp, windows=(32,))
-        selective = figures.fig19_selective_pooling_sweep(exp, windows=(32,))
+        plain = run_figure("fig18", exp, windows=(32,))
+        selective = run_figure("fig19", exp, windows=(32,))
         return (
             geometric_mean(plain.series["pool_32"]),
             geometric_mean(selective.series["pool_32"]),

@@ -4,12 +4,12 @@ Paper: Stitching saves a meaningful fraction of wire bytes; Selective
 Flit Pooling adds more, with savings flattening as the window grows.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig20_byte_reduction(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig20_byte_reduction, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig20", exp), rounds=1, iterations=1
     )
     record_table(result)
 

@@ -4,13 +4,13 @@ Paper: smaller flits leave less padding per flit, so stitching's benefit
 shrinks — but remains positive.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 from repro.stats.report import geometric_mean
 
 
 def test_fig21_flit_size(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig21_flit_size, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig21", exp), rounds=1, iterations=1
     )
     record_table(result)
     big = geometric_mean(result.series["flit_16B"])

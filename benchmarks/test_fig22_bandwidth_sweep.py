@@ -5,12 +5,12 @@ higher absolute bandwidths, and a homogeneous 32/32 setup), largest in
 the most bandwidth-constrained ones.
 """
 
-from repro.experiments import figures
+from repro.experiments import run_figure
 
 
 def test_fig22_bandwidth_sweep(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        figures.fig22_bandwidth_sweep, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("fig22", exp), rounds=1, iterations=1
     )
     record_table(result)
     speedups = dict(zip(result.labels, result.series["netcrafter"]))

@@ -5,12 +5,12 @@ accesses and balances remote traffic, so the network bottleneck is not
 a placement artifact.  This bench reproduces that analysis.
 """
 
-from repro.experiments import extensions
+from repro.experiments import run_figure
 
 
 def test_sec51_placement_soundness(benchmark, exp, record_table):
     result = benchmark.pedantic(
-        extensions.ext_placement, args=(exp,), rounds=1, iterations=1
+        run_figure, args=("ext_placement", exp), rounds=1, iterations=1
     )
     record_table(result)
     lasp = result.series["local_lasp"]

@@ -21,7 +21,12 @@ from typing import Dict, List, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.shard.build import ShardingOptions, build_node
+from repro.shard.build import (
+    ShardingOptions,
+    add_sharding_arguments,
+    build_node,
+    sharding_from_args,
+)
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
@@ -320,18 +325,7 @@ def main(argv=None) -> int:
         "default mesh, the paper fabric, on the historical 2x2 node)",
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="run every point as N cluster shards (default 1: single engine)",
-    )
-    parser.add_argument(
-        "--parallel",
-        action="store_true",
-        help="shards in worker processes (default: sequential round-robin)",
-    )
+    add_sharding_arguments(parser)
     parser.add_argument(
         "--expect-digest",
         metavar="HEX",
@@ -361,12 +355,12 @@ def main(argv=None) -> int:
         )
         return 2
     grid_key = _grid_key(args.quick, args.topology, args.collective)
-    sharding = ShardingOptions(n_shards=args.shards, parallel=args.parallel)
+    sharding = sharding_from_args(parser, args)
     results, events, cycles = run_smoke_grid(
         quick=args.quick,
         seed=args.seed,
-        n_shards=args.shards,
-        parallel=args.parallel,
+        n_shards=sharding.n_shards,
+        parallel=sharding.parallel,
         topology=args.topology,
         collective=args.collective,
     )

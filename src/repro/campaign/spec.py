@@ -21,7 +21,8 @@ Schema (all keys optional except that at least one point must result)::
         "seeds": [0],                #   then seed
         "scale": "small",            # "tiny"|"small"|"default" or {...fields}
         "system": {...},             # SystemConfig field overrides
-        "faults": {...}              # FaultConfig fields
+        "faults": {...}              # FaultConfig fields; each of "flaps"
+                                     #   a [start, end, factor] list
       },
       "points": [                    # and/or explicit points, same keys
         {"workload": "gups", "variant": "full", "seed": 1}
@@ -51,8 +52,9 @@ from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.cache import descriptor_fingerprint, point_descriptors
 from repro.experiments.runner import ExperimentPoint
+from repro.faults.config import FaultConfig, FlapWindow
 from repro.workloads.base import Scale
-from repro.workloads.registry import all_workload_names
+from repro.workloads.registry import WORKLOADS
 
 #: campaign priorities are clamped to this inclusive range
 MIN_PRIORITY, MAX_PRIORITY = 0, 100
@@ -127,6 +129,17 @@ def _build_netcrafter(value, where: str) -> NetCrafterConfig:
         raise CampaignSpecError(f"{where}: {exc}") from exc
 
 
+def _fault_config(data: Dict[str, object]) -> FaultConfig:
+    """A :class:`FaultConfig` from JSON data, where each flap window is a
+    ``[start, end, factor]`` list or a ``{start, end, factor}`` object."""
+    data = dict(data)
+    data["flaps"] = tuple(
+        FlapWindow(**window) if isinstance(window, dict) else FlapWindow(*window)
+        for window in data.get("flaps", ())
+    )
+    return FaultConfig(**data)
+
+
 def _build_system(
     overrides: Optional[dict],
     faults: Optional[dict],
@@ -145,14 +158,12 @@ def _build_system(
             )
         merged["inter_topology"] = topology
     if faults:
-        from repro.faults.config import FaultConfig
-
         fault_fields = {f.name for f in dataclasses.fields(FaultConfig)}
-        unknown = set(faults) - fault_fields
+        unknown = set(_require_mapping(faults, f"{where}.faults")) - fault_fields
         if unknown:
             raise CampaignSpecError(f"{where}: unknown fault fields {sorted(unknown)}")
         try:
-            merged["faults"] = FaultConfig(**faults)
+            merged["faults"] = _fault_config(faults)
         except (TypeError, ValueError) as exc:
             raise CampaignSpecError(f"{where}: bad faults block: {exc}") from exc
     # torus_dims and link_bw_overrides arrive as JSON lists; SystemConfig
@@ -175,10 +186,9 @@ def _build_system(
 
 
 def _check_workload(name, where: str) -> str:
-    known = all_workload_names()
-    if name not in known:
+    if not isinstance(name, str) or name not in WORKLOADS:
         raise CampaignSpecError(
-            f"{where}: unknown workload {name!r} (one of: {', '.join(known)})"
+            f"{where}: unknown workload {name!r} (one of: {', '.join(WORKLOADS)})"
         )
     return name
 
@@ -254,7 +264,8 @@ def _expand_grid(grid: dict, where: str) -> List[ExperimentPoint]:
     return points
 
 
-def _expand_point(entry: dict, where: str) -> ExperimentPoint:
+def expand_point(entry: dict, where: str = "point") -> ExperimentPoint:
+    """The normalized point one ``points`` entry declares."""
     allowed = {"workload", "variant", "scale", "seed", "system", "faults", "topology"}
     unknown = set(entry) - allowed
     if unknown:
@@ -294,7 +305,7 @@ def parse_campaign(data: dict, default_name: str = "campaign") -> CampaignSpec:
     if "grid" in data:
         points.extend(_expand_grid(_require_mapping(data["grid"], "grid"), "grid"))
     for index, entry in enumerate(data.get("points", ())):
-        points.append(_expand_point(_require_mapping(entry, f"points[{index}]"), f"points[{index}]"))
+        points.append(expand_point(_require_mapping(entry, f"points[{index}]"), f"points[{index}]"))
     if not points:
         raise CampaignSpecError("campaign expands to zero points")
 
@@ -327,23 +338,12 @@ def point_from_descriptor(descriptor: Dict[str, object]) -> ExperimentPoint:
     pruned, not just re-serve surviving ones.  The round trip is exact:
     the rebuilt point fingerprints identically to the original.
     """
-    from repro.core.config import PriorityMode
-    from repro.faults.config import FaultConfig, FlapWindow
-
     system_data = dict(descriptor["system"])
-    faults_data = dict(system_data.pop("faults"))
-    faults_data["flaps"] = tuple(
-        FlapWindow(**window) for window in faults_data.get("flaps", ())
-    )
-    system_data["faults"] = FaultConfig(**faults_data)
-    netcrafter_data = dict(descriptor["netcrafter"])
-    mode = netcrafter_data.get("priority_mode")
-    if not isinstance(mode, PriorityMode):
-        netcrafter_data["priority_mode"] = PriorityMode(mode)
+    system_data["faults"] = _fault_config(system_data["faults"])
     return ExperimentPoint(
         workload=descriptor["workload"],
         system=SystemConfig(**system_data),
-        netcrafter=NetCrafterConfig(**netcrafter_data),
+        netcrafter=NetCrafterConfig(**descriptor["netcrafter"]),
         scale=Scale(**descriptor["scale"]),
         seed=int(descriptor["seed"]),
     ).normalized()

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 from repro.ckpt.smoke import child_resume, child_run_killed, run_smoke
+from repro.shard.build import add_sharding_arguments, sharding_from_args
 
 
 def main(argv=None) -> int:
@@ -47,24 +48,7 @@ def main(argv=None) -> int:
         default="mesh",
         help="topology-zoo shape to sweep (default: mesh)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="number of cluster shards (default: 1 = single engine)",
-    )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
-        "--parallel",
-        action="store_true",
-        help="drive shards as worker processes",
-    )
-    mode.add_argument(
-        "--sequential",
-        dest="parallel",
-        action="store_false",
-        help="drive shards sequentially in-process (default)",
-    )
+    add_sharding_arguments(parser)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--snapshot-dir",
@@ -94,11 +78,12 @@ def main(argv=None) -> int:
     if not args.smoke:
         parser.print_help()
         return 2
+    sharding = sharding_from_args(parser, args)
     return run_smoke(
         args.quick,
         topology=args.topology,
-        n_shards=args.shards,
-        parallel=args.parallel,
+        n_shards=sharding.n_shards,
+        parallel=sharding.parallel,
         seed=args.seed,
         snapshot_dir=Path(args.snapshot_dir),
         expect_file=args.expect_file or None,

@@ -69,6 +69,23 @@ class NetCrafterConfig:
     #: flit instead of letting the link sit idle (DESIGN.md §6 deviation 4)
     pooling_grace: int = 8
 
+    def __post_init__(self) -> None:
+        # campaign specs and journals spell the mode by its value; coerce
+        # it so a spelled and an enum config simulate (and fingerprint)
+        # the same run
+        try:
+            mode = PriorityMode(self.priority_mode)
+        except ValueError:
+            raise ValueError(
+                f"priority_mode must be one of "
+                f"{[m.value for m in PriorityMode]}, got {self.priority_mode!r}"
+            ) from None
+        object.__setattr__(self, "priority_mode", mode)
+        if self.scheduler not in ("age", "rr"):
+            raise ValueError(
+                f"scheduler must be 'age' or 'rr', got {self.scheduler!r}"
+            )
+
     @property
     def effective_priority(self) -> PriorityMode:
         """Sequencing implies PTW priority unless explicitly overridden."""

@@ -1,18 +1,21 @@
-"""Experiment harness: per-figure drivers regenerating the paper's results.
+"""Experiment harness: the paper's figures as campaigns.
 
-Also includes design-choice ablations (:mod:`repro.experiments.ablations`),
-extension studies (:mod:`repro.experiments.extensions`), and a full
-markdown report generator (:mod:`repro.experiments.report`).  Run any of
+Every figure, design-choice ablation (:mod:`repro.experiments.ablations`)
+and extension study (:mod:`repro.experiments.extensions`) is one entry of
+:data:`FIGURES`; :func:`run_figure` regenerates any of them, and
+:func:`generate_report` renders the full markdown report.  Run any of
 them from the command line with ``python -m repro.experiments``.
 """
 
-from repro.experiments.runner import run_one, run_pair, ExperimentScale
+from repro.experiments.runner import ExperimentScale
 from repro.experiments import ablations, extensions, figures
+from repro.experiments.registry import FIGURES, figure_campaign, run_figure
 from repro.experiments.report import generate_report
 
 __all__ = [
-    "run_one",
-    "run_pair",
+    "FIGURES",
+    "figure_campaign",
+    "run_figure",
     "ExperimentScale",
     "figures",
     "ablations",

@@ -19,47 +19,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import partial
-from typing import Callable, Dict
 
-from repro.experiments import ablations, chaos, collective, extensions, figures, runner
+from repro.experiments import chaos, figures, runner
 from repro.experiments.cache import ResultCache, default_cache_dir
+from repro.experiments.registry import FIGURES, run_figure
 from repro.experiments.report import generate_report
 from repro.experiments.runner import ExperimentScale
+from repro.shard.build import add_sharding_arguments, sharding_from_args
 from repro.workloads.base import Scale
-
-DRIVERS: Dict[str, Callable] = {
-    "fig3": figures.fig3_ideal_speedup,
-    "fig4": figures.fig4_network_utilization,
-    "fig5": figures.fig5_remote_latency,
-    "fig6": figures.fig6_flit_occupancy,
-    "fig7": figures.fig7_cacheline_utilization,
-    "fig8": figures.fig8_ptw_priority,
-    "fig9": figures.fig9_ptw_fraction,
-    "fig12": figures.fig12_stitch_rate,
-    "fig14": figures.fig14_overall_speedup,
-    "fig15": figures.fig15_netcrafter_latency,
-    "fig16": figures.fig16_l1_mpki,
-    "fig17": figures.fig17_trim_granularity,
-    "fig18": figures.fig18_pooling_sweep,
-    "fig19": figures.fig19_selective_pooling_sweep,
-    "fig20": figures.fig20_byte_reduction,
-    "fig21": figures.fig21_flit_size,
-    "fig22": figures.fig22_bandwidth_sweep,
-    "abl_scheduler": ablations.ablate_scheduler,
-    "abl_early_release": ablations.ablate_early_release,
-    "abl_pooling_grace": ablations.ablate_pooling_grace,
-    "abl_search_depth": ablations.ablate_search_depth,
-    "abl_cq_capacity": ablations.ablate_cq_capacity,
-    "ext_coherence": extensions.ext_hw_coherence,
-    "ext_coherence_traffic": extensions.ext_coherence_traffic,
-    "ext_scaling": extensions.ext_scaling,
-    "ext_topology": extensions.ext_topology,
-    "ext_placement": extensions.ext_placement,
-    "ext_energy": extensions.ext_energy,
-    "ext_collective": collective.ext_collective,
-    "chaos": chaos.chaos_ber_sweep,
-}
 
 SCALES = {
     "quick": ExperimentScale.quick,
@@ -133,28 +100,7 @@ def main(argv=None) -> int:
         action="store_true",
         help="disable the persistent result cache for this invocation",
     )
-    shard_group = parser.add_argument_group(
-        "sharding",
-        "intra-run cluster sharding: split each simulation into "
-        "per-cluster shards advancing in conservative lookahead windows; "
-        "results are byte-identical to the single-engine run (use --jobs "
-        "instead when there are many independent points to spread)",
-    )
-    shard_group.add_argument(
-        "--shards",
-        type=int,
-        default=env_sharding.n_shards,
-        metavar="N",
-        help="simulate each point as N cluster shards in worker processes "
-        "(must divide the config's cluster count; default: $REPRO_SHARDS "
-        "or 1)",
-    )
-    shard_group.add_argument(
-        "--sequential-shards",
-        action="store_true",
-        help="drive the shards round-robin in this process instead of "
-        "worker processes (debugging / digest comparisons)",
-    )
+    add_sharding_arguments(parser, default=env_sharding.n_shards)
     topo_group = parser.add_argument_group(
         "topology",
         "re-run any target on a different inter-cluster fabric from the "
@@ -357,10 +303,7 @@ def main(argv=None) -> int:
                 profile=args.profile,
                 out_dir=args.obs_dir,
             ),
-            sharding=runner.ShardingOptions(
-                n_shards=args.shards,
-                parallel=False if args.sequential_shards else None,
-            ),
+            sharding=sharding_from_args(parser, args),
             checkpointing=checkpointing,
             system_overrides=overrides,
         )
@@ -374,7 +317,7 @@ def main(argv=None) -> int:
 
     if args.targets == ["list"]:
         print("available targets:")
-        for name in ["tables", "report"] + list(DRIVERS):
+        for name in ["tables", "report"] + list(FIGURES):
             print(f"  {name}")
         return 0
 
@@ -390,9 +333,9 @@ def main(argv=None) -> int:
             + (f", resuming from {args.resume_from}" if args.resume_from else "")
         )
     exp = SCALES[args.scale]()
-    # bind this invocation's --fault-* options to the chaos target only
-    drivers = {**DRIVERS, "chaos": partial(chaos.chaos_ber_sweep, opts=chaos_opts)}
-    targets = list(drivers) + ["tables"] if args.targets == ["all"] else args.targets
+    # this invocation's --fault-* options shape the chaos target only
+    params = {"chaos": {"opts": chaos_opts}}
+    targets = list(FIGURES) + ["tables"] if args.targets == ["all"] else args.targets
     for target in targets:
         if target == "tables":
             _print_tables()
@@ -404,11 +347,10 @@ def main(argv=None) -> int:
             generate_report(exp, path=args.output)
             print(f"report written to {args.output}")
             continue
-        driver = drivers.get(target)
-        if driver is None:
+        if target not in FIGURES:
             print(f"unknown target {target!r}; try 'list'", file=sys.stderr)
             return 2
-        print(driver(exp).to_table())
+        print(run_figure(target, exp, **params.get(target, {})).to_table())
         print()
     if runner.run_stats.points:
         print("== run summary ==")

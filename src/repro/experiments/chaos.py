@@ -10,7 +10,7 @@ trimming remain wins when flits can be corrupted in flight: stitching
 concentrates more useful bytes per wire flit, so a lost flit costs
 more, but it also sends *fewer* flits through the bit-error process.
 
-Deterministic like every other driver: the fault processes draw from a
+Deterministic like every other figure: the fault processes draw from a
 counter-based RNG keyed on packet content, so each (workload, config,
 seed) point is cache-correct and shard-mode independent.
 """
@@ -22,8 +22,7 @@ from typing import Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.figures import Arms, Figure, FigureResult, Table, arm
 from repro.faults.config import FaultConfig, FlapWindow
 
 
@@ -48,23 +47,27 @@ def _fault_system(ber: float, opts: ChaosOptions) -> SystemConfig:
     )
 
 
-def chaos_ber_sweep(
-    exp: Optional[ExperimentScale] = None, opts: Optional[ChaosOptions] = None
-) -> FigureResult:
-    """BER sweep x {baseline, NetCrafter} on the first workload of ``exp``,
-    shaped by ``opts`` (the default :class:`ChaosOptions` when omitted)."""
-    exp = exp or ExperimentScale.quick()
-    opts = opts or ChaosOptions()
-    workload = exp.workload_names()[0]
-    systems = [_fault_system(ber, opts) for ber in opts.bers]
-    variants = [
-        (system, netcrafter)
-        for system in systems
-        for netcrafter in (NetCrafterConfig.baseline(), NetCrafterConfig.full())
-    ]
-    prefetch_variants(exp, variants, workloads=[workload])
+def _label(ber: float) -> str:
+    return f"ber={ber:g}"
 
-    labels = [f"ber={ber:g}" for ber in opts.bers]
+
+def _arms(opts: Optional[ChaosOptions] = None) -> Arms:
+    """{baseline, full NetCrafter} at every BER point of ``opts`` (the
+    default :class:`ChaosOptions` when omitted)."""
+    opts = opts or ChaosOptions()
+    arms: Arms = {}
+    for ber in opts.bers:
+        system = _fault_system(ber, opts)
+        arms[f"base@{_label(ber)}"] = arm(system)
+        arms[f"nc@{_label(ber)}"] = arm(system, NetCrafterConfig.full())
+    return arms
+
+
+def _reduce(table: Table, opts: Optional[ChaosOptions] = None) -> FigureResult:
+    """BER sweep x {baseline, NetCrafter} on the first workload."""
+    opts = opts or ChaosOptions()
+    (workload,) = table.workloads
+    labels = [_label(ber) for ber in opts.bers]
     series = {
         "base_cycles": [],
         "nc_cycles": [],
@@ -75,21 +78,9 @@ def chaos_ber_sweep(
         "nc_retransmit": [],
         "nc_recovery_p50": [],
     }
-    for system in systems:
-        base = run_one(
-            workload,
-            system=system,
-            netcrafter=NetCrafterConfig.baseline(),
-            scale=exp.scale,
-            seed=exp.seed,
-        )
-        full = run_one(
-            workload,
-            system=system,
-            netcrafter=NetCrafterConfig.full(),
-            scale=exp.scale,
-            seed=exp.seed,
-        )
+    for label in labels:
+        base = table[workload, f"base@{label}"]
+        full = table[workload, f"nc@{label}"]
         faults = full.stats.faults
         series["base_cycles"].append(float(base.cycles))
         series["nc_cycles"].append(float(full.cycles))
@@ -122,3 +113,6 @@ def chaos_ber_sweep(
         + " on this unreliable fabric"
     )
     return result
+
+
+CHAOS = Figure(_arms, _reduce, workloads=lambda exp: exp.workload_names()[:1])

@@ -3,7 +3,7 @@
 NetCrafter's mechanisms — parent-request stitching, PTW sequencing,
 trimming — were designed against Table 3's compute kernels, whose
 remote traffic is sparse and poorly packed.  Bulk collectives are the
-opposite regime: dense, full-line, highly regular pulls.  This driver
+opposite regime: dense, full-line, highly regular pulls.  This figure
 sweeps the collective family (:mod:`repro.workloads.collective`) across
 {workload x fabric x baseline/NetCrafter} and asks the extension
 question directly: *do stitching and PTW sequencing help or hurt bulk
@@ -17,12 +17,11 @@ answer is the ``nc_speedup`` series.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.figures import Arms, Figure, FigureResult, Table, arm
 from repro.stats.report import RunResult, geometric_mean
 from repro.workloads.registry import collective_workload_names
 
@@ -60,7 +59,16 @@ def _phase_note(label: str, run: RunResult) -> str:
     return f"{label} phases — " + "; ".join(parts)
 
 
-def ext_collective(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _arms() -> Arms:
+    arms: Arms = {}
+    for fabric in COLLECTIVE_TOPOLOGIES:
+        system = collective_system(fabric)
+        arms[f"base@{fabric}"] = arm(system)
+        arms[f"nc@{fabric}"] = arm(system, NetCrafterConfig.full())
+    return arms
+
+
+def _reduce(table: Table) -> FigureResult:
     """The collective sweep: {workload x fabric x baseline/NetCrafter}.
 
     Series, per ``workload@fabric`` label:
@@ -72,23 +80,6 @@ def ext_collective(exp: Optional[ExperimentScale] = None) -> FigureResult:
     * ``stitch_rate`` — fraction of egress flits stitched under
       NetCrafter (how much the mechanism even fires on dense traffic).
     """
-    exp = exp or ExperimentScale.standard()
-    workloads = collective_workload_names()
-    exp = ExperimentScale(
-        scale=exp.scale, workloads=tuple(workloads), seed=exp.seed
-    )
-    nc = NetCrafterConfig.full()
-    prefetch_variants(
-        exp,
-        [
-            variant
-            for fabric in COLLECTIVE_TOPOLOGIES
-            for variant in (
-                (collective_system(fabric), None),
-                (collective_system(fabric), nc),
-            )
-        ],
-    )
     labels: List[str] = []
     series: Dict[str, List[float]] = {
         "base_cycles": [],
@@ -99,12 +90,9 @@ def ext_collective(exp: Optional[ExperimentScale] = None) -> FigureResult:
     speedups_by_fabric: Dict[str, List[float]] = {}
     phase_notes: List[str] = []
     for fabric in COLLECTIVE_TOPOLOGIES:
-        system = collective_system(fabric)
-        for name in workloads:
-            base = run_one(name, system=system, scale=exp.scale, seed=exp.seed)
-            crafted = run_one(
-                name, system=system, netcrafter=nc, scale=exp.scale, seed=exp.seed
-            )
+        for name in table.workloads:
+            base = table[name, f"base@{fabric}"]
+            crafted = table[name, f"nc@{fabric}"]
             label = f"{name}@{fabric}"
             labels.append(label)
             series["base_cycles"].append(float(base.cycles))
@@ -130,3 +118,6 @@ def ext_collective(exp: Optional[ExperimentScale] = None) -> FigureResult:
         f"geomean nc_speedup by fabric: {geomeans}. " + " | ".join(phase_notes)
     )
     return result
+
+
+COLLECTIVE = Figure(_arms, _reduce, workloads=lambda exp: collective_workload_names())

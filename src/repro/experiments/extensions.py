@@ -8,12 +8,11 @@ and the Section 5.1 placement-soundness analysis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.figures import Arms, BASE, Figure, FigureResult, Table, arm, speedups
 from repro.gpu.system import MultiGpuSystem
 from repro.stats.report import geometric_mean
 from repro.vm.alternative_placement import (
@@ -23,8 +22,21 @@ from repro.vm.alternative_placement import (
 )
 from repro.workloads.registry import get_workload
 
+#: the hardware-coherence node of the coherence extensions
+HW_COHERENCE = SystemConfig.default().with_overrides(coherence="hardware")
 
-def ext_hw_coherence(exp: Optional[ExperimentScale] = None) -> FigureResult:
+
+def _coherence_arms() -> Arms:
+    nc = NetCrafterConfig.full()
+    return {
+        "sw": BASE,
+        "sw_nc": arm(netcrafter=nc),
+        "hw": arm(HW_COHERENCE),
+        "hw_nc": arm(HW_COHERENCE, nc),
+    }
+
+
+def _coherence(table: Table) -> FigureResult:
     """NetCrafter under software vs hardware coherence.
 
     Series (all speedups are over the matching coherence baseline, so the
@@ -36,31 +48,16 @@ def ext_hw_coherence(exp: Optional[ExperimentScale] = None) -> FigureResult:
     * ``stitch_rate_sw`` / ``stitch_rate_hw`` — the fraction of egress
       flits stitched under each coherence model.
     """
-    exp = exp or ExperimentScale.standard()
-    sw = SystemConfig.default()
-    hw = sw.with_overrides(coherence="hardware")
-    nc = NetCrafterConfig.full()
     series: Dict[str, List[float]] = {
-        "nc_over_sw": [],
-        "nc_over_hw": [],
-        "stitch_rate_sw": [],
-        "stitch_rate_hw": [],
+        "nc_over_sw": speedups(table, "sw_nc", "sw"),
+        "nc_over_hw": speedups(table, "hw_nc", "hw"),
+        "stitch_rate_sw": [table[n, "sw_nc"].stitch_rate() for n in table.workloads],
+        "stitch_rate_hw": [table[n, "hw_nc"].stitch_rate() for n in table.workloads],
     }
-    labels = exp.workload_names()
-    prefetch_variants(exp, [(sw, None), (sw, nc), (hw, None), (hw, nc)])
-    for name in labels:
-        sw_base = run_one(name, system=sw, scale=exp.scale, seed=exp.seed)
-        sw_nc = run_one(name, system=sw, netcrafter=nc, scale=exp.scale, seed=exp.seed)
-        hw_base = run_one(name, system=hw, scale=exp.scale, seed=exp.seed)
-        hw_nc = run_one(name, system=hw, netcrafter=nc, scale=exp.scale, seed=exp.seed)
-        series["nc_over_sw"].append(sw_nc.speedup_over(sw_base))
-        series["nc_over_hw"].append(hw_nc.speedup_over(hw_base))
-        series["stitch_rate_sw"].append(sw_nc.stitch_rate())
-        series["stitch_rate_hw"].append(hw_nc.stitch_rate())
     result = FigureResult(
         "ext_coherence",
         "Full NetCrafter under software vs hardware coherence",
-        labels,
+        table.workloads,
         series,
     )
     result.notes = (
@@ -69,6 +66,30 @@ def ext_hw_coherence(exp: Optional[ExperimentScale] = None) -> FigureResult:
         "adds stitching candidates (Section 4.5 future work)"
     )
     return result
+
+
+def _coherence_traffic_arms() -> Arms:
+    return {"sw": BASE, "hw": arm(HW_COHERENCE)}
+
+
+def _coherence_traffic(table: Table) -> FigureResult:
+    """How much invalidation traffic hardware coherence generates."""
+    inv_per_kop = []
+    for name in table.workloads:
+        hw_base = table[name, "hw"]
+        ops = max(1, hw_base.stats.mem_ops)
+        inv_per_kop.append(1000.0 * hw_base.stats.coherence_inv_sent / ops)
+    return FigureResult(
+        "ext_coherence_traffic",
+        "Hardware-coherence invalidations per kilo-op, and its raw cost",
+        table.workloads,
+        {
+            "inv_per_kop": inv_per_kop,
+            "hw_over_sw_baseline": speedups(table, "hw", "sw"),
+        },
+        notes="hw coherence trades invalidation traffic for warm L1s "
+        "across kernel boundaries",
+    )
 
 
 #: topology points for the scaling study: (clusters, gpus/cluster, fabric)
@@ -80,7 +101,23 @@ SCALING_TOPOLOGIES = [
 ]
 
 
-def ext_scaling(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _scaling_labels() -> List[str]:
+    return [f"{c}x{g}_{fabric}" for c, g, fabric in SCALING_TOPOLOGIES]
+
+
+def _scaling_arms() -> Arms:
+    arms: Arms = {}
+    for (clusters, gpus, fabric), label in zip(SCALING_TOPOLOGIES, _scaling_labels()):
+        system = SystemConfig.default().with_overrides(
+            n_clusters=clusters, gpus_per_cluster=gpus, inter_topology=fabric
+        )
+        arms[f"base@{label}"] = arm(system)
+        arms[f"ideal@{label}"] = arm(SystemConfig.ideal(system))
+        arms[f"netcrafter@{label}"] = arm(system, NetCrafterConfig.full())
+    return arms
+
+
+def _scaling(table: Table) -> FigureResult:
     """NetCrafter as the node grows beyond the paper's 2x2 (extension).
 
     For each topology: the ideal network's headroom over the non-uniform
@@ -88,52 +125,18 @@ def ext_scaling(exp: Optional[ExperimentScale] = None) -> FigureResult:
     the workload set).  The ring point shows NetCrafter surviving
     multi-hop store-and-forward routing.
     """
-    exp = exp or ExperimentScale.standard()
-    nc = NetCrafterConfig.full()
-    labels, ideal_series, crafted_series = [], [], []
-    prefetch_variants(
-        exp,
-        [
-            variant
-            for clusters, gpus, fabric in SCALING_TOPOLOGIES
-            for system in (
-                SystemConfig.default().with_overrides(
-                    n_clusters=clusters, gpus_per_cluster=gpus, inter_topology=fabric
-                ),
-            )
-            for variant in (
-                (system, None),
-                (SystemConfig.ideal(system), None),
-                (system, nc),
-            )
-        ],
-    )
-    for clusters, gpus, fabric in SCALING_TOPOLOGIES:
-        system = SystemConfig.default().with_overrides(
-            n_clusters=clusters, gpus_per_cluster=gpus, inter_topology=fabric
-        )
-        ideal_speedups, crafted_speedups = [], []
-        for name in exp.workload_names():
-            base = run_one(name, system=system, scale=exp.scale, seed=exp.seed)
-            ideal = run_one(
-                name,
-                system=SystemConfig.ideal(system),
-                scale=exp.scale,
-                seed=exp.seed,
-            )
-            crafted = run_one(
-                name, system=system, netcrafter=nc, scale=exp.scale, seed=exp.seed
-            )
-            ideal_speedups.append(ideal.speedup_over(base))
-            crafted_speedups.append(crafted.speedup_over(base))
-        labels.append(f"{clusters}x{gpus}_{fabric}")
-        ideal_series.append(geometric_mean(ideal_speedups))
-        crafted_series.append(geometric_mean(crafted_speedups))
+    labels = _scaling_labels()
     return FigureResult(
         "ext_scaling",
         "Ideal headroom vs NetCrafter gain as the node scales",
         labels,
-        {"ideal": ideal_series, "netcrafter": crafted_series},
+        {
+            key: [
+                geometric_mean(speedups(table, f"{key}@{label}", f"base@{label}"))
+                for label in labels
+            ]
+            for key in ("ideal", "netcrafter")
+        },
         notes="NetCrafter keeps recovering a large share of the ideal "
         "network's headroom on bigger nodes and ring fabrics",
     )
@@ -150,7 +153,15 @@ def _zoo_system(fabric: str) -> SystemConfig:
     )
 
 
-def ext_topology(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _topology_arms() -> Arms:
+    arms: Arms = {}
+    for fabric in TOPOLOGY_ZOO:
+        arms[f"base@{fabric}"] = arm(_zoo_system(fabric))
+        arms[f"nc@{fabric}"] = arm(_zoo_system(fabric), NetCrafterConfig.full())
+    return arms
+
+
+def _topology(table: Table) -> FigureResult:
     """NetCrafter across the topology zoo (extension).
 
     Holds the node fixed (4 clusters x 1 GPU) and sweeps every
@@ -162,40 +173,24 @@ def ext_topology(exp: Optional[ExperimentScale] = None) -> FigureResult:
     * ``baseline_vs_mesh`` — the fabric's baseline cycles relative to
       the mesh baseline (how much the shape itself costs, >1 = slower).
     """
-    exp = exp or ExperimentScale.standard()
-    nc = NetCrafterConfig.full()
-    prefetch_variants(
-        exp,
-        [
-            variant
-            for fabric in TOPOLOGY_ZOO
-            for variant in ((_zoo_system(fabric), None), (_zoo_system(fabric), nc))
-        ],
-    )
-    labels: List[str] = []
     crafted_series: List[float] = []
     shape_cost_series: List[float] = []
-    mesh_cycles: Dict[str, int] = {}
-    for name in exp.workload_names():
-        run = run_one(name, system=_zoo_system("mesh"), scale=exp.scale, seed=exp.seed)
-        mesh_cycles[name] = run.cycles
     for fabric in TOPOLOGY_ZOO:
-        system = _zoo_system(fabric)
-        crafted_speedups, shape_costs = [], []
-        for name in exp.workload_names():
-            base = run_one(name, system=system, scale=exp.scale, seed=exp.seed)
-            crafted = run_one(
-                name, system=system, netcrafter=nc, scale=exp.scale, seed=exp.seed
+        crafted_series.append(
+            geometric_mean(speedups(table, f"nc@{fabric}", f"base@{fabric}"))
+        )
+        shape_cost_series.append(
+            geometric_mean(
+                [
+                    table[n, f"base@{fabric}"].cycles / table[n, "base@mesh"].cycles
+                    for n in table.workloads
+                ]
             )
-            crafted_speedups.append(crafted.speedup_over(base))
-            shape_costs.append(base.cycles / mesh_cycles[name])
-        labels.append(fabric)
-        crafted_series.append(geometric_mean(crafted_speedups))
-        shape_cost_series.append(geometric_mean(shape_costs))
+        )
     return FigureResult(
         "ext_topology",
         "Full NetCrafter across the inter-cluster topology zoo",
-        labels,
+        list(TOPOLOGY_ZOO),
         {"netcrafter": crafted_series, "baseline_vs_mesh": shape_cost_series},
         notes="star/fat_tree pay two store-and-forward hops through "
         "virtual switches and torus3d routes dimension-ordered; "
@@ -203,37 +198,7 @@ def ext_topology(exp: Optional[ExperimentScale] = None) -> FigureResult:
     )
 
 
-def ext_energy(exp: Optional[ExperimentScale] = None) -> FigureResult:
-    """Network energy with NetCrafter, normalized to the baseline.
-
-    Performance papers about traffic reduction imply an energy story;
-    this extension quantifies it with the representative per-event model
-    in :mod:`repro.stats.energy` (relative comparisons only).
-    """
-    exp = exp or ExperimentScale.standard()
-    nc = NetCrafterConfig.full()
-    labels: List[str] = []
-    series: Dict[str, List[float]] = {"network_energy": [], "total_energy": []}
-    prefetch_variants(exp, [(None, None), (None, nc)])
-    for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        out = run_one(name, netcrafter=nc, scale=exp.scale, seed=exp.seed)
-        if base.energy.network_pj <= 0:
-            continue
-        labels.append(name)
-        series["network_energy"].append(out.energy.network_pj / base.energy.network_pj)
-        series["total_energy"].append(out.energy.total_pj / base.energy.total_pj)
-    return FigureResult(
-        "ext_energy",
-        "NetCrafter energy normalized to the baseline (lower is better)",
-        labels,
-        series,
-        notes="stitching/trimming remove wire bytes and flits, so network "
-        "energy falls with the traffic",
-    )
-
-
-def ext_placement(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _placement(table: Table) -> FigureResult:
     """Section 5.1's baseline-soundness analysis: LASP vs naive placement.
 
     Series: fraction of local accesses under LASP vs interleaved
@@ -242,7 +207,7 @@ def ext_placement(exp: Optional[ExperimentScale] = None) -> FigureResult:
     paper's claim that the network bottleneck is not a placement
     artifact: LASP is already near-optimal for these workloads.
     """
-    exp = exp or ExperimentScale.standard()
+    exp = table.exp
     system = SystemConfig.default()
     labels: List[str] = []
     series: Dict[str, List[float]] = {
@@ -257,10 +222,9 @@ def ext_placement(exp: Optional[ExperimentScale] = None) -> FigureResult:
         node.load(trace)
         return node.run()
 
-    # only the LASP runs flow through the shared runner; the alternative
-    # placements mutate the trace, so they are simulated directly above
-    prefetch_variants(exp, [(system, None)])
-    for name in exp.workload_names():
+    # only the LASP runs are campaign points; the alternative placements
+    # mutate the trace, so they are simulated directly here
+    for name in table.workloads:
         generator = get_workload(name)
         lasp_trace = generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed)
         labels.append(name)
@@ -270,7 +234,7 @@ def ext_placement(exp: Optional[ExperimentScale] = None) -> FigureResult:
             system.n_gpus,
         )
         series["local_interleave"].append(access_locality(interleaved)["local"])
-        lasp_run = run_one(name, system=system, scale=exp.scale, seed=exp.seed)
+        lasp_run = table[name, "lasp"]
         inter_run = run_trace(interleaved, exp.seed)
         single = single_gpu_placement(
             generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed),
@@ -289,24 +253,39 @@ def ext_placement(exp: Optional[ExperimentScale] = None) -> FigureResult:
     )
 
 
-def ext_coherence_traffic(exp: Optional[ExperimentScale] = None) -> FigureResult:
-    """How much invalidation traffic hardware coherence generates."""
-    exp = exp or ExperimentScale.standard()
-    hw = SystemConfig.default().with_overrides(coherence="hardware")
-    labels, inv_per_kop, base_cost = [], [], []
-    prefetch_variants(exp, [(None, None), (hw, None)])
-    for name in exp.workload_names():
-        sw_base = run_one(name, scale=exp.scale, seed=exp.seed)
-        hw_base = run_one(name, system=hw, scale=exp.scale, seed=exp.seed)
+def _energy_arms() -> Arms:
+    return {"base": BASE, "nc": arm(netcrafter=NetCrafterConfig.full())}
+
+
+def _energy(table: Table) -> FigureResult:
+    """Network energy with NetCrafter, normalized to the baseline.
+
+    Performance papers about traffic reduction imply an energy story;
+    this extension quantifies it with the representative per-event model
+    in :mod:`repro.stats.energy` (relative comparisons only).
+    """
+    labels: List[str] = []
+    series: Dict[str, List[float]] = {"network_energy": [], "total_energy": []}
+    for name in table.workloads:
+        base, out = table[name, "base"], table[name, "nc"]
+        if base.energy.network_pj <= 0:
+            continue
         labels.append(name)
-        ops = max(1, hw_base.stats.mem_ops)
-        inv_per_kop.append(1000.0 * hw_base.stats.coherence_inv_sent / ops)
-        base_cost.append(hw_base.speedup_over(sw_base))
+        series["network_energy"].append(out.energy.network_pj / base.energy.network_pj)
+        series["total_energy"].append(out.energy.total_pj / base.energy.total_pj)
     return FigureResult(
-        "ext_coherence_traffic",
-        "Hardware-coherence invalidations per kilo-op, and its raw cost",
+        "ext_energy",
+        "NetCrafter energy normalized to the baseline (lower is better)",
         labels,
-        {"inv_per_kop": inv_per_kop, "hw_over_sw_baseline": base_cost},
-        notes="hw coherence trades invalidation traffic for warm L1s "
-        "across kernel boundaries",
+        series,
+        notes="stitching/trimming remove wire bytes and flits, so network "
+        "energy falls with the traffic",
     )
+
+
+COHERENCE = Figure(_coherence_arms, _coherence)
+COHERENCE_TRAFFIC = Figure(_coherence_traffic_arms, _coherence_traffic)
+SCALING = Figure(_scaling_arms, _scaling)
+TOPOLOGY = Figure(_topology_arms, _topology)
+PLACEMENT = Figure(lambda: {"lasp": BASE}, _placement)
+ENERGY = Figure(_energy_arms, _energy)

@@ -1,23 +1,29 @@
-"""Per-figure experiment drivers.
+"""The paper's figures as data.
 
-Each ``figN_*`` function regenerates one figure of the paper's
-evaluation and returns a :class:`FigureResult` whose series mirror the
-paper's plotted quantities.  Absolute values differ from the paper (our
+Each figure of the paper's evaluation is a :class:`Figure`: its points
+are ``workloads x arms`` — an arm names one configuration as campaign
+point keys (:func:`arm`) — and a reducer turns the points' results into
+a :class:`FigureResult` whose series mirror the paper's plotted
+quantities.  :data:`repro.experiments.registry.FIGURES` lists every
+figure, and :func:`repro.experiments.registry.run_figure` runs any of
+them as one campaign.  Absolute values differ from the paper (our
 substrate is a scaled simulator, DESIGN.md §5); the *shape* — who wins,
-roughly by how much, where the crossovers fall — is what each driver
+roughly by how much, where the crossovers fall — is what each figure
 reproduces, and EXPERIMENTS.md records paper-vs-measured for each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import enum
+from dataclasses import astuple, dataclass, field, fields, is_dataclass
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig, PriorityMode
-from repro.experiments.runner import ExperimentScale, prefetch_variants, run_one
+from repro.experiments.runner import ExperimentScale
 from repro.network.packet import PacketType, packet_census_row
-from repro.stats.report import geometric_mean
+from repro.stats.report import RunResult, geometric_mean
 from repro.workloads.registry import workload_table
 
 
@@ -55,14 +61,112 @@ class FigureResult:
         return "\n".join(lines)
 
 
-def _exp(exp: Optional[ExperimentScale]) -> ExperimentScale:
-    return exp or ExperimentScale.standard()
+#: one configuration's campaign point keys, and a figure's arms by name
+Arm = Dict[str, object]
+Arms = Dict[str, Arm]
+#: a figure's point: (workload, arm name)
+Cell = Tuple[str, str]
 
 
-#: declare a driver's full point set up front and batch it through the
-#: runner (parallel fan-out + caches); the driver's subsequent ``run_one``
-#: calls are then pure cache lookups
-_prefetch = prefetch_variants
+def _json_value(value):
+    """``value`` as JSON data: enums by value, tuples and records as lists."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if is_dataclass(value):
+        value = astuple(value)
+    if isinstance(value, tuple):
+        return [_json_value(item) for item in value]
+    return value
+
+
+def as_overrides(config) -> Dict[str, object]:
+    """The fields of a config dataclass that differ from its defaults, as
+    JSON data (a nested config as its own overrides).
+
+    A field counts as default only when its value *and* type match, since
+    ``1`` and ``1.0`` fingerprint differently.
+    """
+    default = type(config)()
+    overrides: Dict[str, object] = {}
+    for f in fields(config):
+        value, base = getattr(config, f.name), getattr(default, f.name)
+        if type(value) is type(base) and value == base:
+            continue
+        overrides[f.name] = (
+            as_overrides(value) if is_dataclass(value) else _json_value(value)
+        )
+    return overrides
+
+
+def arm(
+    system: Optional[SystemConfig] = None,
+    netcrafter: Optional[NetCrafterConfig] = None,
+) -> Arm:
+    """The campaign point keys (``variant``, ``system``, ``faults``) of one
+    configuration, holding only its non-default fields, so the Python
+    presets stay the one definition of each configuration."""
+    keys: Arm = {}
+    variant = as_overrides(netcrafter) if netcrafter is not None else {}
+    if variant:
+        keys["variant"] = variant
+    overrides = as_overrides(system) if system is not None else {}
+    faults = overrides.pop("faults", None)
+    if overrides:
+        keys["system"] = overrides
+    if faults:
+        keys["faults"] = faults
+    return keys
+
+
+@dataclass
+class Table:
+    """A figure's results: ``table[workload, arm]`` is one declared cell's.
+
+    Looking up a cell the figure did not declare raises ``KeyError``
+    naming it, so a reducer can never run a point on its own.
+    """
+
+    exp: ExperimentScale
+    #: the figure's workloads, in row order
+    workloads: List[str]
+    results: Dict[Cell, RunResult]
+
+    def __getitem__(self, cell: Cell) -> RunResult:
+        try:
+            return self.results[cell]
+        except KeyError:
+            workload, name = cell
+            raise KeyError(f"{workload}/{name} is not a declared point") from None
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure: its points as ``workloads x arms`` campaign data, and the
+    reducer that reads their results.
+
+    ``arms(**params)`` maps arm names to :func:`arm` keys;
+    ``reduce(table, **params)`` builds the :class:`FigureResult` from a
+    :class:`Table` alone.  ``params`` are the figure's sweep knobs (pooling
+    windows, chaos options), passed to both.
+    """
+
+    arms: Callable[..., Arms]
+    reduce: Callable[..., FigureResult]
+    workloads: Callable[[ExperimentScale], List[str]] = ExperimentScale.workload_names
+
+
+#: the arms most figures share
+BASE = arm()
+IDEAL = arm(SystemConfig.ideal())
+SECTOR = arm(SystemConfig.sector_cache_baseline())
+
+
+def speedups(table: Table, arm_name: str, base: str = "base") -> List[float]:
+    """Per-workload speedup of ``arm_name`` over ``base``."""
+    return [
+        table[name, arm_name].speedup_over(table[name, base])
+        for name in table.workloads
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -70,56 +174,50 @@ _prefetch = prefetch_variants
 # ---------------------------------------------------------------------------
 
 
-def fig3_ideal_speedup(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _ideal_arms() -> Arms:
+    return {"base": BASE, "ideal": IDEAL}
+
+
+def _base_arms() -> Arms:
+    return {"base": BASE}
+
+
+def _fig3(table: Table) -> FigureResult:
     """Figure 3: uniform-high-bandwidth 'ideal' vs the non-uniform baseline."""
-    exp = _exp(exp)
-    labels = exp.workload_names()
-    _prefetch(exp, [(None, None), (SystemConfig.ideal(), None)])
-    speedups = []
-    for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        ideal = run_one(
-            name, system=SystemConfig.ideal(), scale=exp.scale, seed=exp.seed
-        )
-        speedups.append(ideal.speedup_over(base))
+    ideal = speedups(table, "ideal")
     result = FigureResult(
         "fig3",
         "Ideal (uniform high-BW) speedup over non-uniform baseline",
-        labels,
-        {"ideal_speedup": speedups},
+        table.workloads,
+        {"ideal_speedup": ideal},
     )
-    result.notes = f"geomean {geometric_mean(speedups):.3f} (paper: ~1.5x average)"
+    result.notes = f"geomean {geometric_mean(ideal):.3f} (paper: ~1.5x average)"
     return result
 
 
-def fig4_network_utilization(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig4(table: Table) -> FigureResult:
     """Figure 4: inter-cluster network utilization, non-uniform vs ideal."""
-    exp = _exp(exp)
-    labels = exp.workload_names()
-    _prefetch(exp, [(None, None), (SystemConfig.ideal(), None)])
-    non_uniform, ideal = [], []
-    for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        up = run_one(name, system=SystemConfig.ideal(), scale=exp.scale, seed=exp.seed)
-        non_uniform.append(base.inter_utilization())
-        ideal.append(up.inter_utilization())
     return FigureResult(
         "fig4",
         "Inter-cluster link utilization",
-        labels,
-        {"non_uniform": non_uniform, "ideal": ideal},
+        table.workloads,
+        {
+            "non_uniform": [
+                table[name, "base"].inter_utilization() for name in table.workloads
+            ],
+            "ideal": [
+                table[name, "ideal"].inter_utilization() for name in table.workloads
+            ],
+        },
         notes="non-uniform config runs hot; ideal config is far below saturation",
     )
 
 
-def fig5_remote_latency(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig5(table: Table) -> FigureResult:
     """Figure 5: inter-cluster memory latency, ideal normalized to baseline."""
-    exp = _exp(exp)
     labels, base_lat, ideal_norm = [], [], []
-    _prefetch(exp, [(None, None), (SystemConfig.ideal(), None)])
-    for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        up = run_one(name, system=SystemConfig.ideal(), scale=exp.scale, seed=exp.seed)
+    for name in table.workloads:
+        base, up = table[name, "base"], table[name, "ideal"]
         if base.mean_inter_read_latency() <= 0:
             continue  # workload issues no inter-cluster reads (e.g. BS)
         labels.append(name)
@@ -135,16 +233,12 @@ def fig5_remote_latency(exp: Optional[ExperimentScale] = None) -> FigureResult:
     )
 
 
-def fig6_flit_occupancy(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig6(table: Table) -> FigureResult:
     """Figure 6: fraction of lower-BW-network flits with 25%/75% padding."""
-    exp = _exp(exp)
-    labels = exp.workload_names()
     pad25, pad75, either = [], [], []
     flit_size = SystemConfig.default().flit_size
-    _prefetch(exp, [(None, None)])
-    for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        dist = base.padded_fraction_distribution(flit_size)
+    for name in table.workloads:
+        dist = table[name, "base"].padded_fraction_distribution(flit_size)
         p25 = dist.get(0.25, 0.0)
         p75 = dist.get(0.75, 0.0)
         pad25.append(p25)
@@ -153,7 +247,7 @@ def fig6_flit_occupancy(exp: Optional[ExperimentScale] = None) -> FigureResult:
     result = FigureResult(
         "fig6",
         "Flits by padded fraction on the inter-cluster network",
-        labels,
+        table.workloads,
         {"25%_padded": pad25, "75%_padded": pad75, "either": either},
     )
     nonzero = [v for v in either if v > 0]
@@ -165,21 +259,17 @@ def fig6_flit_occupancy(exp: Optional[ExperimentScale] = None) -> FigureResult:
     return result
 
 
-def fig7_cacheline_utilization(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig7(table: Table) -> FigureResult:
     """Figure 7: inter-cluster reads by bytes the wavefront needs."""
-    exp = _exp(exp)
     labels, buckets = [], {16: [], 32: [], 48: [], 64: []}
-    _prefetch(exp, [(None, None)])
-    for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        total = sum(base.stats.read_req_bytes_hist.values())
+    for name in table.workloads:
+        hist = table[name, "base"].stats.read_req_bytes_hist
+        total = sum(hist.values())
         if total == 0:
             continue
         labels.append(name)
         for bucket in buckets:
-            buckets[bucket].append(
-                base.stats.read_req_bytes_hist.get(bucket, 0) / total
-            )
+            buckets[bucket].append(hist.get(bucket, 0) / total)
     return FigureResult(
         "fig7",
         "Inter-cluster read requests by required bytes",
@@ -189,36 +279,35 @@ def fig7_cacheline_utilization(exp: Optional[ExperimentScale] = None) -> FigureR
     )
 
 
-def fig8_ptw_priority(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig8_arms() -> Arms:
     """Figure 8: prioritize read-PTW traffic vs an equal share of data."""
-    exp = _exp(exp)
-    labels, ptw_prio, data_prio = [], [], []
-    ptw_cfg = NetCrafterConfig(priority_mode=PriorityMode.PTW)
-    data_cfg = NetCrafterConfig(priority_mode=PriorityMode.DATA_MATCHED)
-    _prefetch(exp, [(None, None), (None, ptw_cfg), (None, data_cfg)])
-    for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        ptw = run_one(name, netcrafter=ptw_cfg, scale=exp.scale, seed=exp.seed)
-        data = run_one(name, netcrafter=data_cfg, scale=exp.scale, seed=exp.seed)
-        labels.append(name)
-        ptw_prio.append(ptw.speedup_over(base))
-        data_prio.append(data.speedup_over(base))
+    return {
+        "base": BASE,
+        "ptw": arm(netcrafter=NetCrafterConfig(priority_mode=PriorityMode.PTW)),
+        "data": arm(
+            netcrafter=NetCrafterConfig(priority_mode=PriorityMode.DATA_MATCHED)
+        ),
+    }
+
+
+def _fig8(table: Table) -> FigureResult:
     return FigureResult(
         "fig8",
         "Speedup from prioritizing PTW vs matched-fraction data traffic",
-        labels,
-        {"prioritize_ptw": ptw_prio, "prioritize_data": data_prio},
+        table.workloads,
+        {
+            "prioritize_ptw": speedups(table, "ptw"),
+            "prioritize_data": speedups(table, "data"),
+        },
         notes="PTW priority helps; data priority does not (Observation 3)",
     )
 
 
-def fig9_ptw_fraction(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig9(table: Table) -> FigureResult:
     """Figure 9: PTW-related share of inter-cluster traffic."""
-    exp = _exp(exp)
     labels, ptw_frac, data_frac = [], [], []
-    _prefetch(exp, [(None, None)])
-    for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
+    for name in table.workloads:
+        base = table[name, "base"]
         if base.ptw_bytes + base.data_bytes == 0:
             continue
         labels.append(name)
@@ -243,24 +332,29 @@ def fig9_ptw_fraction(exp: Optional[ExperimentScale] = None) -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def fig12_stitch_rate(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig12_arms() -> Arms:
     """Figure 12: % flits stitched, before vs after Flit Pooling."""
-    exp = _exp(exp)
-    labels, no_pool, with_pool = [], [], []
-    cfg_np = NetCrafterConfig.stitching_only()
-    cfg_fp = NetCrafterConfig.stitching_with_selective_pooling(32)
-    _prefetch(exp, [(None, cfg_np), (None, cfg_fp)])
-    for name in exp.workload_names():
-        a = run_one(name, netcrafter=cfg_np, scale=exp.scale, seed=exp.seed)
-        b = run_one(name, netcrafter=cfg_fp, scale=exp.scale, seed=exp.seed)
-        labels.append(name)
-        no_pool.append(a.stitch_rate())
-        with_pool.append(b.stitch_rate())
+    return {
+        "stitching": arm(netcrafter=NetCrafterConfig.stitching_only()),
+        "pooling": arm(
+            netcrafter=NetCrafterConfig.stitching_with_selective_pooling(32)
+        ),
+    }
+
+
+def _fig12(table: Table) -> FigureResult:
     return FigureResult(
         "fig12",
         "Fraction of flits stitched (without vs with Flit Pooling)",
-        labels,
-        {"stitching": no_pool, "stitching+pooling": with_pool},
+        table.workloads,
+        {
+            "stitching": [
+                table[name, "stitching"].stitch_rate() for name in table.workloads
+            ],
+            "stitching+pooling": [
+                table[name, "pooling"].stitch_rate() for name in table.workloads
+            ],
+        },
         notes="pooling raises the stitch rate by waiting for candidates",
     )
 
@@ -277,31 +371,20 @@ FIG14_CONFIGS = {
 }
 
 
-def fig14_overall_speedup(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig14_arms() -> Arms:
     """Figure 14: the headline result, plus the sector-cache comparison."""
-    exp = _exp(exp)
-    labels = exp.workload_names()
-    series: Dict[str, List[float]] = {k: [] for k in FIG14_CONFIGS}
-    series["sector_cache_16B"] = []
-    _prefetch(
-        exp,
-        [(None, None), (SystemConfig.sector_cache_baseline(), None)]
-        + [(None, cfg) for cfg in FIG14_CONFIGS.values()],
-    )
-    for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        for key, cfg in FIG14_CONFIGS.items():
-            out = run_one(name, netcrafter=cfg, scale=exp.scale, seed=exp.seed)
-            series[key].append(out.speedup_over(base))
-        sector = run_one(
-            name,
-            system=SystemConfig.sector_cache_baseline(),
-            scale=exp.scale,
-            seed=exp.seed,
-        )
-        series["sector_cache_16B"].append(sector.speedup_over(base))
+    return {
+        "base": BASE,
+        "sector_cache_16B": SECTOR,
+        **{key: arm(netcrafter=cfg) for key, cfg in FIG14_CONFIGS.items()},
+    }
+
+
+def _fig14(table: Table) -> FigureResult:
+    series = {key: speedups(table, key) for key in FIG14_CONFIGS}
+    series["sector_cache_16B"] = speedups(table, "sector_cache_16B")
     result = FigureResult(
-        "fig14", "Overall speedup over the non-uniform baseline", labels, series
+        "fig14", "Overall speedup over the non-uniform baseline", table.workloads, series
     )
     full = series["+sequencing"]
     result.notes = (
@@ -311,15 +394,15 @@ def fig14_overall_speedup(exp: Optional[ExperimentScale] = None) -> FigureResult
     return result
 
 
-def fig15_netcrafter_latency(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig15_arms() -> Arms:
     """Figure 15: inter-cluster read latency, NetCrafter vs baseline."""
-    exp = _exp(exp)
+    return {"base": BASE, "netcrafter": arm(netcrafter=NetCrafterConfig.full(32))}
+
+
+def _fig15(table: Table) -> FigureResult:
     labels, base_norm, crafted = [], [], []
-    cfg = NetCrafterConfig.full(32)
-    _prefetch(exp, [(None, None), (None, cfg)])
-    for name in exp.workload_names():
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        out = run_one(name, netcrafter=cfg, scale=exp.scale, seed=exp.seed)
+    for name in table.workloads:
+        base, out = table[name, "base"], table[name, "netcrafter"]
         if base.mean_inter_read_latency() <= 0:
             continue
         labels.append(name)
@@ -335,210 +418,150 @@ def fig15_netcrafter_latency(exp: Optional[ExperimentScale] = None) -> FigureRes
     )
 
 
-def fig16_l1_mpki(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig16_arms() -> Arms:
     """Figure 16: L1 MPKI — NetCrafter Trimming vs a 16B sector cache."""
-    exp = _exp(exp)
-    labels = exp.workload_names()
-    baseline, trimming, sector = [], [], []
-    trim_cfg = NetCrafterConfig.trimming_only()
-    sector_sys = SystemConfig.sector_cache_baseline()
-    _prefetch(exp, [(None, None), (None, trim_cfg), (sector_sys, None)])
-    for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        trim = run_one(name, netcrafter=trim_cfg, scale=exp.scale, seed=exp.seed)
-        sect = run_one(name, system=sector_sys, scale=exp.scale, seed=exp.seed)
-        baseline.append(base.stats.l1_mpki())
-        trimming.append(trim.stats.l1_mpki())
-        sector.append(sect.stats.l1_mpki())
+    return {
+        "baseline": BASE,
+        "trimming": arm(netcrafter=NetCrafterConfig.trimming_only()),
+        "sector_16B": SECTOR,
+    }
+
+
+def _fig16(table: Table) -> FigureResult:
     return FigureResult(
         "fig16",
         "L1 MPKI: baseline vs Trimming vs 16B sector cache",
-        labels,
-        {"baseline": baseline, "trimming": trimming, "sector_16B": sector},
+        table.workloads,
+        {
+            key: [table[name, key].stats.l1_mpki() for name in table.workloads]
+            for key in ("baseline", "trimming", "sector_16B")
+        },
         notes="sector cache raises MPKI everywhere; Trimming only touches "
         "inter-cluster fills",
     )
 
 
-def fig17_trim_granularity(exp: Optional[ExperimentScale] = None) -> FigureResult:
+#: Figure 17's trimming/sector granularities, bytes
+FIG17_GRANULARITIES = (4, 8, 16)
+
+
+def _fig17_arms() -> Arms:
     """Figure 17: GEMM MPKI vs trimming/sector granularity (4/8/16 B)."""
-    exp = _exp(exp)
-    granularities = [4, 8, 16]
-    trim_mpki, all_trim_mpki = [], []
-    _prefetch(
-        exp,
-        [
-            variant
-            for g in granularities
-            for variant in (
-                (
-                    SystemConfig.default().with_overrides(l1_sector_bytes=g),
-                    NetCrafterConfig.trimming_only().with_overrides(
-                        trim_sector_bytes=g, trim_threshold_bytes=g
-                    ),
-                ),
-                (SystemConfig.sector_cache_baseline(sector_bytes=g), None),
-            )
-        ],
-        workloads=["gemm_large"],
-    )
-    for g in granularities:
-        sys_g = SystemConfig.default().with_overrides(l1_sector_bytes=g)
-        trim_cfg = NetCrafterConfig.trimming_only().with_overrides(
-            trim_sector_bytes=g, trim_threshold_bytes=g
+    arms: Arms = {}
+    for g in FIG17_GRANULARITIES:
+        arms[f"trimming_{g}"] = arm(
+            SystemConfig.default().with_overrides(l1_sector_bytes=g),
+            NetCrafterConfig.trimming_only().with_overrides(
+                trim_sector_bytes=g, trim_threshold_bytes=g
+            ),
         )
-        trim = run_one(
-            "gemm_large", system=sys_g, netcrafter=trim_cfg,
-            scale=exp.scale, seed=exp.seed,
+        arms[f"all_trimming_{g}"] = arm(
+            SystemConfig.sector_cache_baseline(sector_bytes=g)
         )
-        all_trim = run_one(
-            "gemm_large",
-            system=SystemConfig.sector_cache_baseline(sector_bytes=g),
-            scale=exp.scale,
-            seed=exp.seed,
-        )
-        trim_mpki.append(trim.stats.l1_mpki())
-        all_trim_mpki.append(all_trim.stats.l1_mpki())
+    return arms
+
+
+def _fig17(table: Table) -> FigureResult:
+    (name,) = table.workloads
     return FigureResult(
         "fig17",
         "Large-GEMM L1 MPKI vs trim granularity",
-        [f"{g}B" for g in granularities],
-        {"trimming": trim_mpki, "all_trimming": all_trim_mpki},
+        [f"{g}B" for g in FIG17_GRANULARITIES],
+        {
+            key: [
+                table[name, f"{key}_{g}"].stats.l1_mpki()
+                for g in FIG17_GRANULARITIES
+            ]
+            for key in ("trimming", "all_trimming")
+        },
         notes="selective Trimming stays below the all-trimming sector design",
     )
 
 
-def _pooling_sweep(
-    exp: ExperimentScale, selective: bool, windows: Sequence[int]
-) -> FigureResult:
-    labels = exp.workload_names()
-    series: Dict[str, List[float]] = {"stitching": []}
-    for window in windows:
-        series[f"pool_{window}"] = []
+#: the pooling windows Figures 18-20 sweep, cycles
+POOLING_WINDOWS = (32, 64, 96, 128)
+
+
+def _pooling_arms(
+    selective: bool, prefix: str, windows: Sequence[int] = POOLING_WINDOWS
+) -> Arms:
     make = (
         NetCrafterConfig.stitching_with_selective_pooling
         if selective
         else NetCrafterConfig.stitching_with_pooling
     )
-    _prefetch(
-        exp,
-        [(None, None), (None, NetCrafterConfig.stitching_only())]
-        + [(None, make(window)) for window in windows],
-    )
-    for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        st = run_one(
-            name, netcrafter=NetCrafterConfig.stitching_only(),
-            scale=exp.scale, seed=exp.seed,
-        )
-        series["stitching"].append(st.speedup_over(base))
-        for window in windows:
-            out = run_one(
-                name, netcrafter=make(window), scale=exp.scale, seed=exp.seed
-            )
-            series[f"pool_{window}"].append(out.speedup_over(base))
+    return {
+        "base": BASE,
+        "stitching": arm(netcrafter=NetCrafterConfig.stitching_only()),
+        **{f"{prefix}_{w}": arm(netcrafter=make(w)) for w in windows},
+    }
+
+
+def _pooling_sweep(
+    table: Table, selective: bool, windows: Sequence[int] = POOLING_WINDOWS
+) -> FigureResult:
+    """Figures 18/19: Stitching + (Selective) Flit Pooling across windows."""
+    series = {"stitching": speedups(table, "stitching")}
+    for window in windows:
+        series[f"pool_{window}"] = speedups(table, f"pool_{window}")
     kind = "Selective Flit Pooling" if selective else "Flit Pooling"
-    fig = "fig19" if selective else "fig18"
     return FigureResult(
-        fig,
+        "fig19" if selective else "fig18",
         f"Stitching with {kind}, window sweep",
-        labels,
+        table.workloads,
         series,
         notes="paper picks 32 cycles as the sweet spot",
     )
 
 
-def fig18_pooling_sweep(
-    exp: Optional[ExperimentScale] = None, windows: Sequence[int] = (32, 64, 96, 128)
-) -> FigureResult:
-    """Figure 18: Stitching + plain Flit Pooling across window sizes."""
-    return _pooling_sweep(_exp(exp), selective=False, windows=windows)
-
-
-def fig19_selective_pooling_sweep(
-    exp: Optional[ExperimentScale] = None, windows: Sequence[int] = (32, 64, 96, 128)
-) -> FigureResult:
-    """Figure 19: Stitching + Selective Flit Pooling across window sizes."""
-    return _pooling_sweep(_exp(exp), selective=True, windows=windows)
-
-
-def fig20_byte_reduction(
-    exp: Optional[ExperimentScale] = None, windows: Sequence[int] = (32, 64, 96, 128)
-) -> FigureResult:
-    """Figure 20: inter-cluster wire bytes saved by stitching (+SFP)."""
-    exp = _exp(exp)
-    labels = exp.workload_names()
-    series: Dict[str, List[float]] = {"stitching": []}
-    for window in windows:
-        series[f"sfp_{window}"] = []
-    _prefetch(
-        exp,
-        [(None, None), (None, NetCrafterConfig.stitching_only())]
-        + [
-            (None, NetCrafterConfig.stitching_with_selective_pooling(window))
-            for window in windows
-        ],
-    )
-    for name in labels:
-        base = run_one(name, scale=exp.scale, seed=exp.seed)
-        st = run_one(
-            name, netcrafter=NetCrafterConfig.stitching_only(),
-            scale=exp.scale, seed=exp.seed,
-        )
-        series["stitching"].append(_byte_reduction(base, st))
-        for window in windows:
-            out = run_one(
-                name,
-                netcrafter=NetCrafterConfig.stitching_with_selective_pooling(window),
-                scale=exp.scale,
-                seed=exp.seed,
-            )
-            series[f"sfp_{window}"].append(_byte_reduction(base, out))
-    return FigureResult(
-        "fig20",
-        "Reduction in inter-cluster network bytes",
-        labels,
-        series,
-        notes="savings grow with the pooling window, then flatten",
-    )
-
-
-def _byte_reduction(base, out) -> float:
+def _byte_reduction(base: RunResult, out: RunResult) -> float:
     if base.inter_wire_bytes == 0:
         return 0.0
     return 1.0 - out.inter_wire_bytes / base.inter_wire_bytes
 
 
-def fig21_flit_size(exp: Optional[ExperimentScale] = None) -> FigureResult:
-    """Figure 21: Stitching+SFP speedup at 8 B vs 16 B flits."""
-    exp = _exp(exp)
-    labels = exp.workload_names()
-    series: Dict[str, List[float]] = {"flit_16B": [], "flit_8B": []}
-    cfg = NetCrafterConfig.stitching_with_selective_pooling(32)
-    _prefetch(
-        exp,
-        [
-            variant
-            for flit_size in (16, 8)
-            for variant in (
-                (SystemConfig.default().with_overrides(flit_size=flit_size), None),
-                (SystemConfig.default().with_overrides(flit_size=flit_size), cfg),
-            )
-        ],
+def _fig20(table: Table, windows: Sequence[int] = POOLING_WINDOWS) -> FigureResult:
+    """Figure 20: inter-cluster wire bytes saved by stitching (+SFP)."""
+    series = {
+        key: [
+            _byte_reduction(table[name, "base"], table[name, key])
+            for name in table.workloads
+        ]
+        for key in ["stitching"] + [f"sfp_{w}" for w in windows]
+    }
+    return FigureResult(
+        "fig20",
+        "Reduction in inter-cluster network bytes",
+        table.workloads,
+        series,
+        notes="savings grow with the pooling window, then flatten",
     )
-    for name in labels:
-        for key, flit_size in (("flit_16B", 16), ("flit_8B", 8)):
-            sys_f = SystemConfig.default().with_overrides(flit_size=flit_size)
-            base = run_one(name, system=sys_f, scale=exp.scale, seed=exp.seed)
-            out = run_one(
-                name, system=sys_f, netcrafter=cfg, scale=exp.scale, seed=exp.seed
-            )
-            series[key].append(out.speedup_over(base))
+
+
+#: Figure 21's flit sizes, bytes, in column order
+FIG21_FLIT_SIZES = (16, 8)
+
+
+def _fig21_arms() -> Arms:
+    """Figure 21: Stitching+SFP speedup at 8 B vs 16 B flits."""
+    sfp = NetCrafterConfig.stitching_with_selective_pooling(32)
+    arms: Arms = {}
+    for flit_size in FIG21_FLIT_SIZES:
+        system = SystemConfig.default().with_overrides(flit_size=flit_size)
+        arms[f"base_{flit_size}B"] = arm(system)
+        arms[f"flit_{flit_size}B"] = arm(system, sfp)
+    return arms
+
+
+def _fig21(table: Table) -> FigureResult:
     return FigureResult(
         "fig21",
         "Stitching+SFP speedup at 16B vs 8B flit size",
-        labels,
-        series,
+        table.workloads,
+        {
+            f"flit_{f}B": speedups(table, f"flit_{f}B", f"base_{f}B")
+            for f in FIG21_FLIT_SIZES
+        },
         notes="smaller flits leave less padding, shrinking stitching's headroom",
     )
 
@@ -554,52 +577,60 @@ FIG22_BANDWIDTHS = [
 ]
 
 
-def fig22_bandwidth_sweep(exp: Optional[ExperimentScale] = None) -> FigureResult:
+def _fig22_label(intra: float, inter: float) -> str:
+    return f"{int(intra)}:{int(inter)}"
+
+
+def _fig22_arms() -> Arms:
     """Figure 22: NetCrafter speedup across bandwidth ratios and values."""
-    exp = _exp(exp)
-    cfg = NetCrafterConfig.full(32)
-    labels = [f"{int(intra)}:{int(inter)}" for intra, inter in FIG22_BANDWIDTHS]
-    speedups: List[float] = []
-    _prefetch(
-        exp,
-        [
-            variant
-            for intra, inter in FIG22_BANDWIDTHS
-            for variant in (
-                (
-                    SystemConfig.default().with_overrides(
-                        intra_cluster_bw=intra, inter_cluster_bw=inter
-                    ),
-                    None,
-                ),
-                (
-                    SystemConfig.default().with_overrides(
-                        intra_cluster_bw=intra, inter_cluster_bw=inter
-                    ),
-                    cfg,
-                ),
-            )
-        ],
-    )
+    arms: Arms = {}
     for intra, inter in FIG22_BANDWIDTHS:
-        sys_b = SystemConfig.default().with_overrides(
+        system = SystemConfig.default().with_overrides(
             intra_cluster_bw=intra, inter_cluster_bw=inter
         )
-        per_workload = []
-        for name in exp.workload_names():
-            base = run_one(name, system=sys_b, scale=exp.scale, seed=exp.seed)
-            out = run_one(
-                name, system=sys_b, netcrafter=cfg, scale=exp.scale, seed=exp.seed
-            )
-            per_workload.append(out.speedup_over(base))
-        speedups.append(geometric_mean(per_workload))
+        label = _fig22_label(intra, inter)
+        arms[f"base@{label}"] = arm(system)
+        arms[f"nc@{label}"] = arm(system, NetCrafterConfig.full(32))
+    return arms
+
+
+def _fig22(table: Table) -> FigureResult:
+    labels = [_fig22_label(intra, inter) for intra, inter in FIG22_BANDWIDTHS]
     return FigureResult(
         "fig22",
         "NetCrafter geomean speedup across bandwidth configurations",
         labels,
-        {"netcrafter": speedups},
+        {
+            "netcrafter": [
+                geometric_mean(speedups(table, f"nc@{label}", f"base@{label}"))
+                for label in labels
+            ]
+        },
         notes="gains persist at every ratio; largest when most constrained",
     )
+
+
+FIG3 = Figure(_ideal_arms, _fig3)
+FIG4 = Figure(_ideal_arms, _fig4)
+FIG5 = Figure(_ideal_arms, _fig5)
+FIG6 = Figure(_base_arms, _fig6)
+FIG7 = Figure(_base_arms, _fig7)
+FIG8 = Figure(_fig8_arms, _fig8)
+FIG9 = Figure(_base_arms, _fig9)
+FIG12 = Figure(_fig12_arms, _fig12)
+FIG14 = Figure(_fig14_arms, _fig14)
+FIG15 = Figure(_fig15_arms, _fig15)
+FIG16 = Figure(_fig16_arms, _fig16)
+FIG17 = Figure(_fig17_arms, _fig17, workloads=lambda exp: ["gemm_large"])
+FIG18 = Figure(
+    partial(_pooling_arms, False, "pool"), partial(_pooling_sweep, selective=False)
+)
+FIG19 = Figure(
+    partial(_pooling_arms, True, "pool"), partial(_pooling_sweep, selective=True)
+)
+FIG20 = Figure(partial(_pooling_arms, True, "sfp"), _fig20)
+FIG21 = Figure(_fig21_arms, _fig21)
+FIG22 = Figure(_fig22_arms, _fig22)
 
 
 # ---------------------------------------------------------------------------

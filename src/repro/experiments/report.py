@@ -1,6 +1,7 @@
 """Full-report generation: every figure and table as one markdown file.
 
-``generate_report`` runs all figure drivers (reusing the runner cache,
+``generate_report`` runs the paper's figures from
+:data:`~repro.experiments.registry.FIGURES` (reusing the runner cache,
 so the cost equals one pass over the configuration space) and renders a
 self-contained markdown document — the artifact to attach to a
 reproduction writeup.
@@ -9,40 +10,17 @@ reproduction writeup.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 from repro.config import SystemConfig
 from repro.core.overhead import overhead_report
-from repro.experiments import ablations, extensions, figures
+from repro.experiments import figures
 from repro.experiments.figures import FigureResult
+from repro.experiments.registry import FIGURES, run_figure
 from repro.experiments.runner import ExperimentScale
 
-#: drivers included in the full report, in presentation order
-REPORT_SECTIONS: List[Callable[[ExperimentScale], FigureResult]] = [
-    figures.fig3_ideal_speedup,
-    figures.fig4_network_utilization,
-    figures.fig5_remote_latency,
-    figures.fig6_flit_occupancy,
-    figures.fig7_cacheline_utilization,
-    figures.fig8_ptw_priority,
-    figures.fig9_ptw_fraction,
-    figures.fig12_stitch_rate,
-    figures.fig14_overall_speedup,
-    figures.fig15_netcrafter_latency,
-    figures.fig16_l1_mpki,
-    figures.fig17_trim_granularity,
-    figures.fig18_pooling_sweep,
-    figures.fig19_selective_pooling_sweep,
-    figures.fig20_byte_reduction,
-    figures.fig21_flit_size,
-    figures.fig22_bandwidth_sweep,
-]
-
-EXTENSION_SECTIONS: List[Callable[[ExperimentScale], FigureResult]] = [
-    extensions.ext_hw_coherence,
-    extensions.ext_coherence_traffic,
-    ablations.ablate_scheduler,
-]
+#: the extension section's figures, in presentation order
+_EXTENSIONS = ("ext_coherence", "ext_coherence_traffic", "abl_scheduler")
 
 
 def figure_to_markdown(result: FigureResult, fmt: str = "{:.3f}") -> str:
@@ -89,7 +67,8 @@ def generate_report(
     path: Optional[Union[str, Path]] = None,
     include_extensions: bool = True,
 ) -> str:
-    """Run all drivers and return (and optionally write) the markdown."""
+    """Run every paper figure (and the extension section) and return, and
+    optionally write, the markdown."""
     exp = exp or ExperimentScale.standard()
     sections: List[str] = [
         "# NetCrafter reproduction report",
@@ -103,12 +82,13 @@ def generate_report(
         "## Figures",
         "",
     ]
-    for driver in REPORT_SECTIONS:
-        sections.append(figure_to_markdown(driver(exp)))
+    for figure_id in FIGURES:
+        if figure_id.startswith("fig"):
+            sections.append(figure_to_markdown(run_figure(figure_id, exp)))
     if include_extensions:
         sections += ["## Extensions & ablations", ""]
-        for driver in EXTENSION_SECTIONS:
-            sections.append(figure_to_markdown(driver(exp)))
+        for figure_id in _EXTENSIONS:
+            sections.append(figure_to_markdown(run_figure(figure_id, exp)))
     sections += [
         "## Hardware overhead (Section 4.5)",
         "",

@@ -34,7 +34,7 @@ from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
@@ -316,7 +316,7 @@ class RunContext:
 
 
 #: the context used when a call passes none; entry points (the CLI, the
-#: benchmark session) install theirs so the figure drivers need no
+#: benchmark session) install theirs so the figures need no
 #: context parameter
 _installed = RunContext()
 
@@ -515,24 +515,19 @@ _CLAIM_POLL_SECONDS = 0.05
 
 
 def _serve(
-    cache: ResultCache,
-    point: ExperimentPoint,
-    key: str,
-    ctx: RunContext,
-    followed: bool = False,
+    cache: ResultCache, point: ExperimentPoint, key: str, ctx: RunContext
 ) -> RunResult:
-    """Claim-or-follow ``point`` until it is served.
+    """Follow ``point``, which a step found busy, until it is served.
 
     Steps until the result is published (by anyone), or this process
-    wins the claim — the point was never claimed, its holder released it
-    without a result, or the holder crashed and its stale claim is
-    stolen — and executes it.  Exactly-one-execution is therefore best
-    effort under crashes, but a waiter can never return a wrong result
-    and never deadlocks on a dead peer.  ``followed`` says a step
-    already found the point busy.
+    wins the claim — its holder released it without a result, or the
+    holder crashed and its stale claim is stolen — and executes it.
+    Exactly-one-execution is therefore best effort under crashes, but a
+    waiter can never return a wrong result and never deadlocks on a dead
+    peer.
     """
     while True:
-        status, result = _step(cache, point, key, followed)
+        status, result = _step(cache, point, key, followed=True)
         if status == "owned":
             try:
                 result, seconds = execute_point(point, ctx)
@@ -542,37 +537,7 @@ def _serve(
             return result
         if status != "busy":
             return result
-        followed = True
         time.sleep(_CLAIM_POLL_SECONDS)
-
-
-def run_one(
-    workload: str,
-    system: Optional[SystemConfig] = None,
-    netcrafter: Optional[NetCrafterConfig] = None,
-    scale: Optional[Scale] = None,
-    seed: int = 0,
-    use_cache: bool = True,
-    ctx: Optional[RunContext] = None,
-) -> RunResult:
-    """Simulate one (workload, configuration) point under ``ctx``."""
-    ctx = _installed if ctx is None else ctx
-    point = ExperimentPoint(
-        workload=workload, system=system, netcrafter=netcrafter, scale=scale, seed=seed
-    ).normalized(ctx)
-    use_cache = use_cache and ctx.observability is None
-    run_stats.points += 1
-    if use_cache:
-        cached = _cache.get(point)
-        if cached is not None:
-            run_stats.memory_hits += 1
-            return cached
-    cache = ctx.cache if use_cache else None
-    if cache is None:
-        result, seconds = execute_point(point, ctx)
-        _record(point, result, seconds, use_cache, None)
-        return result
-    return _serve(cache, point, fingerprint(point), ctx)
 
 
 def _executions(owned: List[ExperimentPoint], jobs: int, ctx: RunContext):
@@ -658,64 +623,7 @@ def run_many(
                 if results[point] is None:  # frees peers after a failure
                     cache.release(keys[point])
     for point in following:
-        results[point] = _serve(cache, point, keys[point], ctx, followed=True)
+        results[point] = _serve(cache, point, keys[point], ctx)
 
     run_stats.wall_seconds += time.perf_counter() - batch_start
     return [results[point] for point in normalized]
-
-
-def run_batch(
-    exp: ExperimentScale,
-    combos: Iterable[Tuple[str, Optional[SystemConfig], Optional[NetCrafterConfig]]],
-    jobs: Optional[int] = None,
-) -> List[RunResult]:
-    """Batch ``(workload, system, netcrafter)`` combos at ``exp``'s scale.
-
-    The declare-points-up-front entry used by every figure/ablation
-    driver: the full point set goes through :func:`run_many` (parallel
-    fan-out + caches), after which the driver's per-series ``run_one``
-    lookups are pure memo hits.
-    """
-    points = [
-        ExperimentPoint(
-            workload=workload,
-            system=system,
-            netcrafter=netcrafter,
-            scale=exp.scale,
-            seed=exp.seed,
-        )
-        for workload, system, netcrafter in combos
-    ]
-    return run_many(points, jobs=jobs)
-
-
-def prefetch_variants(
-    exp: ExperimentScale,
-    variants: Sequence[Tuple[Optional[SystemConfig], Optional[NetCrafterConfig]]],
-    workloads: Optional[Sequence[str]] = None,
-    jobs: Optional[int] = None,
-) -> List[RunResult]:
-    """Batch every ``(system, netcrafter)`` variant across the workload set.
-
-    Convenience over :func:`run_batch` for the common driver shape "the
-    same config variants for every workload".
-    """
-    names = workloads if workloads is not None else exp.workload_names()
-    return run_batch(
-        exp,
-        [(name, system, netcrafter) for name in names for system, netcrafter in variants],
-        jobs=jobs,
-    )
-
-
-def run_pair(
-    workload: str,
-    variant: NetCrafterConfig,
-    system: Optional[SystemConfig] = None,
-    scale: Optional[Scale] = None,
-    seed: int = 0,
-) -> Tuple[RunResult, RunResult]:
-    """(baseline, variant) results for a workload under one system config."""
-    base = run_one(workload, system=system, scale=scale, seed=seed)
-    out = run_one(workload, system=system, netcrafter=variant, scale=scale, seed=seed)
-    return base, out

@@ -8,6 +8,7 @@ shards are driven exist once.
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -66,6 +67,45 @@ class ShardingOptions:
             n_shards=self.n_shards,
             parallel=self.n_shards > 1 if self.parallel is None else self.parallel,
         )
+
+
+def add_sharding_arguments(parser: argparse.ArgumentParser, default: int = 1) -> None:
+    """The drive-mode flags every CLI shares: ``--shards N`` runs each
+    point as N process-parallel cluster shards, ``--sequential-shards``
+    drives them round-robin in this process instead."""
+    group = parser.add_argument_group(
+        "sharding",
+        "intra-run cluster sharding: split each simulation into "
+        "per-cluster shards advancing in conservative lookahead windows; "
+        "results are byte-identical to the single-engine run",
+    )
+    group.add_argument(
+        "--shards",
+        type=int,
+        default=default,
+        metavar="N",
+        help="simulate each point as N cluster shards in worker processes "
+        f"(must divide the config's cluster count; default: {default})",
+    )
+    group.add_argument(
+        "--sequential-shards",
+        action="store_true",
+        help="drive the shards round-robin in this process instead of "
+        "worker processes (debugging / digest comparisons)",
+    )
+
+
+def sharding_from_args(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> ShardingOptions:
+    """The :class:`ShardingOptions` the :func:`add_sharding_arguments`
+    flags ask for; a bad shard count exits through ``parser.error``."""
+    try:
+        return ShardingOptions(
+            n_shards=args.shards, parallel=not args.sequential_shards
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def build_node(

@@ -144,6 +144,116 @@ class TestValidation:
             parse_campaign(["not", "a", "mapping"])
 
 
+class TestConfigCoercion:
+    """Variant fields spelled as JSON values build the same config as the
+    Python presets, and bad values are rejected at parse time."""
+
+    def test_spelled_priority_mode_runs_the_enum_point(self):
+        from repro.core.config import PriorityMode
+        from repro.experiments.runner import execute_point
+
+        spec = parse_campaign(
+            {
+                "points": [
+                    {"workload": "gups", "variant": {"priority_mode": "ptw"}, "scale": "tiny"}
+                ]
+            }
+        )
+        enum_point = ExperimentPoint(
+            workload="gups",
+            netcrafter=NetCrafterConfig(priority_mode=PriorityMode.PTW),
+            scale=Scale.tiny(),
+        ).normalized()
+        assert spec.points[0] == enum_point
+        assert spec.points[0].netcrafter.separate_ptw_partition
+        spelled, _ = execute_point(spec.points[0])
+        enumerated, _ = execute_point(enum_point)
+        assert spelled.to_dict() == enumerated.to_dict()
+
+    @pytest.mark.parametrize(
+        "variant, match",
+        [
+            ({"priority_mode": "bogus"}, "priority_mode"),
+            ({"scheduler": "lifo"}, "scheduler"),
+        ],
+        ids=["priority-mode", "scheduler"],
+    )
+    def test_bad_variant_values_rejected(self, variant, match):
+        with pytest.raises(CampaignSpecError, match=match):
+            parse_campaign({"points": [{"workload": "gups", "variant": variant}]})
+
+
+class TestFlapWindows:
+    def test_list_and_object_windows_build_flap_windows(self):
+        from repro.faults.config import FlapWindow
+
+        spec = parse_campaign(
+            {
+                "points": [
+                    {"workload": "gups", "faults": {"ber": 1e-4, "flaps": [[100, 500, 0.5]]}},
+                    {
+                        "workload": "gups",
+                        "faults": {
+                            "ber": 1e-4,
+                            "flaps": [{"start": 100, "end": 500, "factor": 0.5}],
+                        },
+                    },
+                ]
+            }
+        )
+        # both spellings are one point
+        assert len(spec.points) == 1
+        assert spec.points[0].system.faults.flaps == (FlapWindow(100, 500, 0.5),)
+
+    @pytest.mark.parametrize(
+        "flaps",
+        [[[100, 500]], [[500, 100, 0.5]], [[100, 500, 2.0]], ["abc"], 5, [{"start": 1}]],
+        ids=["short", "reversed", "factor", "string", "scalar", "object-fields"],
+    )
+    def test_malformed_windows_rejected(self, flaps):
+        with pytest.raises(CampaignSpecError, match="bad faults block"):
+            parse_campaign(
+                {"points": [{"workload": "gups", "faults": {"ber": 1e-4, "flaps": flaps}}]}
+            )
+
+    def test_flap_point_descriptor_round_trip(self):
+        spec = parse_campaign(
+            {"points": [{"workload": "gups", "faults": {"flaps": [[100, 500, 0.5]]}}]}
+        )
+        point = spec.points[0]
+        blob = json.dumps(point_descriptor(point), default=lambda o: o.value)
+        assert fingerprint(point_from_descriptor(json.loads(blob))) == fingerprint(point)
+
+    def test_chaos_campaign_round_trip_keeps_fingerprints(self):
+        from repro.experiments.chaos import ChaosOptions, _fault_system
+        from repro.experiments.registry import figure_campaign
+        from repro.experiments.runner import ExperimentScale
+        from repro.faults.config import FlapWindow
+
+        exp = ExperimentScale(scale=Scale.tiny(), workloads=("gups",), seed=2)
+        opts = ChaosOptions(
+            bers=(0.0, 1e-4),
+            drop_rate=0.01,
+            flaps=(FlapWindow(100, 500, 0.5), FlapWindow(900, 1200, 0.25)),
+            seed=7,
+        )
+        campaign = json.loads(json.dumps(figure_campaign("chaos", exp, opts=opts)))
+        expected = [
+            fingerprint(
+                ExperimentPoint(
+                    workload="gups",
+                    system=_fault_system(ber, opts),
+                    netcrafter=netcrafter,
+                    scale=exp.scale,
+                    seed=exp.seed,
+                ).normalized()
+            )
+            for ber in opts.bers
+            for netcrafter in (NetCrafterConfig.baseline(), NetCrafterConfig.full())
+        ]
+        assert list(parse_campaign(campaign).fingerprints) == expected
+
+
 class TestCampaignId:
     def test_content_addressed(self):
         a = parse_campaign(_quick_grid(name="one", priority=3))

@@ -214,14 +214,14 @@ class TestQuarantine:
         assert cache.info()["quarantined"] == 1
 
     def test_runner_stats_count_quarantined_entries(self, tmp_path):
-        """Regression (satellite): a truncated disk entry behind run_one
+        """Regression: a truncated disk entry behind a one-point run_many
         must read as a miss, re-simulate, and be tallied in
         ExecutionStats.corrupt_entries — never crash the sweep."""
         from repro.experiments.runner import (
             RunContext,
             clear_cache,
             reset_run_stats,
-            run_one,
+            run_many,
             run_stats,
         )
 
@@ -229,13 +229,13 @@ class TestQuarantine:
         clear_cache()
         reset_run_stats()
         try:
-            first = run_one("gups", scale=Scale.tiny(), ctx=ctx)
+            (first,) = run_many([_point()], ctx=ctx)
             cache = ResultCache(tmp_path)
             path = cache.path_for(fingerprint(_point()))
             blob = path.read_text()
             path.write_text(blob[: len(blob) // 2])
             clear_cache()  # force the disk read
-            again = run_one("gups", scale=Scale.tiny(), ctx=ctx)
+            (again,) = run_many([_point()], ctx=ctx)
             assert again.cycles == first.cycles
             assert run_stats.corrupt_entries == 1
             assert run_stats.executed == 2

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments import chaos, runner
-from repro.experiments.__main__ import DRIVERS, main
+from repro.experiments.__main__ import main
+from repro.experiments.registry import FIGURES
 from repro.experiments.runner import ExperimentScale
 from repro.workloads.base import Scale
 
@@ -51,8 +52,8 @@ def test_unknown_target(capsys):
 
 def test_every_figure_registered():
     expected = {f"fig{i}" for i in (3, 4, 5, 6, 7, 8, 9, 12, 14, 15, 16, 17, 18, 19, 20, 21, 22)}
-    assert expected <= set(DRIVERS)
-    assert {"abl_scheduler", "abl_cq_capacity"} <= set(DRIVERS)
+    assert expected <= set(FIGURES)
+    assert {"abl_scheduler", "abl_cq_capacity"} <= set(FIGURES)
 
 
 @pytest.mark.parametrize("target", ["fig6", "fig9"])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments import collective
+from repro.experiments import collective, run_figure
 from repro.experiments.runner import ExperimentScale
 from repro.workloads.base import Scale
 from repro.workloads.registry import collective_workload_names
@@ -17,7 +17,7 @@ def _mesh_only(monkeypatch):
 
 
 def test_ext_collective_shape():
-    result = collective.ext_collective(EXP)
+    result = run_figure("ext_collective", EXP)
     names = collective_workload_names()
     assert result.labels == [f"{n}@mesh" for n in names]
     assert set(result.series) == {

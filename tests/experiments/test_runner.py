@@ -15,8 +15,6 @@ from repro.experiments.runner import (
     install_context,
     reset_run_stats,
     run_many,
-    run_one,
-    run_pair,
     run_stats,
 )
 from repro.workloads.base import Scale
@@ -45,33 +43,50 @@ def disk_cache():
     return current_context().cache
 
 
+def run_point(workload="gups", use_cache=True, ctx=None, **fields):
+    """One tiny point through ``run_many``."""
+    (result,) = run_many(
+        [ExperimentPoint(workload=workload, scale=Scale.tiny(), **fields)],
+        use_cache=use_cache,
+        ctx=ctx,
+    )
+    return result
+
+
 def test_run_one_returns_result():
-    result = run_one("gups", scale=Scale.tiny())
+    result = run_point()
     assert result.cycles > 0
     assert result.workload == "gups"
 
 
 def test_cache_returns_same_object():
-    a = run_one("gups", scale=Scale.tiny())
-    b = run_one("gups", scale=Scale.tiny())
+    a = run_point()
+    b = run_point()
     assert a is b
 
 
 def test_cache_distinguishes_configs():
-    a = run_one("gups", scale=Scale.tiny())
-    b = run_one("gups", netcrafter=NetCrafterConfig.full(), scale=Scale.tiny())
+    a = run_point()
+    b = run_point(netcrafter=NetCrafterConfig.full())
     assert a is not b
 
 
 def test_cache_bypass():
-    a = run_one("gups", scale=Scale.tiny(), use_cache=False)
-    b = run_one("gups", scale=Scale.tiny(), use_cache=False)
+    a = run_point(use_cache=False)
+    b = run_point(use_cache=False)
     assert a is not b
     assert a.cycles == b.cycles  # still deterministic
 
 
 def test_run_pair():
-    base, out = run_pair("gups", NetCrafterConfig.full(), scale=Scale.tiny())
+    base, out = run_many(
+        [
+            ExperimentPoint(workload="gups", scale=Scale.tiny()),
+            ExperimentPoint(
+                workload="gups", netcrafter=NetCrafterConfig.full(), scale=Scale.tiny()
+            ),
+        ]
+    )
     assert base.config_label == "baseline"
     assert out.config_label != "baseline"
 
@@ -97,7 +112,7 @@ class TestExperimentPoint:
         assert point.scale == Scale.small()
 
     def test_key_matches_run_one_memoization(self):
-        result = run_one("gups", scale=Scale.tiny())
+        result = run_point()
         points = [
             ExperimentPoint(workload="gups", scale=Scale.tiny()),
             ExperimentPoint(workload="gups", scale=Scale.tiny()),
@@ -116,17 +131,7 @@ class TestRunMany:
             assert result.workload == point.workload
 
     def test_parallel_matches_serial(self):
-        serial = [
-            run_one(
-                p.workload,
-                system=p.system,
-                netcrafter=p.netcrafter,
-                scale=p.scale,
-                seed=p.seed,
-                use_cache=False,
-            )
-            for p in _tiny_points()
-        ]
+        serial = [run_many([p], use_cache=False)[0] for p in _tiny_points()]
         clear_cache()
         parallel = run_many(_tiny_points(), jobs=2)
         assert [r.to_dict() for r in parallel] == [r.to_dict() for r in serial]
@@ -156,20 +161,20 @@ class TestDiskCache:
 
     def test_run_one_uses_disk_cache(self, tmp_path):
         _install(cache=tmp_path)
-        first = run_one("gups", scale=Scale.tiny())
+        first = run_point()
         clear_cache()
-        second = run_one("gups", scale=Scale.tiny())
+        second = run_point()
         assert second is not first  # deserialized copy, not the memo object
         assert second.to_dict() == first.to_dict()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         _install(cache=tmp_path)
-        run_one("gups", scale=Scale.tiny())
+        run_point()
         for path in tmp_path.rglob("*.json"):
             path.write_text("{ not json")
         clear_cache()
         reset_run_stats()
-        result = run_one("gups", scale=Scale.tiny())
+        result = run_point()
         assert result.cycles > 0
         assert run_stats.disk_hits == 0
         assert run_stats.executed == 1
@@ -189,14 +194,14 @@ class TestObservability:
     def test_inactive_options_are_a_no_op(self):
         assert not ObservabilityOptions().active
         _install(observability=ObservabilityOptions())
-        a = run_one("gups", scale=Scale.tiny())
-        b = run_one("gups", scale=Scale.tiny())
+        a = run_point()
+        b = run_point()
         assert a is b  # caching still on
         assert a.trace_path is None
 
     def test_artifacts_written_and_paths_on_result(self, tmp_path):
         _install(observability=self._options(tmp_path))
-        result = run_one("gups", scale=Scale.tiny())
+        result = run_point()
         import json
 
         from repro.obs import validate_jsonl
@@ -217,18 +222,18 @@ class TestObservability:
             cache=tmp_path / "cache",
             observability=self._options(tmp_path, profile=False),
         )
-        a = run_one("gups", scale=Scale.tiny())
-        b = run_one("gups", scale=Scale.tiny())
+        a = run_point()
+        b = run_point()
         assert a is not b  # memo bypassed: each run has its own trace
         assert run_stats.executed == 2
         assert len(disk_cache()) == 0  # instrumented results not persisted
 
     def test_disabling_restores_caching(self, tmp_path):
         _install(observability=self._options(tmp_path, profile=False))
-        run_one("gups", scale=Scale.tiny())
+        run_point()
         _install()
-        a = run_one("gups", scale=Scale.tiny())
-        b = run_one("gups", scale=Scale.tiny())
+        a = run_point()
+        b = run_point()
         assert a is b
         assert a.trace_path is None
 
@@ -302,10 +307,9 @@ class TestPeerRecheck:
         )
         cache = PublishingCache(tmp_path, point, published)
         ctx = RunContext(cache=cache)
-        if entry == "run_one":
-            result = run_one("gups", scale=Scale.tiny(), ctx=ctx)
-        else:
-            (result,) = run_many([point], ctx=ctx)
+        # "run_one": a point as declared; "run_many": already normalized
+        declared = ExperimentPoint(workload="gups", scale=Scale.tiny())
+        (result,) = run_many([declared if entry == "run_one" else point], ctx=ctx)
         assert result.cycles == 123
         assert run_stats.executed == 0
         assert run_stats.inflight_hits == 1
@@ -327,7 +331,7 @@ def test_failed_execution_releases_its_claims(tmp_path, jobs):
     for point in points:
         assert ctx.cache.claim_state(fingerprint(point)) == "free"
     with pytest.raises(KeyError):
-        run_one("no-such-workload", scale=Scale.tiny(), ctx=ctx)
+        run_point("no-such-workload", ctx=ctx)
     assert ctx.cache.claim_state(fingerprint(points[0])) == "free"
 
 
@@ -385,7 +389,7 @@ class TestRunContext:
 
     def test_explicit_context_overrides_the_installed_one(self, tmp_path):
         ctx = RunContext(cache=ResultCache(tmp_path))
-        run_one("gups", scale=Scale.tiny(), ctx=ctx)
+        run_point(ctx=ctx)
         assert len(ctx.cache) == 1
         assert current_context().cache is None
 
