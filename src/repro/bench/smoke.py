@@ -1,9 +1,11 @@
 """End-to-end smoke sweep: the benchmark that doubles as a semantic gate.
 
-Runs a representative workload x configuration grid through
-:class:`~repro.gpu.system.MultiGpuSystem` directly (no result cache, no
-parallel fan-out) and reports aggregate engine throughput plus a sha256
-digest over every run's :meth:`RunResult.to_dict` payload.
+Declares a representative workload x configuration grid as a campaign
+(:func:`smoke_campaign`), runs it through the experiment runner's
+:func:`~repro.experiments.runner.run_many` with the result cache off,
+and reports aggregate engine throughput plus a sha256 digest over every
+run's :meth:`RunResult.to_dict` payload.  The fault-injection and
+kill-and-resume gates run their points the same way.
 
 The digest is the bit-identity gate for hot-path work: an optimization
 that changes it changed simulated behaviour, not just speed.  Engine
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
@@ -72,21 +74,41 @@ def topology_smoke_config(topology: str = "mesh") -> SystemConfig:
     )
 
 
-def smoke_points(
-    quick: bool = False, collective: bool = False
-) -> List[Tuple[str, str]]:
-    """The (workload, variant) grid, as stable labels for the report."""
+def smoke_point(workload: str, variant: str, topology: str = "mesh") -> dict:
+    """One campaign point entry of a smoke grid: ``workload`` under the
+    ``"baseline"``/``"full"`` NetCrafter ``variant`` on ``topology``'s
+    smoke node, at the small scale and seed 0."""
+    from repro.experiments.figures import arm
+
+    return {
+        "workload": workload,
+        "variant": variant,
+        **arm(topology_smoke_config(topology)),
+        "scale": "small",
+        "seed": 0,
+    }
+
+
+def smoke_campaign(
+    quick: bool = False, topology: str = "mesh", collective: bool = False
+) -> dict:
+    """The digest grid of ``SMOKE_digest.json``'s ``_grid_key`` entry, as
+    campaign data (:mod:`repro.campaign.spec`): workload-major, then
+    variant, so its order is the digest's order."""
     if collective:
+        workloads = _WORKLOADS_COLLECTIVE
         variants = ("full",) if quick else ("baseline", "full")
-        return [(w, v) for w in _WORKLOADS_COLLECTIVE for v in variants]
-    workloads = _WORKLOADS_QUICK if quick else _WORKLOADS_FULL
-    return [(w, variant) for w in workloads for variant in ("baseline", "full")]
-
-
-def _variant_config(variant: str) -> NetCrafterConfig:
-    if variant == "baseline":
-        return NetCrafterConfig.baseline()
-    return NetCrafterConfig.full()
+    else:
+        workloads = _WORKLOADS_QUICK if quick else _WORKLOADS_FULL
+        variants = ("baseline", "full")
+    return {
+        "name": f"smoke-{_grid_key(quick, topology, collective)}",
+        "points": [
+            smoke_point(workload, variant, topology)
+            for workload in workloads
+            for variant in variants
+        ],
+    }
 
 
 def digestable_payload(result_dict: Dict[str, object]) -> Dict[str, object]:
@@ -106,54 +128,43 @@ def results_digest(result_dicts: List[Dict[str, object]]) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def run_smoke_grid(
-    quick: bool = False,
-    seed: int = 0,
-    n_shards: int = 1,
-    parallel: bool = False,
-    system_config: SystemConfig = None,
-    topology: str = "mesh",
-    collective: bool = False,
-):
-    """Simulate the grid; returns (results, total_events, total_cycles).
+def gate_points(campaign: dict, sharding: Optional[ShardingOptions] = None):
+    """A gate's campaign parsed into its points.
 
-    With ``n_shards > 1`` every point runs through
+    A shard count that does not divide a point's cluster count is a
+    ``ValueError``: a gate must not fall back to the single engine
+    silently, as a sweep does.
+    """
+    from repro.campaign.spec import parse_campaign
+
+    points = parse_campaign(campaign).points
+    if sharding is not None:
+        for point in points:
+            if sharding.resolve(point.system) is None:
+                raise ValueError(
+                    f"{sharding.n_shards} shards do not divide "
+                    f"{point.system.n_clusters} clusters"
+                )
+    return points
+
+
+def run_smoke_grid(campaign: dict, sharding: Optional[ShardingOptions] = None):
+    """Simulate a gate's campaign; returns (results, total_events, total_cycles).
+
+    The points (:func:`gate_points`) run through
+    :func:`~repro.experiments.runner.run_many`, the path every figure and
+    served point takes, but never from a cached result.  With an active
+    ``sharding`` every point runs through
     :class:`~repro.shard.coordinator.ShardedSystem` instead of the single
     engine; by the lookahead-window construction the results — and
     therefore the digest — are byte-identical.
-
-    ``topology`` selects the fabric's standard smoke node
-    (:func:`topology_smoke_config`); every registered topology carries
-    its own committed digest entries, gated identically to the mesh.
-    ``system_config`` overrides the node entirely — the fault-injection
-    inertness gate reruns the grid with disabled fault configs and
-    requires the committed digest back.
     """
-    if system_config is None:
-        system_config = topology_smoke_config(topology)
-    scale = Scale.small()
-    sharding = ShardingOptions(n_shards=n_shards, parallel=parallel)
-    if not sharding.active:
-        sharding = None
-    elif sharding.resolve(system_config) is None:
-        # a gate must not fall back to the single engine silently
-        raise ValueError(
-            f"{n_shards} shards do not divide {system_config.n_clusters} clusters"
-        )
-    results = []
-    total_events = 0
-    total_cycles = 0
-    for workload, variant in smoke_points(quick, collective):
-        trace = get_workload(workload).build(
-            n_gpus=system_config.n_gpus, scale=scale, seed=seed
-        )
-        node = build_node(system_config, _variant_config(variant), seed, sharding)
-        node.load(trace)
-        result = node.run()
-        results.append(result)
-        total_events += result.events_processed
-        total_cycles += result.cycles
-    return results, total_events, total_cycles
+    from repro.experiments.runner import RunContext, run_many
+
+    points = gate_points(campaign, sharding)
+    results = run_many(points, use_cache=False, ctx=RunContext(sharding=sharding))
+    total_events = sum(result.events_processed for result in results)
+    return results, total_events, sum(result.cycles for result in results)
 
 
 def bench_smoke_sweep(quick: bool = False) -> Tuple[int, Dict[str, object]]:
@@ -161,7 +172,7 @@ def bench_smoke_sweep(quick: bool = False) -> Tuple[int, Dict[str, object]]:
     bit-identity gate, so cycles/second compares as wall-time speedup even
     when optimizations change the engine's *event* count), digest + grid
     shape as extra."""
-    results, total_events, total_cycles = run_smoke_grid(quick)
+    results, total_events, total_cycles = run_smoke_grid(smoke_campaign(quick))
     digest = results_digest([r.to_dict() for r in results])
     return total_cycles, {
         "points": len(results),
@@ -324,7 +335,6 @@ def main(argv=None) -> int:
         help="inter-cluster fabric to smoke (any registered topology; "
         "default mesh, the paper fabric, on the historical 2x2 node)",
     )
-    parser.add_argument("--seed", type=int, default=0)
     add_sharding_arguments(parser)
     parser.add_argument(
         "--expect-digest",
@@ -357,12 +367,7 @@ def main(argv=None) -> int:
     grid_key = _grid_key(args.quick, args.topology, args.collective)
     sharding = sharding_from_args(parser, args)
     results, events, cycles = run_smoke_grid(
-        quick=args.quick,
-        seed=args.seed,
-        n_shards=sharding.n_shards,
-        parallel=sharding.parallel,
-        topology=args.topology,
-        collective=args.collective,
+        smoke_campaign(args.quick, args.topology, args.collective), sharding
     )
     digest = results_digest([r.to_dict() for r in results])
     print(

@@ -5,9 +5,10 @@ workloads x NetCrafter variants x scales x system configs x topologies x
 fault options — written as a JSON (or YAML, when PyYAML is installed)
 file and expanded here into ordered
 :class:`~repro.experiments.runner.ExperimentPoint`\\ s.  Expansion order
-is deterministic and workload-major, matching the smoke grid's
-convention, so a campaign reproducing the committed quick sweep digests
-byte-identically against ``SMOKE_digest.json``.
+is deterministic and workload-major.  The digest gates' grids are
+campaigns too (:func:`repro.bench.smoke.smoke_campaign`), so a campaign
+declaring the same points in the same order — the same campaign id —
+digests byte-identically against ``SMOKE_digest.json``.
 
 Schema (all keys optional except that at least one point must result)::
 

@@ -3,7 +3,9 @@
 ``python -m repro.ckpt --smoke`` runs the standing gate: every point of
 the smoke grid is saved at a kernel boundary, hard-killed, resumed in a
 fresh interpreter, and the resumed grid digest is compared against the
-committed ``SMOKE_digest.json`` entry.
+committed ``SMOKE_digest.json`` entry; two ``mm2`` probes, fault-free
+and faulted, are then killed at their mid-run boundary and compared with
+uninterrupted runs.
 
 ``--run-killed``/``--resume`` are internal child entry points used by
 the harness to cross real process boundaries; they take a JSON spec as
@@ -49,7 +51,6 @@ def main(argv=None) -> int:
         help="topology-zoo shape to sweep (default: mesh)",
     )
     add_sharding_arguments(parser)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--snapshot-dir",
         default="results/ckpt-smoke",
@@ -60,11 +61,6 @@ def main(argv=None) -> int:
         "--expect-file",
         default="SMOKE_digest.json",
         help="committed digest file to compare against ('' to skip)",
-    )
-    parser.add_argument(
-        "--no-midrun-probe",
-        action="store_true",
-        help="skip the mm2 mid-run-boundary equivalence probes (fault-free and faulted)",
     )
     # internal child entry points (spec JSON as the positional arg)
     parser.add_argument("--run-killed", metavar="SPEC_JSON", default=None)
@@ -78,16 +74,12 @@ def main(argv=None) -> int:
     if not args.smoke:
         parser.print_help()
         return 2
-    sharding = sharding_from_args(parser, args)
     return run_smoke(
         args.quick,
         topology=args.topology,
-        n_shards=sharding.n_shards,
-        parallel=sharding.parallel,
-        seed=args.seed,
+        sharding=sharding_from_args(parser, args),
         snapshot_dir=Path(args.snapshot_dir),
         expect_file=args.expect_file or None,
-        midrun_probe=not args.no_midrun_probe,
     )
 
 

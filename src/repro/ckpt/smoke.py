@@ -1,12 +1,15 @@
 """Kill-and-resume smoke: the checkpoint subsystem's standing gate.
 
-For every point of the :mod:`repro.bench.smoke` grid this harness
+For every point of the :func:`repro.bench.smoke.smoke_campaign` grid
+this harness
 
 1. runs the point in a child process with a checkpoint hook that
    hard-kills the child (``os._exit``, no cleanup, no atexit) the
    instant its boundary snapshot is published,
 2. asserts the child actually died at the checkpoint,
-3. resumes the snapshot in a *fresh* interpreter, and
+3. resumes the snapshot in a *fresh* interpreter the way
+   ``--resume-from`` does (:func:`~repro.experiments.runner.execute_point`
+   under :class:`~repro.experiments.runner.CheckpointOptions`), and
 4. requires the resumed results' grid digest to equal the committed
    ``SMOKE_digest.json`` entry — the same digest an uninterrupted
    single-engine sweep produces, byte for byte.
@@ -20,9 +23,15 @@ with a committed digest entry.
 
 Two multi-kernel probes (``mm2``, killed at its *mid-run* boundary)
 ride along: smoke-grid workloads quiesce once at the end, so the probes
-are what exercise resume with real follow-on kernels.  The second runs
-under :data:`PROBE_FAULTS`, whose short RDMA timeout leaves retry
-clones and backstop timers pending in the snapshot.
+are what exercise resume with real follow-on kernels.  Each is compared
+with an uninterrupted run of the same point through
+:func:`~repro.experiments.runner.run_many`.  The second runs under
+:data:`PROBE_FAULTS`, whose short RDMA timeout leaves retry clones and
+backstop timers pending in the snapshot.
+
+A child's spec is JSON: one campaign point entry
+(:func:`~repro.campaign.spec.expand_point` rebuilds it), the shard plan,
+the kill boundary and the snapshot path.
 """
 
 from __future__ import annotations
@@ -38,16 +47,22 @@ from typing import Dict, List, Optional
 
 from repro.bench.smoke import (
     _grid_key,
-    _variant_config,
     check_digest,
+    gate_points,
     results_digest,
-    smoke_points,
-    topology_smoke_config,
+    smoke_campaign,
+    smoke_point,
 )
-from repro.ckpt import Checkpointer, CheckpointError, resume, run_fingerprint
-from repro.faults.config import FaultConfig
+from repro.campaign.spec import expand_point
+from repro.ckpt import Checkpointer, CheckpointError, run_fingerprint
+from repro.experiments.cache import fingerprint
+from repro.experiments.runner import (
+    CheckpointOptions,
+    RunContext,
+    execute_point,
+    run_many,
+)
 from repro.shard.build import ShardingOptions, build_node
-from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
 #: exit code the killed child dies with right after publishing a snapshot
@@ -55,7 +70,7 @@ KILL_EXIT_CODE = 43
 #: exit code when the child finished without ever being killed (a bug:
 #: the kill boundary never fired)
 RAN_TO_COMPLETION_CODE = 47
-#: the faulted probe's :class:`~repro.faults.config.FaultConfig` fields
+#: the faulted probe's campaign ``faults`` block
 PROBE_FAULTS = {"ber": 1e-4, "drop_rate": 0.01, "seed": 5, "rdma_timeout": 256}
 
 
@@ -79,51 +94,49 @@ class KillAfterSave(Checkpointer):
             os._exit(KILL_EXIT_CODE)
 
 
-def _point_context(spec: Dict[str, object]):
-    """(config, netcrafter, trace, fingerprint) for one point spec."""
-    config = topology_smoke_config(spec["topology"])
-    if spec.get("faults"):
-        config = config.with_overrides(faults=FaultConfig(**spec["faults"]))
-    netcrafter = _variant_config(spec["variant"])
-    trace = get_workload(spec["workload"]).build(
-        n_gpus=config.n_gpus, scale=Scale.small(), seed=spec["seed"]
-    )
-    fingerprint = run_fingerprint(
-        config, netcrafter, spec["seed"], trace, n_shards=spec["n_shards"]
-    )
-    return config, netcrafter, trace, fingerprint
-
-
-def _sharding(spec) -> Optional[ShardingOptions]:
+def _context(spec: Dict[str, object], **fields) -> RunContext:
+    """The run context a child spec's shard plan asks for."""
     sharding = ShardingOptions(n_shards=spec["n_shards"], parallel=spec["parallel"])
-    return sharding if sharding.active else None
-
-
-def _build_node(config, netcrafter, spec):
-    return build_node(config, netcrafter, spec["seed"], _sharding(spec))
+    return RunContext(sharding=sharding, **fields)
 
 
 def child_run_killed(spec: Dict[str, object]) -> int:
-    """Child entry: simulate until the kill-boundary snapshot, then die."""
-    config, netcrafter, trace, fingerprint = _point_context(spec)
-    hook = KillAfterSave(spec["snapshot"], fingerprint, kill_at=spec["kill_at"])
-    node = _build_node(config, netcrafter, spec)
-    node._ckpt_hook = hook
+    """Child entry: simulate until the kill-boundary snapshot, then die.
+
+    The one gate path that builds its node itself: the snapshot hook must
+    be :class:`KillAfterSave`.  The shard plan and fingerprint follow the
+    runner's checkpointing rules, so the resume child finds the snapshot
+    its own run would have written.
+    """
+    point = expand_point(spec["point"])
+    sharding = _context(spec).sharding  # None on the single engine
+    plan = sharding.resolve(point.system) if sharding is not None else None
+    trace = get_workload(point.workload).build(
+        n_gpus=point.system.n_gpus, scale=point.scale, seed=point.seed
+    )
+    run_fp = run_fingerprint(
+        point.system,
+        point.netcrafter,
+        point.seed,
+        trace,
+        n_shards=plan.n_shards if plan is not None else 1,
+    )
+    node = build_node(point.system, point.netcrafter, point.seed, plan)
+    node._ckpt_hook = KillAfterSave(spec["snapshot"], run_fp, kill_at=spec["kill_at"])
     node.load(trace)
     node.run()
     return RAN_TO_COMPLETION_CODE
 
 
 def child_resume(spec: Dict[str, object]) -> int:
-    """Child entry: resume the snapshot, print the result dict as JSON."""
-    config, netcrafter, trace, _ = _point_context(spec)
-    result = resume(
-        spec["snapshot"],
-        config=config,
-        netcrafter=netcrafter,
-        seed=spec["seed"],
-        workload=trace,
-        sharding=_sharding(spec),
+    """Child entry: resume the snapshot the way ``--resume-from`` does,
+    print the result dict as JSON."""
+    snapshot = Path(spec["snapshot"])
+    checkpointing = CheckpointOptions(
+        directory=str(snapshot.parent), resume_from=str(snapshot)
+    )
+    result, _ = execute_point(
+        expand_point(spec["point"]), _context(spec, checkpointing=checkpointing)
     )
     print(json.dumps(result.to_dict()))
     return 0
@@ -165,21 +178,14 @@ def _spawn(flag: str, spec: Dict[str, object]) -> subprocess.CompletedProcess:
 
 
 def kill_and_resume_point(
-    workload: str,
-    variant: str,
+    point: Dict[str, object],
     *,
     snapshot_dir: Path,
-    seed: int = 0,
-    topology: str = "mesh",
-    n_shards: int = 1,
-    parallel: bool = False,
+    sharding: ShardingOptions = ShardingOptions(),
     kill_at: int = 1,
-    faults: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """Save → hard-kill → resume one point across real process boundaries.
-
-    ``faults`` holds :class:`~repro.faults.config.FaultConfig` fields to
-    run the point under.
+    """Save → hard-kill → resume one campaign ``point`` entry across real
+    process boundaries.
 
     Returns the resumed run's ``RunResult.to_dict`` payload; raises
     :class:`~repro.ckpt.CheckpointError` if the child did not die at the
@@ -187,39 +193,31 @@ def kill_and_resume_point(
     """
     snapshot_dir = Path(snapshot_dir)
     snapshot_dir.mkdir(parents=True, exist_ok=True)
-    mode = "single" if n_shards <= 1 else ("par" if parallel else "seq")
-    if faults:
-        mode += "-faulted"
+    label = f"{point['workload']}/{point['variant']}"
+    mode = "single" if not sharding.active else ("seq" if sharding.parallel is False else "par")
+    name = f"{point['workload']}-{fingerprint(expand_point(point))[:12]}-{mode}.ckpt"
     spec = {
-        "workload": workload,
-        "variant": variant,
-        "seed": seed,
-        "topology": topology,
-        "n_shards": n_shards,
-        "parallel": parallel,
+        "point": point,
+        "n_shards": sharding.n_shards,
+        "parallel": sharding.parallel,
         "kill_at": kill_at,
-        "faults": faults,
-        "snapshot": str(
-            snapshot_dir / f"{topology}-{workload}-{variant}-{mode}.ckpt"
-        ),
+        "snapshot": str(snapshot_dir / name),
     }
     killed = _spawn("--run-killed", spec)
     if killed.returncode != KILL_EXIT_CODE:
         raise CheckpointError(
-            f"kill child for {workload}/{variant} exited "
-            f"{killed.returncode}, expected {KILL_EXIT_CODE} "
-            f"(stderr: {killed.stderr.strip()[-2000:]})"
+            f"kill child for {label} exited {killed.returncode}, expected "
+            f"{KILL_EXIT_CODE} (stderr: {killed.stderr.strip()[-2000:]})"
         )
     if not Path(spec["snapshot"]).exists():
         raise CheckpointError(
-            f"kill child for {workload}/{variant} died without "
-            f"publishing {spec['snapshot']}"
+            f"kill child for {label} died without publishing {spec['snapshot']}"
         )
     resumed = _spawn("--resume", spec)
     if resumed.returncode != 0:
         raise CheckpointError(
-            f"resume child for {workload}/{variant} exited "
-            f"{resumed.returncode} (stderr: {resumed.stderr.strip()[-2000:]})"
+            f"resume child for {label} exited {resumed.returncode} "
+            f"(stderr: {resumed.stderr.strip()[-2000:]})"
         )
     return json.loads(resumed.stdout.strip().splitlines()[-1])
 
@@ -228,30 +226,21 @@ def run_smoke(
     quick: bool = True,
     *,
     topology: str = "mesh",
-    n_shards: int = 1,
-    parallel: bool = False,
-    seed: int = 0,
+    sharding: ShardingOptions = ShardingOptions(),
     snapshot_dir: Path = Path("results/ckpt-smoke"),
     expect_file: Optional[str] = "SMOKE_digest.json",
-    midrun_probe: bool = True,
 ) -> int:
     """The ``python -m repro.ckpt --smoke`` gate; returns an exit code."""
     grid_key = _grid_key(quick, topology)
-    mode = ShardingOptions(n_shards=n_shards, parallel=parallel).describe()
-    print(f"ckpt kill-and-resume smoke [{grid_key}] {mode}")
+    campaign = smoke_campaign(quick, topology)
+    gate_points(campaign, sharding)  # refuses a shard count that cannot run
+    print(f"ckpt kill-and-resume smoke [{grid_key}] {sharding.describe()}")
     results: List[Dict[str, object]] = []
-    for workload, variant in smoke_points(quick):
-        payload = kill_and_resume_point(
-            workload,
-            variant,
-            snapshot_dir=snapshot_dir,
-            seed=seed,
-            topology=topology,
-            n_shards=n_shards,
-            parallel=parallel,
+    for point in campaign["points"]:
+        results.append(
+            kill_and_resume_point(point, snapshot_dir=snapshot_dir, sharding=sharding)
         )
-        print(f"  {workload}/{variant}: killed at checkpoint, resumed OK")
-        results.append(payload)
+        print(f"  {point['workload']}/{point['variant']}: killed at checkpoint, resumed OK")
     digest = results_digest(results)
     print(f"resumed-grid digest {digest}")
 
@@ -264,32 +253,35 @@ def run_smoke(
     if exit_code == 2:
         return exit_code
 
-    if midrun_probe:
-        where = dict(seed=seed, topology=topology, n_shards=n_shards, parallel=parallel)
-        for faults in (None, PROBE_FAULTS):
-            if not _midrun_probe(snapshot_dir, faults, **where):
-                exit_code = 1
+    for faults in (None, PROBE_FAULTS):
+        if not _midrun_probe(snapshot_dir, sharding, topology, faults):
+            exit_code = 1
     return exit_code
 
 
-def _midrun_probe(snapshot_dir: Path, faults, **where) -> bool:
+def _midrun_probe(
+    snapshot_dir: Path,
+    sharding: ShardingOptions,
+    topology: str,
+    faults: Optional[Dict[str, object]],
+) -> bool:
     """Kill ``mm2`` at its mid-run boundary, resume it, and compare
-    against an in-process uninterrupted run; True when they match.
+    against an uninterrupted run; True when they match.
 
     The grid workloads quiesce once; mm2 has a true mid-run boundary.
     """
-    probe = kill_and_resume_point(
-        "mm2", "full", snapshot_dir=snapshot_dir, kill_at=1, faults=faults, **where
+    point = smoke_point("mm2", "full", topology)
+    if faults:
+        point["faults"] = faults
+    probe = kill_and_resume_point(point, snapshot_dir=snapshot_dir, sharding=sharding)
+    (reference,) = run_many(
+        [expand_point(point)], use_cache=False, ctx=RunContext(sharding=sharding)
     )
-    spec = {"workload": "mm2", "variant": "full", "faults": faults, **where}
-    config, netcrafter, trace, _ = _point_context(spec)
-    reference = _build_node(config, netcrafter, spec)
-    reference.load(trace)
     label = "faulted mm2" if faults else "mm2"
     # compare via the canonical digest: the probe payload round-tripped
     # through JSON (tuples have become lists), so compare the digests,
     # which canonicalize both sides the same way
-    if results_digest([probe]) == results_digest([reference.run().to_dict()]):
+    if results_digest([probe]) == results_digest([reference.to_dict()]):
         print(f"{label} mid-run boundary: killed at kernel 1/2, resumed byte-identical")
         return True
     print(

@@ -8,11 +8,13 @@ and the Section 5.1 placement-soundness analysis.
 
 from __future__ import annotations
 
+import time
 from typing import Dict, List
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.figures import Arms, BASE, Figure, FigureResult, Table, arm, speedups
+from repro.experiments.runner import tally_execution
 from repro.gpu.system import MultiGpuSystem
 from repro.stats.report import geometric_mean
 from repro.vm.alternative_placement import (
@@ -217,13 +219,17 @@ def _placement(table: Table) -> FigureResult:
         "speedup_vs_single_gpu": [],
     }
 
-    def run_trace(trace, seed):
-        node = MultiGpuSystem(config=system, seed=seed)
+    def run_trace(trace, label):
+        start = time.perf_counter()
+        node = MultiGpuSystem(config=system, seed=exp.seed)
         node.load(trace)
-        return node.run()
+        result = node.run()
+        tally_execution(label, time.perf_counter() - start, batched=False)
+        return result
 
     # only the LASP runs are campaign points; the alternative placements
-    # mutate the trace, so they are simulated directly here
+    # mutate the trace, so they are simulated directly here (and, having
+    # no point key, never cached), but counted in run_stats like any run
     for name in table.workloads:
         generator = get_workload(name)
         lasp_trace = generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed)
@@ -235,12 +241,12 @@ def _placement(table: Table) -> FigureResult:
         )
         series["local_interleave"].append(access_locality(interleaved)["local"])
         lasp_run = table[name, "lasp"]
-        inter_run = run_trace(interleaved, exp.seed)
+        inter_run = run_trace(interleaved, f"{name}/interleave")
         single = single_gpu_placement(
             generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed),
             system.n_gpus,
         )
-        single_run = run_trace(single, exp.seed)
+        single_run = run_trace(single, f"{name}/single_gpu")
         series["speedup_vs_interleave"].append(inter_run.cycles / lasp_run.cycles)
         series["speedup_vs_single_gpu"].append(single_run.cycles / lasp_run.cycles)
     return FigureResult(

@@ -473,6 +473,20 @@ def execute_point(
     return result, time.perf_counter() - start
 
 
+def tally_execution(label: str, seconds: float, batched: bool = True) -> None:
+    """Count one simulation that took ``seconds`` in :data:`run_stats`.
+
+    A run outside :func:`run_many` (``batched=False``) adds its time to
+    the batch wall time as well, which would otherwise overstate the
+    parallelism of the batches.
+    """
+    run_stats.executed += 1
+    run_stats.exec_seconds += seconds
+    run_stats.timings.append((label, seconds))
+    if not batched:
+        run_stats.wall_seconds += seconds
+
+
 def _record(
     point: ExperimentPoint,
     result: RunResult,
@@ -481,9 +495,7 @@ def _record(
     cache: Optional[ResultCache],
 ) -> None:
     """Tally an executed point, memoize it and publish it to ``cache``."""
-    run_stats.executed += 1
-    run_stats.exec_seconds += seconds
-    run_stats.timings.append((point.label(), seconds))
+    tally_execution(point.label(), seconds)
     if use_cache:
         _cache[point] = result
     if cache is not None:

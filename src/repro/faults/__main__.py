@@ -1,9 +1,11 @@
 """CI gates for the fault-injection subsystem.
 
-Two checks, both cheap enough for every pull request:
+Two checks, both cheap enough for every pull request, and both run
+their points as campaigns through the smoke gate's runner
+(:func:`repro.bench.smoke.run_smoke_grid`):
 
 ``--check-inert``
-    Reruns the quick smoke grid with fault configs that must be inert —
+    Reruns the quick smoke grid with fault blocks that must be inert —
     all rates zero (auto-disable) and ``enabled=False`` with nonzero
     rates (forced off) — and requires the committed single-engine digest
     (``SMOKE_digest.json``) back, byte for byte.  Proves the subsystem
@@ -31,31 +33,38 @@ import json
 import sys
 from pathlib import Path
 
-from repro.faults.config import FaultConfig, FlapWindow
+#: fault blocks that must leave the quick smoke grid byte-identical
+INERT_FAULTS = {
+    "zero rates (auto-disable)": {"ber": 0.0, "drop_rate": 0.0},
+    "enabled=False with nonzero rates": {
+        "ber": 1e-4,
+        "drop_rate": 0.01,
+        "flaps": [[100, 500, 0.5]],
+        "seed": 9,
+        "enabled": False,
+    },
+}
+
+#: the chaos smoke's faulted point: corruption, drops and one flap window
+CHAOS_FAULTS = {
+    "ber": 2e-4,
+    "drop_rate": 0.01,
+    "flaps": [[200, 900, 0.25]],
+    "seed": 7,
+    "rdma_timeout": 512,
+}
 
 
 def check_inert(expect_file: str) -> int:
-    from repro.bench.smoke import results_digest, run_smoke_grid
-    from repro.config import SystemConfig
+    from repro.bench.smoke import results_digest, run_smoke_grid, smoke_campaign
 
     expected = json.loads(Path(expect_file).read_text())["quick"]
-    cases = [
-        ("zero rates (auto-disable)", FaultConfig()),
-        (
-            "enabled=False with nonzero rates",
-            FaultConfig(
-                ber=1e-4,
-                drop_rate=0.01,
-                flaps=(FlapWindow(100, 500, 0.5),),
-                seed=9,
-                enabled=False,
-            ),
-        ),
-    ]
     failures = 0
-    for label, faults in cases:
-        config = SystemConfig.default().with_overrides(faults=faults)
-        results, _, _ = run_smoke_grid(quick=True, system_config=config)
+    for label, faults in INERT_FAULTS.items():
+        campaign = smoke_campaign(quick=True)
+        for point in campaign["points"]:
+            point["faults"] = faults
+        results, _, _ = run_smoke_grid(campaign)
         digest = results_digest([r.to_dict() for r in results])
         ok = digest == expected
         print(f"inert [{label}]: {digest} {'OK' if ok else 'MISMATCH'}")
@@ -66,33 +75,11 @@ def check_inert(expect_file: str) -> int:
 
 
 def chaos_smoke() -> int:
-    from repro.config import SystemConfig
-    from repro.core.config import NetCrafterConfig
-    from repro.gpu.system import MultiGpuSystem
-    from repro.workloads.base import Scale
-    from repro.workloads.registry import get_workload
+    from repro.bench.smoke import run_smoke_grid
 
-    faults = FaultConfig(
-        ber=2e-4,
-        drop_rate=0.01,
-        flaps=(FlapWindow(200, 900, 0.25),),
-        seed=7,
-        rdma_timeout=512,
-    )
-
-    def run(fault_config):
-        config = SystemConfig.default().with_overrides(faults=fault_config)
-        trace = get_workload("gups").build(
-            n_gpus=config.n_gpus, scale=Scale.tiny(), seed=0
-        )
-        system = MultiGpuSystem(
-            config=config, netcrafter=NetCrafterConfig.full(), seed=0
-        )
-        system.load(trace)
-        return system.run()
-
-    clean = run(FaultConfig())
-    result = run(faults)
+    point = {"workload": "gups", "variant": "full", "scale": "tiny", "seed": 0}
+    campaign = {"name": "chaos-smoke", "points": [point, {**point, "faults": CHAOS_FAULTS}]}
+    (clean, result), _, _ = run_smoke_grid(campaign)
     f = result.stats.faults
 
     checks = [

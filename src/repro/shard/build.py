@@ -1,9 +1,11 @@
 """The one node builder: single engine or cluster-sharded front end.
 
-Every path that simulates a point — the experiment runner, checkpoint
-resume, the smoke and kill-and-resume gates, the sharded-speedup macro —
-builds its node here, so the rules for when a run shards and how its
-shards are driven exist once.
+Every point's node is built here — by the experiment runner, which every figure,
+served campaign and digest gate runs its points through, by checkpoint
+resume, and by the two callers that need the node itself (the
+kill-and-resume gate's kill child and the sharded-speedup macro) — so
+the rules for when a run shards and how its shards are driven exist
+once.
 """
 
 from __future__ import annotations

@@ -1,23 +1,44 @@
-"""Tests for the smoke sweep's grid shape and result-digest helpers."""
+"""Tests for the smoke sweep's grid shape, its refusal to fall back to
+the single engine, and the result-digest helpers."""
+
+import pytest
 
 from repro.bench.smoke import (
     _DIGEST_EXCLUDED_FIELDS,
     digestable_payload,
+    main,
     results_digest,
-    smoke_points,
+    smoke_campaign,
 )
 
 
 class TestGrid:
     def test_full_grid_covers_workloads_and_variants(self):
-        points = smoke_points(quick=False)
+        points = smoke_campaign(quick=False)["points"]
         assert len(points) == 8
-        assert all(variant in ("baseline", "full") for _, variant in points)
+        assert all(point["variant"] in ("baseline", "full") for point in points)
 
     def test_quick_grid_is_a_prefix_of_the_full_grid(self):
-        quick = smoke_points(quick=True)
+        quick = smoke_campaign(quick=True)["points"]
         assert len(quick) == 4
-        assert quick == smoke_points(quick=False)[: len(quick)]
+        assert quick == smoke_campaign(quick=False)["points"][: len(quick)]
+
+
+@pytest.mark.parametrize(
+    "topology, clusters", [("mesh", 2), ("ring", 4)], ids=["mesh", "ring"]
+)
+def test_gate_refuses_a_shard_count_that_does_not_divide(monkeypatch, topology, clusters):
+    """A sweep falls back to the single engine when the shard count does
+    not divide the cluster count; the digest gate must fail instead, and
+    before any point runs."""
+    from repro.experiments import runner
+
+    def no_runs(*args, **kwargs):
+        raise AssertionError("the gate ran points it should have refused")
+
+    monkeypatch.setattr(runner, "run_many", no_runs)
+    with pytest.raises(ValueError, match=f"3 shards do not divide {clusters} clusters"):
+        main(["--quick", "--topology", topology, "--shards", "3"])
 
 
 class TestDigest:

@@ -37,11 +37,11 @@ class TestGridExpansion:
         """A campaign reproducing the quick smoke sweep must expand in
         the smoke grid's order — that is what makes its fetch digest
         comparable against SMOKE_digest.json."""
-        from repro.bench.smoke import smoke_points
+        from repro.bench.smoke import smoke_campaign
 
         spec = parse_campaign(_quick_grid())
-        got = [(p.workload, "full" if p.netcrafter.enable_stitching else "baseline") for p in spec.points]
-        assert got == smoke_points(quick=True)
+        gate = parse_campaign(smoke_campaign(quick=True))
+        assert spec.fingerprints == gate.fingerprints
 
     def test_expansion_matches_explicit_points(self):
         spec = parse_campaign(_quick_grid())
@@ -335,12 +335,16 @@ class TestLoadCampaign:
 
 class TestExampleCampaigns:
     def test_smoke_quick_example_matches_smoke_grid(self):
-        from repro.bench.smoke import smoke_points
+        """The example's grid and the gate's explicit points are one
+        ordered point set — the same campaign id — so its fetch digest
+        gates against SMOKE_digest.json's ``quick`` entry."""
+        from repro.bench.smoke import smoke_campaign
 
-        spec = load_campaign("examples/campaigns/smoke_quick.json")
-        got = [(p.workload, "full" if p.netcrafter.enable_stitching else "baseline") for p in spec.points]
-        assert got == smoke_points(quick=True)
-        assert all(p.scale == Scale.small() for p in spec.points)
+        example = load_campaign("examples/campaigns/smoke_quick.json")
+        gate = parse_campaign(smoke_campaign(quick=True))
+        assert example.fingerprints == gate.fingerprints
+        assert example.campaign_id == gate.campaign_id
+        assert all(p.scale == Scale.small() for p in example.points)
 
     def test_topology_tour_example_parses(self):
         pytest.importorskip("yaml")

@@ -14,8 +14,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.smoke import _grid_key, results_digest, smoke_points
+from repro.bench.smoke import _grid_key, results_digest, smoke_campaign, smoke_point
 from repro.ckpt.smoke import kill_and_resume_point
+from repro.shard.build import ShardingOptions
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 COMMITTED = json.loads((REPO_ROOT / "SMOKE_digest.json").read_text())
@@ -34,18 +35,11 @@ EXECUTION_MODES = [
 def test_killed_grid_resumes_to_the_committed_digest(
     tmp_path, topology, n_shards, parallel
 ):
-    results = []
-    for workload, variant in smoke_points(quick=True):
-        results.append(
-            kill_and_resume_point(
-                workload,
-                variant,
-                snapshot_dir=tmp_path,
-                topology=topology,
-                n_shards=n_shards,
-                parallel=parallel,
-            )
-        )
+    sharding = ShardingOptions(n_shards, parallel=parallel)
+    results = [
+        kill_and_resume_point(point, snapshot_dir=tmp_path, sharding=sharding)
+        for point in smoke_campaign(quick=True, topology=topology)["points"]
+    ]
     assert results_digest(results) == COMMITTED[_grid_key(True, topology)], (
         f"{topology}/{n_shards}-shard{'-parallel' if parallel else ''}: "
         "killed-and-resumed grid diverged from the uninterrupted digest"
@@ -54,21 +48,12 @@ def test_killed_grid_resumes_to_the_committed_digest(
 
 def test_midrun_kill_resumes_byte_identical(tmp_path):
     """mm2 has a true mid-run boundary (kernel 1 of 2): kill there and
-    require the resumed result to match an uninterrupted in-process
-    run through the canonical digest."""
-    from repro.bench.smoke import _variant_config, topology_smoke_config
-    from repro.gpu.system import MultiGpuSystem
-    from repro.workloads.base import Scale
-    from repro.workloads.registry import get_workload
+    require the resumed result to match an uninterrupted run through the
+    canonical digest."""
+    from repro.campaign.spec import expand_point
+    from repro.experiments.runner import run_many
 
-    probe = kill_and_resume_point(
-        "mm2", "full", snapshot_dir=tmp_path, kill_at=1
-    )
-    config = topology_smoke_config("mesh")
-    node = MultiGpuSystem(
-        config=config, netcrafter=_variant_config("full"), seed=0
-    )
-    node.load(
-        get_workload("mm2").build(n_gpus=config.n_gpus, scale=Scale.small(), seed=0)
-    )
-    assert results_digest([probe]) == results_digest([node.run().to_dict()])
+    point = smoke_point("mm2", "full")
+    probe = kill_and_resume_point(point, snapshot_dir=tmp_path, kill_at=1)
+    (reference,) = run_many([expand_point(point)], use_cache=False)
+    assert results_digest([probe]) == results_digest([reference.to_dict()])

@@ -30,3 +30,15 @@ def test_ext_scaling_covers_all_topologies():
     assert result.labels == ["2x2_mesh", "3x2_mesh", "4x2_mesh", "4x2_ring"]
     assert set(result.series) == {"ideal", "netcrafter"}
     assert all(v > 0 for vals in result.series.values() for v in vals)
+
+
+def test_ext_placement_counts_its_direct_runs():
+    """The interleaved and single-GPU placements run outside the result
+    cache; each still counts as a simulation in run_stats, so a warm run
+    of the figure reports them as simulated."""
+    from repro.experiments.runner import run_stats
+
+    run_figure("ext_placement", EXP)  # the LASP points are now memoized
+    before = run_stats.executed
+    run_figure("ext_placement", EXP)
+    assert run_stats.executed - before == 2 * len(EXP.workloads)

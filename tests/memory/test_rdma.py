@@ -153,18 +153,18 @@ def test_response_with_no_outstanding_tag_raises():
 
 @pytest.mark.parametrize("n_shards", [1, 2])
 def test_requester_tables_drain_on_the_quick_smoke_points(n_shards):
-    from repro.bench.smoke import _variant_config, smoke_points, topology_smoke_config
+    from repro.bench.smoke import smoke_campaign
+    from repro.campaign.spec import parse_campaign
     from repro.shard.build import ShardingOptions, build_node
-    from repro.workloads.base import Scale
     from repro.workloads.registry import get_workload
 
-    config = topology_smoke_config("mesh")
     sharding = ShardingOptions(n_shards, parallel=False) if n_shards > 1 else None
-    for workload, variant in smoke_points(quick=True):
-        node = build_node(config, _variant_config(variant), 0, sharding)
+    for point in parse_campaign(smoke_campaign(quick=True)).points:
+        config = point.system
+        node = build_node(config, point.netcrafter, point.seed, sharding)
         node.load(
-            get_workload(workload).build(
-                n_gpus=config.n_gpus, scale=Scale.small(), seed=0
+            get_workload(point.workload).build(
+                n_gpus=config.n_gpus, scale=point.scale, seed=point.seed
             )
         )
         node.run()
@@ -174,4 +174,4 @@ def test_requester_tables_drain_on_the_quick_smoke_points(n_shards):
             gpus = [gpu for h in node._handles for gpu in h.shard.gpus.values()]
         assert len(gpus) == config.n_gpus
         assert sum(gpu.rdma._next_tag for gpu in gpus) > 0
-        assert all(gpu.rdma._outstanding == {} for gpu in gpus), (workload, variant)
+        assert all(gpu.rdma._outstanding == {} for gpu in gpus), point

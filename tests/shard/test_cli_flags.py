@@ -24,9 +24,9 @@ def _experiments(monkeypatch, argv):
     return parsed.value.args[0]
 
 
-def _captured(monkeypatch, module, function, main, argv):
+def _captured(monkeypatch, module, function, main, argv, sharding):
     def capture(*args, **kwargs):
-        raise _Parsed(ShardingOptions(kwargs["n_shards"], kwargs["parallel"]))
+        raise _Parsed(sharding(args, kwargs))
 
     monkeypatch.setattr(module, function, capture)
     with pytest.raises(_Parsed) as parsed:
@@ -37,13 +37,27 @@ def _captured(monkeypatch, module, function, main, argv):
 def _smoke(monkeypatch, argv):
     from repro.bench import smoke
 
-    return _captured(monkeypatch, smoke, "run_smoke_grid", smoke.main, ["--quick", *argv])
+    return _captured(
+        monkeypatch,
+        smoke,
+        "run_smoke_grid",
+        smoke.main,
+        ["--quick", *argv],
+        lambda args, kwargs: args[1],  # run_smoke_grid(campaign, sharding)
+    )
 
 
 def _ckpt(monkeypatch, argv):
     from repro.ckpt import __main__ as cli
 
-    return _captured(monkeypatch, cli, "run_smoke", cli.main, ["--smoke", *argv])
+    return _captured(
+        monkeypatch,
+        cli,
+        "run_smoke",
+        cli.main,
+        ["--smoke", *argv],
+        lambda args, kwargs: kwargs["sharding"],
+    )
 
 
 @pytest.mark.parametrize(
@@ -67,3 +81,13 @@ def test_parallel_flag_is_gone(monkeypatch, capsys, cli):
         cli(monkeypatch, ["--shards", "2", "--parallel"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--smoke"], ["--smoke", "--topology", "ring"]])
+def test_ckpt_gate_refuses_a_shard_count_that_does_not_divide(argv):
+    """Like the smoke gate, the kill-and-resume gate fails instead of
+    running its points on the single engine under a shard label."""
+    from repro.ckpt import __main__ as cli
+
+    with pytest.raises(ValueError, match="3 shards do not divide"):
+        cli.main([*argv, "--shards", "3"])
