@@ -165,7 +165,15 @@ def run_benchmarks(
                 f"unknown benchmark(s): {sorted(unknown)}; known: {sorted(known)}"
             )
         suite = [bench for bench in suite if bench[0] in wanted]
-    records = [measure(name, kind, fn, repeats=repeats) for name, kind, fn in suite]
+    records = []
+    for name, kind, fn in suite:
+        record = measure(name, kind, fn, repeats=repeats)
+        if name == "smoke_sweep":
+            # exact work counts from one extra, untimed profiled pass
+            from repro.bench.smoke import smoke_events_by_callback
+
+            record.extra["events_by_callback"] = smoke_events_by_callback(quick)
+        records.append(record)
     return BenchReport(records=records, quick=quick)
 
 
@@ -221,7 +229,10 @@ def compare_reports(
     * When both rows record ``events`` on the same point grid, the counts
       must be equal: the engine's event count is deterministic, so any
       change (up or down) is structural and has to be explained by
-      re-recording the baseline.
+      re-recording the baseline.  ``events_by_callback`` is gated the
+      same way, key by key: the row's ``callback_deltas`` lists every
+      callback whose count moved (a key one side lacks counts as 0), and
+      the regression names them.
     """
     cur_by_name = {b["name"]: b for b in current.get("benchmarks", [])}
     base_by_name = {b["name"]: b for b in baseline.get("benchmarks", [])}
@@ -274,6 +285,26 @@ def compare_reports(
             row["current_events"] = int(cur_events)
             if int(cur_events) != int(base_events):
                 regressions.append(f"{name} (events)")
+        cur_calls = cur.get("events_by_callback")
+        base_calls = base.get("events_by_callback")
+        if (
+            cur_calls is not None
+            and base_calls is not None
+            and _same_grid(current, cur, baseline, base)
+        ):
+            deltas = [
+                {
+                    "callback": key,
+                    "baseline": int(base_calls.get(key, 0)),
+                    "current": int(cur_calls.get(key, 0)),
+                }
+                for key in sorted(set(base_calls) | set(cur_calls))
+                if base_calls.get(key, 0) != cur_calls.get(key, 0)
+            ]
+            row["callback_deltas"] = deltas
+            if deltas:
+                moved = ", ".join(delta["callback"] for delta in deltas)
+                regressions.append(f"{name} (events by callback: {moved})")
         cur_pickle = cur.get("pickle_bytes_per_window")
         base_pickle = base.get("pickle_bytes_per_window")
         if cur_pickle and base_pickle:
@@ -330,6 +361,17 @@ def comparison_lines(comparison: Dict[str, object]) -> List[str]:
                 f"{row['current_events']}"
                 + ("" if row["baseline_events"] == row["current_events"] else " (CHANGED)")
             )
+        if row.get("callback_deltas"):
+            lines.append(
+                f"{'':<30} {'callback':<42} {'baseline':>9} {'current':>9} "
+                f"{'delta':>8}"
+            )
+            for delta in row["callback_deltas"]:
+                lines.append(
+                    f"{'':<30} {delta['callback']:<42} "
+                    f"{delta['baseline']:>9} {delta['current']:>9} "
+                    f"{delta['current'] - delta['baseline']:>+8}"
+                )
     if comparison["regressions"]:
         lines.append(
             "REGRESSIONS (slower than their threshold, or a gated count "
@@ -389,13 +431,13 @@ def comparison_markdown(comparison: Dict[str, object]) -> List[str]:
         "| benchmark | baseline/s | current/s | speedup | threshold | status |",
         "|---|---:|---:|---:|---:|---|",
     ]
-    regressed = set(comparison["regressions"])
+    regressed = comparison["regressions"]
     for row in comparison["benchmarks"]:
         threshold = row.get("fail_threshold", comparison["fail_threshold"])
         name = row["name"]
         status = (
             "regressed"
-            if regressed & {name, f"{name} (pickle bytes)", f"{name} (events)"}
+            if any(r == name or r.startswith(f"{name} (") for r in regressed)
             else "ok"
         )
         shown = (
@@ -412,6 +454,25 @@ def comparison_markdown(comparison: Dict[str, object]) -> List[str]:
             f"| {status} |"
         )
     lines.extend(overhead_markdown(comparison["benchmarks"]))
+    moved = [
+        (row["name"], delta)
+        for row in comparison["benchmarks"]
+        for delta in row.get("callback_deltas", ())
+    ]
+    if moved:
+        lines += [
+            "",
+            "#### Events by callback that moved",
+            "",
+            "| benchmark | callback | baseline | current | delta |",
+            "|---|---|---:|---:|---:|",
+        ]
+        lines += [
+            f"| {name} | {delta['callback']} | {delta['baseline']:,} "
+            f"| {delta['current']:,} "
+            f"| {delta['current'] - delta['baseline']:+,} |"
+            for name, delta in moved
+        ]
     digest_match = comparison.get("digest_match")
     if digest_match is False:
         lines.append("")

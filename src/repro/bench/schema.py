@@ -89,6 +89,18 @@ def validate_report(doc: object) -> None:
                 raise BenchSchemaError(
                     f"{where}: results_digest must be a sha256 hex string"
                 )
+        if "events_by_callback" in row:
+            counts = row["events_by_callback"]
+            if not isinstance(counts, dict) or not all(
+                isinstance(key, str)
+                and isinstance(count, int)
+                and not isinstance(count, bool)
+                for key, count in counts.items()
+            ):
+                raise BenchSchemaError(
+                    f"{where}: events_by_callback must map callback keys "
+                    "to integer counts"
+                )
         if "fail_threshold" in row:
             threshold = row["fail_threshold"]
             if (

@@ -181,6 +181,34 @@ def bench_smoke_sweep(quick: bool = False) -> Tuple[int, Dict[str, object]]:
     }
 
 
+def smoke_events_by_callback(quick: bool = False) -> Dict[str, int]:
+    """Engine events per callback key (``Class.method``) over one profiled
+    pass of the smoke grid, summed over its points.
+
+    The counts are deterministic, so they gate work exactly: ``python -m
+    repro.bench --compare`` fails on any key that moved.  The pass runs
+    apart from the timed repeats, whose wall time the profiler would
+    inflate.
+    """
+    import tempfile
+    from collections import Counter
+    from pathlib import Path
+
+    from repro.experiments.runner import ObservabilityOptions, RunContext, run_many
+
+    counts: Counter = Counter()
+    with tempfile.TemporaryDirectory() as out_dir:
+        ctx = RunContext(
+            observability=ObservabilityOptions(profile=True, out_dir=out_dir)
+        )
+        points = gate_points(smoke_campaign(quick))
+        for result in run_many(points, use_cache=False, ctx=ctx):
+            profile = json.loads(Path(result.profile_path).read_text())
+            for row in profile["by_callback"]:
+                counts[row["callback"]] += int(row["count"])
+    return dict(sorted(counts.items()))
+
+
 # -- sharded-speedup macro ---------------------------------------------------
 
 #: the ISSUE's reference sharding benchmark: 8 GPUs in 4 clusters.  The

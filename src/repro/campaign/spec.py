@@ -55,7 +55,7 @@ from repro.experiments.cache import descriptor_fingerprint, point_descriptors
 from repro.experiments.runner import ExperimentPoint
 from repro.faults.config import FaultConfig, FlapWindow
 from repro.workloads.base import Scale
-from repro.workloads.registry import WORKLOADS
+from repro.workloads.registry import get_workload
 
 #: campaign priorities are clamped to this inclusive range
 MIN_PRIORITY, MAX_PRIORITY = 0, 100
@@ -187,9 +187,16 @@ def _build_system(
 
 
 def _check_workload(name, where: str) -> str:
-    if not isinstance(name, str) or name not in WORKLOADS:
+    if not isinstance(name, str):
+        raise CampaignSpecError(f"{where}: workload must be a name, got {name!r}")
+    try:
+        canonical = get_workload(name).name
+    except KeyError as exc:
+        raise CampaignSpecError(f"{where}: {exc.args[0]}") from None
+    if canonical != name:
+        # one spelling per workload, so equal points fingerprint equally
         raise CampaignSpecError(
-            f"{where}: unknown workload {name!r} (one of: {', '.join(WORKLOADS)})"
+            f"{where}: unknown workload {name!r} (did you mean {canonical!r}?)"
         )
     return name
 

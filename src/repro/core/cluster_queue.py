@@ -42,9 +42,6 @@ class QueuePartition:
     def __len__(self) -> int:
         return len(self.flits)
 
-    def is_blocked(self, now: int) -> bool:
-        return now < self.blocked_until
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<QueuePartition {self.key} n={len(self.flits)} blk={self.blocked_until}>"
 
@@ -89,14 +86,6 @@ class ClusterQueue:
 
     def __len__(self) -> int:
         return self._count
-
-    @property
-    def free_entries(self) -> int:
-        """Entries available to :meth:`push`; reservations are not free."""
-        return self.capacity - self._count - self._reserved
-
-    def is_empty(self) -> bool:
-        return self._count == 0
 
     # -- keying -----------------------------------------------------------
 
@@ -151,7 +140,7 @@ class ClusterQueue:
         :meth:`pop_reserved`.  Without a reservation the capacity check
         applies just like :meth:`push` — silently exceeding it (the
         pre-fix behaviour) drove ``_count`` above ``capacity`` and
-        ``free_entries`` negative whenever an intervening ``push``
+        the free entries negative whenever an intervening ``push``
         filled the queue, so that case now raises :class:`CapacityError`.
         """
         if reserved:
@@ -179,17 +168,13 @@ class ClusterQueue:
         fate; if pooling returns it via ``push_front`` it must get its
         entry back even when admissions happened in between.  The caller
         settles the reservation with exactly one of
-        ``push_front(..., reserved=True)`` or :meth:`release_reservation`.
+        ``push_front(..., reserved=True)`` or, when the flit leaves for
+        good, by giving the entry up (the controller's eject decrements
+        ``_reserved``).
         """
         flit = self.pop_from(part)
         self._reserved += 1
         return flit
-
-    def release_reservation(self) -> None:
-        """Give up one held entry (the popped flit was ejected, not returned)."""
-        if self._reserved <= 0:
-            raise RuntimeError("release_reservation without a reservation")
-        self._reserved -= 1
 
     def remove_flit(self, flit: Flit, part: Optional[QueuePartition] = None) -> bool:
         """Remove a specific staged flit (when it gets stitched away).
@@ -246,24 +231,23 @@ class ClusterQueue:
                 return preferred, None
         if self._count == 0 or not self._order:
             return None, None
-        if self._age_scheduler:
-            return self._select_oldest(now)
-        return self._select_round_robin(now)
-
-    def _select_oldest(
-        self, now: int
-    ) -> Tuple[Optional[QueuePartition], Optional[int]]:
+        if not self._age_scheduler:
+            return self._select_round_robin(now)
         best: Optional[QueuePartition] = None
+        best_seq = 0
         earliest: Optional[int] = None
         for part in self._partitions.values():
-            if not part.flits:
+            flits = part.flits
+            if not flits:
                 continue
-            if part.is_blocked(now):
-                if earliest is None or part.blocked_until < earliest:
-                    earliest = part.blocked_until
+            blocked_until = part.blocked_until
+            if now < blocked_until:
+                if earliest is None or blocked_until < earliest:
+                    earliest = blocked_until
                 continue
-            if best is None or part.flits[0].cq_seq < best.flits[0].cq_seq:
-                best = part
+            seq = flits[0].cq_seq
+            if best is None or seq < best_seq:
+                best, best_seq = part, seq
         if best is not None:
             return best, None
         return None, earliest
@@ -278,7 +262,7 @@ class ClusterQueue:
             part = self._partitions[key]
             if not part.flits:
                 continue
-            if part.is_blocked(now):
+            if now < part.blocked_until:
                 if earliest is None or part.blocked_until < earliest:
                     earliest = part.blocked_until
                 continue
@@ -291,7 +275,7 @@ class ClusterQueue:
         return [
             part
             for part in self._partitions.values()
-            if part.flits and part.is_blocked(now)
+            if part.flits and now < part.blocked_until
         ]
 
     def stitch_candidates(

@@ -50,17 +50,6 @@ class EgressStats:
         #: reproduces Figure 6's padded-fraction distribution
         self.occupancy = Counter()
 
-    def record_entry(self, flit: Flit) -> None:
-        self.flits_entered += 1
-        self.occupancy[flit.used_bytes] += 1
-        useful = flit.used_bytes
-        if flit.is_ptw:
-            self.ptw_flits += 1
-            self.ptw_bytes += useful
-        else:
-            self.data_flits += 1
-            self.data_bytes += useful
-
 
 class NetCrafterController(Traced, Component):
     """Egress controller for a single destination cluster."""
@@ -107,6 +96,8 @@ class NetCrafterController(Traced, Component):
             config.effective_priority, config.data_priority_fraction, seed=seed
         )
         self.stats = EgressStats()
+        #: the partition the sequencer serves first; fixed by its mode
+        self._preferred = self.sequencer.preferred_partition
         #: packets waiting for Cluster Queue space, admitted FIFO
         self._pending: Deque[Tuple[List[Flit], bool]] = deque()
         self._next_pump: Optional[int] = None
@@ -116,10 +107,12 @@ class NetCrafterController(Traced, Component):
 
     def accept_packet(self, packet: Packet) -> None:
         """Receive a packet routed toward this controller's link."""
-        self.stats.packets_accepted += 1
-        self.stats.packets_by_type[packet.ptype] += 1
-        if self.trim_engine is not None:
-            trimmed = self.trim_engine.maybe_trim(packet)
+        stats = self.stats
+        stats.packets_accepted += 1
+        stats.packets_by_type[packet.ptype] += 1
+        trim_engine = self.trim_engine
+        if trim_engine is not None:
+            trimmed = trim_engine.maybe_trim(packet)
             if trimmed and self._trace_on:
                 self._tracer.packet_event(
                     self.now,
@@ -136,22 +129,51 @@ class NetCrafterController(Traced, Component):
         self._request_pump(self.engine._now)
 
     def _admit_pending(self) -> None:
-        """Move whole packets from the overflow list into the CQ."""
-        while self._pending:
-            flits, priority_data = self._pending[0]
-            if self.queue.free_entries < len(flits):
+        """Move whole packets from the overflow list into the CQ.
+
+        ``ClusterQueue.push`` and the entry statistics are inlined per
+        packet: every flit of a packet shares one partition, and the
+        packet is admitted only when the free entries (capacity less
+        staged and reserved ones) hold all of its flits.
+        """
+        pending = self._pending
+        queue = self.queue
+        stats = self.stats
+        occupancy = stats.occupancy
+        while pending:
+            flits, priority_data = pending[0]
+            n_flits = len(flits)
+            if queue.capacity - queue._count - queue._reserved < n_flits:
                 return
-            self._pending.popleft()
+            pending.popleft()
+            key = queue.partition_key(flits[0], priority_data)
+            part = queue._partitions.get(key)
+            if part is None:
+                part = queue._partition(key)
+            staged = part.flits
+            seq = queue._next_seq
+            useful = 0
             for flit in flits:
-                self.stats.record_entry(flit)
-                self.queue.push(flit, priority_data)
-                if self._trace_on:
+                flit.cq_seq = seq
+                seq += 1
+                staged.append(flit)
+                used = flit.used_bytes
+                occupancy[used] += 1
+                useful += used
+            queue._next_seq = seq
+            queue._count += n_flits
+            queue.total_accepted += n_flits
+            stats.flits_entered += n_flits
+            if flits[0].packet._ptw:
+                stats.ptw_flits += n_flits
+                stats.ptw_bytes += useful
+            else:
+                stats.data_flits += n_flits
+                stats.data_bytes += useful
+            if self._trace_on:
+                for flit in flits:
                     self._tracer.flit_event(
-                        self.now,
-                        "stage",
-                        flit,
-                        lane=self.name,
-                        part=self.queue.partition_key(flit, priority_data),
+                        self.now, "stage", flit, lane=self.name, part=key
                     )
 
     def _maybe_release_pooled(self) -> None:
@@ -178,36 +200,34 @@ class NetCrafterController(Traced, Component):
 
     def _request_pump(self, at: int) -> None:
         """Ensure a pump event is in flight no later than ``at``."""
-        now = self.engine._now
+        engine = self.engine
+        now = engine._now
         if at < now:
             at = now
         next_pump = self._next_pump
         if next_pump is not None and next_pump <= at:
             return
         self._next_pump = at
-        self._pump_generation += 1
-        self.engine.schedule_at(at, self._pump_event, self._pump_generation)
-
-    def _pump_event(self, generation: int) -> None:
-        if generation != self._pump_generation:
-            return  # superseded by an earlier request
-        self._next_pump = None
-        self._pump()
+        generation = self._pump_generation + 1
+        self._pump_generation = generation
+        engine.schedule_at(at, self._pump_event, generation)
 
     # -- egress pipeline ------------------------------------------------------
 
-    def _pump(self) -> None:
+    def _pump_event(self, generation: int) -> None:
+        """Eject at most one parent flit onto the link (the pump)."""
+        if generation != self._pump_generation:
+            return  # superseded by an earlier request
+        self._next_pump = None
         link = self.link
         if not link.is_ready():
             self._request_pump(link.ready_at())
             return
         now = self.engine._now
         queue = self.queue
-        preferred = self.sequencer.preferred_partition
+        preferred = self._preferred
         while True:
-            partition, earliest_unblock = queue.select_partition(
-                now, prefer=preferred
-            )
+            partition, earliest_unblock = queue.select_partition(now, preferred)
             if partition is None:
                 if earliest_unblock is None:
                     return
@@ -280,14 +300,19 @@ class NetCrafterController(Traced, Component):
             return
 
     def _eject(self, parent: Flit, absorbed: int) -> None:
-        # the parent leaves for good: its reserved SRAM entry opens up
-        self.queue.release_reservation()
+        queue = self.queue
+        # the parent leaves for good: the SRAM entry pop_reserved held
+        # for it opens up
+        if queue._reserved <= 0:
+            raise RuntimeError("eject without a reserved entry")
+        queue._reserved -= 1
         if self.pooling is not None:
             self.pooling.record_outcome(parent, absorbed > 0)
+        stats = self.stats
         if absorbed:
-            self.stats.parents_stitched += 1
-            self.stats.flits_absorbed += absorbed
-        self.stats.flits_sent += 1
+            stats.parents_stitched += 1
+            stats.flits_absorbed += absorbed
+        stats.flits_sent += 1
         if self._trace_on:
             self._tracer.flit_event(
                 self.now,
@@ -297,10 +322,13 @@ class NetCrafterController(Traced, Component):
                 absorbed=absorbed,
                 pooled=parent.pooled,
             )
-        self.link.send(parent)
-        self._admit_pending()
-        if not self.queue.is_empty() or self._pending:
-            self._request_pump(self.link.ready_at())
+        link = self.link
+        link.send(parent)
+        pending = self._pending
+        if pending:
+            self._admit_pending()
+        if queue._count or pending:
+            self._request_pump(link.ready_at())
 
     # -- introspection ---------------------------------------------------------
 

@@ -65,7 +65,9 @@ class StitchEngine:
                 remaining -= 1
                 if flit is parent:
                     continue
-                cost = flit.stitch_cost()
+                cost = flit._cost  # Flit.stitch_cost's cache
+                if cost < 0:
+                    cost = flit.stitch_cost()
                 if cost > empty or cost <= best_cost or flit.segments:
                     continue
                 best, best_part, best_cost = flit, part, cost

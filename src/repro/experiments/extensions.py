@@ -8,20 +8,14 @@ and the Section 5.1 placement-soundness analysis.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.experiments.figures import Arms, BASE, Figure, FigureResult, Table, arm, speedups
-from repro.experiments.runner import tally_execution
-from repro.gpu.system import MultiGpuSystem
+from repro.experiments.runner import ExperimentScale
 from repro.stats.report import geometric_mean
-from repro.vm.alternative_placement import (
-    access_locality,
-    interleave_placement,
-    single_gpu_placement,
-)
+from repro.vm.alternative_placement import PLACEMENTS, access_locality
 from repro.workloads.registry import get_workload
 
 #: the hardware-coherence node of the coherence extensions
@@ -200,6 +194,16 @@ def _topology(table: Table) -> FigureResult:
     )
 
 
+def _placement_workloads(exp: ExperimentScale) -> List[str]:
+    """Each workload under LASP, then as every naive placement's derived
+    workload (``gups@interleave``)."""
+    return [
+        f"{name}@{policy}" if policy else name
+        for name in exp.workload_names()
+        for policy in ("", *PLACEMENTS)
+    ]
+
+
 def _placement(table: Table) -> FigureResult:
     """Section 5.1's baseline-soundness analysis: LASP vs naive placement.
 
@@ -210,45 +214,28 @@ def _placement(table: Table) -> FigureResult:
     artifact: LASP is already near-optimal for these workloads.
     """
     exp = table.exp
-    system = SystemConfig.default()
-    labels: List[str] = []
+    n_gpus = SystemConfig.default().n_gpus
+    labels = exp.workload_names()
     series: Dict[str, List[float]] = {
         "local_lasp": [],
         "local_interleave": [],
         "speedup_vs_interleave": [],
         "speedup_vs_single_gpu": [],
     }
-
-    def run_trace(trace, label):
-        start = time.perf_counter()
-        node = MultiGpuSystem(config=system, seed=exp.seed)
-        node.load(trace)
-        result = node.run()
-        tally_execution(label, time.perf_counter() - start, batched=False)
-        return result
-
-    # only the LASP runs are campaign points; the alternative placements
-    # mutate the trace, so they are simulated directly here (and, having
-    # no point key, never cached), but counted in run_stats like any run
-    for name in table.workloads:
-        generator = get_workload(name)
-        lasp_trace = generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed)
-        labels.append(name)
-        series["local_lasp"].append(access_locality(lasp_trace)["local"])
-        interleaved = interleave_placement(
-            generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed),
-            system.n_gpus,
-        )
-        series["local_interleave"].append(access_locality(interleaved)["local"])
-        lasp_run = table[name, "lasp"]
-        inter_run = run_trace(interleaved, f"{name}/interleave")
-        single = single_gpu_placement(
-            generator.build(n_gpus=system.n_gpus, scale=exp.scale, seed=exp.seed),
-            system.n_gpus,
-        )
-        single_run = run_trace(single, f"{name}/single_gpu")
-        series["speedup_vs_interleave"].append(inter_run.cycles / lasp_run.cycles)
-        series["speedup_vs_single_gpu"].append(single_run.cycles / lasp_run.cycles)
+    for name in labels:
+        for key, workload in (
+            ("local_lasp", name),
+            ("local_interleave", f"{name}@interleave"),
+        ):
+            trace = get_workload(workload).build(
+                n_gpus=n_gpus, scale=exp.scale, seed=exp.seed
+            )
+            series[key].append(access_locality(trace)["local"])
+        lasp_cycles = table[name, "lasp"].cycles
+        for policy in PLACEMENTS:
+            series[f"speedup_vs_{policy}"].append(
+                table[f"{name}@{policy}", "lasp"].cycles / lasp_cycles
+            )
     return FigureResult(
         "ext_placement",
         "LASP vs naive page placement (Section 5.1 soundness analysis)",
@@ -293,5 +280,5 @@ COHERENCE = Figure(_coherence_arms, _coherence)
 COHERENCE_TRAFFIC = Figure(_coherence_traffic_arms, _coherence_traffic)
 SCALING = Figure(_scaling_arms, _scaling)
 TOPOLOGY = Figure(_topology_arms, _topology)
-PLACEMENT = Figure(lambda: {"lasp": BASE}, _placement)
+PLACEMENT = Figure(lambda: {"lasp": BASE}, _placement, _placement_workloads)
 ENERGY = Figure(_energy_arms, _energy)

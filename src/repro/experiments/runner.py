@@ -473,18 +473,11 @@ def execute_point(
     return result, time.perf_counter() - start
 
 
-def tally_execution(label: str, seconds: float, batched: bool = True) -> None:
-    """Count one simulation that took ``seconds`` in :data:`run_stats`.
-
-    A run outside :func:`run_many` (``batched=False``) adds its time to
-    the batch wall time as well, which would otherwise overstate the
-    parallelism of the batches.
-    """
+def tally_execution(label: str, seconds: float) -> None:
+    """Count one simulation that took ``seconds`` in :data:`run_stats`."""
     run_stats.executed += 1
     run_stats.exec_seconds += seconds
     run_stats.timings.append((label, seconds))
-    if not batched:
-        run_stats.wall_seconds += seconds
 
 
 def _record(

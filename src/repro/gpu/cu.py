@@ -129,20 +129,29 @@ class ComputeUnit(Component):
         self.schedule(self.l1_tlb.lookup_latency, self._after_l1_tlb, wf, access)
 
     def _after_l1_tlb(self, wf: _Wavefront, access: MemAccess) -> None:
-        page_paddr = self.l1_tlb.lookup(access.vpn)
+        # Tlb.lookup and _with_physical inlined on the hit path
+        vaddr = access.vaddr
+        vpn = vaddr // PAGE_SIZE
+        tlb = self.l1_tlb
+        tlb_set = tlb._sets[vpn % tlb.n_sets]
+        # pop+reinsert refreshes the LRU position (None marks a miss)
+        page_paddr = tlb_set.pop(vpn, None)
         if page_paddr is not None:
-            self._with_physical(wf, access, page_paddr)
+            tlb_set[vpn] = page_paddr
+            tlb.hits += 1
+            self.schedule(
+                self.config.l1_latency,
+                self._l1_access,
+                wf,
+                access,
+                page_paddr + vaddr % PAGE_SIZE,
+            )
             return
-        self.gpu.gmmu.translate(
-            access.vpn,
-            partial(self._translated, wf, access),
-        )
+        tlb.misses += 1
+        self.gpu.gmmu.translate(vpn, partial(self._translated, wf, access))
 
     def _translated(self, wf: _Wavefront, access: MemAccess, page_paddr: int) -> None:
         self.l1_tlb.insert(access.vpn, page_paddr)
-        self._with_physical(wf, access, page_paddr)
-
-    def _with_physical(self, wf: _Wavefront, access: MemAccess, page_paddr: int) -> None:
         pa = page_paddr + (access.vaddr % PAGE_SIZE)
         self.schedule(self.config.l1_latency, self._l1_access, wf, access, pa)
 
@@ -152,15 +161,33 @@ class ComputeUnit(Component):
         if access.is_write:
             self._do_write(wf, access, pa)
             return
-        needed_mask = self.l1.sector_mask(pa, access.nbytes)
-        outcome = self.l1.lookup(pa, needed_mask)
-        if outcome == "hit":
-            self.stats.l1_hits += 1
-            self._resume(wf)
-            return
-        if outcome == "miss":
+        # SectorCache.sector_mask and SectorCache.lookup, inlined
+        l1 = self.l1
+        line_bytes = l1.line_bytes
+        nbytes = access.nbytes
+        needed_mask = l1._mask_cache.get((pa % line_bytes, nbytes))
+        if needed_mask is None:
+            needed_mask = l1.sector_mask(pa, nbytes)
+        line_index = pa // line_bytes
+        n_sets = l1.n_sets
+        cache_set = l1._sets.get(line_index % n_sets)
+        line = None
+        if cache_set is not None:
+            tag = line_index // n_sets
+            line = cache_set.pop(tag, None)
+        if line is None:
+            l1.misses += 1
             self.stats.l1_misses += 1
         else:
+            cache_set[tag] = line  # refresh LRU position
+            if line.valid_sectors & needed_mask == needed_mask:
+                l1.hits += 1
+                self.stats.l1_hits += 1
+                # _resume, inlined
+                wf.outstanding -= 1
+                self._advance(wf)
+                return
+            l1.sector_misses += 1
             self.stats.l1_sector_misses += 1
         self._fetch(access, pa, needed_mask, partial(self._resume, wf))
 

@@ -123,10 +123,6 @@ class Gpu(Component):
         if not self._uplink.send(packet):
             self._uplink.notify_on_space(partial(self.inject_packet, packet))
 
-    def receive_packet(self, packet: Packet) -> None:
-        """Sink for the switch->GPU downlink."""
-        self.rdma.receive_packet(packet)
-
     # -- services used by CUs and the GMMU ---------------------------------------
 
     def home_of(self, paddr: int) -> int:

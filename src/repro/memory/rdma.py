@@ -24,6 +24,17 @@ from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.stats.collectors import RunStats
 
+# the packet types as module globals: loading a global is one dict probe,
+# where ``PacketType.READ_REQ`` goes through the Enum metaclass each time
+_READ_REQ = PacketType.READ_REQ
+_READ_RSP = PacketType.READ_RSP
+_WRITE_REQ = PacketType.WRITE_REQ
+_WRITE_RSP = PacketType.WRITE_RSP
+_PT_REQ = PacketType.PT_REQ
+_PT_RSP = PacketType.PT_RSP
+_INV_REQ = PacketType.INV_REQ
+_INV_RSP = PacketType.INV_RSP
+
 
 class RdmaEngine(Traced, Component):
     """Requester and responder logic for one GPU."""
@@ -128,7 +139,7 @@ class RdmaEngine(Traced, Component):
     ) -> None:
         """Fetch a (possibly sectored) cache line from ``dst_gpu``."""
         packet = Packet(
-            ptype=PacketType.READ_REQ,
+            ptype=_READ_REQ,
             src_gpu=self.gpu_id,
             dst_gpu=dst_gpu,
             addr=addr,
@@ -143,7 +154,7 @@ class RdmaEngine(Traced, Component):
     def remote_write(self, dst_gpu: int, addr: int) -> None:
         """Posted write-through of a line to its home GPU."""
         packet = Packet(
-            ptype=PacketType.WRITE_REQ,
+            ptype=_WRITE_REQ,
             src_gpu=self.gpu_id,
             dst_gpu=dst_gpu,
             addr=addr,
@@ -158,7 +169,7 @@ class RdmaEngine(Traced, Component):
         if self._crosses_cluster(dst_gpu):
             self.stats.ptw_inter_pte_accesses += 1
         packet = Packet(
-            ptype=PacketType.PT_REQ,
+            ptype=_PT_REQ,
             src_gpu=self.gpu_id,
             dst_gpu=dst_gpu,
             addr=addr,
@@ -168,7 +179,7 @@ class RdmaEngine(Traced, Component):
     def remote_invalidate(self, dst_gpu: int, addr: int) -> None:
         """Send a coherence invalidation for a line to a sharer GPU."""
         packet = Packet(
-            ptype=PacketType.INV_REQ,
+            ptype=_INV_REQ,
             src_gpu=self.gpu_id,
             dst_gpu=dst_gpu,
             addr=addr,
@@ -246,14 +257,15 @@ class RdmaEngine(Traced, Component):
     # -- responder / completion side --------------------------------------------
 
     def receive_packet(self, packet: Packet) -> None:
-        """Entry point for packets delivered by the GPU's downlink."""
-        if packet.ptype is PacketType.READ_REQ:
+        """Sink of the GPU's downlink: serve a request, or complete one."""
+        ptype = packet.ptype
+        if ptype is _READ_REQ:
             self._serve_read(packet)
-        elif packet.ptype is PacketType.WRITE_REQ:
+        elif ptype is _WRITE_REQ:
             self._serve_write(packet)
-        elif packet.ptype is PacketType.PT_REQ:
+        elif ptype is _PT_REQ:
             self._serve_pt_read(packet)
-        elif packet.ptype is PacketType.INV_REQ:
+        elif ptype is _INV_REQ:
             self._serve_invalidate(packet)
         else:
             self._complete_response(packet)
@@ -275,7 +287,7 @@ class RdmaEngine(Traced, Component):
             payload = CACHE_LINE_BYTES
             filled_mask = None  # full line (may still be trimmed in flight)
         response = Packet(
-            ptype=PacketType.READ_RSP,
+            ptype=_READ_RSP,
             src_gpu=self.gpu_id,
             dst_gpu=request.src_gpu,
             addr=request.addr,
@@ -304,7 +316,7 @@ class RdmaEngine(Traced, Component):
         if self._on_invalidate is not None:
             self._on_invalidate(packet.addr)
         response = Packet(
-            ptype=PacketType.INV_RSP,
+            ptype=_INV_RSP,
             src_gpu=self.gpu_id,
             dst_gpu=packet.src_gpu,
             addr=packet.addr,
@@ -314,7 +326,7 @@ class RdmaEngine(Traced, Component):
 
     def _respond_ack(self, request: Packet) -> None:
         response = Packet(
-            ptype=PacketType.WRITE_RSP,
+            ptype=_WRITE_RSP,
             src_gpu=self.gpu_id,
             dst_gpu=request.src_gpu,
             addr=request.addr,
@@ -330,7 +342,7 @@ class RdmaEngine(Traced, Component):
 
     def _respond_pt(self, request: Packet) -> None:
         response = Packet(
-            ptype=PacketType.PT_RSP,
+            ptype=_PT_RSP,
             src_gpu=self.gpu_id,
             dst_gpu=request.src_gpu,
             addr=request.addr,
@@ -360,7 +372,8 @@ class RdmaEngine(Traced, Component):
             return
         _request, send_cycle, crosses_cluster, on_complete = entry
         self.responses_received += 1
-        if packet.ptype is PacketType.READ_RSP:
+        ptype = packet.ptype
+        if ptype is _READ_RSP:
             latency = self.now - send_cycle
             if crosses_cluster:
                 self.stats.remote_read_latency_inter.record(latency)
@@ -370,9 +383,9 @@ class RdmaEngine(Traced, Component):
             else:
                 self.stats.remote_read_latency_intra.record(latency)
             on_complete(packet)
-        elif packet.ptype is PacketType.PT_RSP:
+        elif ptype is _PT_RSP:
             on_complete()
-        elif packet.ptype is PacketType.WRITE_RSP:
+        elif ptype is _WRITE_RSP:
             self.outstanding_writes -= 1
             if not self.outstanding_writes and not self.outstanding_invalidations:
                 self.last_drain_cycle = self.now

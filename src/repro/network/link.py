@@ -29,7 +29,7 @@ once at query time.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.faults.process import FATE_CORRUPT, FATE_OK, CorruptedTransmission
 from repro.obs.tracer import Traced
@@ -175,7 +175,7 @@ class FlitLink(Traced, Component):
         name: str,
         bytes_per_cycle: float,
         latency: int,
-        sink: Callable[[Flit], None],
+        sink: Optional[Callable[[Flit], None]],
     ) -> None:
         super().__init__(engine, name)
         if bytes_per_cycle <= 0:
@@ -183,6 +183,8 @@ class FlitLink(Traced, Component):
         self.bytes_per_cycle = float(bytes_per_cycle)
         self._bpc_num, self._bpc_den = self.bytes_per_cycle.as_integer_ratio()
         self.latency = int(latency)
+        #: the receiving switch's ingress; ``None`` on a shard-boundary
+        #: link, whose :meth:`_deliver` posts to a cross-shard outbox
         self.sink = sink
         self.stats = LinkStats(self.bytes_per_cycle)
         #: cycle the current busy burst started serializing
@@ -273,10 +275,11 @@ class FlitLink(Traced, Component):
 
     def send(self, flit: Flit) -> None:
         """Serialize ``flit`` onto the wire and schedule its delivery."""
+        engine = self.engine
         if self._faults is not None:
-            self._transmit_faulty(flit, 0, self.engine._now)
+            self._transmit_faulty(flit, 0, engine._now)
             return
-        now = self.engine._now
+        now = engine._now
         num, den = self._bpc_num, self._bpc_den
         sent = self._sent_bytes
         if sent * den <= (now - self._anchor) * num:
@@ -295,7 +298,8 @@ class FlitLink(Traced, Component):
         stats.busy_bytes += size
         stats.flits += 1
         stats.wire_bytes += size
-        stats.useful_bytes += flit.useful_payload_bytes
+        # Flit.useful_payload_bytes, inlined
+        stats.useful_bytes += flit.used_bytes + flit._seg_payload_bytes
         # ceil(anchor + sent/bpc) + latency, in exact integer arithmetic
         arrival = self._anchor - ((-sent * den) // num) + self.latency
         if self._trace_on:
@@ -308,7 +312,20 @@ class FlitLink(Traced, Component):
                 bytes=size,
                 stitched=len(flit.segments),
             )
-        self._deliver(arrival, flit)
+        sink = self.sink
+        if sink is None:
+            # a shard-boundary link: the flit leaves through its outbox
+            self._deliver(arrival, flit)
+            return
+        # :meth:`_deliver` flattened into the clean local path
+        seq = self._delivery_seq
+        self._delivery_seq = seq + 1
+        engine.inject(
+            arrival,
+            DELIVERY_SKEY_BASE + seq * self.delivery_span + self.delivery_rank,
+            sink,
+            flit,
+        )
 
     def _transmit_faulty(self, flit: Flit, attempt: int, first_cycle: int) -> None:
         """:meth:`send` with a fault process attached.
@@ -421,10 +438,11 @@ class FlitLink(Traced, Component):
     def _deliver(self, arrival: int, flit: Flit) -> None:
         """Hand the flit to the sink at ``arrival``.
 
-        Hook point for shard-boundary links, which capture the flit into
-        an outbox for cross-shard mailbox delivery instead of scheduling
-        it on the local engine.  Both paths use the same sub-cycle key,
-        so delivery order is identical however the flit travels.
+        The fault path's delivery, and the hook point for shard-boundary
+        links (``sink is None``), which capture the flit into an outbox
+        for cross-shard mailbox delivery instead of scheduling it on the
+        local engine.  Every path uses the same sub-cycle key, so
+        delivery order is identical however the flit travels.
         """
         self.engine.inject(arrival, self._next_delivery_skey(), self.sink, flit)
 
@@ -488,7 +506,8 @@ class PacketLink(Component):
 
     def _drain(self) -> None:
         queue = self.queue
-        if queue.is_empty():
+        items = queue._items
+        if not items:
             self._draining = False
             return
         engine = self.engine
@@ -506,46 +525,51 @@ class PacketLink(Component):
         flit_size = self.flit_size
         latency = self.latency
         sink = self.sink
-        peek_time = engine.peek_time
+        waiters = queue._waiters
+        pending_now = engine.pending_now
         schedule_at = engine.schedule_at
         # stats accumulate in locals and flush once per drain burst: the
         # five per-packet counter bumps otherwise dominate this loop
         n_packets = n_flits = n_wire = n_useful = 0
         while True:
-            packet = queue.pop()
-            wire_bytes = packet.bytes_occupied(flit_size)
+            # BoundedQueue.pop, inlined: the space waiter still wakes
+            # before anything else this packet causes
+            packet = items.popleft()
+            if waiters:
+                waiters.popleft()()
+            layout = packet._layout
+            if layout is None or layout[0] != flit_size:
+                packet.flit_count(flit_size)
+                layout = packet._layout
+            wire_bytes = layout[2]
             sent += wire_bytes
             n_packets += 1
-            n_flits += packet.flit_count(flit_size)
+            n_flits += layout[1]
             n_wire += wire_bytes
-            n_useful += packet.bytes_required
+            n_useful += packet._hdr + packet.payload_bytes
             # delivery once serialization completes: ceil(next_free) + latency
             schedule_at(anchor - ((-sent * den) // num) + latency, sink, packet)
-            if peek_time() == now:
+            if pending_now():
                 # another event is pending this cycle; chain through a
                 # zero-delay event so it interleaves exactly as before
-                self._anchor, self._sent_bytes = anchor, sent
-                self._flush_stats(n_packets, n_flits, n_wire, n_useful)
-                self.schedule(0, self._drain)
-                return
+                resume = 0
+                break
             # nothing else can run before the chained drain would: inline it
-            if queue.is_empty():
-                self._anchor, self._sent_bytes = anchor, sent
-                self._flush_stats(n_packets, n_flits, n_wire, n_useful)
-                self._draining = False
-                return
+            if not items:
+                resume = None
+                break
             if sent * den >= budget:
-                self._anchor, self._sent_bytes = anchor, sent
-                self._flush_stats(n_packets, n_flits, n_wire, n_useful)
-                self.schedule(anchor + (sent * den) // num - now, self._drain)
-                return
-
-    def _flush_stats(
-        self, n_packets: int, n_flits: int, n_wire: int, n_useful: int
-    ) -> None:
+                resume = anchor + (sent * den) // num - now
+                break
+        self._anchor, self._sent_bytes = anchor, sent
+        queue.total_popped += n_packets
         stats = self.stats
         stats.busy_bytes += n_wire
         stats.packets += n_packets
         stats.flits += n_flits
         stats.wire_bytes += n_wire
         stats.useful_bytes += n_useful
+        if resume is None:
+            self._draining = False
+        else:
+            self.schedule(resume, self._drain)

@@ -52,6 +52,13 @@ class PacketType(enum.Enum):
     INV_REQ = "inv_req"
     INV_RSP = "inv_rsp"
 
+    #: members are singletons compared by identity, so the identity hash
+    #: is consistent with equality; it runs in C, where ``Enum.__hash__``
+    #: is a Python call on every dict probe keyed by a type (the egress
+    #: ``packets_by_type`` count, the per-type layout tables).  Neither
+    #: hash is stable across processes, so nothing may depend on it.
+    __hash__ = object.__hash__
+
     @property
     def is_ptw(self) -> bool:
         """Whether this type belongs to page-table-walk traffic."""

@@ -166,6 +166,32 @@ class ClusterSwitch(Traced, Component):
 
     def receive_flit_from_network(self, flit: Flit) -> None:
         """A flit arrived from a remote cluster; un-stitch and reassemble."""
+        if self._crc_stats is None and not self._trace_on and not flit.segments:
+            # the common case (fault-free, untraced, unstitched) with
+            # ReassemblyBuffer._account inlined; a bad index falls through
+            # to the buffer, which raises DuplicateFlitError
+            packet = flit.packet
+            layout = packet._layout
+            flit_size = self.flit_size
+            if layout is None or layout[0] != flit_size:
+                packet.flit_count(flit_size)
+                layout = packet._layout
+            expected = layout[1]
+            index = flit.index
+            reassembly = self.reassembly
+            received = reassembly._received
+            pid = packet.pid
+            mask = received.get(pid, 0)
+            bit = 1 << index
+            if index < expected and not mask & bit:
+                if mask | bit != (1 << expected) - 1:
+                    received[pid] = mask | bit
+                    return
+                if mask:
+                    del received[pid]
+                reassembly.packets_reassembled += 1
+                self.schedule(self.pipeline_latency, self._route, packet)
+                return
         if self._crc_stats is not None:
             if type(flit) is CorruptedTransmission:
                 # CRC failure: discard the whole wire flit (stitched
@@ -201,28 +227,26 @@ class ClusterSwitch(Traced, Component):
     # -- routing ----------------------------------------------------------
 
     def _route(self, packet: Packet) -> None:
-        dst_cluster = self.cluster_of_gpu[packet.dst_gpu]
+        dst_gpu = packet.dst_gpu
+        dst_cluster = self.cluster_of_gpu[dst_gpu]
         self.packets_routed += 1
         if dst_cluster == self.cluster_id:
-            self._forward_local(packet)
-        else:
-            via = self._next_hop.get(dst_cluster, dst_cluster)
-            egress = self._egress.get(via)
-            if egress is None:
-                raise RoutingError(
-                    f"{self.name} (node {self.cluster_id}) cannot route "
-                    f"packet {packet.pid} toward cluster {dst_cluster}: "
-                    f"next hop {via} has no egress port "
-                    f"(egress ports: {sorted(self._egress)}; "
-                    f"installed routes: {dict(sorted(self._next_hop.items()))})"
-                )
-            egress.accept_packet(packet)
-
-    def _forward_local(self, packet: Packet) -> None:
-        link = self._gpu_links[packet.dst_gpu]
-        if not link.send(packet):
-            self.packets_routed -= 1  # retry will re-count
-            link.notify_on_space(partial(self._route, packet))
+            link = self._gpu_links[dst_gpu]
+            if not link.send(packet):
+                self.packets_routed -= 1  # retry will re-count
+                link.notify_on_space(partial(self._route, packet))
+            return
+        via = self._next_hop.get(dst_cluster, dst_cluster)
+        egress = self._egress.get(via)
+        if egress is None:
+            raise RoutingError(
+                f"{self.name} (node {self.cluster_id}) cannot route "
+                f"packet {packet.pid} toward cluster {dst_cluster}: "
+                f"next hop {via} has no egress port "
+                f"(egress ports: {sorted(self._egress)}; "
+                f"installed routes: {dict(sorted(self._next_hop.items()))})"
+            )
+        egress.accept_packet(packet)
 
 
 class EgressControllerProtocol:

@@ -98,8 +98,9 @@ def build_topology(
 ) -> Topology:
     """Wire GPUs, switches, links and egress controllers together.
 
-    ``gpus`` maps gpu_id -> an object exposing ``attach_uplink`` and
-    ``receive_packet`` (the :class:`repro.gpu.gpu.Gpu` assembly).
+    ``gpus`` maps gpu_id -> an object exposing ``attach_uplink`` and an
+    ``rdma`` engine with ``receive_packet`` (the :class:`repro.gpu.gpu.Gpu`
+    assembly); each downlink delivers straight into that engine.
 
     With ``owned_clusters`` set, only that subset of the node is built
     (one cluster shard): switches and intra links for owned nodes, and
@@ -146,7 +147,7 @@ def build_topology(
             bytes_per_cycle=config.intra_cluster_bw,
             latency=config.link_latency,
             flit_size=config.flit_size,
-            sink=gpu.receive_packet,
+            sink=gpu.rdma.receive_packet,
             buffer_entries=config.switch_buffer_entries,
         )
         gpu.attach_uplink(uplink)

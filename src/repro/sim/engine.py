@@ -175,11 +175,11 @@ class Engine:
             raise SimulationError(f"inject skey {skey} is after its time {time}")
         seq = self._seq
         self._seq = seq + 1
-        if time - self._base < self.HORIZON:
+        if time - self._base < self._horizon:
             # skey lies in the past relative to resident entries, so a
-            # plain append would break bucket order; insort is fine off
-            # the hot path (one insertion per boundary flit)
-            insort(self._ring[time % self.HORIZON], (skey, seq, callback, args))
+            # plain append would break bucket order; insort costs one
+            # binary search per inter-cluster flit delivery
+            insort(self._ring[time & self._mask], (skey, seq, callback, args))
             self._ring_size += 1
             hint = self._next_hint
             if hint is None or time < hint:
@@ -344,6 +344,21 @@ class Engine:
         if self._far:
             return self._far[0][0]
         return None
+
+    def pending_now(self) -> bool:
+        """Whether another event is pending at the current cycle.
+
+        Always equal to ``peek_time() == now``, without walking forward
+        through empty buckets when the current one is exhausted.  Only the
+        current bucket and the far heap can hold an event at ``now``: the
+        heap does when a time-bounded :meth:`run` parked the clock a full
+        horizon past the calendar base and a zero-delay event went there.
+        """
+        now = self._now
+        if len(self._ring[now & self._mask]) > self._cur_pos:
+            return True
+        far = self._far
+        return bool(far) and far[0][0] == now
 
     def pending_events(self) -> int:
         """Number of events currently queued."""

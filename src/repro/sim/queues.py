@@ -39,9 +39,6 @@ class BoundedQueue:
     def is_full(self) -> bool:
         return len(self._items) >= self.capacity
 
-    def is_empty(self) -> bool:
-        return not self._items
-
     def push(self, item: Any) -> bool:
         """Append ``item``; returns ``False`` (and counts a failure) if full."""
         items = self._items

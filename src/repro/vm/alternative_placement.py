@@ -48,6 +48,14 @@ def single_gpu_placement(trace: WorkloadTrace, n_gpus: int, gpu: int = 0) -> Wor
     return _rewrite(trace, n_gpus, gpu)
 
 
+#: the naive policies by name: ``get_workload("gups@interleave")`` builds
+#: the registered workload's trace and re-places its pages with one
+PLACEMENTS = {
+    "interleave": interleave_placement,
+    "single_gpu": single_gpu_placement,
+}
+
+
 def access_locality(trace: WorkloadTrace) -> Dict[str, float]:
     """Static locality profile of a placed trace (Section 5.1's analysis).
 

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional, Union
 
-from repro.workloads.base import WorkloadGenerator
+from repro.gpu.cta import WorkloadTrace
+from repro.vm.alternative_placement import PLACEMENTS
+from repro.workloads.base import Scale, WorkloadGenerator
 from repro.workloads.collective import collective_generators
 from repro.workloads.dnn import Lenet, Resnet18, Vgg16
 from repro.workloads.synthetic import (
@@ -51,14 +53,41 @@ for _gen in _COLLECTIVE_GENERATORS:
     WORKLOADS[_gen.name] = _gen
 
 
-def get_workload(name: str) -> WorkloadGenerator:
-    """Look up a generator by its Table 3 abbreviation (case-insensitive)."""
-    try:
-        return WORKLOADS[name.lower()]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; known: {', '.join(sorted(WORKLOADS))}"
-        ) from None
+class PlacedWorkload:
+    """A registered workload whose pages a naive policy re-places.
+
+    Named ``<workload>@<policy>`` (``gups@interleave``), it is an ordinary
+    campaign workload: its points are cached and deduplicated like any
+    other.  Section 5.1's soundness analysis compares LASP against these.
+    """
+
+    def __init__(self, base: WorkloadGenerator, placement: str) -> None:
+        self.base = base
+        self.placement = placement
+        self.name = f"{base.name}@{placement}"
+
+    def build(
+        self, n_gpus: int, scale: Optional[Scale] = None, seed: int = 0
+    ) -> WorkloadTrace:
+        """The base workload's trace with every page re-placed."""
+        trace = self.base.build(n_gpus=n_gpus, scale=scale, seed=seed)
+        return PLACEMENTS[self.placement](trace, n_gpus)
+
+
+def get_workload(name: str) -> Union[WorkloadGenerator, PlacedWorkload]:
+    """Look up a generator by its Table 3 abbreviation (case-insensitive),
+    or a placement-derived workload ``<abbreviation>@<policy>``."""
+    key = name.lower()
+    generator = WORKLOADS.get(key)
+    if generator is not None:
+        return generator
+    base, at, placement = key.partition("@")
+    if at and base in WORKLOADS and placement in PLACEMENTS:
+        return PlacedWorkload(WORKLOADS[base], placement)
+    raise KeyError(
+        f"unknown workload {name!r}; known: {', '.join(sorted(WORKLOADS))}, "
+        f"or any of them @{'/@'.join(PLACEMENTS)}"
+    )
 
 
 def all_workload_names() -> List[str]:

@@ -260,6 +260,82 @@ class TestEventCountGate:
         assert "current_events" not in row
 
 
+#: a slice of the smoke grid's per-callback event counts
+_CALLS = {
+    "ClusterSwitch._route": 41_442,
+    "Gpu.receive_packet": 24_834,
+    "PacketLink._drain": 70_618,
+}
+
+
+def _calls_row(calls, points=8):
+    return dict(_smoke_row(sum(calls.values()), points), events_by_callback=calls)
+
+
+class TestCallbackCountGate:
+    """Events per callback key are deterministic: any moved key fails."""
+
+    def test_one_key_moving_by_one_fails_and_is_named(self):
+        moved = dict(_CALLS, **{"ClusterSwitch._route": 41_443})
+        comparison = compare_reports(
+            _doc([_calls_row(moved)]), _doc([_calls_row(_CALLS)])
+        )
+        assert "smoke_sweep (events by callback: ClusterSwitch._route)" in (
+            comparison["regressions"]
+        )
+        (row,) = comparison["benchmarks"]
+        assert row["callback_deltas"] == [
+            {"callback": "ClusterSwitch._route", "baseline": 41_442, "current": 41_443}
+        ]
+        text = "\n".join(comparison_lines(comparison))
+        assert "ClusterSwitch._route" in text and "+1" in text
+        # only the key that moved is listed
+        assert "PacketLink._drain" not in text
+        markdown = "\n".join(comparison_markdown(comparison))
+        assert "regressed" in markdown and "ClusterSwitch._route" in markdown
+
+    def test_a_renamed_key_names_both_sides(self):
+        renamed = dict(_CALLS)
+        renamed["RdmaEngine.receive_packet"] = renamed.pop("Gpu.receive_packet")
+        comparison = compare_reports(
+            _doc([_calls_row(renamed)]), _doc([_calls_row(_CALLS)])
+        )
+        (row,) = comparison["benchmarks"]
+        assert [d["callback"] for d in row["callback_deltas"]] == [
+            "Gpu.receive_packet",
+            "RdmaEngine.receive_packet",
+        ]
+        # the total is unchanged, so only the per-callback gate fires
+        assert comparison["regressions"] == [
+            "smoke_sweep (events by callback: "
+            "Gpu.receive_packet, RdmaEngine.receive_packet)"
+        ]
+
+    def test_equal_counts_pass(self):
+        comparison = compare_reports(
+            _doc([_calls_row(_CALLS)]), _doc([_calls_row(dict(_CALLS))])
+        )
+        assert comparison["regressions"] == []
+        (row,) = comparison["benchmarks"]
+        assert row["callback_deltas"] == []
+
+    def test_other_grid_is_not_compared(self):
+        moved = dict(_CALLS, **{"PacketLink._drain": 1})
+        comparison = compare_reports(
+            _doc([_calls_row(moved, points=4)]), _doc([_calls_row(_CALLS)])
+        )
+        assert comparison["regressions"] == []
+        (row,) = comparison["benchmarks"]
+        assert "callback_deltas" not in row
+
+    def test_schema_rejects_non_integer_counts(self):
+        row = _calls_row({"PacketLink._drain": 1.5})
+        row["results_digest"] = "0" * 64
+        doc = _doc([row])
+        with pytest.raises(ValueError, match="events_by_callback"):
+            validate_report(doc)
+
+
 class TestBaselinePromotion:
     """--update-baseline must not lose rows or per-row keys."""
 

@@ -10,12 +10,30 @@ from repro.core.cluster_queue import (
     PRIORITY_DATA_PARTITION,
     PTW_PARTITION,
 )
+from repro.core.config import NetCrafterConfig
+from repro.core.controller import NetCrafterController
 from repro.network.flit import segment_packet
+from repro.network.link import FlitLink
 from repro.network.packet import Packet, PacketType
+from repro.sim.engine import Engine
 
 
 def _flit(ptype=PacketType.READ_REQ, index=0):
     return segment_packet(Packet(ptype=ptype, src_gpu=0, dst_gpu=2), 16)[index]
+
+
+def _free(q):
+    """Entries a push may still fill: reserved entries are not free."""
+    return q.capacity - len(q) - q._reserved
+
+
+def _controller(capacity):
+    """A baseline egress controller over a ``capacity``-entry queue."""
+    eng = Engine()
+    link = FlitLink(eng, "link", 16.0, 0, sink=lambda flit: None)
+    return NetCrafterController(
+        eng, "ctrl", link, 16, NetCrafterConfig.baseline(), queue_capacity=capacity
+    )
 
 
 def _queue(capacity=64, by_type=True, ptw=False, scheduler="age"):
@@ -84,7 +102,7 @@ def test_capacity_rejects_and_counts():
     assert q.push(_flit())
     assert not q.push(_flit())
     assert q.rejected == 1
-    assert q.free_entries == 0
+    assert _free(q) == 0
 
 
 def test_age_selection_serves_oldest_across_partitions():
@@ -103,7 +121,7 @@ def test_age_selection_is_fifo_equivalent_in_single_partition():
     for f in flits:
         q.push(f)
     popped = []
-    while not q.is_empty():
+    while len(q):
         part, _ = q.select_partition(now=0)
         popped.append(q.pop_from(part))
     assert popped == flits
@@ -115,7 +133,7 @@ def test_rr_selection_rotates():
         q.push(_flit(PacketType.READ_REQ))
         q.push(_flit(PacketType.WRITE_RSP))
     served = []
-    while not q.is_empty():
+    while len(q):
         part, _ = q.select_partition(now=0)
         served.append(part.key)
         q.pop_from(part)
@@ -247,7 +265,7 @@ def test_push_front_restores_head():
 def test_push_front_cannot_exceed_capacity():
     """Regression: the pop -> push_front round-trip used to bypass the
     capacity check, driving ``_count`` above ``capacity`` (and
-    ``free_entries`` negative) whenever admissions landed in between."""
+    the free entries negative) whenever admissions landed in between."""
     q = _queue(capacity=2, by_type=False)
     a, b = _flit(), _flit()
     q.push(a)
@@ -258,7 +276,7 @@ def test_push_front_cannot_exceed_capacity():
     with pytest.raises(CapacityError):
         q.push_front(popped, part.key)
     assert len(q) == 2
-    assert q.free_entries == 0
+    assert _free(q) == 0
 
 
 def test_pop_reserved_holds_the_entry():
@@ -269,7 +287,7 @@ def test_pop_reserved_holds_the_entry():
     part = q.partitions()[0]
     popped = q.pop_reserved(part)
     # the freed slot is reserved for the popped flit's possible return
-    assert q.free_entries == 0
+    assert _free(q) == 0
     assert q._reserved == 1
     assert not q.push(_flit())
     q.push_front(popped, part.key, reserved=True)
@@ -279,14 +297,16 @@ def test_pop_reserved_holds_the_entry():
 
 
 def test_release_reservation_frees_the_entry():
-    q = _queue(capacity=2, by_type=False)
+    """The controller's eject gives up the entry pop_reserved held."""
+    ctrl = _controller(capacity=2)
+    q = ctrl.queue
     q.push(_flit())
     q.push(_flit())
     part = q.partitions()[0]
-    q.pop_reserved(part)
-    q.release_reservation()
+    parent = q.pop_reserved(part)
+    ctrl._eject(parent, 0)
     assert q._reserved == 0
-    assert q.free_entries == 1
+    assert _free(q) == 1
     assert q.push(_flit())
 
 
@@ -294,7 +314,7 @@ def test_reservation_misuse_raises():
     q = _queue(capacity=4, by_type=False)
     q.push(_flit())
     with pytest.raises(RuntimeError):
-        q.release_reservation()
+        _controller(capacity=4)._eject(_flit(), 0)
     with pytest.raises(RuntimeError):
         q.push_front(_flit(), FIFO_PARTITION, reserved=True)
 
@@ -353,7 +373,7 @@ def test_every_pushed_flit_is_eventually_served(kinds, scheduler):
         assert q.push(flit)
         pushed.append(flit)
     drained = []
-    while not q.is_empty():
+    while len(q):
         part, earliest = q.select_partition(now=0)
         assert part is not None
         drained.append(q.pop_from(part))

@@ -71,7 +71,7 @@ def test_stitch_all_removes_candidates_from_queue():
     parent = _rsp_tail()
     absorbed = engine.stitch_all(parent, q)
     assert absorbed == 2
-    assert q.is_empty()
+    assert len(q) == 0
     assert {seg.flit for seg in parent.segments} == {a, b}
 
 

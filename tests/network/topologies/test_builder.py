@@ -32,6 +32,8 @@ class _FakeGpu:
     def __init__(self):
         self.uplink = None
         self.received = []
+        # the downlink delivers into the GPU's RDMA engine; the fake is both
+        self.rdma = self
 
     def attach_uplink(self, link):
         self.uplink = link

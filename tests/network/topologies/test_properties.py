@@ -33,6 +33,10 @@ def _config(topology, n_clusters, **overrides):
 
 
 class _FakeGpu:
+    def __init__(self):
+        # the downlink delivers into the GPU's RDMA engine; the fake is both
+        self.rdma = self
+
     def attach_uplink(self, link):
         self.uplink = link
 

@@ -118,7 +118,7 @@ def test_drain_returns_all():
     for i in range(3):
         q.push(i)
     assert q.drain() == [0, 1, 2]
-    assert q.is_empty()
+    assert len(q) == 0
 
 
 def test_counters():
