@@ -169,10 +169,10 @@ def run_benchmarks(
     for name, kind, fn in suite:
         record = measure(name, kind, fn, repeats=repeats)
         if name == "smoke_sweep":
-            # exact work counts from one extra, untimed profiled pass
-            from repro.bench.smoke import smoke_events_by_callback
+            # exact work and order counts from one extra, untimed pass
+            from repro.bench.smoke import smoke_dispatch_profile
 
-            record.extra["events_by_callback"] = smoke_events_by_callback(quick)
+            record.extra.update(smoke_dispatch_profile(quick))
         records.append(record)
     return BenchReport(records=records, quick=quick)
 
@@ -232,7 +232,9 @@ def compare_reports(
       re-recording the baseline.  ``events_by_callback`` is gated the
       same way, key by key: the row's ``callback_deltas`` lists every
       callback whose count moved (a key one side lacks counts as 0), and
-      the regression names them.
+      the regression names them.  ``dispatch_order`` (the sha256 over
+      every dispatched event's cycle, schedule key and callback key) must
+      be equal too: equal counts in another order fail it.
     """
     cur_by_name = {b["name"]: b for b in current.get("benchmarks", [])}
     base_by_name = {b["name"]: b for b in baseline.get("benchmarks", [])}
@@ -305,6 +307,16 @@ def compare_reports(
             if deltas:
                 moved = ", ".join(delta["callback"] for delta in deltas)
                 regressions.append(f"{name} (events by callback: {moved})")
+        cur_order = cur.get("dispatch_order")
+        base_order = base.get("dispatch_order")
+        if (
+            cur_order is not None
+            and base_order is not None
+            and _same_grid(current, cur, baseline, base)
+        ):
+            row["dispatch_order_match"] = cur_order == base_order
+            if cur_order != base_order:
+                regressions.append(f"{name} (dispatch order)")
         cur_pickle = cur.get("pickle_bytes_per_window")
         base_pickle = base.get("pickle_bytes_per_window")
         if cur_pickle and base_pickle:
@@ -372,6 +384,8 @@ def comparison_lines(comparison: Dict[str, object]) -> List[str]:
                     f"{delta['baseline']:>9} {delta['current']:>9} "
                     f"{delta['current'] - delta['baseline']:>+8}"
                 )
+        if row.get("dispatch_order_match") is False:
+            lines.append(f"{'':<30} dispatch order CHANGED")
     if comparison["regressions"]:
         lines.append(
             "REGRESSIONS (slower than their threshold, or a gated count "

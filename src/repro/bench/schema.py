@@ -54,6 +54,10 @@ def _check_fields(obj: dict, spec: Dict[str, type], where: str) -> None:
             )
 
 
+def _is_sha256(value: object) -> bool:
+    return isinstance(value, str) and len(value) == 64
+
+
 def validate_report(doc: object) -> None:
     """Raise :class:`BenchSchemaError` unless ``doc`` is a valid report."""
     if not isinstance(doc, dict):
@@ -84,8 +88,7 @@ def validate_report(doc: object) -> None:
         if row["work_units"] < 0:
             raise BenchSchemaError(f"{where}: work_units must be non-negative")
         if row["kind"] == "e2e" and "results_digest" in row:
-            digest = row["results_digest"]
-            if not (isinstance(digest, str) and len(digest) == 64):
+            if not _is_sha256(row["results_digest"]):
                 raise BenchSchemaError(
                     f"{where}: results_digest must be a sha256 hex string"
                 )
@@ -101,6 +104,10 @@ def validate_report(doc: object) -> None:
                     f"{where}: events_by_callback must map callback keys "
                     "to integer counts"
                 )
+        if "dispatch_order" in row and not _is_sha256(row["dispatch_order"]):
+            raise BenchSchemaError(
+                f"{where}: dispatch_order must be a sha256 hex string"
+            )
         if "fail_threshold" in row:
             threshold = row["fail_threshold"]
             if (

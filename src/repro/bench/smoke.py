@@ -181,32 +181,37 @@ def bench_smoke_sweep(quick: bool = False) -> Tuple[int, Dict[str, object]]:
     }
 
 
-def smoke_events_by_callback(quick: bool = False) -> Dict[str, int]:
-    """Engine events per callback key (``Class.method``) over one profiled
-    pass of the smoke grid, summed over its points.
+def smoke_dispatch_profile(quick: bool = False) -> Dict[str, object]:
+    """Exact work and order counts over one untimed pass of the smoke grid.
 
-    The counts are deterministic, so they gate work exactly: ``python -m
-    repro.bench --compare`` fails on any key that moved.  The pass runs
-    apart from the timed repeats, whose wall time the profiler would
-    inflate.
+    Returns the row fields ``events_by_callback`` (engine events per
+    callback key ``Class.method``, summed over the points) and
+    ``dispatch_order`` (a sha256 over ``(cycle, schedule key, callback
+    key)`` of every dispatched event, point after point; see
+    :class:`~repro.obs.profiler.DispatchOrder`).  Both are deterministic,
+    so ``python -m repro.bench --compare`` fails on any moved key and on
+    any reordered event.  The pass runs apart from the timed repeats,
+    whose wall time the recorder would inflate.
     """
-    import tempfile
-    from collections import Counter
-    from pathlib import Path
+    from repro.experiments.runner import RunContext
+    from repro.obs.profiler import DispatchOrder
 
-    from repro.experiments.runner import ObservabilityOptions, RunContext, run_many
-
-    counts: Counter = Counter()
-    with tempfile.TemporaryDirectory() as out_dir:
-        ctx = RunContext(
-            observability=ObservabilityOptions(profile=True, out_dir=out_dir)
+    order = DispatchOrder()
+    for point in gate_points(smoke_campaign(quick)):
+        point = point.normalized(RunContext())
+        system = point.system
+        node = build_node(system, point.netcrafter, point.seed)
+        node.load(
+            get_workload(point.workload).build(
+                n_gpus=system.n_gpus, scale=point.scale, seed=point.seed
+            )
         )
-        points = gate_points(smoke_campaign(quick))
-        for result in run_many(points, use_cache=False, ctx=ctx):
-            profile = json.loads(Path(result.profile_path).read_text())
-            for row in profile["by_callback"]:
-                counts[row["callback"]] += int(row["count"])
-    return dict(sorted(counts.items()))
+        order.attach(node.engine)
+        node.run()
+    return {
+        "events_by_callback": dict(sorted(order.counts.items())),
+        "dispatch_order": order.hexdigest(),
+    }
 
 
 # -- sharded-speedup macro ---------------------------------------------------

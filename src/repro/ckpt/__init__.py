@@ -5,9 +5,9 @@ Long sweeps are single-shot simulations; a preemption used to throw the
 whole run away.  This package serializes a quiesced
 :class:`~repro.gpu.system.MultiGpuSystem` or
 :class:`~repro.shard.coordinator.ShardedSystem` at kernel boundaries —
-the engine's pending-event calendar (normalized by
-``Engine.__getstate__``, which drops the lazily-recycled dispatched
-prefix of the current ring bucket), cluster queues, pooling timers,
+the engine's pending events (normalized by ``Engine.__getstate__``,
+which drops the dispatched prefix of the running cycle's bucket),
+cluster queues, pooling timers,
 TLB/sector-cache/MSHR contents, in-flight reassembly and mailbox
 sequence state, ID-allocator cursors, and every stats/obs counter — into
 a versioned, fingerprint-stamped snapshot file, and resumes it to a
@@ -21,8 +21,8 @@ the packet, the table in the requesting RDMA engine) and every
 continuation on the event path is a bound method or a
 ``functools.partial`` over one — which is what lets a fault-injected
 run, with retry clones still in flight at the boundary, checkpoint too.  The snapshot hook is a pure observer — it schedules
-no events — so a checkpointed run's event stream, sequence numbers and
-digest are identical to an unhooked run's.
+no events — so a checkpointed run's event stream and digest are
+identical to an unhooked run's.
 
 Snapshot file layout (version :data:`SNAPSHOT_FORMAT_VERSION`)::
 
@@ -58,7 +58,7 @@ if TYPE_CHECKING:
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 6
+SNAPSHOT_FORMAT_VERSION = 7
 
 _MAGIC = b"REPROCKPT\n"
 
@@ -320,7 +320,7 @@ def resume(
 
     The result is byte-identical to the uninterrupted run's: the resumed
     system replays the exact tail of the boundary event the snapshot was
-    taken inside, with the same event keys and sequence numbers.
+    taken inside, with the same event keys in the same order.
     """
     from repro.shard.build import ShardingOptions, build_node
 

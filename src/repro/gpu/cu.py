@@ -201,7 +201,7 @@ class ComputeUnit(Component):
             self.gpu.coherence_write(line_pa, self.gpu.gpu_id)
             self.gpu.l2.request(line_pa, self.config.line_bytes, True, _noop)
         else:
-            if self.gpu.cluster_of(home) != self.gpu.cluster_id:
+            if self.gpu.cluster_of_gpu[home] != self.gpu.cluster_id:
                 self.stats.remote_writes_inter += 1
             else:
                 self.stats.remote_writes_intra += 1
@@ -253,7 +253,7 @@ class ComputeUnit(Component):
                 partial(self._fill, key, line_pa, local_mask),
             )
             return
-        crosses = self.gpu.cluster_of(home) != self.gpu.cluster_id
+        crosses = self.gpu.cluster_of_gpu[home] != self.gpu.cluster_id
         if crosses:
             self.stats.remote_reads_inter += 1
             self.stats.record_read_request_bytes(access.nbytes)

@@ -42,6 +42,9 @@ class Gpu(Component):
         self.stats = stats
         self.address_space = address_space
         self.cluster_id = config.cluster_of(gpu_id)
+        #: cluster of every GPU of the node, by GPU id: the remote-access
+        #: paths read it instead of re-validating ids per access
+        self.cluster_of_gpu = tuple(map(config.cluster_of, range(config.n_gpus)))
 
         self.dram = Dram(
             engine,
@@ -90,7 +93,7 @@ class Gpu(Component):
             engine,
             f"{name}.rdma",
             gpu_id=gpu_id,
-            cluster_of=config.cluster_of,
+            cluster_of=self.cluster_of_gpu.__getitem__,
             stats=stats,
             sector_bytes=config.l1_sector_bytes,
         )

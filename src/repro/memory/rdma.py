@@ -51,6 +51,7 @@ class RdmaEngine(Traced, Component):
         super().__init__(engine, name)
         self.gpu_id = gpu_id
         self.cluster_of = cluster_of
+        self.cluster_id = cluster_of(gpu_id)
         self.stats = stats
         self.sector_bytes = sector_bytes
         #: set by the GPU assembly: injects a packet toward the switch
@@ -122,7 +123,7 @@ class RdmaEngine(Traced, Component):
         self._on_invalidate = on_invalidate
 
     def _crosses_cluster(self, dst_gpu: int) -> bool:
-        return self.cluster_of(dst_gpu) != self.cluster_of(self.gpu_id)
+        return self.cluster_of(dst_gpu) != self.cluster_id
 
     # -- requester side ------------------------------------------------------
 

@@ -12,8 +12,10 @@ the default) the engine pays a single ``is None`` branch per event.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
+from collections import Counter
 from typing import Callable, Dict, List, Tuple
 
 
@@ -24,6 +26,37 @@ def callback_key(callback: Callable) -> str:
     if owner is not None and name is not None:
         return f"{type(owner).__name__}.{name}"
     return getattr(callback, "__qualname__", repr(callback))
+
+
+class DispatchOrder:
+    """Counts dispatched events per callback key and hashes their order.
+
+    :meth:`attach` makes it an engine's profiler; the engine sets its
+    clock and ``cur_skey`` before it hands each event to :meth:`dispatch`,
+    so :meth:`hexdigest` is a sha256 over ``(cycle, schedule key,
+    callback key)`` of every event in dispatch order, across every engine
+    attached so far.  Nothing is timed: the counts and the digest are
+    deterministic, so they gate an engine change exactly.
+    """
+
+    def __init__(self) -> None:
+        self.counts: Counter = Counter()
+        self.engine = None
+        self._order = hashlib.sha256()
+
+    def attach(self, engine) -> None:
+        self.engine = engine
+        engine.profiler = self
+
+    def dispatch(self, callback: Callable, args: tuple) -> None:
+        key = callback_key(callback)
+        self.counts[key] += 1
+        engine = self.engine
+        self._order.update(f"{engine.now} {engine.cur_skey} {key}\n".encode())
+        callback(*args)
+
+    def hexdigest(self) -> str:
+        return self._order.hexdigest()
 
 
 class EngineProfiler:

@@ -2,8 +2,9 @@
 
 Every point's node is built here — by the experiment runner, which every figure,
 served campaign and digest gate runs its points through, by checkpoint
-resume, and by the two callers that need the node itself (the
-kill-and-resume gate's kill child and the sharded-speedup macro) — so
+resume, and by the callers that need the node itself (the
+kill-and-resume gate's kill child, the sharded-speedup macro and the
+smoke grid's dispatch-order pass) — so
 the rules for when a run shards and how its shards are driven exist
 once.
 """

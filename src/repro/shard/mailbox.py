@@ -14,7 +14,7 @@ Determinism: every item carries the *delivery schedule key* its flit
 would have received from :meth:`FlitLink._deliver` in a single shared
 engine — the negative sub-cycle key ordering deliveries before local
 events, by per-link sequence then link rank.  The receiving shard
-injects with exactly that key, and the engine calendar orders events by
+injects with exactly that key, and the engine orders events by
 ``(arrival, skey)`` — globally unique, since ranks are unique per
 directed link and sequence numbers per-link monotone — so delivery
 order is a pure function of simulated wire traffic, never of shard

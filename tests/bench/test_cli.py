@@ -16,6 +16,8 @@ from repro.bench.harness import (
     overhead_markdown,
 )
 from repro.bench.schema import validate_report
+from repro.obs.profiler import DispatchOrder
+from repro.sim.engine import Engine
 
 FAST = ["--only", "engine_dispatch", "--quick", "--repeats", "1"]
 
@@ -334,6 +336,64 @@ class TestCallbackCountGate:
         doc = _doc([row])
         with pytest.raises(ValueError, match="events_by_callback"):
             validate_report(doc)
+
+
+def _read():
+    pass
+
+
+def _write():
+    pass
+
+
+def _dispatch_order(callbacks):
+    """The recorder's digest and counts for same-cycle events in order."""
+    engine = Engine()
+    for callback in callbacks:
+        engine.schedule(4, callback)
+    order = DispatchOrder()
+    order.attach(engine)
+    engine.run()
+    return order.hexdigest(), dict(order.counts)
+
+
+def _order_row(order):
+    return dict(_calls_row(_CALLS), dispatch_order=order)
+
+
+class TestDispatchOrderGate:
+    """Equal counts in another order fail the dispatch-order gate."""
+
+    def test_a_swapped_pair_of_same_cycle_events_fails_and_is_named(self):
+        before, before_counts = _dispatch_order((_read, _write))
+        after, after_counts = _dispatch_order((_write, _read))
+        assert before_counts == after_counts == {"_read": 1, "_write": 1}
+        assert before != after
+        comparison = compare_reports(
+            _doc([_order_row(after)]), _doc([_order_row(before)])
+        )
+        assert comparison["regressions"] == ["smoke_sweep (dispatch order)"]
+        (row,) = comparison["benchmarks"]
+        assert row["callback_deltas"] == []
+        assert row["dispatch_order_match"] is False
+        assert "dispatch order CHANGED" in "\n".join(comparison_lines(comparison))
+        assert "regressed" in "\n".join(comparison_markdown(comparison))
+
+    def test_equal_order_passes(self):
+        digest, _ = _dispatch_order((_read, _write))
+        comparison = compare_reports(
+            _doc([_order_row(digest)]),
+            _doc([_order_row(_dispatch_order((_read, _write))[0])]),
+        )
+        assert comparison["regressions"] == []
+        (row,) = comparison["benchmarks"]
+        assert row["dispatch_order_match"] is True
+
+    def test_schema_rejects_a_malformed_order(self):
+        row = _order_row("not-a-digest")
+        row["results_digest"] = "0" * 64
+        with pytest.raises(ValueError, match="dispatch_order"):
+            validate_report(_doc([row]))
 
 
 class TestBaselinePromotion:

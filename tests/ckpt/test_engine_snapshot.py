@@ -1,11 +1,10 @@
-"""Engine snapshot protocol at the calendar ring's awkward edges.
+"""Engine snapshot protocol at the bucket engine's awkward edges.
 
-The calendar ring recycles the current cycle's bucket *lazily*:
-``_pop_current`` clears it only on the call after exhaustion, so at any
-instant the bucket for ``now`` can hold an already-dispatched prefix
-below ``_cur_pos``.  Before ``Engine.__getstate__`` learned to drop that
-prefix (the same hazard ``rewind()`` has been bitten by twice), a
-snapshot taken there failed in two distinct ways:
+A snapshot taken inside a callback sees the running cycle's bucket with
+its dispatched prefix (the running event included) below ``_pos``.
+Before ``Engine.__getstate__`` learned to drop that prefix (the same
+hazard ``rewind()`` has been bitten by twice), a snapshot taken there
+failed in two distinct ways:
 
 * pickling died with ``PicklingError`` whenever a dispatched entry's
   callback was a closure (e.g. a compute unit's read-fill lambda on an
@@ -13,17 +12,19 @@ snapshot taken there failed in two distinct ways:
 * had pickling succeeded, restore would have *resurrected* the
   dispatched prefix and re-executed those events, corrupting the run.
 
-These tests pin the fixed behavior at every ring edge a checkpoint can
-land on: mid-bucket, exhausted-but-unrecycled bucket, within HORIZON of
-a ring wrap, far-heap entries straddling the restore window, and the
-overshoot state ``run(until=...)`` leaves behind.
+These tests pin the fixed behavior at every edge a checkpoint can land
+on: mid-bucket, right after a bucket is exhausted, events far ahead of
+the clock (``HORIZON`` is the old calendar ring's span, kept as a
+distance that once split the pending set), and the overshoot state
+``run(until=...)`` leaves behind.
 """
 
 import pickle
 
 from repro.sim.engine import Engine
 
-HORIZON = Engine.HORIZON
+#: the span of the calendar ring the bucket engine replaced
+HORIZON = 256
 
 #: dispatch log shared between an engine and its pickled twin — the
 #: recorder must be a module-level function so pickle stores it by
@@ -55,8 +56,7 @@ def test_checkpoint_near_ring_wrap_restores_undispatched_suffix():
     expected = list(_LOG)
     assert len(expected) == (3 * HORIZON + 6) // 7
 
-    # stop just shy of the first wrap: ring indices about to fold over,
-    # pending events split between in-ring and far-heap
+    # stop just shy of the old ring's first wrap
     cut = HORIZON - 3
     _LOG.clear()
     interrupted = build()
@@ -98,8 +98,8 @@ def test_dead_prefix_closure_does_not_block_pickling():
 
 
 def test_exhausted_unrecycled_bucket_is_not_resurrected():
-    """``step()`` leaves an exhausted bucket in place until the next
-    pop; a snapshot there must not re-execute its entries."""
+    """A snapshot right after ``step()`` exhausts a bucket must not
+    re-execute its entries."""
     engine = Engine()
     engine.schedule(0, _record, "a")
     engine.schedule(0, _record, "b")
@@ -118,8 +118,8 @@ def test_exhausted_unrecycled_bucket_is_not_resurrected():
 
 
 def test_far_heap_straddles_the_restore_window():
-    """Restore re-bases the calendar at ``now``: far-heap entries that
-    now fit the ring migrate in; later ones stay far.  Order holds."""
+    """Events up to three horizons ahead of a restored clock keep their
+    order."""
     engine = Engine()
     times = [3, HORIZON + 5, 2 * HORIZON + 7, 3 * HORIZON]
     for t in times:
@@ -171,12 +171,11 @@ def test_rewind_works_on_a_restored_engine():
 
 
 def test_sequence_counter_survives_the_roundtrip():
-    """Post-restore scheduling continues the global sequence, so FIFO
-    tie-breaks against pre-snapshot events stay deterministic."""
+    """Post-restore scheduling lands after pre-snapshot events of the
+    same cycle, so FIFO tie-breaks stay deterministic."""
     engine = Engine()
     engine.schedule(5, _record, "first")
     restored = _roundtrip(engine)
-    assert restored._seq == engine._seq
     restored.schedule(5, _record, "second")
     _LOG.clear()
     restored.run()

@@ -165,6 +165,18 @@ class TestLoudFailures:
         with pytest.raises(SnapshotFormatError):
             read_header(doctored)
 
+    def test_ring_engine_format_refuses_naming_both_versions(self, snapshot, tmp_path):
+        """Format 6 pickled the calendar-ring engine's pending set with a
+        sequence number per event; this version cannot read it."""
+        path, _ = snapshot
+        magic, header_line, payload = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header_line)
+        header["format"] = 6
+        old = tmp_path / "ring.ckpt"
+        old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SnapshotFormatError, match=r"format 6, this version reads 7"):
+            read_header(old)
+
     def test_header_reads_without_unpickling(self, snapshot):
         path, _ = snapshot
         header = read_header(path)

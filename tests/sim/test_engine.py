@@ -253,3 +253,24 @@ def test_inject_at_the_current_cycle_while_profiled():
     eng.inject(10, 0, lambda: eng.inject(10, 2, order.append, "k2"))
     eng.run()
     assert order == ["k0", "k2", "k5a", "k5b"]
+
+
+def test_checks_hold_when_the_target_cycle_has_a_bucket():
+    """``schedule``/``schedule_at`` check the time only when they create a
+    bucket; a past or fractional time must still never join one."""
+    eng = Engine()
+    fired = []
+    eng.schedule(4, fired.append, "a")
+    eng.schedule(5, fired.append, "b")
+    eng.run(until=4)
+    # the clock is at 4 and a bucket waits at 5
+    with pytest.raises(SimulationError):
+        eng.schedule(-1, fired.append, "past")
+    with pytest.raises(SimulationError):
+        eng.schedule_at(3, fired.append, "past")
+    eng.schedule(1.0, fired.append, "c")
+    eng.schedule(1.7, fired.append, "d")
+    eng.schedule_at(5.9, fired.append, "e")
+    eng.run()
+    assert fired == ["a", "b", "c", "d", "e"]
+    assert eng.now == 5 and type(eng.now) is int

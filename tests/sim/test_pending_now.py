@@ -3,11 +3,10 @@
 The packet link's drain asks the engine, once per packet, whether
 another event is pending in the current cycle, and batches the next
 packet inline only when none is.  ``pending_now`` answers from the
-current bucket (and the far heap) without walking later buckets, so it
-must agree with the full ``peek_time`` in every engine state: between
-runs and inside dispatched callbacks, with far-heap entries, after a stop
-in the middle of a bucket, after ``rewind``, and on the profiler's
-``step()`` path.
+running bucket and the top of the cycle heap, so it must agree with the
+full ``peek_time`` in every engine state: between runs and inside
+dispatched callbacks, with events far ahead, after a stop in the middle
+of a bucket, after ``rewind``, and on the profiler's ``step()`` path.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -35,7 +34,10 @@ class _Probe:
             _agree(self.engine)
 
 
-#: delays past Engine.HORIZON (256) land in the far heap
+#: the span of the calendar ring the bucket engine replaced: delays
+#: past it once went to a separate heap
+HORIZON = 256
+
 _delays = st.integers(min_value=0, max_value=700)
 _spawn = st.lists(st.sampled_from((0, 0, 1, 3, 300)), max_size=3).map(tuple)
 
@@ -87,14 +89,14 @@ def test_pending_now_equals_peek_time_at_now(ops):
 
 
 def test_zero_delay_event_in_the_far_heap_is_pending_now():
-    """A time-bounded run can park the clock a full horizon past the
-    calendar base; a zero-delay event then goes to the far heap, and it
-    is still pending at the current cycle."""
+    """A time-bounded run can park the clock between buckets; a
+    zero-delay event then starts a new bucket on the heap, and it is
+    still pending at the current cycle."""
     engine = Engine()
     fired = []
-    engine.schedule(3 * Engine.HORIZON, fired.append, "late")
-    engine.run(until=2 * Engine.HORIZON)
-    assert engine.now == 2 * Engine.HORIZON
+    engine.schedule(3 * HORIZON, fired.append, "late")
+    engine.run(until=2 * HORIZON)
+    assert engine.now == 2 * HORIZON
     assert not engine.pending_now()
     engine.schedule(0, fired.append, "now")
     assert engine.peek_time() == engine.now
