@@ -9,7 +9,8 @@ the engine's pending events (normalized by ``Engine.__getstate__``,
 which drops the dispatched prefix of the running cycle's bucket),
 cluster queues, pooling timers,
 TLB/sector-cache/MSHR contents, in-flight reassembly and mailbox
-sequence state, ID-allocator cursors, and every stats/obs counter — into
+sequence state, the packet/flit ID cursors of the RDMA engines and
+egress controllers, and every stats/obs counter — into
 a versioned, fingerprint-stamped snapshot file, and resumes it to a
 **byte-identical** final result.
 
@@ -51,14 +52,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.atomicio import atomic_write_bytes, sweep_orphans
-from repro.network.ids import FLIT_IDS, PACKET_IDS
 
 if TYPE_CHECKING:
     from repro.shard.build import ShardingOptions
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 7
+SNAPSHOT_FORMAT_VERSION = 8
 
 _MAGIC = b"REPROCKPT\n"
 
@@ -245,18 +245,13 @@ class Checkpointer:
         final = boundary >= len(system._workload.kernels)
         if not self._due(boundary, final):
             return
-        payload = {
-            "system": system,
-            "pid_state": PACKET_IDS.state(),
-            "fid_state": FLIT_IDS.state(),
-        }
         write_snapshot(
             self.path,
             fingerprint=self.fingerprint,
             mode="single",
             boundary=boundary,
             cycle=system.engine.now,
-            payload=payload,
+            payload={"system": system},
         )
         self.saved_boundaries.append(boundary)
         self.after_save(boundary)
@@ -356,8 +351,6 @@ def resume(
 
 def _resume_single(payload, checkpointer: Optional[Checkpointer]):
     system = payload["system"]
-    PACKET_IDS.restore(payload["pid_state"])
-    FLIT_IDS.restore(payload["fid_state"])
     system._ckpt_hook = checkpointer
     # replay the tail of the boundary event the snapshot was taken in
     system._advance_kernel()

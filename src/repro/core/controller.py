@@ -102,6 +102,11 @@ class NetCrafterController(Traced, Component):
         self._pending: Deque[Tuple[List[Flit], bool]] = deque()
         self._next_pump: Optional[int] = None
         self._pump_generation = 0
+        #: flit IDs: an admitted flit gets ``cq_seq * fid_span + fid_rank``;
+        #: the topology builder sets the link's rank ``src * n_nodes + dst``
+        #: and the span ``n_nodes**2``, so IDs are unique across the fabric
+        self.fid_rank = 0
+        self.fid_span = 1
 
     # -- packet ingress -----------------------------------------------------
 
@@ -140,6 +145,8 @@ class NetCrafterController(Traced, Component):
         queue = self.queue
         stats = self.stats
         occupancy = stats.occupancy
+        fid_span = self.fid_span
+        fid_rank = self.fid_rank
         while pending:
             flits, priority_data = pending[0]
             n_flits = len(flits)
@@ -155,6 +162,7 @@ class NetCrafterController(Traced, Component):
             useful = 0
             for flit in flits:
                 flit.cq_seq = seq
+                flit.fid = seq * fid_span + fid_rank
                 seq += 1
                 staged.append(flit)
                 used = flit.used_bytes

@@ -204,7 +204,8 @@ def main(argv=None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="keep every Nth packet lifecycle in the trace (default: 1 = all)",
+        help="keep every Nth request of each GPU in the trace, with its "
+        "retries and response (default: 1 = all)",
     )
     obs_group.add_argument(
         "--metrics-interval",

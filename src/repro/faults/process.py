@@ -76,7 +76,8 @@ class LinkFaultProcess:
     topology name (identical across execution modes — unlike object
     identity), and the transmission's stable content: packet address,
     inject cycle, endpoints, packet type, flit index, and the attempt
-    number.  Packet IDs are deliberately excluded (shard-striped).
+    number.  Packet IDs are deliberately excluded: a retry clone gets a
+    fresh ID, and the fate must follow the content, not its numbering.
     """
 
     __slots__ = (

@@ -96,6 +96,7 @@ class Gpu(Component):
             cluster_of=self.cluster_of_gpu.__getitem__,
             stats=stats,
             sector_bytes=config.l1_sector_bytes,
+            n_gpus=config.n_gpus,
         )
         if self.directory is not None:
             self.rdma.attach(

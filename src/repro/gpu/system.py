@@ -15,7 +15,6 @@ from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.gpu.cta import KernelTrace
 from repro.gpu.node import NodeCore
-from repro.network.ids import reset_run_ids
 from repro.obs import Observability
 from repro.stats.assemble import assemble_result
 from repro.stats.report import RunResult
@@ -64,10 +63,6 @@ class MultiGpuSystem(NodeCore):
         obs: Optional[Observability] = None,
     ) -> None:
         config = config or SystemConfig.default()
-        # fresh pid/fid streams: repeat runs in one process must be
-        # indistinguishable from runs in fresh workers (trace sampling
-        # and artifacts key on raw IDs)
-        reset_run_ids()
         super().__init__(
             config,
             netcrafter or NetCrafterConfig.baseline(),
@@ -82,10 +77,10 @@ class MultiGpuSystem(NodeCore):
 
     # -- execution ----------------------------------------------------------------
 
-    def run(self, max_events: Optional[int] = None) -> RunResult:
+    def run(self) -> RunResult:
         """Run all kernels to completion and assemble the result."""
         self._begin()
-        self.engine.run(max_events=max_events)
+        self.engine.run()
         if self.stats.finish_cycle is None:
             raise RuntimeError(
                 "simulation drained without completing all wavefronts "

@@ -47,6 +47,7 @@ class RdmaEngine(Traced, Component):
         cluster_of: Callable[[int], int],
         stats: RunStats,
         sector_bytes: int = 16,
+        n_gpus: int = 1,
     ) -> None:
         super().__init__(engine, name)
         self.gpu_id = gpu_id
@@ -71,6 +72,11 @@ class RdmaEngine(Traced, Component):
             int, Tuple[Packet, int, bool, Optional[Callable[..., None]]]
         ] = {}
         self._next_tag = 0
+        #: packet IDs: this engine stamps ``gpu_id + k * n_gpus`` on the
+        #: k-th packet it sends, so IDs are unique across the node without
+        #: a shared counter and equal in every drive mode
+        self._next_pid = gpu_id
+        self._pid_step = n_gpus
         #: cycle at which both outstanding counters last returned to zero,
         #: and the schedule key of the event that drained them; sharded
         #: coordinators read these to time kernel-boundary quiesce (the
@@ -204,6 +210,8 @@ class RdmaEngine(Traced, Component):
         tag = self._next_tag
         self._next_tag = tag + 1
         packet.tag = tag
+        packet.pid = self._next_pid
+        self._next_pid += self._pid_step
         self._outstanding[tag] = (
             packet, self.now, self._crosses_cluster(packet.dst_gpu), on_complete
         )
@@ -246,6 +254,8 @@ class RdmaEngine(Traced, Component):
             filled_sector_mask=packet.filled_sector_mask,
             tag=tag,
         )
+        clone.pid = self._next_pid
+        self._next_pid += self._pid_step
         clone.inject_cycle = self.now
         self._fault_stats.rdma_retries += 1
         self.requests_sent += 1
@@ -352,6 +362,8 @@ class RdmaEngine(Traced, Component):
         self._send_response(response)
 
     def _send_response(self, response: Packet) -> None:
+        response.pid = self._next_pid
+        self._next_pid += self._pid_step
         response.inject_cycle = self.now
         if self._trace_on:
             self._tracer.packet_event(self.now, "inject", response, lane=self.name)

@@ -22,6 +22,12 @@ packet flit count, stitch cost, absorbed-byte totals — are cached at
 segmentation time or maintained incrementally by :meth:`Flit.absorb`.
 All of them are immutable after the flit exists: segmentation happens
 *after* trimming, so the owning packet's layout can no longer change.
+
+Flit IDs are minted where flits enter the fabric: the egress
+:class:`~repro.core.controller.NetCrafterController` stamps each flit it
+admits with ``cq_seq * n_nodes**2 + (src * n_nodes + dst)``, unique per
+directed link and identical in single-engine and sharded drives.  A flit
+that never passed a controller keeps ``fid = -1`` (unassigned).
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.network.ids import FLIT_IDS
 from repro.network.packet import Packet
 
 #: ID + Size prefix added when stitching a header-less payload fragment
@@ -78,7 +83,8 @@ class Flit:
     index: int
     used_bytes: int
     flit_size: int
-    fid: int = field(default_factory=FLIT_IDS)
+    #: stamped by the egress controller on admission (-1 = unassigned)
+    fid: int = -1
     segments: List[StitchSegment] = field(default_factory=list)
     #: set once the flit has been through one pooling delay, so it is not
     #: pooled a second time

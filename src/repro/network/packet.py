@@ -20,6 +20,13 @@ flits, the remainder of the final flit is padding (Observation 1).
 Three otherwise-unused address bits are repurposed as *trim* bits: one
 "sector request" flag and a two-bit sector offset within the 64 B line
 (Section 4.3).
+
+Packet IDs are minted by the component that sends the packet: the
+sending GPU's :class:`~repro.memory.rdma.RdmaEngine` stamps ``pid`` on
+every request, retry clone and response it injects (``gpu_id + k *
+n_gpus``), so IDs are unique within a run and identical in single-engine
+and sharded drives.  A packet built elsewhere keeps ``pid = -1``
+(unassigned) unless its builder passes one.
 """
 
 from __future__ import annotations
@@ -27,8 +34,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
-
-from repro.network.ids import PACKET_IDS
 
 CACHE_LINE_BYTES = 64
 
@@ -141,8 +146,9 @@ class Packet:
     #: requester-table tag (header metadata): the requesting RDMA engine
     #: stamps it on a request, the home GPU copies it onto the response
     tag: int = -1
-    #: identifier used for flit reassembly and stitching metadata
-    pid: int = field(default_factory=PACKET_IDS)
+    #: identifier used for flit reassembly and stitching metadata,
+    #: stamped by the sending RDMA engine (-1 = unassigned)
+    pid: int = -1
     #: filled by the Trim Engine: original payload size before trimming
     original_payload_bytes: Optional[int] = None
     #: cycle the packet was injected into the network (stats)

@@ -215,6 +215,9 @@ def _add_inter_link(
     link.delivery_rank = rank
     link.delivery_span = span
     controller = controller_factory(f"egress{src}->{dst}", link, src, dst)
+    # flit IDs minted per link, distinct across links by the same rank
+    controller.fid_rank = rank
+    controller.fid_span = n_nodes * n_nodes
     topo.switches[src].attach_egress(dst, controller)
     topo.inter_links.append(link)
     topo.controllers.append(controller)

@@ -85,9 +85,12 @@ class Traced:
 class EventTracer:
     """Ring-buffered lifecycle tracer with packet-granular sampling.
 
-    ``sample=N`` keeps every Nth packet (and all of its flits), chosen by
-    packet id so one packet's lifecycle is always recorded whole —
-    sampling individual events would break sequence validation.
+    ``sample=N`` keeps every Nth request of each requester, chosen by the
+    requester-table tag, together with all of its flits, its retry clones
+    and its response (both carry the request's tag) — one packet's
+    lifecycle is always recorded whole, since sampling individual events
+    would break sequence validation.  Tags are minted per RDMA engine, so
+    the choice is the same on the single engine and on any shard count.
     """
 
     enabled = True
@@ -104,13 +107,13 @@ class EventTracer:
 
     # -- emission ----------------------------------------------------------
 
-    def wants_packet(self, pid: int) -> bool:
-        """Sampling decision, stable per packet id."""
-        return pid % self.sample == 0
+    def wants_packet(self, packet) -> bool:
+        """Sampling decision, stable per request (see the class docstring)."""
+        return packet.tag % self.sample == 0
 
     def packet_event(self, cycle: int, event: str, packet, **extra) -> None:
         """Record a packet-level event (inject, trim)."""
-        if not self.wants_packet(packet.pid):
+        if not self.wants_packet(packet):
             return
         record = {
             "cycle": int(cycle),
@@ -128,7 +131,7 @@ class EventTracer:
     def flit_event(self, cycle: int, event: str, flit, **extra) -> None:
         """Record a flit-level event (stage ... deliver)."""
         packet = flit.packet
-        if not self.wants_packet(packet.pid):
+        if not self.wants_packet(packet):
             return
         record = {
             "cycle": int(cycle),

@@ -7,9 +7,8 @@ in another shard).  Construction, observability, CTA dispatch, phase
 accounting and the end-of-run harvest come from
 :class:`~repro.gpu.node.NodeCore`, shared with the single engine; this
 module adds only what the sharded drive needs — the boundary links,
-strided ID streams, the coordinator verbs and the per-window
-:class:`ShardStatus`.  The coordinator drives a shard through five
-verbs:
+the coordinator verbs and the per-window :class:`ShardStatus`.  The
+coordinator drives a shard through five verbs:
 
 * :meth:`begin` — load bookkeeping + launch kernel 0 at cycle 0;
 * :meth:`window` — inject the window's cross-shard mail batches, run
@@ -37,9 +36,9 @@ traffic), then :meth:`~repro.sim.engine.Engine.rewind`\\ s to exactly
 ``q`` so the launch injects into an empty-or-sorted bucket and its
 child events carry ``skey = q``, matching the single-engine keys.
 
-Because several shard systems interleave in one process under the
-sequential-windowed mode, each installs its own strided packet/flit ID
-stream state around every slice of engine execution.
+Packet and flit IDs need no coordination: each RDMA engine numbers the
+packets it sends and each egress controller the flits it admits, so a
+shard mints exactly the IDs its components mint in the single engine.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.gpu.cta import KernelTrace
 from repro.gpu.node import NodeCore
-from repro.network.ids import FLIT_IDS, PACKET_IDS
 from repro.obs import Observability
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import EngineProfiler
@@ -133,11 +131,6 @@ class ShardSystem(NodeCore):
     ) -> None:
         self.shard_index = shard_index
         self.plan = ShardPlan.from_config(config, n_shards)
-        # strided ID streams: shard i draws i, i+n, i+2n, ...  State is
-        # installed around every engine-executing call so sequential mode
-        # can interleave shards in one process without cross-allocation.
-        self._pid_state = (shard_index, n_shards, shard_index)
-        self._fid_state = (shard_index, n_shards, shard_index)
         # owned switch nodes: the shard's cluster range, plus every
         # virtual switch (star hub, fat-tree spines) on the last shard
         self.owned_clusters = set(self.plan.nodes_of(shard_index))
@@ -163,25 +156,11 @@ class ShardSystem(NodeCore):
         self.boundary_links.append(link)
         return link
 
-    # -- ID stream swapping -------------------------------------------------
-
-    def _install_ids(self) -> None:
-        PACKET_IDS.restore(self._pid_state)
-        FLIT_IDS.restore(self._fid_state)
-
-    def _save_ids(self) -> None:
-        self._pid_state = PACKET_IDS.state()
-        self._fid_state = FLIT_IDS.state()
-
     # -- coordinator verbs --------------------------------------------------
 
     def begin(self) -> ShardStatus:
         """Launch kernel 0 at cycle 0 and take the cycle-0 sample."""
-        self._install_ids()
-        try:
-            self._begin()
-        finally:
-            self._save_ids()
+        self._begin()
         return self.status()
 
     def window(
@@ -195,24 +174,18 @@ class ShardSystem(NodeCore):
         ``(arrival, skey)`` pair is globally unique and the engine
         calendar orders by it, so the parcel order does not matter.
         """
-        self._install_ids()
-        try:
-            inject = self.engine.inject
-            switches = self.topology.switches
-            for batch, flits in zip(batches, flits_per_batch):
-                arrivals = batch.arrivals
-                skeys = batch.skeys
-                index = 0
-                for _src, dst, _first_seq, count in batch.iter_links():
-                    receive = switches[dst].receive_flit_from_network
-                    for _ in range(count):
-                        inject(
-                            arrivals[index], skeys[index], receive, flits[index]
-                        )
-                        index += 1
-            outbox = self._run_window(until)
-        finally:
-            self._save_ids()
+        inject = self.engine.inject
+        switches = self.topology.switches
+        for batch, flits in zip(batches, flits_per_batch):
+            arrivals = batch.arrivals
+            skeys = batch.skeys
+            index = 0
+            for _src, dst, _first_seq, count in batch.iter_links():
+                receive = switches[dst].receive_flit_from_network
+                for _ in range(count):
+                    inject(arrivals[index], skeys[index], receive, flits[index])
+                    index += 1
+        outbox = self._run_window(until)
         return outbox, self.status()
 
     def _run_window(self, until: int) -> List[MailItem]:
@@ -247,27 +220,23 @@ class ShardSystem(NodeCore):
         pre-launch lull for the next kernel boundary — and so shards with
         no work in this kernel still report ``last_wf_cycle = q``.
         """
-        self._install_ids()
-        try:
-            engine = self.engine
-            if engine.now < q:
-                engine.run(until=q - 1)
-            if engine.now != q:
-                engine.rewind(q)
-            self._kernel_index = kernel_index
-            kernel = self._workload.kernels[kernel_index]
-            # the boundary is quiesced, so the counters are final for
-            # the previous kernel whether the window overshot or not
-            self._phase_close(q)
-            self._phase_begin(kernel)
-            self._wavefronts_remaining = self._owned_wavefront_count(kernel)
-            self._last_wf_cycle = q
-            # bind the index: an empty kernel quiesces instantly, and the
-            # coordinator may issue the *next* launch before this event
-            # runs — reading self._kernel_index here would double-launch
-            engine.inject(q, q, self._launch_event, kernel_index)
-        finally:
-            self._save_ids()
+        engine = self.engine
+        if engine.now < q:
+            engine.run(until=q - 1)
+        if engine.now != q:
+            engine.rewind(q)
+        self._kernel_index = kernel_index
+        kernel = self._workload.kernels[kernel_index]
+        # the boundary is quiesced, so the counters are final for the
+        # previous kernel whether the window overshot or not
+        self._phase_close(q)
+        self._phase_begin(kernel)
+        self._wavefronts_remaining = self._owned_wavefront_count(kernel)
+        self._last_wf_cycle = q
+        # bind the index: an empty kernel quiesces instantly, and the
+        # coordinator may issue the *next* launch before this event runs
+        # — reading self._kernel_index here would double-launch
+        engine.inject(q, q, self._launch_event, kernel_index)
         return self.status()
 
     def close(self, q_final: int) -> ShardStatus:
@@ -291,13 +260,9 @@ class ShardSystem(NodeCore):
     def finish(self, q_final: int) -> Tuple[SliceHarvest, Observability]:
         """Close the run if the coordinator has not, drain the residual
         local events, and harvest the slice and its instruments."""
-        self._install_ids()
-        try:
-            if self.stats.finish_cycle is None:
-                self.close(q_final)
-            self.engine.run_until_idle()
-        finally:
-            self._save_ids()
+        if self.stats.finish_cycle is None:
+            self.close(q_final)
+        self.engine.run()
         return self.harvest(q_final), self.obs
 
     def snapshot_state(self) -> bytes:
@@ -307,9 +272,9 @@ class ShardSystem(NodeCore):
         continuation is a bound method or a ``functools.partial`` over
         one, and requests in flight (fault retries) are requester-table
         tags, so the whole shard pickles; the engine's dispatched-prefix
-        entries are dropped by ``Engine.__getstate__``.  The striped ID
-        cursors ride along in ``_pid_state``/``_fid_state``, saved by the
-        last verb.
+        entries are dropped by ``Engine.__getstate__``.  The packet and
+        flit ID cursors live in the RDMA engines and egress controllers,
+        so they ride along with the rest of the slice.
         """
         import pickle
 

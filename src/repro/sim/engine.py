@@ -282,7 +282,21 @@ class Engine:
     # -- execution ---------------------------------------------------------
 
     def step(self) -> bool:
-        """Execute the single next event.  Returns ``False`` if none pending."""
+        """Execute the single next event.  Returns ``False`` if none pending.
+
+        Like :meth:`run`, refuses re-entry and holds ``_running`` for the
+        dispatch, so the callback may neither :meth:`rewind` nor
+        :meth:`inject` below its own schedule key.
+        """
+        if self._running:
+            raise SimulationError("engine is already running (re-entrant step())")
+        self._running = True
+        try:
+            return self._step()
+        finally:
+            self._running = False
+
+    def _step(self) -> bool:
         cur = self._cur
         pos = self._pos
         if pos >= len(cur):
@@ -325,7 +339,7 @@ class Engine:
                         nxt = self.peek_time()
                         if nxt is None or nxt > until:
                             break
-                    if not self.step():
+                    if not self._step():
                         break
                     executed += 1
             # Both time-bounded exits — next event beyond ``until`` and the
@@ -372,7 +386,3 @@ class Engine:
             self._pos = 0
         self._cur = ()
         return self._done - start
-
-    def run_until_idle(self, max_events: Optional[int] = None) -> int:
-        """Run until no events remain.  Convenience alias of :meth:`run`."""
-        return self.run(until=None, max_events=max_events)

@@ -174,7 +174,23 @@ class TestLoudFailures:
         header["format"] = 6
         old = tmp_path / "ring.ckpt"
         old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(SnapshotFormatError, match=r"format 6, this version reads 7"):
+        with pytest.raises(
+            SnapshotFormatError,
+            match=rf"format 6, this version reads {SNAPSHOT_FORMAT_VERSION}",
+        ):
+            read_header(old)
+
+    def test_global_id_format_refuses_naming_both_versions(self, snapshot, tmp_path):
+        """Format 7 stored the process-global packet/flit ID cursors
+        beside the system; IDs now live in the RDMA engines and egress
+        controllers, and this version cannot read it."""
+        path, _ = snapshot
+        magic, header_line, payload = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header_line)
+        header["format"] = 7
+        old = tmp_path / "global-ids.ckpt"
+        old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SnapshotFormatError, match=r"format 7, this version reads 8"):
             read_header(old)
 
     def test_header_reads_without_unpickling(self, snapshot):

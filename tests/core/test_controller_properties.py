@@ -55,13 +55,14 @@ def test_every_packet_delivered_exactly_once(config, stream, bandwidth):
     ctrl = NetCrafterController(eng, "c", link, 16, config, queue_capacity=64)
 
     sent = []
-    for ptype, delay, needed, trim in stream:
+    for pid, (ptype, delay, needed, trim) in enumerate(stream):
         pkt = Packet(
             ptype=ptype,
             src_gpu=0,
             dst_gpu=2,
             bytes_needed=needed,
             trim_allowed=trim,
+            pid=pid,
         )
         sent.append(pkt)
         eng.schedule(delay, ctrl.accept_packet, pkt)
@@ -92,8 +93,10 @@ def test_baseline_preserves_fifo_order(stream):
         eng, "c", link, 16, NetCrafterConfig.baseline(), queue_capacity=1024
     )
     sent = []
-    for ptype, _delay, needed, trim in stream:
-        pkt = Packet(ptype=ptype, src_gpu=0, dst_gpu=2, bytes_needed=needed)
+    for pid, (ptype, _delay, needed, _trim) in enumerate(stream):
+        pkt = Packet(
+            ptype=ptype, src_gpu=0, dst_gpu=2, bytes_needed=needed, pid=pid
+        )
         sent.append(pkt)
         ctrl.accept_packet(pkt)  # all at cycle 0, in order
     eng.run()

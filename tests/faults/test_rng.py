@@ -16,10 +16,14 @@ from repro.network.packet import Packet, PacketType
 _MASK64 = (1 << 64) - 1
 
 
-def _flit(addr=0x1000, inject_cycle=5, src=0, dst=2, ptype=PacketType.READ_RSP):
-    packet = Packet(ptype=ptype, src_gpu=src, dst_gpu=dst, addr=addr)
+def _flit(
+    addr=0x1000, inject_cycle=5, src=0, dst=2, ptype=PacketType.READ_RSP, pid=-1
+):
+    packet = Packet(ptype=ptype, src_gpu=src, dst_gpu=dst, addr=addr, pid=pid)
     packet.inject_cycle = inject_cycle
-    return segment_packet(packet, 16)[0]
+    flit = segment_packet(packet, 16)[0]
+    flit.fid = pid
+    return flit
 
 
 def test_mix64_is_deterministic_and_64_bit():
@@ -58,11 +62,12 @@ def test_zero_rates_always_ok():
 
 def test_fate_keyed_on_content_not_identity():
     """Two flits with identical content (different fid/pid) share a fate
-    — the property that makes shard-striped ID allocation irrelevant."""
+    — the property that lets a retry clone's fresh IDs leave its fate to
+    its content."""
     config = FaultConfig(ber=1e-3, drop_rate=0.05, seed=3)
     process = LinkFaultProcess(config, "switch0->switch1", 16)
     for addr in range(0, 64 * 200, 64):
-        a, b = _flit(addr=addr), _flit(addr=addr)
+        a, b = _flit(addr=addr, pid=2 * addr), _flit(addr=addr, pid=2 * addr + 1)
         assert a.fid != b.fid and a.packet.pid != b.packet.pid
         assert process.fate(a, 0) == process.fate(b, 0)
 

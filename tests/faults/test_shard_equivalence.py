@@ -1,7 +1,7 @@
 """Fault injection must not break the sharded simulator's bit-identity.
 
 The fault RNG is keyed on packet *content*, never on allocation order or
-shard-striped IDs, and every fault timer is a local event on the shard
+packet/flit IDs, and every fault timer is a local event on the shard
 that owns the link — so a faulty run must digest identically whether it
 executes on one engine, on sequential windowed shards, or in worker
 processes.

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.memory.rdma import RdmaEngine
 from repro.network.packet import (
     CACHE_LINE_BYTES,
     HEADER_BYTES,
@@ -12,6 +13,8 @@ from repro.network.packet import (
     PacketType,
     packet_census_row,
 )
+from repro.sim.engine import Engine
+from repro.stats.collectors import RunStats
 
 #: Table 1 of the paper, verbatim (16 B flits)
 TABLE1 = {
@@ -87,9 +90,33 @@ def test_trimmed_flag():
 
 
 def test_packet_ids_unique():
-    a = Packet(ptype=PacketType.READ_REQ, src_gpu=0, dst_gpu=1)
-    b = Packet(ptype=PacketType.READ_REQ, src_gpu=0, dst_gpu=1)
-    assert a.pid != b.pid
+    """Each RDMA engine numbers the packets it sends ``gpu_id + k *
+    n_gpus`` — requests and responses alike — so IDs never collide
+    across GPUs; a packet no engine sent stays unassigned."""
+    assert Packet(ptype=PacketType.READ_REQ, src_gpu=0, dst_gpu=1).pid == -1
+    eng = Engine()
+    sent = []
+    engines = {
+        gpu: RdmaEngine(eng, f"rdma{gpu}", gpu, lambda g: g // 2, RunStats(), n_gpus=4)
+        for gpu in (1, 3)
+    }
+
+    def deliver(packet):
+        sent.append(packet)
+        eng.schedule(5, engines[packet.dst_gpu].receive_packet, packet)
+
+    def l2_request(_addr, _nbytes, _is_write, callback):
+        eng.schedule(1, callback)
+
+    for rdma in engines.values():
+        rdma.attach(inject=deliver, l2_request=l2_request)
+    for _ in range(3):
+        engines[1].remote_read(3, 0x40, 64, 0, lambda packet: None)
+        engines[3].remote_write(1, 0x80)
+    eng.run()
+    pids = {gpu: [p.pid for p in sent if p.src_gpu == gpu] for gpu in engines}
+    # three requests, then three responses to the other engine's requests
+    assert pids == {1: [1, 5, 9, 13, 17, 21], 3: [3, 7, 11, 15, 19, 23]}
 
 
 def test_flit_count_with_8_byte_flits():

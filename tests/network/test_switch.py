@@ -71,8 +71,8 @@ class TestReassembly:
     def test_interleaved_packets(self):
         done = []
         buf = ReassemblyBuffer(16, done.append)
-        a = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
-        b = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=1)
+        a = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, pid=0)
+        b = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=1, pid=1)
         fa, fb = segment_packet(a, 16), segment_packet(b, 16)
         for x, y in zip(fa, fb):
             buf.receive(x)

@@ -97,13 +97,30 @@ class TestTraceContent:
             next(e for e in doc["traceEvents"] if e["ph"] != "M")
         )
 
-    def test_sampled_trace_still_valid(self, tmp_path):
+    def test_sampled_trace_still_valid(self, traced_run, tmp_path):
         _, obs = _run_traced(sample=4, profile=False)
         path = tmp_path / "sampled.trace.jsonl"
         obs.tracer.to_jsonl(path)
         assert validate_jsonl(path) == []
-        pids = {r["packet"] for r in obs.tracer.events()}
-        assert pids and all(pid % 4 == 0 for pid in pids)
+        # the tag rule: every 4th request of each requester, counted in
+        # its inject order in the unsampled trace of the same run
+        _, full = traced_run
+        requests = {}
+        for r in full.tracer.events():
+            if r["event"] == "inject" and r["ptype"].endswith("_req"):
+                requests.setdefault(r["src"], []).append(r["packet"])
+        expected = {pid for pids in requests.values() for pid in pids[::4]}
+        sampled = {
+            r["packet"]
+            for r in obs.tracer.events()
+            if r["event"] == "inject" and r["ptype"].endswith("_req")
+        }
+        assert sampled and sampled == expected
+        # a sampled trace is a subset of the full trace, IDs included
+        everything = {json.dumps(r, sort_keys=True) for r in full.tracer.events()}
+        assert all(
+            json.dumps(r, sort_keys=True) in everything for r in obs.tracer.events()
+        )
 
 
 class TestMetricsSeries:

@@ -1,5 +1,6 @@
 """Tests for the flit-lifecycle event tracer and its exports."""
 
+import itertools
 import json
 
 import pytest
@@ -15,12 +16,19 @@ from repro.obs.tracer import (
 )
 
 
-def _packet(ptype=PacketType.READ_REQ):
-    return Packet(ptype=ptype, src_gpu=0, dst_gpu=2)
+#: distinct IDs for hand-built packets and flits (a simulated run mints
+#: them in its RDMA engines and egress controllers)
+_ids = itertools.count()
 
 
-def _flit(ptype=PacketType.READ_REQ):
-    return segment_packet(_packet(ptype), 16)[0]
+def _packet(ptype=PacketType.READ_REQ, tag=0):
+    return Packet(ptype=ptype, src_gpu=0, dst_gpu=2, tag=tag, pid=next(_ids))
+
+
+def _flit(ptype=PacketType.READ_REQ, tag=0):
+    flit = segment_packet(_packet(ptype, tag), 16)[0]
+    flit.fid = next(_ids)
+    return flit
 
 
 class TestNullTracer:
@@ -64,14 +72,19 @@ class TestEventTracer:
             EventTracer(ring_capacity=0)
 
     def test_sampling_is_packet_granular(self):
+        """``sample=N`` keeps the packets whose requester-table tag is a
+        multiple of N — a request, its retry clones and its response all
+        carry the same tag — each with its whole flit lifecycle."""
         tracer = EventTracer(sample=2)
         kept, skipped = [], []
-        for _ in range(8):
-            flit = _flit()
-            tracer.flit_event(0, "stage", flit)
-            tracer.flit_event(1, "eject", flit)
-            (kept if tracer.wants_packet(flit.packet.pid) else skipped).append(flit)
-        assert kept and skipped
+        for tag in range(8):
+            for ptype in (PacketType.READ_REQ, PacketType.READ_RSP):
+                flit = _flit(ptype, tag=tag)
+                tracer.flit_event(0, "stage", flit)
+                tracer.flit_event(1, "eject", flit)
+                assert tracer.wants_packet(flit.packet) == (tag % 2 == 0)
+                (kept if tag % 2 == 0 else skipped).append(flit)
+        assert len(kept) == len(skipped) == 8
         traced_pids = {r["packet"] for r in tracer.events()}
         assert traced_pids == {f.packet.pid for f in kept}
         # sampled packets keep their whole lifecycle (both events)

@@ -150,6 +150,35 @@ def test_reentrant_run_rejected():
     eng.run()
 
 
+def test_step_dispatch_holds_the_engine_running():
+    """A callback dispatched by ``step()`` may not rewind its own cycle,
+    re-enter ``step()``/``run()``, or inject below its schedule key."""
+    eng = Engine()
+    refused = []
+
+    def callback():
+        for call in (
+            lambda: eng.rewind(eng.now),
+            eng.step,
+            eng.run,
+            lambda: eng.inject(eng.now, eng.cur_skey - 1, lambda: None),
+        ):
+            try:
+                call()
+            except SimulationError:
+                refused.append(call)
+
+    eng.schedule(3, lambda: None)
+    eng.run()
+    eng.schedule(2, callback)
+    eng.schedule(2, lambda: None)
+    assert eng.step()
+    assert len(refused) == 4
+    # the engine is usable again once the step returns
+    assert eng.step() and not eng.step()
+    assert eng.events_processed == 3
+
+
 def test_callback_args_passed_through():
     eng = Engine()
     got = []

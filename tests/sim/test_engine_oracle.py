@@ -212,7 +212,12 @@ def test_engine_follows_the_ordering_model(ops):
         elif kind == "step":
             for _ in range(op[1]):
                 expected = bool(_CTX.oracle.pending)
-                assert engine.step() == expected
+                # step() holds the engine running for its dispatch
+                _CTX.oracle.running = True
+                try:
+                    assert engine.step() == expected
+                finally:
+                    _CTX.oracle.running = False
                 _agree(engine)
         elif kind == "rewind":
             time = max(0, engine.now - op[1])

@@ -8,20 +8,24 @@ result cache, the parallel fan-out, and the benchmark suite's result
 digest sound — so it gets its own golden tests here, run over a
 miniature version of the benchmark smoke grid.
 
-Historically the promise did not hold: ``pid``/``fid`` came from
-module-global ``itertools.count()`` streams, so the second run of a
-process saw IDs continuing where the first left off and anything keyed
-on raw IDs (trace sampling, trace artifacts) silently differed from a
-fresh-process run of the same point.
+The same holds for the IDs a run's trace carries: packet and flit IDs
+are minted by the RDMA engines and egress controllers of the run itself,
+so nothing is left to reset between runs.
 """
 
 import json
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.runner import ExperimentPoint, run_many
+from repro.experiments.runner import (
+    ExperimentPoint,
+    ObservabilityOptions,
+    RunContext,
+    run_many,
+)
 from repro.gpu.system import MultiGpuSystem
-from repro.network.ids import FLIT_IDS, PACKET_IDS
+from repro.obs import EventTracer, Observability
+from repro.obs.tracer import iter_jsonl
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
 
@@ -37,15 +41,32 @@ GRID = [
 ]
 
 
-def _run_direct(workload, netcrafter, seed=0):
+def _run_direct(workload, netcrafter, seed=0, obs=None):
     """Simulate one point inline, bypassing every cache layer."""
     config = SystemConfig.default()
     trace = get_workload(workload).build(
         n_gpus=config.n_gpus, scale=SCALE, seed=seed
     )
-    system = MultiGpuSystem(config=config, netcrafter=netcrafter, seed=seed)
+    system = MultiGpuSystem(
+        config=config, netcrafter=netcrafter, seed=seed, obs=obs
+    )
     system.load(trace)
     return system.run()
+
+
+def _trace_ids(records):
+    """The (cycle, event, packet, flit) stream of a trace, in trace order."""
+    return [
+        (r["cycle"], r["event"], r["packet"], r.get("flit"))
+        for r in records
+        if r["event"] != "trace_meta"
+    ]
+
+
+def _traced_direct(workload, netcrafter):
+    obs = Observability(tracer=EventTracer())
+    _run_direct(workload, netcrafter, obs=obs)
+    return _trace_ids(obs.tracer.events())
 
 
 def _payload(result):
@@ -67,30 +88,6 @@ class TestInProcessRepeatability:
             _run_direct(other_w, other_nc)  # perturb module-global state
         assert _payload(_run_direct(w, nc)) == fresh
 
-    def test_id_streams_restart_for_every_run(self):
-        """Each run draws pids/fids starting at zero.
-
-        Regression test for the module-global ID counters: after a full
-        simulation has allocated thousands of IDs, constructing the next
-        system must rewind both streams, so an in-process repeat and a
-        fresh worker process number their packets identically.
-        """
-        w, nc = GRID[0]
-        _run_direct(w, nc)
-        assert PACKET_IDS.peek() > 0
-        assert FLIT_IDS.peek() > 0
-        MultiGpuSystem(config=SystemConfig.default(), netcrafter=nc, seed=0)
-        assert PACKET_IDS.peek() == 0
-        assert FLIT_IDS.peek() == 0
-
-    def test_back_to_back_runs_allocate_identical_id_ranges(self):
-        w, nc = GRID[0]
-        _run_direct(w, nc)
-        first = (PACKET_IDS.peek(), FLIT_IDS.peek())
-        _run_direct(w, nc)
-        assert (PACKET_IDS.peek(), FLIT_IDS.peek()) == first
-
-
 class TestWorkerProcessEquivalence:
     def test_run_many_two_jobs_matches_inline_runs(self):
         """Fresh worker processes reproduce inline results byte for byte."""
@@ -101,3 +98,20 @@ class TestWorkerProcessEquivalence:
         ]
         fanned = run_many(points, jobs=2, use_cache=False)
         assert [_payload(r) for r in fanned] == inline
+
+    def test_traced_runs_repeat_their_ids(self, tmp_path):
+        """Back-to-back traced runs in one process, and the same point in
+        a ``run_many`` worker, emit identical trace IDs — nothing is reset
+        between them."""
+        w, nc = GRID[1]
+        first = _traced_direct(w, nc)
+        assert first and _traced_direct(w, nc) == first
+        points = [
+            ExperimentPoint(workload=w, netcrafter=nc, scale=SCALE),
+            ExperimentPoint(workload="mt", netcrafter=nc, scale=SCALE),
+        ]
+        ctx = RunContext(
+            observability=ObservabilityOptions(trace=True, out_dir=str(tmp_path))
+        )
+        fanned = run_many(points, jobs=2, use_cache=False, ctx=ctx)
+        assert _trace_ids(iter_jsonl(fanned[0].trace_path)) == first
