@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.schema import BENCH_SCHEMA_VERSION
+from repro.bench.suite.layers import SIM_LAYERS
 
 
 def peak_rss_kb() -> int:
@@ -232,7 +233,10 @@ def compare_reports(
       re-recording the baseline.  ``events_by_callback`` is gated the
       same way, key by key: the row's ``callback_deltas`` lists every
       callback whose count moved (a key one side lacks counts as 0), and
-      the regression names them.  ``dispatch_order`` (the sha256 over
+      the regression names them.  ``events_by_layer`` holds the same
+      counts summed per simulator layer; the row's ``layer_counts``
+      keeps every layer's before/after pair for the per-layer table.
+      ``dispatch_order`` (the sha256 over
       every dispatched event's cycle, schedule key and callback key) must
       be equal too: equal counts in another order fail it.
     """
@@ -307,6 +311,25 @@ def compare_reports(
             if deltas:
                 moved = ", ".join(delta["callback"] for delta in deltas)
                 regressions.append(f"{name} (events by callback: {moved})")
+        cur_layers = cur.get("events_by_layer")
+        base_layers = base.get("events_by_layer")
+        if (
+            cur_layers is not None
+            and base_layers is not None
+            and _same_grid(current, cur, baseline, base)
+        ):
+            # every layer, moved or not: the work gate's per-layer
+            # before/after view (a moved layer moved a callback, which
+            # the per-callback gate above already fails)
+            row["layer_counts"] = [
+                {
+                    "layer": layer,
+                    "baseline": int(base_layers.get(layer, 0)),
+                    "current": int(cur_layers.get(layer, 0)),
+                }
+                for layer in SIM_LAYERS
+                if layer in cur_layers or layer in base_layers
+            ]
         cur_order = cur.get("dispatch_order")
         base_order = base.get("dispatch_order")
         if (
@@ -373,6 +396,17 @@ def comparison_lines(comparison: Dict[str, object]) -> List[str]:
                 f"{row['current_events']}"
                 + ("" if row["baseline_events"] == row["current_events"] else " (CHANGED)")
             )
+        if row.get("layer_counts"):
+            lines.append(
+                f"{'':<30} {'layer':<42} {'baseline':>9} {'current':>9} "
+                f"{'delta':>8}"
+            )
+            for entry in row["layer_counts"]:
+                lines.append(
+                    f"{'':<30} {entry['layer']:<42} "
+                    f"{entry['baseline']:>9} {entry['current']:>9} "
+                    f"{entry['current'] - entry['baseline']:>+8}"
+                )
         if row.get("callback_deltas"):
             lines.append(
                 f"{'':<30} {'callback':<42} {'baseline':>9} {'current':>9} "

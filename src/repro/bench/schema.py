@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+from repro.bench.suite.layers import SIM_LAYERS
+
 #: bump when the meaning of any report field changes
 BENCH_SCHEMA_VERSION = 1
 
@@ -58,6 +60,26 @@ def _is_sha256(value: object) -> bool:
     return isinstance(value, str) and len(value) == 64
 
 
+def _check_layers(row: dict, where: str) -> None:
+    """``events_by_layer`` maps known simulator layers to integer counts
+    that sum to the row's ``events_by_callback``, when it has one."""
+    counts = row["events_by_layer"]
+    if not isinstance(counts, dict) or not all(
+        key in SIM_LAYERS and isinstance(count, int) and not isinstance(count, bool)
+        for key, count in counts.items()
+    ):
+        raise BenchSchemaError(
+            f"{where}: events_by_layer must map simulator layers {SIM_LAYERS} "
+            "to integer counts"
+        )
+    by_callback = row.get("events_by_callback")
+    if isinstance(by_callback, dict) and sum(counts.values()) != sum(by_callback.values()):
+        raise BenchSchemaError(
+            f"{where}: events_by_layer sums to {sum(counts.values())}, "
+            f"events_by_callback to {sum(by_callback.values())}"
+        )
+
+
 def validate_report(doc: object) -> None:
     """Raise :class:`BenchSchemaError` unless ``doc`` is a valid report."""
     if not isinstance(doc, dict):
@@ -104,6 +126,8 @@ def validate_report(doc: object) -> None:
                     f"{where}: events_by_callback must map callback keys "
                     "to integer counts"
                 )
+        if "events_by_layer" in row:
+            _check_layers(row, where)
         if "dispatch_order" in row and not _is_sha256(row["dispatch_order"]):
             raise BenchSchemaError(
                 f"{where}: dispatch_order must be a sha256 hex string"

@@ -21,6 +21,7 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
+from repro.bench.suite.layers import SIM_LAYERS, layer_of
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
 from repro.shard.build import (
@@ -185,10 +186,11 @@ def smoke_dispatch_profile(quick: bool = False) -> Dict[str, object]:
     """Exact work and order counts over one untimed pass of the smoke grid.
 
     Returns the row fields ``events_by_callback`` (engine events per
-    callback key ``Class.method``, summed over the points) and
-    ``dispatch_order`` (a sha256 over ``(cycle, schedule key, callback
-    key)`` of every dispatched event, point after point; see
-    :class:`~repro.obs.profiler.DispatchOrder`).  Both are deterministic,
+    callback key ``Class.method``, summed over the points), their sums
+    per simulator layer (``events_by_layer``) and ``dispatch_order`` (a
+    sha256 over ``(cycle, schedule key, callback key)`` of every
+    dispatched event, point after point; see
+    :class:`~repro.obs.profiler.DispatchOrder`).  All are deterministic,
     so ``python -m repro.bench --compare`` fails on any moved key and on
     any reordered event.  The pass runs apart from the timed repeats,
     whose wall time the recorder would inflate.
@@ -208,10 +210,22 @@ def smoke_dispatch_profile(quick: bool = False) -> Dict[str, object]:
         )
         order.attach(node.engine)
         node.run()
+    events_by_callback = dict(sorted(order.counts.items()))
     return {
-        "events_by_callback": dict(sorted(order.counts.items())),
+        "events_by_callback": events_by_callback,
+        "events_by_layer": events_by_layer(events_by_callback),
         "dispatch_order": order.hexdigest(),
     }
+
+
+def events_by_layer(events_by_callback: Dict[str, int]) -> Dict[str, int]:
+    """Fold per-callback event counts into the simulator layers of
+    :data:`repro.bench.suite.layers.LAYER_OF_CLASS`, in report order; a
+    callback whose class has no layer raises."""
+    counts = dict.fromkeys(SIM_LAYERS, 0)
+    for key, count in events_by_callback.items():
+        counts[layer_of(key)] += count
+    return counts
 
 
 # -- sharded-speedup macro ---------------------------------------------------

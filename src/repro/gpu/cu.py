@@ -19,7 +19,7 @@ from typing import Callable, Deque, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.gpu.cta import MemAccess, WavefrontTrace
-from repro.memory.cache import SectorCache, sector_mask_for
+from repro.memory.cache import CacheLine, SectorCache, sector_mask_for
 from repro.memory.mshr import Mshr
 from repro.network.packet import Packet
 from repro.sim.component import Component
@@ -193,20 +193,34 @@ class ComputeUnit(Component):
 
     def _do_write(self, wf: _Wavefront, access: MemAccess, pa: int) -> None:
         """Write-through, write-no-allocate, posted completion."""
-        self.l1.write(pa, access.nbytes)
-        line_pa = self.l1.line_addr(pa)
-        home = self.gpu.home_of(line_pa)
-        if home == self.gpu.gpu_id:
+        # SectorCache.write, inlined: a present line's LRU position refreshes
+        l1 = self.l1
+        line_bytes = l1.line_bytes
+        line_index = pa // line_bytes
+        n_sets = l1.n_sets
+        cache_set = l1._sets.get(line_index % n_sets)
+        if cache_set is not None:
+            tag = line_index // n_sets
+            line = cache_set.pop(tag, None)
+            if line is not None:
+                cache_set[tag] = line
+        line_pa = line_index * line_bytes
+        gpu = self.gpu
+        home = gpu.address_space.home_of(line_pa)
+        if home == gpu.gpu_id:
             self.stats.local_writes += 1
-            self.gpu.coherence_write(line_pa, self.gpu.gpu_id)
-            self.gpu.l2.request(line_pa, self.config.line_bytes, True, _noop)
+            if gpu.directory is not None:
+                gpu.coherence_write(line_pa, home)
+            gpu.l2.request(line_pa, line_bytes, True, _noop)
         else:
-            if self.gpu.cluster_of_gpu[home] != self.gpu.cluster_id:
+            if gpu.cluster_of_gpu[home] != gpu.cluster_id:
                 self.stats.remote_writes_inter += 1
             else:
                 self.stats.remote_writes_intra += 1
-            self.gpu.rdma.remote_write(home, line_pa)
-        self._resume(wf)
+            gpu.rdma.remote_write(home, line_pa)
+        # _resume, inlined
+        wf.outstanding -= 1
+        self._advance(wf)
 
     # -- read fill path -------------------------------------------------------------
 
@@ -217,9 +231,10 @@ class ComputeUnit(Component):
         needed_mask: int,
         on_ready: Callable[[], None],
     ) -> None:
-        line_pa = self.l1.line_addr(pa)
+        l1 = self.l1
+        line_pa = pa - pa % l1.line_bytes
         sector_fetch = self.config.l1_fetch_mode == "sector"
-        fetch_mask = needed_mask if sector_fetch else self.l1.full_mask
+        fetch_mask = needed_mask if sector_fetch else l1.full_mask
         key = (line_pa, fetch_mask)
         status = self.mshr.allocate(key, (needed_mask, access, pa, on_ready))
         if status == "merged":
@@ -241,19 +256,20 @@ class ComputeUnit(Component):
         sector_fetch: bool,
         key: Tuple[int, int],
     ) -> None:
-        home = self.gpu.home_of(line_pa)
-        if home == self.gpu.gpu_id:
+        gpu = self.gpu
+        home = gpu.address_space.home_of(line_pa)
+        if home == gpu.gpu_id:
             self.stats.local_reads += 1
-            self.gpu.record_sharer(line_pa, self.gpu.gpu_id)
-            local_mask = fetch_mask if sector_fetch else None
-            self.gpu.l2.request(
+            if gpu.directory is not None:
+                gpu.record_sharer(line_pa, home)
+            gpu.l2.request(
                 line_pa,
                 self.config.line_bytes,
                 False,
-                partial(self._fill, key, line_pa, local_mask),
+                partial(self._fill, key, line_pa, fetch_mask if sector_fetch else None),
             )
             return
-        crosses = self.gpu.cluster_of_gpu[home] != self.gpu.cluster_id
+        crosses = gpu.cluster_of_gpu[home] != gpu.cluster_id
         if crosses:
             self.stats.remote_reads_inter += 1
             self.stats.record_read_request_bytes(access.nbytes)
@@ -263,7 +279,7 @@ class ComputeUnit(Component):
         sector = self.config.l1_sector_bytes
         offset_in_line = pa % self.config.line_bytes
         trim_allowed = bin(self.l1.sector_mask(pa, access.nbytes)).count("1") == 1
-        self.gpu.rdma.remote_read(
+        gpu.rdma.remote_read(
             dst_gpu=home,
             addr=line_pa,
             bytes_needed=access.nbytes,
@@ -291,9 +307,29 @@ class ComputeUnit(Component):
         self._fill(key, line_pa, mask)
 
     def _fill(self, key: Tuple[int, int], line_pa: int, mask: Optional[int]) -> None:
-        filled_mask = mask if mask is not None else self.l1.full_mask
-        self.l1.fill(line_pa, filled_mask)
-        for needed_mask, access, pa, on_ready in self.mshr.release(key):
+        # SectorCache.fill and Mshr.release, inlined
+        l1 = self.l1
+        filled_mask = mask if mask is not None else l1.full_mask
+        line_index = line_pa // l1.line_bytes
+        n_sets = l1.n_sets
+        set_index = line_index % n_sets
+        cache_set = l1._sets.get(set_index)
+        if cache_set is None:
+            cache_set = l1._sets[set_index] = {}
+        tag = line_index // n_sets
+        l1.fills += 1
+        line = cache_set.pop(tag, None)
+        if line is None:
+            if len(cache_set) >= l1.ways:
+                evicted = cache_set.pop(next(iter(cache_set)))  # LRU victim
+                l1.evictions += 1
+                if evicted.dirty:
+                    l1.dirty_evictions += 1
+            line = CacheLine(tag, filled_mask)
+        else:
+            line.valid_sectors |= filled_mask
+        cache_set[tag] = line  # MRU end
+        for needed_mask, access, pa, on_ready in self.mshr._entries.pop(key):
             if needed_mask & filled_mask == needed_mask:
                 on_ready()
             else:

@@ -129,9 +129,6 @@ class Gpu(Component):
 
     # -- services used by CUs and the GMMU ---------------------------------------
 
-    def home_of(self, paddr: int) -> int:
-        return self.address_space.home_of(paddr)
-
     def cluster_of(self, gpu_id: int) -> int:
         return self.config.cluster_of(gpu_id)
 

@@ -11,6 +11,12 @@ one whose fills always validate every sector.  Lookups distinguish:
 
 Timing is owned by the surrounding controllers; this class is purely
 state + statistics, which keeps it easy to property-test.
+
+The hot paths of ``L2Cache`` and ``ComputeUnit`` do the lookup, fill,
+dirty marking and write-hit refresh inline on ``_sets`` (set index ->
+dict of tag -> :class:`CacheLine`, LRU first), updating the same
+statistics; ``tests/memory/test_memory_fastpath.py`` holds them equal
+to the methods here.  A change to that layout changes all three.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     tag: int
     valid_sectors: int
@@ -90,11 +96,8 @@ class SectorCache:
 
     # -- address helpers ----------------------------------------------------
 
-    def line_addr(self, addr: int) -> int:
-        return addr - (addr % self.line_bytes)
-
     def _locate(self, addr: int) -> Tuple[Dict[int, CacheLine], int]:
-        line_index = addr // self.line_bytes  # line_addr, pre-divided
+        line_index = addr // self.line_bytes
         set_index = line_index % self.n_sets
         cache_set = self._sets.get(set_index)
         if cache_set is None:

@@ -32,6 +32,7 @@ class Dram(Component):
         self.bytes_per_cycle = bytes_per_cycle
         self.max_outstanding = max_outstanding
         self._in_flight = 0
+        #: accesses waiting for a channel: (transfer cycles, callback)
         self._waiting: Deque[Tuple[int, Callable[[], None]]] = deque()
         #: nbytes -> serialization cycles (accesses are overwhelmingly
         #: one line size, so the float ceil-division is paid once)
@@ -47,24 +48,23 @@ class Dram(Component):
         else:
             self.reads += 1
         self.bytes_transferred += nbytes
-        if self._in_flight >= self.max_outstanding:
-            self._waiting.append((nbytes, callback))
-            return
-        self._start(nbytes, callback)
-
-    def _start(self, nbytes: int, callback: Callable[[], None]) -> None:
-        self._in_flight += 1
         transfer = self._transfer_cycles.get(nbytes)
         if transfer is None:
             transfer = math.ceil(nbytes / self.bytes_per_cycle)
             self._transfer_cycles[nbytes] = transfer
+        if self._in_flight >= self.max_outstanding:
+            self._waiting.append((transfer, callback))
+            return
+        self._in_flight += 1
         self.schedule(self.latency + transfer, self._complete, callback)
 
     def _complete(self, callback: Callable[[], None]) -> None:
-        self._in_flight -= 1
         if self._waiting:
-            nbytes, waiting_cb = self._waiting.popleft()
-            self._start(nbytes, waiting_cb)
+            # the freed channel starts the oldest waiting access
+            transfer, waiting_cb = self._waiting.popleft()
+            self.schedule(self.latency + transfer, self._complete, waiting_cb)
+        else:
+            self._in_flight -= 1
         callback()
 
     @property

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from collections import deque
 from functools import partial
-from typing import Callable, Deque, List, Tuple
+from typing import Callable, Deque, Dict, List, Tuple
 
-from repro.memory.cache import SectorCache
+from repro.memory.cache import CacheLine, SectorCache
 from repro.memory.dram import Dram
 from repro.memory.mshr import Mshr
 from repro.sim.component import Component
@@ -53,7 +53,7 @@ class L2Cache(Component):
         self.mshr = Mshr(mshr_entries, name=f"{name}.mshr")
         self._bank_next_free: List[int] = [0] * banks
         #: requests stalled on a full MSHR, retried as entries retire
-        self._stalled: Deque[Tuple[int, int, bool, Callable[[], None]]] = deque()
+        self._stalled: Deque[Tuple[int, Callable[[], None]]] = deque()
         self.read_requests = 0
         self.write_requests = 0
 
@@ -89,47 +89,99 @@ class L2Cache(Component):
     def _lookup(
         self, addr: int, nbytes: int, is_write: bool, callback: Callable[[], None]
     ) -> None:
-        line = self.tags.line_addr(addr)
+        # SectorCache._locate, lookup, fill and mark_dirty, inlined: the
+        # set and tag are computed once for the whole access
+        tags = self.tags
+        line_index = addr // self.line_bytes
+        n_sets = tags.n_sets
+        set_index = line_index % n_sets
+        cache_set = tags._sets.get(set_index)
+        if cache_set is None:
+            cache_set = tags._sets[set_index] = {}
+        tag = line_index // n_sets
+        line = cache_set.pop(tag, None)
+        full_mask = tags.full_mask
         if is_write:
             # full-line install: no fetch-on-write-miss needed
-            self.tags.lookup(addr)  # statistics (hit/miss accounting)
-            evicted = self.tags.fill(line)
-            self.tags.mark_dirty(line)
-            self._maybe_writeback(evicted)
+            tags.fills += 1
+            if line is None:
+                tags.misses += 1
+                self._install(cache_set, tag, True)
+            else:
+                if line.valid_sectors & full_mask == full_mask:
+                    tags.hits += 1
+                else:
+                    tags.sector_misses += 1
+                line.valid_sectors |= full_mask
+                line.dirty = True
+                cache_set[tag] = line  # refresh LRU position
             callback()
             return
-        outcome = self.tags.lookup(addr)
-        if outcome == "hit":
-            callback()
-            return
-        self._handle_miss(line, callback)
+        if line is None:
+            tags.misses += 1
+        else:
+            cache_set[tag] = line  # refresh LRU position
+            if line.valid_sectors & full_mask == full_mask:
+                tags.hits += 1
+                callback()
+                return
+            tags.sector_misses += 1
+        self._handle_miss(line_index * self.line_bytes, callback)
+
+    def _install(self, cache_set: Dict[int, CacheLine], tag: int, dirty: bool) -> None:
+        """Install an absent line at the MRU end, evicting the LRU line of
+        a full set and posting a dirty victim's write-back."""
+        tags = self.tags
+        if len(cache_set) >= tags.ways:
+            evicted = cache_set.pop(next(iter(cache_set)))  # LRU victim
+            tags.evictions += 1
+            if evicted.dirty:
+                tags.dirty_evictions += 1
+                # posted write-back; completion is not on any critical path
+                self.dram.access(self.line_bytes, _ignore_completion, True)
+        cache_set[tag] = CacheLine(tag, tags.full_mask, dirty)
 
     def _handle_miss(self, line: int, callback: Callable[[], None]) -> None:
-        status = self.mshr.allocate(line, callback)
-        if status == "merged":
+        # Mshr.allocate, inlined
+        mshr = self.mshr
+        entries = mshr._entries
+        waiters = entries.get(line)
+        if waiters is not None:
+            waiters.append(callback)
+            mshr.merges += 1
             return
-        if status == "full":
-            self._stalled.append((line, 0, False, callback))
+        if len(entries) >= mshr.capacity:
+            mshr.full_stalls += 1
+            self._stalled.append((line, callback))
             return
+        entries[line] = [callback]
+        mshr.allocations += 1
         self.dram.access(self.line_bytes, partial(self._fill, line))
 
     def _fill(self, line: int) -> None:
-        evicted = self.tags.fill(line)
-        self._maybe_writeback(evicted)
-        waiters = self.mshr.release(line)
-        for waiter in waiters:
+        # SectorCache.fill and Mshr.release, inlined
+        tags = self.tags
+        line_index = line // self.line_bytes
+        n_sets = tags.n_sets
+        set_index = line_index % n_sets
+        cache_set = tags._sets.get(set_index)
+        if cache_set is None:
+            cache_set = tags._sets[set_index] = {}
+        tag = line_index // n_sets
+        tags.fills += 1
+        present = cache_set.pop(tag, None)
+        if present is None:
+            self._install(cache_set, tag, False)
+        else:
+            present.valid_sectors |= tags.full_mask
+            cache_set[tag] = present  # refresh LRU position
+        for waiter in self.mshr._entries.pop(line):
             waiter()
-        self._retry_stalled()
-
-    def _maybe_writeback(self, evicted) -> None:
-        if evicted is not None and evicted.dirty:
-            # posted write-back; completion is not on any critical path
-            self.dram.access(self.line_bytes, _ignore_completion, is_write=True)
-
-    def _retry_stalled(self) -> None:
-        while self._stalled and not self.mshr.is_full:
-            line, _nbytes, _is_write, callback = self._stalled.popleft()
-            self._handle_miss(line, callback)
+        stalled = self._stalled
+        if stalled:
+            mshr = self.mshr
+            while stalled and len(mshr._entries) < mshr.capacity:
+                self._handle_miss(*stalled.popleft())
 
 
 def _ignore_completion() -> None:

@@ -210,13 +210,14 @@ class Gmmu(Component):
     def _begin_walk(self, vpn: int, start_cycle: int) -> None:
         self.stats.ptw_walks += 1
         hit_level = self.pwc.longest_prefix_level(vpn)
-        path = self.page_table.walk_path(vpn)
-        remaining = path[hit_level:]
-        self._walk_step(vpn, start_cycle, remaining, 0)
+        path, paddr = self.page_table.walk(vpn)
+        self._walk_step(vpn, start_cycle, paddr, path[hit_level:], 0)
 
-    def _walk_step(self, vpn: int, start_cycle: int, path, index: int) -> None:
+    def _walk_step(
+        self, vpn: int, start_cycle: int, paddr: int, path, index: int
+    ) -> None:
         if index >= len(path):
-            self._finish_walk(vpn, start_cycle)
+            self._finish_walk(vpn, start_cycle, paddr)
             return
         _level, pte_addr, node_gpu = path[index]
         self.stats.ptw_pte_accesses += 1
@@ -225,13 +226,10 @@ class Gmmu(Component):
         self.pte_access(
             pte_addr,
             node_gpu,
-            partial(self._walk_step, vpn, start_cycle, path, index + 1),
+            partial(self._walk_step, vpn, start_cycle, paddr, path, index + 1),
         )
 
-    def _finish_walk(self, vpn: int, start_cycle: int) -> None:
-        paddr = self.page_table.translate_vpn(vpn)
-        if paddr is None:  # pragma: no cover - pages are premapped
-            raise KeyError(f"walk completed for unmapped vpn {vpn:#x}")
+    def _finish_walk(self, vpn: int, start_cycle: int, paddr: int) -> None:
         self.pwc.insert_path(vpn)
         self.l2_tlb.insert(vpn, paddr)
         self.stats.ptw_latency.record(self.now - start_cycle)

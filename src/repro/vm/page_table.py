@@ -21,6 +21,7 @@ PAGE_SIZE = 4096
 PTE_BYTES = 8
 LEVELS = 4
 BITS_PER_LEVEL = 9
+INDEX_MASK = (1 << BITS_PER_LEVEL) - 1
 
 
 @dataclass
@@ -39,7 +40,7 @@ def split_vpn(vpn: int) -> List[int]:
     indices = []
     for level in range(LEVELS):
         shift = BITS_PER_LEVEL * (LEVELS - 1 - level)
-        indices.append((vpn >> shift) & ((1 << BITS_PER_LEVEL) - 1))
+        indices.append((vpn >> shift) & INDEX_MASK)
     return indices
 
 
@@ -91,29 +92,30 @@ class PageTable:
 
     # -- walk support -------------------------------------------------------------
 
-    def walk_path(self, vpn: int) -> List[Tuple[int, int, int]]:
-        """PTE accesses a full walk performs: ``[(level, pte_addr, gpu)]``.
+    def walk(self, vpn: int) -> Tuple[List[Tuple[int, int, int]], int]:
+        """One radix descent: the PTE accesses a full walk performs,
+        ``[(level, pte_addr, gpu)]``, and the physical page address.
 
         One entry per level 1..4; the PTE for level k lives in the level-k
         node at ``node.addr + index_k * 8`` on that node's GPU.  Raises
         ``KeyError`` for unmapped pages (all pages are premapped by LASP
         before kernel launch, so a walk never faults in this model).
         """
-        indices = split_vpn(vpn)
         path: List[Tuple[int, int, int]] = []
         node = self.root
-        for level in range(1, LEVELS + 1):
-            index = indices[level - 1]
+        for level in range(1, LEVELS):
+            index = (vpn >> (BITS_PER_LEVEL * (LEVELS - level))) & INDEX_MASK
             path.append((level, node.addr + index * PTE_BYTES, node.gpu))
-            if level == LEVELS:
-                if index not in node.entries:
-                    raise KeyError(f"vpn {vpn:#x} is not mapped")
-            else:
-                child = node.children.get(index)
-                if child is None:
-                    raise KeyError(f"vpn {vpn:#x} is not mapped at level {level}")
-                node = child
-        return path
+            child = node.children.get(index)
+            if child is None:
+                raise KeyError(f"vpn {vpn:#x} is not mapped at level {level}")
+            node = child
+        index = vpn & INDEX_MASK
+        paddr = node.entries.get(index)
+        if paddr is None:
+            raise KeyError(f"vpn {vpn:#x} is not mapped")
+        path.append((LEVELS, node.addr + index * PTE_BYTES, node.gpu))
+        return path, paddr
 
     def leaf_node(self, vpn: int) -> Optional[PageTableNode]:
         indices = split_vpn(vpn)

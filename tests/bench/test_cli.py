@@ -5,6 +5,7 @@ cheapest benchmark at quick size so the suite stays fast.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,11 @@ from repro.bench.harness import (
     overhead_markdown,
 )
 from repro.bench.schema import validate_report
+from repro.bench.smoke import events_by_layer
 from repro.obs.profiler import DispatchOrder
 from repro.sim.engine import Engine
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 FAST = ["--only", "engine_dispatch", "--quick", "--repeats", "1"]
 
@@ -336,6 +340,73 @@ class TestCallbackCountGate:
         doc = _doc([row])
         with pytest.raises(ValueError, match="events_by_callback"):
             validate_report(doc)
+
+
+def _layers_row(calls, points=8):
+    return dict(_calls_row(calls, points), events_by_layer=events_by_layer(calls))
+
+
+class TestLayerCountGate:
+    """Events per simulator layer: every layer is tabled before and after."""
+
+    def test_counts_fold_through_the_layer_map(self):
+        assert events_by_layer(_CALLS) == {
+            "network": 41_442 + 70_618,
+            "core": 0,
+            "gpu": 24_834,
+            "memory": 0,
+            "vm": 0,
+            "faults": 0,
+        }
+        with pytest.raises(KeyError, match="LAYER_OF_CLASS"):
+            events_by_layer({"Unplaced._tick": 1})
+
+    def test_a_callback_moving_layers_fails_and_is_tabled(self):
+        moved = dict(_CALLS)
+        moved["RdmaEngine.receive_packet"] = moved.pop("Gpu.receive_packet")
+        comparison = compare_reports(
+            _doc([_layers_row(moved)]), _doc([_layers_row(_CALLS)])
+        )
+        # the per-callback gate fails it; the layer table shows where
+        assert comparison["regressions"] == [
+            "smoke_sweep (events by callback: "
+            "Gpu.receive_packet, RdmaEngine.receive_packet)"
+        ]
+        (row,) = comparison["benchmarks"]
+        assert [entry["layer"] for entry in row["layer_counts"]] == [
+            "network", "core", "gpu", "memory", "vm", "faults"
+        ]
+        text = "\n".join(comparison_lines(comparison))
+        assert "-24834" in text and "+24834" in text
+
+    def test_equal_counts_pass_and_print_every_layer(self):
+        comparison = compare_reports(
+            _doc([_layers_row(_CALLS)]), _doc([_layers_row(dict(_CALLS))])
+        )
+        assert comparison["regressions"] == []
+        text = "\n".join(comparison_lines(comparison))
+        for layer in ("network", "core", "gpu", "memory", "vm", "faults"):
+            assert layer in text
+
+    @pytest.mark.parametrize(
+        "layers, match",
+        [
+            ({"nic": 1}, "simulator layers"),
+            ({"network": 1.5}, "simulator layers"),
+            ({"network": 1}, "sums to 1"),
+        ],
+    )
+    def test_schema_rejects_bad_layer_counts(self, layers, match):
+        row = dict(_calls_row(_CALLS), events_by_layer=layers)
+        row["results_digest"] = "0" * 64
+        with pytest.raises(ValueError, match=match):
+            validate_report(_doc([row]))
+
+    def test_committed_baseline_layers_match_its_callbacks(self):
+        doc = json.loads((REPO_ROOT / "BENCH_baseline.json").read_text())
+        (row,) = [row for row in doc["benchmarks"] if row["name"] == "smoke_sweep"]
+        assert row["events_by_layer"] == events_by_layer(row["events_by_callback"])
+        assert sum(row["events_by_layer"].values()) == row["events"]
 
 
 def _read():

@@ -101,5 +101,5 @@ def test_home_and_cluster_helpers():
     eng = Engine()
     gpu, space = _gpu(eng)
     addr = space.alloc_frame(3)
-    assert gpu.home_of(addr) == 3
+    assert gpu.address_space.home_of(addr) == 3
     assert gpu.cluster_of(3) == 1

@@ -38,14 +38,17 @@ def test_map_and_translate():
 def test_walk_path_has_four_levels():
     pt = _pt()
     pt.map(0x42, 0x1000, leaf_owner_hint=1)
-    path = pt.walk_path(0x42)
+    path = pt.walk(0x42)[0]
     assert [level for level, _, _ in path] == [1, 2, 3, 4]
 
 
 def test_walk_path_unmapped_raises():
     pt = _pt()
     with pytest.raises(KeyError):
-        pt.walk_path(0x999)
+        pt.walk(0x999)
+    pt.map(0x42, 0x1000, leaf_owner_hint=1)
+    with pytest.raises(KeyError):
+        pt.walk(0x43)  # same leaf node, no entry
 
 
 def test_leaf_placed_on_hint_gpu():
@@ -58,7 +61,7 @@ def test_leaf_placed_on_hint_gpu():
 def test_interior_nodes_on_root_gpu():
     pt = _pt(root=1)
     pt.map(0x42, 0x1000, leaf_owner_hint=3)
-    path = pt.walk_path(0x42)
+    path = pt.walk(0x42)[0]
     for level, _addr, gpu in path[:-1]:
         assert gpu == 1
     assert path[-1][2] == 3
@@ -85,7 +88,7 @@ def test_different_regions_get_different_leaves():
 def test_pte_addresses_within_node_frame():
     pt = _pt()
     pt.map(0x1FF, 0x1000, leaf_owner_hint=1)
-    for _level, pte_addr, _gpu in pt.walk_path(0x1FF):
+    for _level, pte_addr, _gpu in pt.walk(0x1FF)[0]:
         assert pte_addr % PTE_BYTES == 0
 
 
@@ -94,8 +97,8 @@ def test_adjacent_vpns_share_leaf_pte_line():
     pt = _pt()
     pt.map(0x100, 0x1000, leaf_owner_hint=0)
     pt.map(0x101, 0x2000, leaf_owner_hint=0)
-    a = pt.walk_path(0x100)[-1][1]
-    b = pt.walk_path(0x101)[-1][1]
+    a = pt.walk(0x100)[0][-1][1]
+    b = pt.walk(0x101)[0][-1][1]
     assert abs(a - b) == PTE_BYTES
 
 
@@ -117,5 +120,6 @@ def test_many_mappings_translate_back(vpns):
         expected[vpn] = paddr
     for vpn, paddr in expected.items():
         assert pt.translate_vpn(vpn) == paddr
-        path = pt.walk_path(vpn)
+        path, walked = pt.walk(vpn)
         assert len(path) == LEVELS
+        assert walked == paddr
