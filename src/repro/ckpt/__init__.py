@@ -58,7 +58,7 @@ if TYPE_CHECKING:
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 8
+SNAPSHOT_FORMAT_VERSION = 9
 
 _MAGIC = b"REPROCKPT\n"
 

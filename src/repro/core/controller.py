@@ -139,7 +139,8 @@ class NetCrafterController(Traced, Component):
         ``ClusterQueue.push`` and the entry statistics are inlined per
         packet: every flit of a packet shares one partition, and the
         packet is admitted only when the free entries (capacity less
-        staged and reserved ones) hold all of its flits.
+        staged and reserved ones) hold all of its flits.  Staging sets
+        the packet's unsent-flit count, which the link counts down.
         """
         pending = self._pending
         queue = self.queue
@@ -153,6 +154,9 @@ class NetCrafterController(Traced, Component):
             if queue.capacity - queue._count - queue._reserved < n_flits:
                 return
             pending.popleft()
+            # the link counts this down and completes the packet with
+            # its last flit; a multi-hop packet is restaged per hop
+            flits[0].packet._unsent = n_flits
             key = queue.partition_key(flits[0], priority_data)
             part = queue._partitions.get(key)
             if part is None:

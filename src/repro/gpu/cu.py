@@ -245,13 +245,14 @@ class ComputeUnit(Component):
                 _MSHR_RETRY_CYCLES, self._fetch, access, pa, needed_mask, on_ready
             )
             return
-        self._issue_fill(access, pa, line_pa, fetch_mask, sector_fetch, key)
+        self._issue_fill(access, pa, line_pa, needed_mask, fetch_mask, sector_fetch, key)
 
     def _issue_fill(
         self,
         access: MemAccess,
         pa: int,
         line_pa: int,
+        needed_mask: int,
         fetch_mask: int,
         sector_fetch: bool,
         key: Tuple[int, int],
@@ -275,10 +276,11 @@ class ComputeUnit(Component):
             self.stats.record_read_request_bytes(access.nbytes)
         else:
             self.stats.remote_reads_intra += 1
-        # trim bits: request fits within one aligned sector window
+        # trim bits: request fits within one aligned sector window (the
+        # needed mask has a single bit)
         sector = self.config.l1_sector_bytes
         offset_in_line = pa % self.config.line_bytes
-        trim_allowed = bin(self.l1.sector_mask(pa, access.nbytes)).count("1") == 1
+        trim_allowed = needed_mask & (needed_mask - 1) == 0
         gpu.rdma.remote_read(
             dst_gpu=home,
             addr=line_pa,

@@ -43,6 +43,19 @@ from repro.network.packet import Packet
 STITCH_METADATA_BYTES = 3
 
 
+class DuplicateFlitError(RuntimeError):
+    """A flit of a packet was carried twice (or out of range).
+
+    Raised on both ends of an inter-cluster link: by the sending
+    :class:`~repro.network.link.FlitLink` when a packet's unsent-flit
+    count would go below zero, and by the receiving
+    :class:`~repro.network.switch.ReassemblyBuffer` when a flit index
+    arrives twice.  Either way a routing or stitching bug upstream
+    would otherwise complete the packet early, with one real flit
+    still in flight to corrupt a later packet.
+    """
+
+
 class StitchKind(enum.Enum):
     """How a candidate flit was embedded into its parent."""
 

@@ -36,7 +36,7 @@ from repro.obs.tracer import Traced
 from repro.sim.component import Component
 from repro.sim.engine import Engine
 from repro.sim.queues import BoundedQueue
-from repro.network.flit import Flit
+from repro.network.flit import DuplicateFlitError, Flit
 from repro.network.packet import Packet
 
 __all__ = [
@@ -167,6 +167,21 @@ class FlitLink(Traced, Component):
     tie-breaking at the receiver a pure function of wire traffic rather
     than of global event interleaving — the property cluster-sharded
     execution needs to reproduce a single shared engine exactly.
+
+    A link into a switch (``completes_packets``) completes packets on
+    the sending side: the egress controller stages each packet with its
+    flit count in ``Packet._unsent``, :meth:`send` counts down every
+    piece a wire flit carries (the flit itself and each stitched
+    segment), and only a wire flit that takes some packet to zero is
+    delivered, as ``sink(flit, done)`` with ``done`` a bitmask over the
+    flit (bit 0) and its segments (bit ``i + 1``) naming the packets it
+    completes.  The other flits are not delivered at all — at the
+    receiver they would only have set a reassembly bit — but still
+    take their sequence number, so the remaining deliveries keep their
+    per-flit schedule keys.  Faulted links (:meth:`_transmit_faulty`)
+    and traced runs deliver every flit, for the receiving
+    :class:`~repro.network.switch.ReassemblyBuffer` to reassemble, as
+    do links into a plain flit sink.
     """
 
     def __init__(
@@ -175,7 +190,8 @@ class FlitLink(Traced, Component):
         name: str,
         bytes_per_cycle: float,
         latency: int,
-        sink: Optional[Callable[[Flit], None]],
+        sink: Optional[Callable[..., None]],
+        completes_packets: bool = False,
     ) -> None:
         super().__init__(engine, name)
         if bytes_per_cycle <= 0:
@@ -184,8 +200,12 @@ class FlitLink(Traced, Component):
         self._bpc_num, self._bpc_den = self.bytes_per_cycle.as_integer_ratio()
         self.latency = int(latency)
         #: the receiving switch's ingress; ``None`` on a shard-boundary
-        #: link, whose :meth:`_deliver` posts to a cross-shard outbox
+        #: link, whose :meth:`_post` appends to a cross-shard outbox
         self.sink = sink
+        #: the sink takes ``(flit, done)`` completion masks (a switch's
+        #: :meth:`~repro.network.switch.ClusterSwitch.receive_flit_from_network`),
+        #: so a fault-free, untraced send delivers packets, not flits
+        self.completes_packets = completes_packets
         self.stats = LinkStats(self.bytes_per_cycle)
         #: cycle the current busy burst started serializing
         self._anchor = 0
@@ -302,6 +322,7 @@ class FlitLink(Traced, Component):
         stats.useful_bytes += flit.used_bytes + flit._seg_payload_bytes
         # ceil(anchor + sent/bpc) + latency, in exact integer arithmetic
         arrival = self._anchor - ((-sent * den) // num) + self.latency
+        done = 0
         if self._trace_on:
             self._tracer.flit_event(
                 now,
@@ -312,19 +333,53 @@ class FlitLink(Traced, Component):
                 bytes=size,
                 stitched=len(flit.segments),
             )
+        elif self.completes_packets:
+            # count down each carried piece's packet: bit 0 of ``done``
+            # marks the flit's own packet complete, bit i + 1 the packet
+            # of segment i
+            packet = flit.packet
+            left = packet._unsent - 1
+            packet._unsent = left
+            if left < 0:
+                self._oversent(flit, packet)
+            if not left:
+                done = 1
+            segments = flit.segments
+            if segments:
+                bit = 2
+                for segment in segments:
+                    carried = segment.flit.packet
+                    left = carried._unsent - 1
+                    carried._unsent = left
+                    if not left:
+                        done |= bit
+                    elif left < 0:
+                        self._oversent(flit, carried)
+                    bit <<= 1
+            if not done:
+                # the receiver would only have set a reassembly bit; the
+                # flit still takes its sequence number, so every
+                # remaining delivery keeps the schedule key it had per flit
+                self._delivery_seq += 1
+                return
+        # :meth:`_deliver` flattened into the clean path
+        seq = self._delivery_seq
+        self._delivery_seq = seq + 1
+        skey = DELIVERY_SKEY_BASE + seq * self.delivery_span + self.delivery_rank
         sink = self.sink
         if sink is None:
             # a shard-boundary link: the flit leaves through its outbox
-            self._deliver(arrival, flit)
-            return
-        # :meth:`_deliver` flattened into the clean local path
-        seq = self._delivery_seq
-        self._delivery_seq = seq + 1
-        engine.inject(
-            arrival,
-            DELIVERY_SKEY_BASE + seq * self.delivery_span + self.delivery_rank,
-            sink,
-            flit,
+            self._post(arrival, skey, flit, done)
+        elif done:
+            engine.inject(arrival, skey, sink, flit, done)
+        else:  # every flit is delivered; the receiver reassembles
+            engine.inject(arrival, skey, sink, flit)
+
+    def _oversent(self, flit: Flit, packet: Packet) -> None:
+        raise DuplicateFlitError(
+            f"{self.name}: flit {flit.fid} carries a flit of packet "
+            f"{packet.pid}, which has no unsent flits left (sent twice, "
+            f"or never staged by an egress controller)"
         )
 
     def _transmit_faulty(self, flit: Flit, attempt: int, first_cycle: int) -> None:
@@ -436,15 +491,24 @@ class FlitLink(Traced, Component):
         return DELIVERY_SKEY_BASE + seq * self.delivery_span + self.delivery_rank
 
     def _deliver(self, arrival: int, flit: Flit) -> None:
-        """Hand the flit to the sink at ``arrival``.
+        """Hand the flit to the sink at ``arrival``, for the receiver to
+        reassemble (the faulted, traced and plain-sink paths)."""
+        skey = self._next_delivery_skey()
+        if self.sink is None:
+            self._post(arrival, skey, flit, 0)
+            return
+        self.engine.inject(arrival, skey, self.sink, flit)
 
-        The fault path's delivery, and the hook point for shard-boundary
-        links (``sink is None``), which capture the flit into an outbox
-        for cross-shard mailbox delivery instead of scheduling it on the
-        local engine.  Every path uses the same sub-cycle key, so
-        delivery order is identical however the flit travels.
+    def _post(self, arrival: int, skey: int, flit: Flit, done: int) -> None:
+        """Hand ``flit`` to the receiving shard at ``arrival``.
+
+        The hook for shard-boundary links (``sink is None``), which
+        capture the flit into an outbox for cross-shard mailbox delivery
+        instead of scheduling it on the local engine, with the same
+        sub-cycle key and completion mask (0: reassemble at the
+        receiver), so delivery order is identical however it travels.
         """
-        self.engine.inject(arrival, self._next_delivery_skey(), self.sink, flit)
+        raise NotImplementedError(f"{self.name} has no sink")
 
 
 class PacketLink(Component):

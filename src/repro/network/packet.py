@@ -163,6 +163,11 @@ class Packet:
     _hdr: int = field(default=0, repr=False)
     #: cached ``ptype.is_ptw`` (queried per flit on every CQ push)
     _ptw: bool = field(default=False, repr=False)
+    #: flits of this packet not yet on the wire at its current hop: the
+    #: egress controller sets it when it stages the packet, and a
+    #: packet-completing :class:`~repro.network.link.FlitLink` counts it
+    #: down and delivers the packet with the flit that takes it to zero
+    _unsent: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         hdr, payload, ptw = _TYPE_META[self.ptype]
@@ -242,6 +247,7 @@ class Packet:
             self._layout,
             self._hdr,
             self._ptw,
+            self._unsent,
         )
 
     def __setstate__(self, state):
@@ -263,6 +269,7 @@ class Packet:
             self._layout,
             self._hdr,
             self._ptw,
+            self._unsent,
         ) = state
 
 

@@ -17,7 +17,7 @@ from repro.faults.process import CorruptedTransmission
 from repro.obs.tracer import Traced
 from repro.sim.component import Component
 from repro.sim.engine import Engine
-from repro.network.flit import Flit
+from repro.network.flit import DuplicateFlitError, Flit
 from repro.network.link import PacketLink
 from repro.network.packet import Packet
 
@@ -32,19 +32,13 @@ class RoutingError(RuntimeError):
     """
 
 
-class DuplicateFlitError(RuntimeError):
-    """A flit index arrived twice (or out of range) for the same packet.
-
-    The old reassembly bookkeeping only *counted* flits per packet id, so
-    a duplicated delivery (a routing or stitching bug upstream) silently
-    completed the packet early — with one real flit still in flight that
-    would then corrupt the next packet reusing the id slot.  Reassembly
-    now tracks exactly which indices arrived and refuses impossible ones.
-    """
-
-
 class ReassemblyBuffer:
     """Reassembles packets from flits arriving on an inter-cluster link.
+
+    Used where the link delivers every flit: faulted links, traced runs
+    and links into a plain flit sink.  A fault-free, untraced link into
+    a switch completes packets itself (see
+    :class:`~repro.network.link.FlitLink`) and never reaches this buffer.
 
     Stitched flits are un-stitched first: every absorbed flit counts
     toward its own packet, matched by packet ID exactly as the paper's
@@ -164,34 +158,26 @@ class ClusterSwitch(Traced, Component):
         """A local GPU injected a packet; route it after the pipeline."""
         self.schedule(self.pipeline_latency, self._route, packet)
 
-    def receive_flit_from_network(self, flit: Flit) -> None:
-        """A flit arrived from a remote cluster; un-stitch and reassemble."""
-        if self._crc_stats is None and not self._trace_on and not flit.segments:
-            # the common case (fault-free, untraced, unstitched) with
-            # ReassemblyBuffer._account inlined; a bad index falls through
-            # to the buffer, which raises DuplicateFlitError
-            packet = flit.packet
-            layout = packet._layout
-            flit_size = self.flit_size
-            if layout is None or layout[0] != flit_size:
-                packet.flit_count(flit_size)
-                layout = packet._layout
-            expected = layout[1]
-            index = flit.index
-            reassembly = self.reassembly
-            received = reassembly._received
-            pid = packet.pid
-            mask = received.get(pid, 0)
-            bit = 1 << index
-            if index < expected and not mask & bit:
-                if mask | bit != (1 << expected) - 1:
-                    received[pid] = mask | bit
-                    return
-                if mask:
-                    del received[pid]
-                reassembly.packets_reassembled += 1
-                self.schedule(self.pipeline_latency, self._route, packet)
+    def receive_flit_from_network(self, flit: Flit, done: int = 0) -> None:
+        """A wire flit arrived from a remote cluster.
+
+        ``done`` is the sending link's completion mask (see
+        :class:`~repro.network.link.FlitLink`): bit 0 marks the flit's
+        own packet complete, bit ``i + 1`` the packet of stitched
+        segment ``i``, and each marked packet is routed after the
+        pipeline, in carried order.  ``done == 0`` means the link
+        delivers every flit (a faulted or traced run): the flit passes
+        the CRC check and is un-stitched and reassembled here.
+        """
+        if done:
+            if done == 1:  # the common case: the flit's own packet alone
+                self.schedule(self.pipeline_latency, self._route, flit.packet)
                 return
+            for carried in flit.all_carried_flits():
+                if done & 1:
+                    self.schedule(self.pipeline_latency, self._route, carried.packet)
+                done >>= 1
+            return
         if self._crc_stats is not None:
             if type(flit) is CorruptedTransmission:
                 # CRC failure: discard the whole wire flit (stitched

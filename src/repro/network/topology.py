@@ -202,6 +202,7 @@ def _add_inter_link(
             bytes_per_cycle=bandwidth,
             latency=latency,
             sink=topo.switches[dst].receive_flit_from_network,
+            completes_packets=True,
         )
     # deterministic same-cycle delivery order across links: the directed
     # pair's index, identical whether the link is local or a shard

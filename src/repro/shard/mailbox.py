@@ -4,14 +4,18 @@ A :class:`BoundaryFlitLink` stands in for an inter-cluster link whose
 destination switch lives in another shard.  It inherits the real
 :class:`~repro.network.link.FlitLink` serialization and pacing — wire
 timing is identical to the single-engine run — but delivery lands in a
-local *outbox* instead of a remote sink.  At each window boundary the
-shard column-encodes its outbox into one :class:`MailBatch` per
-destination shard; the coordinator validates each batch's headers
-through :class:`Mailbox` and forwards it to its destination shard, which
-injects every flit into its own engine at the precomputed arrival cycle.
+local *outbox* instead of a remote sink.  Like a local link into a
+switch it completes packets on the sending side, so only a wire flit
+that completes some packet becomes a mail item, carrying the link's
+completion mask; a faulted or traced run mails every flit (mask 0) for
+the receiving switch to reassemble.  At each window boundary the shard
+column-encodes its outbox into one :class:`MailBatch` per destination
+shard; the coordinator validates each batch's headers through
+:class:`Mailbox` and forwards it to its destination shard, which injects
+every item into its own engine at the precomputed arrival cycle.
 
 Determinism: every item carries the *delivery schedule key* its flit
-would have received from :meth:`FlitLink._deliver` in a single shared
+would have received from its :class:`FlitLink` in a single shared
 engine — the negative sub-cycle key ordering deliveries before local
 events, by per-link sequence then link rank.  The receiving shard
 injects with exactly that key, and the engine orders events by
@@ -45,17 +49,19 @@ class DuplicateDeliveryError(RuntimeError):
 
 @dataclass(slots=True)
 class MailItem:
-    """One cross-shard flit in flight, with its full ordering key
+    """One cross-shard delivery in flight, with its full ordering key
     (outbox form; it crosses shards column-encoded in a :class:`MailBatch`)."""
 
     arrival: int
     #: the delivery's sub-cycle schedule key (negative; see FlitLink)
     skey: int
-    send_cycle: int
     src_cluster: int
     dst_cluster: int
     link_seq: int
     flit: Flit
+    #: the sending link's completion mask over the flit and its stitched
+    #: segments (see FlitLink); 0 = reassemble at the receiver
+    done: int = 0
 
 
 class BoundaryFlitLink(FlitLink):
@@ -76,25 +82,18 @@ class BoundaryFlitLink(FlitLink):
             bytes_per_cycle=bytes_per_cycle,
             latency=latency,
             sink=None,
+            completes_packets=True,
         )
         self.src_cluster = src_cluster
         self.dst_cluster = dst_cluster
         self.outbox: List[MailItem] = []
         self._link_seq = 0
 
-    def _deliver(self, arrival: int, flit: Flit) -> None:
+    def _post(self, arrival: int, skey: int, flit: Flit, done: int) -> None:
         seq = self._link_seq
         self._link_seq = seq + 1
         self.outbox.append(
-            MailItem(
-                arrival=arrival,
-                skey=self._next_delivery_skey(),
-                send_cycle=self.engine.now,
-                src_cluster=self.src_cluster,
-                dst_cluster=self.dst_cluster,
-                link_seq=seq,
-                flit=flit,
-            )
+            MailItem(arrival, skey, self.src_cluster, self.dst_cluster, seq, flit, done)
         )
 
     def drain_outbox(self) -> List[MailItem]:
@@ -107,14 +106,15 @@ class MailBatch:
     """A window's mail for one destination shard, in column form.
 
     The transport representation of a ``List[MailItem]`` in both drive
-    modes.  The per-item ordering columns (``arrivals``/``skeys``/
-    ``send_cycles``) travel as ``array('q')`` buffers, and the flits
-    themselves as **one** opaque pickle blob per destination shard: the
-    sending shard pickles its outbox exactly once (letting the pickle
-    memo intern the stable ``Packet`` / ``StitchSegment`` tuple-state
-    prefix shared by a packet's flits), the coordinator routes and
-    validates on the header columns without ever unpickling the
-    payload, and only the destination shard pays the single ``loads``.
+    modes.  The per-item columns (``arrivals``/``skeys`` for ordering,
+    ``dones`` for the completion masks) travel as ``array`` buffers, and
+    the flits themselves as **one** opaque pickle blob per destination
+    shard: the sending shard pickles its outbox exactly once (letting
+    the pickle memo intern the stable ``Packet`` / ``StitchSegment``
+    tuple-state prefix shared by a packet's flits), the coordinator
+    routes and validates on the header columns without ever unpickling
+    the payload, and only the destination shard pays the single
+    ``loads``.
 
     The per-item link identity columns are delta-encoded away: a
     shard's outbox drains link by link, and each boundary link's
@@ -127,12 +127,12 @@ class MailBatch:
     instead of per item (:meth:`Mailbox.validate_batch`).
     """
 
-    __slots__ = ("arrivals", "skeys", "send_cycles", "runs", "payload")
+    __slots__ = ("arrivals", "skeys", "dones", "runs", "payload")
 
-    def __init__(self, arrivals, skeys, send_cycles, runs, payload) -> None:
+    def __init__(self, arrivals, skeys, dones, runs, payload) -> None:
         self.arrivals = arrivals
         self.skeys = skeys
-        self.send_cycles = send_cycles
+        self.dones = dones
         self.runs = runs
         self.payload = payload
 
@@ -144,7 +144,8 @@ class MailBatch:
         """Column-encode ``items``; the flits are pickled once, together."""
         arrivals = array("q")
         skeys = array("q")
-        send_cycles = array("q")
+        # one bit per carried piece: a parent and up to 63 segments
+        dones = array("Q")
         runs = array("q")
         flits = []
         run_src = run_dst = run_next_seq = None
@@ -152,7 +153,7 @@ class MailBatch:
         for item in items:
             arrivals.append(item.arrival)
             skeys.append(item.skey)
-            send_cycles.append(item.send_cycle)
+            dones.append(item.done)
             flits.append(item.flit)
             if (
                 item.src_cluster == run_src
@@ -173,7 +174,7 @@ class MailBatch:
         return cls(
             arrivals=arrivals,
             skeys=skeys,
-            send_cycles=send_cycles,
+            dones=dones,
             runs=runs,
             payload=pickle.dumps(flits, protocol=pickle.HIGHEST_PROTOCOL),
         )
@@ -190,7 +191,7 @@ class MailBatch:
         return (
             self.arrivals,
             self.skeys,
-            self.send_cycles,
+            self.dones,
             self.runs,
             self.payload,
         )
@@ -199,7 +200,7 @@ class MailBatch:
         (
             self.arrivals,
             self.skeys,
-            self.send_cycles,
+            self.dones,
             self.runs,
             self.payload,
         ) = state

@@ -170,7 +170,9 @@ class ShardSystem(NodeCore):
 
         ``batches`` are this window's :class:`~repro.shard.mailbox.MailBatch`
         parcels and ``flits_per_batch`` their already-unpickled payloads;
-        mail injects straight off the column buffers.  Every delivery's
+        mail injects straight off the column buffers, each item with the
+        sending link's completion mask (0 on a faulted or traced run's
+        per-flit mail).  Every delivery's
         ``(arrival, skey)`` pair is globally unique and the engine
         calendar orders by it, so the parcel order does not matter.
         """
@@ -179,11 +181,14 @@ class ShardSystem(NodeCore):
         for batch, flits in zip(batches, flits_per_batch):
             arrivals = batch.arrivals
             skeys = batch.skeys
+            dones = batch.dones
             index = 0
             for _src, dst, _first_seq, count in batch.iter_links():
                 receive = switches[dst].receive_flit_from_network
                 for _ in range(count):
-                    inject(arrivals[index], skeys[index], receive, flits[index])
+                    inject(
+                        arrivals[index], skeys[index], receive, flits[index], dones[index]
+                    )
                     index += 1
         outbox = self._run_window(until)
         return outbox, self.status()

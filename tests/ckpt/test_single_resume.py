@@ -190,7 +190,25 @@ class TestLoudFailures:
         header["format"] = 7
         old = tmp_path / "global-ids.ckpt"
         old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(SnapshotFormatError, match=r"format 7, this version reads 8"):
+        with pytest.raises(
+            SnapshotFormatError,
+            match=rf"format 7, this version reads {SNAPSHOT_FORMAT_VERSION}",
+        ):
+            read_header(old)
+
+    def test_receiver_reassembly_format_refuses_naming_both_versions(
+        self, snapshot, tmp_path
+    ):
+        """Format 8 pickled packets without their unsent-flit count, which
+        the sending link now counts down to complete a packet; this
+        version cannot read it."""
+        path, _ = snapshot
+        magic, header_line, payload = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header_line)
+        header["format"] = 8
+        old = tmp_path / "receiver-reassembly.ckpt"
+        old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SnapshotFormatError, match=r"format 8, this version reads 9"):
             read_header(old)
 
     def test_header_reads_without_unpickling(self, snapshot):

@@ -27,17 +27,17 @@ def _flit(used_bytes=12) -> Flit:
     return Flit(packet=packet, index=0, used_bytes=used_bytes, flit_size=16)
 
 
-def _item(arrival, skey, src=0, dst=1, link_seq=0, tag=12) -> MailItem:
+def _item(arrival, skey, src=0, dst=1, link_seq=0, tag=12, done=0) -> MailItem:
     # ``tag`` rides in the flit's used_bytes so a test can tell flits
     # apart after they cross the pickle boundary
     return MailItem(
         arrival=arrival,
         skey=skey,
-        send_cycle=arrival - 8,
         src_cluster=src,
         dst_cluster=dst,
         link_seq=link_seq,
         flit=_flit(tag),
+        done=done,
     )
 
 
@@ -116,7 +116,7 @@ class TestCollateOrdering:
         shard = ShardSystem(config, NetCrafterConfig.baseline(), 0, 3, 4)
         seen = []
         shard.topology.switches[3].receive_flit_from_network = (
-            lambda flit: seen.append((shard.engine.now, flit.used_bytes))
+            lambda flit, done: seen.append((shard.engine.now, flit.used_bytes))
         )
         outbox, _status = serve(shard, ("window", 20, tuple(batches)))
         assert outbox == {}
@@ -164,8 +164,8 @@ class TestCollateOrdering:
 class TestMailBatch:
     def _items(self):
         return [
-            _item(arrival=11, skey=-90, src=0, dst=2, link_seq=0),
-            _item(arrival=13, skey=-50, src=0, dst=2, link_seq=1),
+            _item(arrival=11, skey=-90, src=0, dst=2, link_seq=0, done=1),
+            _item(arrival=13, skey=-50, src=0, dst=2, link_seq=1, done=0b101),
             _item(arrival=15, skey=-20, src=1, dst=3, link_seq=0),
         ]
 
@@ -177,7 +177,7 @@ class TestMailBatch:
         assert len(batch) == 3
         assert list(batch.arrivals) == [i.arrival for i in items]
         assert list(batch.skeys) == [i.skey for i in items]
-        assert list(batch.send_cycles) == [i.send_cycle for i in items]
+        assert list(batch.dones) == [i.done for i in items]
         assert [
             (src, dst) for src, dst, _first, count in batch.iter_links()
             for _ in range(count)
@@ -274,6 +274,9 @@ class TestBoundaryFlitLink:
         # faulted, leaves through the outbox
         link = self._link()
         assert link.sink is None
-        link.send(_flit())
+        flit = _flit()
+        flit.packet._unsent = 1  # staged, as an egress controller does
+        link.send(flit)
         (item,) = link.drain_outbox()
         assert item.arrival > 0
+        assert item.done == 1  # the flit completes its own packet

@@ -25,10 +25,15 @@ CONFIGS = [
 ]
 
 
-def _run(workload="gups", system=None, netcrafter=None, seed=0):
+#: configs checked at a larger scale than ``Scale.tiny()``: tiny ``gups``
+#: meets no remote sharer on a write, so it sends no invalidation
+SCALES = {"hw_coherence": Scale.small()}
+
+
+def _run(workload="gups", system=None, netcrafter=None, seed=0, scale=None):
     system_cfg = system or SystemConfig.default()
     trace = get_workload(workload).build(
-        n_gpus=system_cfg.n_gpus, scale=Scale.tiny(), seed=seed
+        n_gpus=system_cfg.n_gpus, scale=scale or Scale.tiny(), seed=seed
     )
     node = MultiGpuSystem(config=system_cfg, netcrafter=netcrafter, seed=seed)
     node.load(trace)
@@ -37,8 +42,11 @@ def _run(workload="gups", system=None, netcrafter=None, seed=0):
 
 @pytest.mark.parametrize("label,system,netcrafter", CONFIGS)
 def test_traffic_conserved(label, system, netcrafter):
-    node, result = _run(system=system, netcrafter=netcrafter)
+    node, result = _run(system=system, netcrafter=netcrafter, scale=SCALES.get(label))
     assert verify_traffic(node, result) == []
+    if label == "hw_coherence":
+        # the check covered invalidation traffic, not just reads/writes
+        assert observed_inter_packets(node)[PacketType.INV_REQ] > 0
 
 
 @pytest.mark.parametrize("workload", ["spmv", "mvt", "vgg16"])

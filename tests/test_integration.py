@@ -32,20 +32,39 @@ CONFIG_MATRIX = [
 ]
 
 
-def _run(workload_name, system_cfg, nc_cfg, seed=0):
+def _build(workload_name, system_cfg, nc_cfg, seed=0):
     system_cfg = system_cfg or SystemConfig.default()
     trace = get_workload(workload_name).build(
         n_gpus=system_cfg.n_gpus, scale=SCALE, seed=seed
     )
     system = MultiGpuSystem(config=system_cfg, netcrafter=nc_cfg, seed=seed)
     system.load(trace)
+    return system, trace
+
+
+def _run(workload_name, system_cfg, nc_cfg, seed=0):
+    system, trace = _build(workload_name, system_cfg, nc_cfg, seed)
     result = system.run()
     return result, system, trace
 
 
+def _record_egress_packets(system):
+    """Every packet an egress controller accepts, appended as it arrives."""
+    accepted = []
+    for controller in system.topology.controllers:
+        def accept(packet, _accept=controller.accept_packet):
+            accepted.append(packet)
+            _accept(packet)
+
+        controller.accept_packet = accept
+    return accepted
+
+
 @pytest.mark.parametrize("label,sys_cfg,nc_cfg", CONFIG_MATRIX)
 def test_all_work_completes_under_every_config(label, sys_cfg, nc_cfg):
-    result, system, trace = _run("gups", sys_cfg, nc_cfg)
+    system, trace = _build("gups", sys_cfg, nc_cfg)
+    accepted = _record_egress_packets(system)
+    result = system.run()
     assert result.stats.mem_ops == trace.total_accesses()
     assert result.stats.finish_cycle is not None
     for gpu in system.gpus.values():
@@ -55,6 +74,10 @@ def test_all_work_completes_under_every_config(label, sys_cfg, nc_cfg):
         assert gpu.gmmu.walks_queued == 0
     for switch in system.topology.switches.values():
         assert switch.reassembly.pending_packets() == 0
+    # no packet is left partially sent: every packet staged at an egress
+    # had each of its flits carried across the link
+    assert accepted
+    assert [p.pid for p in accepted if p._unsent] == []
 
 
 @pytest.mark.parametrize("label,sys_cfg,nc_cfg", CONFIG_MATRIX)
