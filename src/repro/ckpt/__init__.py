@@ -8,8 +8,8 @@ whole run away.  This package serializes a quiesced
 the engine's pending events (normalized by ``Engine.__getstate__``,
 which drops the dispatched prefix of the running cycle's bucket),
 cluster queues, pooling timers,
-TLB/sector-cache/MSHR contents, in-flight reassembly and mailbox
-sequence state, the packet/flit ID cursors of the RDMA engines and
+TLB/sector-cache/MSHR contents, each staged packet's unsent-flit count
+and mailbox sequence state, the packet/flit ID cursors of the RDMA engines and
 egress controllers, and every stats/obs counter — into
 a versioned, fingerprint-stamped snapshot file, and resumes it to a
 **byte-identical** final result.
@@ -58,7 +58,7 @@ if TYPE_CHECKING:
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 9
+SNAPSHOT_FORMAT_VERSION = 10
 
 _MAGIC = b"REPROCKPT\n"
 

@@ -8,8 +8,10 @@ receiver can reunite them with the rest of their packet.  Multiple
 candidates may be stitched into one parent as long as they fit, and an
 already-stitched parent can be stitched again if space remains.
 
-Un-stitching happens in :class:`repro.network.switch.ReassemblyBuffer`
-at the receiving cluster switch.
+Un-stitching needs no receiver-side buffer: the sending
+:class:`repro.network.link.FlitLink` counts every stitched segment
+toward its own packet and names, in the completion mask it delivers to
+the receiving cluster switch, each packet a wire flit completes.
 """
 
 from __future__ import annotations

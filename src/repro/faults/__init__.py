@@ -8,9 +8,10 @@ subsystem models both halves:
   inter-cluster links, drawn from a counter-based hash RNG keyed on
   stable packet content rather than call order, plus scheduled
   bandwidth-degradation windows (link flaps);
-* **reliability layer** — a modeled CRC check at switch ingress, a
-  sender-side retransmit path with NACK/timeout pacing, and an
-  RDMA-level timeout/retry backstop with capped exponential backoff.
+* **reliability layer** — a modeled CRC check (decided by the sending
+  link, which knows each transmission's fate), a sender-side
+  retransmit path with NACK/timeout pacing, and an RDMA-level
+  timeout/retry backstop with capped exponential backoff.
 
 Determinism is the design center.  Fault decisions are *pure functions*
 of ``(seed, link name, packet content, flit index, attempt)``
@@ -33,7 +34,6 @@ from repro.faults.process import (
     FATE_CORRUPT,
     FATE_DROP,
     FATE_OK,
-    CorruptedTransmission,
     LinkFaultProcess,
 )
 from repro.faults.rng import fault_hash, mix64, probability_threshold
@@ -42,7 +42,6 @@ __all__ = [
     "FATE_CORRUPT",
     "FATE_DROP",
     "FATE_OK",
-    "CorruptedTransmission",
     "FaultConfig",
     "FlapWindow",
     "LinkFaultProcess",

@@ -4,15 +4,17 @@ Called by :class:`~repro.gpu.system.MultiGpuSystem` and
 :class:`~repro.shard.shard_system.ShardSystem` at build time, only when
 ``config.faults.active`` — a disabled fault config leaves every hot path
 untouched (class-attribute ``None`` defaults, no per-flit overhead).
+The CRC check needs no attachment of its own: the sending link decides
+it, since it draws each transmission's fate.
 
 Duck-typed on purpose: this module must not import ``repro.network`` or
 ``repro.config`` (see the package docstring), so it only calls the
 ``attach_*`` methods the components expose.  In sharded execution each
 shard attaches its own slice — the outgoing halves of its inter-cluster
-links (boundary links included), its owned switches, and its owned
-GPUs' RDMA engines — so every fault event is counted on exactly one
-shard and the merged :class:`~repro.stats.collectors.FaultStats` equals
-the single-engine totals.
+links (boundary links included) and its owned GPUs' RDMA engines — so
+every fault event is counted on exactly one shard and the merged
+:class:`~repro.stats.collectors.FaultStats` equals the single-engine
+totals.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ def attach_fault_layer(
     config: FaultConfig,
     *,
     inter_links: Iterable,
-    switches: Iterable,
     rdma_engines: Iterable,
     stats: RunStats,
     flit_size: int,
@@ -36,9 +37,9 @@ def attach_fault_layer(
     """Attach fault processes + reliability machinery; returns the stats.
 
     ``inter_links`` are the directed inter-cluster ``FlitLink``\\ s (the
-    only fault-injected hop), ``switches`` the cluster switches whose
-    ingress gains the CRC check, and ``rdma_engines`` the per-GPU
-    requesters that arm the timeout/retry backstop.
+    only fault-injected hop, which also decide the CRC check) and
+    ``rdma_engines`` the per-GPU requesters that arm the timeout/retry
+    backstop.
     """
     if stats.faults is None:
         stats.faults = FaultStats()
@@ -47,8 +48,6 @@ def attach_fault_layer(
         link.attach_faults(
             LinkFaultProcess(config, link.name, flit_size), fault_stats
         )
-    for switch in switches:
-        switch.attach_crc(fault_stats)
     for rdma in rdma_engines:
         rdma.attach_faults(config, fault_stats)
     return fault_stats

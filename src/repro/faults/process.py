@@ -1,4 +1,4 @@
-"""Per-link fault processes and the corrupted-transmission envelope.
+"""Per-link fault processes.
 
 :class:`LinkFaultProcess` decides every wire transmission's fate —
 delivered clean, corrupted in flight, or dropped — as a pure function of
@@ -7,14 +7,12 @@ in per-shard strides and differ between execution modes, and never of
 RNG call order).  Two transmissions of the same flit differ only in the
 ``attempt`` counter, so a retransmission redraws its fate.
 
-A corrupted transmission is delivered wrapped in
-:class:`CorruptedTransmission` rather than flagged on the flit itself:
-the sender schedules its retransmission from its own clock and must not
-share mutable fault state with a receiver that — under sequential
-windowed sharding — may not have processed the poisoned delivery yet.
-The envelope delegates the attributes cross-shard plumbing touches
-(``packet``, ``segments``, ``fid``) so boundary mailboxes handle it
-like any wire flit.
+The sending :class:`~repro.network.link.FlitLink` draws the fate and
+acts on it: a corrupted copy fails the receiver's CRC check and a
+dropped one never arrives, so neither is delivered, and the sender
+schedules the retransmission from its own clock.  No fault state is
+shared with the receiver, which under windowed sharding may run in
+another shard.
 """
 
 from __future__ import annotations
@@ -28,45 +26,6 @@ from repro.faults.rng import fault_hash, probability_threshold, string_salt
 FATE_OK = 0
 FATE_CORRUPT = 1
 FATE_DROP = 2
-
-
-class CorruptedTransmission:
-    """A wire flit whose payload arrives damaged (fails CRC on ingress).
-
-    Wraps the flit instead of mutating it: the same live flit object is
-    retransmitted by the sender, possibly before the receiver examines
-    the poisoned copy, so corruption must ride on the *transmission*,
-    not the flit.  The receiving switch discards the envelope after the
-    CRC check; nothing inside it reaches reassembly.
-    """
-
-    __slots__ = ("flit",)
-
-    def __init__(self, flit) -> None:
-        self.flit = flit
-
-    # the attributes boundary mailboxes read off a wire flit, delegated
-    # so envelopes cross shards like clean flits
-    @property
-    def packet(self):
-        return self.flit.packet
-
-    @property
-    def segments(self):
-        return self.flit.segments
-
-    @property
-    def fid(self) -> int:
-        return self.flit.fid
-
-    def __getstate__(self):
-        return (self.flit,)
-
-    def __setstate__(self, state):
-        (self.flit,) = state
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CorruptedTransmission({self.flit!r})"
 
 
 class LinkFaultProcess:

@@ -89,13 +89,11 @@ class NodeCore:
         if config.faults.active:
             from repro.faults.layer import attach_fault_layer
 
-            # this slice's outgoing inter-cluster links, owned switches
-            # and owned GPUs' RDMA engines: every fault event lands on
-            # exactly one slice
+            # this slice's outgoing inter-cluster links and owned GPUs'
+            # RDMA engines: every fault event lands on exactly one slice
             attach_fault_layer(
                 config.faults,
                 inter_links=self.topology.inter_links,
-                switches=self.topology.switches.values(),
                 rdma_engines=[gpu.rdma for gpu in self.gpus.values()],
                 stats=self.stats,
                 flit_size=config.flit_size,
@@ -144,8 +142,6 @@ class NodeCore:
         if tracer.enabled:
             for link in self.topology.inter_links:
                 link.tracer = tracer
-            for switch in self.topology.switches.values():
-                switch.tracer = tracer
             for controller in self.topology.controllers:
                 controller.tracer = tracer
             for gpu in self.gpus.values():

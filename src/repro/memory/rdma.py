@@ -236,11 +236,11 @@ class RdmaEngine(Traced, Component):
                 f"GPU {packet.dst_gpu}, addr {packet.addr:#x}) unanswered "
                 f"after {attempt + 1} RDMA timeouts"
             )
-        # a fresh packet (new pid) re-enters the network: reassembly
-        # tracks received flit indices per pid, so re-injecting the old
-        # pid would trip its duplicate guard if the original's flits
-        # partially arrived.  The clone keeps the tag, so whichever
-        # copy's response arrives first completes the request.
+        # a fresh packet (new pid) re-enters the network: the sending
+        # link counts unsent flits per packet, so restaging the original
+        # while some of its flits are still queued would reset its count
+        # and trip the duplicate guard.  The clone keeps the tag, so
+        # whichever copy's response arrives first completes the request.
         clone = Packet(
             ptype=packet.ptype,
             src_gpu=packet.src_gpu,

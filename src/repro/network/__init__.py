@@ -15,7 +15,7 @@ from repro.network.packet import (
 )
 from repro.network.flit import Flit, StitchKind, StitchSegment, segment_packet
 from repro.network.link import FlitLink, PacketLink
-from repro.network.switch import ClusterSwitch, ReassemblyBuffer, RoutingError
+from repro.network.switch import ClusterSwitch, RoutingError
 from repro.network.topologies import (
     TopologySpec,
     get_topology,
@@ -42,7 +42,6 @@ __all__ = [
     "FlitLink",
     "PacketLink",
     "ClusterSwitch",
-    "ReassemblyBuffer",
     "Topology",
     "build_topology",
 ]

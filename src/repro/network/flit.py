@@ -4,8 +4,9 @@ Packets are segmented into fixed-size flits before crossing a link.  A
 flit knows how many of its bytes are useful (``used_bytes``); the rest is
 padding.  NetCrafter's Stitch Engine absorbs compatible flits into the
 padding of a *parent* flit; the absorbed flits ride along as
-:class:`StitchSegment` entries and are recovered by un-stitching at the
-receiving switch (Section 4.2).
+:class:`StitchSegment` entries, each counted toward its own packet when
+the parent goes on the wire (Section 4.2's un-stitching, decided on the
+sending side by :class:`~repro.network.link.FlitLink`).
 
 Stitching cost model (Figure 10):
 
@@ -44,15 +45,12 @@ STITCH_METADATA_BYTES = 3
 
 
 class DuplicateFlitError(RuntimeError):
-    """A flit of a packet was carried twice (or out of range).
+    """A flit of a packet was carried twice (or never staged).
 
-    Raised on both ends of an inter-cluster link: by the sending
-    :class:`~repro.network.link.FlitLink` when a packet's unsent-flit
-    count would go below zero, and by the receiving
-    :class:`~repro.network.switch.ReassemblyBuffer` when a flit index
-    arrives twice.  Either way a routing or stitching bug upstream
-    would otherwise complete the packet early, with one real flit
-    still in flight to corrupt a later packet.
+    Raised by the sending :class:`~repro.network.link.FlitLink` when a
+    packet's unsent-flit count would go below zero: a routing or
+    stitching bug upstream would otherwise complete the packet early,
+    with one real flit still in flight to corrupt a later packet.
     """
 
 

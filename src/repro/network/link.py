@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.faults.process import FATE_CORRUPT, FATE_OK, CorruptedTransmission
+from repro.faults.process import FATE_CORRUPT, FATE_OK
 from repro.obs.tracer import Traced
 from repro.sim.component import Component
 from repro.sim.engine import Engine
@@ -168,20 +168,22 @@ class FlitLink(Traced, Component):
     than of global event interleaving — the property cluster-sharded
     execution needs to reproduce a single shared engine exactly.
 
-    A link into a switch (``completes_packets``) completes packets on
-    the sending side: the egress controller stages each packet with its
-    flit count in ``Packet._unsent``, :meth:`send` counts down every
-    piece a wire flit carries (the flit itself and each stitched
-    segment), and only a wire flit that takes some packet to zero is
-    delivered, as ``sink(flit, done)`` with ``done`` a bitmask over the
-    flit (bit 0) and its segments (bit ``i + 1``) naming the packets it
-    completes.  The other flits are not delivered at all — at the
-    receiver they would only have set a reassembly bit — but still
-    take their sequence number, so the remaining deliveries keep their
-    per-flit schedule keys.  Faulted links (:meth:`_transmit_faulty`)
-    and traced runs deliver every flit, for the receiving
-    :class:`~repro.network.switch.ReassemblyBuffer` to reassemble, as
-    do links into a plain flit sink.
+    Packets complete on the sending side, as the paper's receiving
+    Stitch Engine would reassemble them from their ID/Size metadata: the
+    egress controller stages each packet with its flit count in
+    ``Packet._unsent``, :meth:`send` counts down every piece a wire flit
+    carries (the flit itself and each stitched segment), and only a
+    wire flit that takes some packet to zero is delivered, as
+    ``sink(flit, done)`` with ``done`` a bitmask over the flit (bit 0)
+    and its segments (bit ``i + 1``) naming the packets it completes.
+    The other flits are not delivered at all — at the receiver they
+    would only have set a reassembly bit — but still take their
+    sequence number, so the remaining deliveries keep their per-flit
+    schedule keys.  With a fault process attached, :meth:`send` also
+    decides the receiver's CRC check (see :meth:`_arrives_clean`); a
+    traced run emits each wire flit's ``crc_ok``/``corrupt`` and
+    ``deliver`` records here, at send time, stamped with the arrival
+    cycle.
     """
 
     def __init__(
@@ -190,8 +192,7 @@ class FlitLink(Traced, Component):
         name: str,
         bytes_per_cycle: float,
         latency: int,
-        sink: Optional[Callable[..., None]],
-        completes_packets: bool = False,
+        sink: Optional[Callable[[Flit, int], None]],
     ) -> None:
         super().__init__(engine, name)
         if bytes_per_cycle <= 0:
@@ -199,13 +200,11 @@ class FlitLink(Traced, Component):
         self.bytes_per_cycle = float(bytes_per_cycle)
         self._bpc_num, self._bpc_den = self.bytes_per_cycle.as_integer_ratio()
         self.latency = int(latency)
-        #: the receiving switch's ingress; ``None`` on a shard-boundary
-        #: link, whose :meth:`_post` appends to a cross-shard outbox
+        #: the receiving switch's ingress, called as ``sink(flit, done)``
+        #: (:meth:`~repro.network.switch.ClusterSwitch.receive_flit_from_network`);
+        #: ``None`` on a shard-boundary link, whose :meth:`_post` appends
+        #: to a cross-shard outbox
         self.sink = sink
-        #: the sink takes ``(flit, done)`` completion masks (a switch's
-        #: :meth:`~repro.network.switch.ClusterSwitch.receive_flit_from_network`),
-        #: so a fault-free, untraced send delivers packets, not flits
-        self.completes_packets = completes_packets
         self.stats = LinkStats(self.bytes_per_cycle)
         #: cycle the current busy burst started serializing
         self._anchor = 0
@@ -293,12 +292,16 @@ class FlitLink(Traced, Component):
             self.engine._now + 1 - self._anchor
         ) * self._bpc_num
 
-    def send(self, flit: Flit) -> None:
-        """Serialize ``flit`` onto the wire and schedule its delivery."""
+    def send(self, flit: Flit, attempt: int = 0, first_cycle: int = 0) -> None:
+        """Serialize ``flit`` onto the wire; deliver it if it completes a packet.
+
+        ``attempt`` (the retransmission count) and ``first_cycle`` (the
+        first transmission's cycle) are passed only by :meth:`_retransmit`.
+        """
         engine = self.engine
-        if self._faults is not None:
-            self._transmit_faulty(flit, 0, engine._now)
-            return
+        faults = self._faults
+        if faults is not None and self._flap_edges:
+            self._sync_regime()
         now = engine._now
         num, den = self._bpc_num, self._bpc_den
         sent = self._sent_bytes
@@ -318,12 +321,10 @@ class FlitLink(Traced, Component):
         stats.busy_bytes += size
         stats.flits += 1
         stats.wire_bytes += size
-        # Flit.useful_payload_bytes, inlined
-        stats.useful_bytes += flit.used_bytes + flit._seg_payload_bytes
         # ceil(anchor + sent/bpc) + latency, in exact integer arithmetic
         arrival = self._anchor - ((-sent * den) // num) + self.latency
-        done = 0
-        if self._trace_on:
+        trace_on = self._trace_on
+        if trace_on:
             self._tracer.flit_event(
                 now,
                 "wire_start",
@@ -333,47 +334,53 @@ class FlitLink(Traced, Component):
                 bytes=size,
                 stitched=len(flit.segments),
             )
-        elif self.completes_packets:
-            # count down each carried piece's packet: bit 0 of ``done``
-            # marks the flit's own packet complete, bit i + 1 the packet
-            # of segment i
-            packet = flit.packet
-            left = packet._unsent - 1
-            packet._unsent = left
-            if left < 0:
-                self._oversent(flit, packet)
-            if not left:
-                done = 1
-            segments = flit.segments
-            if segments:
-                bit = 2
-                for segment in segments:
-                    carried = segment.flit.packet
-                    left = carried._unsent - 1
-                    carried._unsent = left
-                    if not left:
-                        done |= bit
-                    elif left < 0:
-                        self._oversent(flit, carried)
-                    bit <<= 1
-            if not done:
-                # the receiver would only have set a reassembly bit; the
-                # flit still takes its sequence number, so every
-                # remaining delivery keeps the schedule key it had per flit
-                self._delivery_seq += 1
-                return
-        # :meth:`_deliver` flattened into the clean path
+        if faults is not None and not self._arrives_clean(
+            flit, attempt, first_cycle, arrival
+        ):
+            return
+        # Flit.useful_payload_bytes, inlined: only a clean copy counts
+        stats.useful_bytes += flit.used_bytes + flit._seg_payload_bytes
+        # count down each carried piece's packet: bit 0 of ``done`` marks
+        # the flit's own packet complete, bit i + 1 the packet of segment i
+        packet = flit.packet
+        left = packet._unsent - 1
+        packet._unsent = left
+        if left < 0:
+            self._oversent(flit, packet)
+        done = 0 if left else 1
+        segments = flit.segments
+        if segments:
+            bit = 2
+            for segment in segments:
+                carried = segment.flit.packet
+                left = carried._unsent - 1
+                carried._unsent = left
+                if not left:
+                    done |= bit
+                elif left < 0:
+                    self._oversent(flit, carried)
+                bit <<= 1
         seq = self._delivery_seq
         self._delivery_seq = seq + 1
+        if trace_on:
+            # one deliver per carried flit (the wire flit and its
+            # segments), stamped with the arrival cycle
+            for carried in flit.all_carried_flits():
+                self._tracer.flit_event(
+                    arrival, "deliver", carried, lane=self.name, via=flit.fid
+                )
+        if not done:
+            # the receiver would only have set a reassembly bit; the flit
+            # still took its sequence number, so every remaining delivery
+            # keeps the schedule key it had per flit
+            return
         skey = DELIVERY_SKEY_BASE + seq * self.delivery_span + self.delivery_rank
         sink = self.sink
         if sink is None:
             # a shard-boundary link: the flit leaves through its outbox
             self._post(arrival, skey, flit, done)
-        elif done:
+        else:
             engine.inject(arrival, skey, sink, flit, done)
-        else:  # every flit is delivered; the receiver reassembles
-            engine.inject(arrival, skey, sink, flit)
 
     def _oversent(self, flit: Flit, packet: Packet) -> None:
         raise DuplicateFlitError(
@@ -382,71 +389,53 @@ class FlitLink(Traced, Component):
             f"or never staged by an egress controller)"
         )
 
-    def _transmit_faulty(self, flit: Flit, attempt: int, first_cycle: int) -> None:
-        """:meth:`send` with a fault process attached.
+    def _arrives_clean(
+        self, flit: Flit, attempt: int, first_cycle: int, arrival: int
+    ) -> bool:
+        """Draw the transmission's fate; ``False`` when nothing usable
+        arrives.
 
-        Serialization timing and wire accounting are identical to the
-        clean path (every transmission — including retransmissions of
-        corrupted or dropped flits — occupies the wire and counts toward
-        ``busy_bytes``/``wire_bytes``); only ``useful_bytes`` is gated on
-        clean delivery, which is what separates goodput from raw
-        throughput under faults.
+        The receiving switch's CRC check is decided here, at the sender:
+        a clean copy counts ``crc_ok``, a corrupted one ``crc_fail`` and
+        is discarded (it still takes its delivery sequence number, as the
+        corrupted copy on the wire would), and a dropped one arrives not
+        at all.  Either failure schedules the retransmission — one NACK
+        trip after the corrupted copy's arrival, or at the drop timeout
+        — unless the retry budget is spent.  Every transmission occupies
+        the wire and counts toward ``busy_bytes``/``wire_bytes``; only a
+        clean copy counts toward ``useful_bytes``, which separates
+        goodput from raw throughput under faults.
         """
-        if self._flap_edges:
-            self._sync_regime()
         now = self.engine._now
-        num, den = self._bpc_num, self._bpc_den
-        sent = self._sent_bytes
-        if sent * den <= (now - self._anchor) * num:
-            self._anchor = now
-            sent = 0
-        elif sent * den >= (now + 1 - self._anchor) * num:
-            raise RuntimeError(
-                f"{self.name}: send at cycle {now} before ready "
-                f"(next free {self._anchor + sent * den / num:.2f})"
-            )
         size = flit.flit_size
-        sent += size
-        self._sent_bytes = sent
-        stats = self.stats
-        stats.busy_bytes += size
-        stats.flits += 1
-        stats.wire_bytes += size
         fstats = self._fault_stats
         if self._degraded:
             # busy_bytes assumes the nominal rate; record the extra wire
             # time a degraded-rate transmission actually took, as exact
             # bytes per rate regime (divided once at query time)
             fstats.degraded_flits += 1
-            stats.add_degraded_bytes(
-                size, num, den, self._nom_num, self._nom_den
-            )
-        arrival = self._anchor - ((-sent * den) // num) + self.latency
-        if self._trace_on:
-            self._tracer.flit_event(
-                now,
-                "wire_start",
-                flit,
-                link=self.name,
-                dur=size * den / num,
-                bytes=size,
-                stitched=len(flit.segments),
+            self.stats.add_degraded_bytes(
+                size, self._bpc_num, self._bpc_den, self._nom_num, self._nom_den
             )
         fate = self._faults.fate(flit, attempt)
         if fate == FATE_OK:
-            stats.useful_bytes += flit.useful_payload_bytes
+            fstats.crc_ok += 1
             if attempt:
                 fstats.recovery_latency.record(now - first_cycle)
-            self._deliver(arrival, flit)
-            return
+            if self._trace_on:
+                self._tracer.flit_event(arrival, "crc_ok", flit, lane=self.name)
+            return True
         cfg = self._faults.config
         if fate == FATE_CORRUPT:
-            # the damaged copy still travels the wire; the receiving
-            # switch fails its CRC and discards it, while the sender
-            # learns of the failure one NACK trip after arrival
+            # the damaged copy fails the receiver's CRC and is discarded,
+            # while the sender learns of the failure one NACK trip after
+            # its arrival
             fstats.flits_corrupted += 1
             fstats.bytes_corrupted += size
-            self._deliver(arrival, CorruptedTransmission(flit))
+            fstats.crc_fail += 1
+            self._delivery_seq += 1
+            if self._trace_on:
+                self._tracer.flit_event(arrival, "corrupt", flit, lane=self.name)
             nack = (
                 cfg.nack_latency if cfg.nack_latency is not None else self.latency
             )
@@ -459,10 +448,15 @@ class FlitLink(Traced, Component):
             retry_at = now + cfg.drop_timeout
         if attempt + 1 > cfg.max_link_retries:
             fstats.flits_abandoned += 1
-            return
-        self.engine.schedule_at(
-            retry_at, self._retransmit, flit, attempt + 1, first_cycle
-        )
+        else:
+            self.engine.schedule_at(
+                retry_at,
+                self._retransmit,
+                flit,
+                attempt + 1,
+                first_cycle if attempt else now,
+            )
+        return False
 
     def _retransmit(self, flit: Flit, attempt: int, first_cycle: int) -> None:
         """Re-send a corrupted/dropped flit once the wire is free.
@@ -482,22 +476,7 @@ class FlitLink(Traced, Component):
             self._tracer.flit_event(
                 self.engine._now, "retransmit", flit, link=self.name, attempt=attempt
             )
-        self._transmit_faulty(flit, attempt, first_cycle)
-
-    def _next_delivery_skey(self) -> int:
-        """The sub-cycle schedule key for this link's next delivery."""
-        seq = self._delivery_seq
-        self._delivery_seq = seq + 1
-        return DELIVERY_SKEY_BASE + seq * self.delivery_span + self.delivery_rank
-
-    def _deliver(self, arrival: int, flit: Flit) -> None:
-        """Hand the flit to the sink at ``arrival``, for the receiver to
-        reassemble (the faulted, traced and plain-sink paths)."""
-        skey = self._next_delivery_skey()
-        if self.sink is None:
-            self._post(arrival, skey, flit, 0)
-            return
-        self.engine.inject(arrival, skey, self.sink, flit)
+        self.send(flit, attempt, first_cycle)
 
     def _post(self, arrival: int, skey: int, flit: Flit, done: int) -> None:
         """Hand ``flit`` to the receiving shard at ``arrival``.
@@ -505,8 +484,8 @@ class FlitLink(Traced, Component):
         The hook for shard-boundary links (``sink is None``), which
         capture the flit into an outbox for cross-shard mailbox delivery
         instead of scheduling it on the local engine, with the same
-        sub-cycle key and completion mask (0: reassemble at the
-        receiver), so delivery order is identical however it travels.
+        sub-cycle key and completion mask, so delivery order is
+        identical however it travels.
         """
         raise NotImplementedError(f"{self.name} has no sink")
 

@@ -164,9 +164,9 @@ class Packet:
     #: cached ``ptype.is_ptw`` (queried per flit on every CQ push)
     _ptw: bool = field(default=False, repr=False)
     #: flits of this packet not yet on the wire at its current hop: the
-    #: egress controller sets it when it stages the packet, and a
-    #: packet-completing :class:`~repro.network.link.FlitLink` counts it
-    #: down and delivers the packet with the flit that takes it to zero
+    #: egress controller sets it when it stages the packet, and the
+    #: :class:`~repro.network.link.FlitLink` counts it down and delivers
+    #: the packet with the flit that takes it to zero
     _unsent: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:

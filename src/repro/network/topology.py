@@ -126,7 +126,6 @@ def build_topology(
             cluster_id=node,
             cluster_of_gpu=cluster_of_gpu,
             pipeline_latency=config.switch_latency,
-            flit_size=config.flit_size,
         )
 
     for gpu_id, gpu in gpus.items():
@@ -202,7 +201,6 @@ def _add_inter_link(
             bytes_per_cycle=bandwidth,
             latency=latency,
             sink=topo.switches[dst].receive_flit_from_network,
-            completes_packets=True,
         )
     # deterministic same-cycle delivery order across links: the directed
     # pair's index, identical whether the link is local or a shard

@@ -10,11 +10,11 @@ experiment runner's artifact writer works unchanged on sharded runs and
 
 Ordering contract: merged trace records are sorted by ``(cycle,
 shard_index, position)``.  Within a shard, emission order is preserved
-(the position tiebreak), and a flit's cross-shard lifecycle can never
-interleave badly across shards — a boundary flit's ``wire_start`` is
-emitted by the sender at the send cycle while its ``deliver`` is
-emitted by the receiver at least ``1 + link latency`` cycles later, so
-the cycle ordering alone already separates them.
+(the position tiebreak), and a flit's lifecycle never spans shards: a
+boundary flit's records, ``wire_start`` through ``crc_ok``/``corrupt``
+and ``deliver``, are all emitted by the sending shard — the link emits
+the last three at send time, stamped with the arrival cycle, at least
+``1 + link latency`` cycles after its ``wire_start``.
 
 Shard registries prefix every metric name with ``s<shard>.``, so the
 union of names (in shard order) is collision-free and each merged

@@ -12,10 +12,13 @@ Event-specific obligations:
 Fault injection (repro.faults) adds four events: ``drop`` (the wire
 transmission vanished), ``corrupt`` (it arrived but failed the ingress
 CRC), ``crc_ok`` (it arrived and passed), and ``retransmit`` (the sender
-re-sent it).  ``retransmit`` legally *rewinds* a flit's lifecycle — the
-flit goes back on the wire after having been dropped or delivered
-corrupted — so the sequence checker resets that flit's rank rather than
-flagging the decrease; cycle monotonicity still applies.
+re-sent it).  The sending link decides the CRC check with the
+transmission's fate, so it emits ``corrupt``/``crc_ok`` — like
+``deliver`` — at send time, stamped with the arrival cycle.
+``retransmit`` legally *rewinds* a flit's lifecycle — the flit goes
+back on the wire after having been dropped or delivered corrupted — so
+the sequence checker resets that flit's rank rather than flagging the
+decrease; cycle monotonicity still applies.
 
 Beyond per-record shape, :func:`validate_records` checks per-flit
 *sequence* sanity: a flit must be staged before it is ejected, ejected

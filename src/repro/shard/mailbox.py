@@ -4,11 +4,11 @@ A :class:`BoundaryFlitLink` stands in for an inter-cluster link whose
 destination switch lives in another shard.  It inherits the real
 :class:`~repro.network.link.FlitLink` serialization and pacing — wire
 timing is identical to the single-engine run — but delivery lands in a
-local *outbox* instead of a remote sink.  Like a local link into a
-switch it completes packets on the sending side, so only a wire flit
-that completes some packet becomes a mail item, carrying the link's
-completion mask; a faulted or traced run mails every flit (mask 0) for
-the receiving switch to reassemble.  At each window boundary the shard
+local *outbox* instead of a remote sink.  Like every inter-cluster link
+it completes packets on the sending side and decides the CRC check of a
+faulted run there, so only a clean wire flit that completes some packet
+becomes a mail item, carrying the link's completion mask, whether the
+run is faulted, traced or neither.  At each window boundary the shard
 column-encodes its outbox into one :class:`MailBatch` per destination
 shard; the coordinator validates each batch's headers through
 :class:`Mailbox` and forwards it to its destination shard, which injects
@@ -60,8 +60,8 @@ class MailItem:
     link_seq: int
     flit: Flit
     #: the sending link's completion mask over the flit and its stitched
-    #: segments (see FlitLink); 0 = reassemble at the receiver
-    done: int = 0
+    #: segments (see FlitLink)
+    done: int
 
 
 class BoundaryFlitLink(FlitLink):
@@ -82,7 +82,6 @@ class BoundaryFlitLink(FlitLink):
             bytes_per_cycle=bytes_per_cycle,
             latency=latency,
             sink=None,
-            completes_packets=True,
         )
         self.src_cluster = src_cluster
         self.dst_cluster = dst_cluster

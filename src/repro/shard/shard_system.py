@@ -171,10 +171,9 @@ class ShardSystem(NodeCore):
         ``batches`` are this window's :class:`~repro.shard.mailbox.MailBatch`
         parcels and ``flits_per_batch`` their already-unpickled payloads;
         mail injects straight off the column buffers, each item with the
-        sending link's completion mask (0 on a faulted or traced run's
-        per-flit mail).  Every delivery's
-        ``(arrival, skey)`` pair is globally unique and the engine
-        calendar orders by it, so the parcel order does not matter.
+        sending link's completion mask.  Every delivery's ``(arrival,
+        skey)`` pair is globally unique and the engine calendar orders
+        by it, so the parcel order does not matter.
         """
         inject = self.engine.inject
         switches = self.topology.switches

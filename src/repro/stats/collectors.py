@@ -228,7 +228,8 @@ class FaultStats(_StatsBlock):
         #: falls to the RDMA backstop); conservation invariant:
         #: corrupted + dropped == retransmitted + abandoned at drain
         self.flits_abandoned = 0
-        # switch-ingress CRC outcomes (wire flits, stitched or not)
+        # CRC outcomes of the receiving switch (wire flits, stitched or
+        # not), decided by the sending link with each transmission's fate
         self.crc_ok = 0
         self.crc_fail = 0
         # requester-level backstop
@@ -236,8 +237,9 @@ class FaultStats(_StatsBlock):
         self.rdma_duplicate_responses = 0
         # flap bookkeeping: transmissions started at degraded bandwidth
         self.degraded_flits = 0
-        #: cycles from a flit's first faulted transmission to its first
-        #: clean delivery
+        #: cycles from a flit's first faulted transmission to the start
+        #: of its first clean transmission (not its arrival, which is
+        #: one serialization and one link latency later)
         self.recovery_latency = LatencyStat()
 
 

@@ -208,7 +208,25 @@ class TestLoudFailures:
         header["format"] = 8
         old = tmp_path / "receiver-reassembly.ckpt"
         old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(SnapshotFormatError, match=r"format 8, this version reads 9"):
+        with pytest.raises(
+            SnapshotFormatError,
+            match=rf"format 8, this version reads {SNAPSHOT_FORMAT_VERSION}",
+        ):
+            read_header(old)
+
+    def test_per_flit_delivery_format_refuses_naming_both_versions(
+        self, snapshot, tmp_path
+    ):
+        """Format 9 pickled switches with a reassembly buffer and faulted
+        links' pending per-flit deliveries; every link now completes
+        packets at the sender, and this version cannot read it."""
+        path, _ = snapshot
+        magic, header_line, payload = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header_line)
+        header["format"] = 9
+        old = tmp_path / "per-flit-delivery.ckpt"
+        old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(SnapshotFormatError, match=r"format 9, this version reads 10"):
             read_header(old)
 
     def test_header_reads_without_unpickling(self, snapshot):

@@ -30,7 +30,7 @@ def _free(q):
 def _controller(capacity):
     """A baseline egress controller over a ``capacity``-entry queue."""
     eng = Engine()
-    link = FlitLink(eng, "link", 16.0, 0, sink=lambda flit: None)
+    link = FlitLink(eng, "link", 16.0, 0, sink=lambda flit, done: None)
     return NetCrafterController(
         eng, "ctrl", link, 16, NetCrafterConfig.baseline(), queue_capacity=capacity
     )
@@ -304,6 +304,7 @@ def test_release_reservation_frees_the_entry():
     q.push(_flit())
     part = q.partitions()[0]
     parent = q.pop_reserved(part)
+    parent.packet._unsent = 1  # staged, as the controller's admission does
     ctrl._eject(parent, 0)
     assert q._reserved == 0
     assert _free(q) == 1

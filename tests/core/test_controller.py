@@ -1,19 +1,31 @@
-"""End-to-end tests of the NetCrafter egress controller."""
+"""End-to-end tests of the NetCrafter egress controller.
+
+The controller's link is the per-flit reference
+(:class:`tests.network.per_flit.PerFlitLink`), so a test sees every wire
+flit the controller sends, at its arrival cycle.
+"""
 
 import pytest
 
 from repro.core.config import NetCrafterConfig, PriorityMode
 from repro.core.controller import NetCrafterController, PassthroughController
-from repro.network.link import FlitLink
 from repro.network.packet import Packet, PacketType
-from repro.network.switch import ReassemblyBuffer
 from repro.sim.engine import Engine
+
+from tests.network.per_flit import PerFlitLink, ReassemblyBuffer
+
+
+def _wire(eng, bandwidth, latency, receive):
+    """A link into ``receive(flit)``, called per arriving wire flit."""
+    return PerFlitLink(
+        eng, "link", bandwidth, latency, lambda flit, _corrupt: receive(flit)
+    )
 
 
 def _setup(config, bandwidth=16.0, latency=0, capacity=None):
     eng = Engine()
     flits = []
-    link = FlitLink(eng, "link", bandwidth, latency, sink=flits.append)
+    link = _wire(eng, bandwidth, latency, flits.append)
     ctrl = NetCrafterController(
         eng, "ctrl", link, 16, config, queue_capacity=capacity
     )
@@ -37,7 +49,7 @@ class TestBaselineEgress:
     def test_passthrough_controller_class(self):
         eng = Engine()
         flits = []
-        link = FlitLink(eng, "l", 16.0, 0, flits.append)
+        link = _wire(eng, 16.0, 0, flits.append)
         ctrl = PassthroughController(eng, "c", link, 16)
         ctrl.accept_packet(_pkt())
         eng.run()
@@ -177,7 +189,7 @@ class TestPooling:
         cfg = NetCrafterConfig.stitching_with_selective_pooling(200)
         eng = Engine()
         arrivals = []
-        link = FlitLink(eng, "link", 16.0, 0, sink=lambda f: arrivals.append(eng.now))
+        link = _wire(eng, 16.0, 0, lambda f: arrivals.append(eng.now))
         ctrl = NetCrafterController(eng, "ctrl", link, 16, cfg)
         ctrl.accept_packet(_pkt(PacketType.READ_RSP))
         eng.run()
@@ -195,7 +207,7 @@ class TestPooling:
         )
         eng = Engine()
         arrivals = []
-        link = FlitLink(eng, "link", 16.0, 0, sink=lambda f: arrivals.append(eng.now))
+        link = _wire(eng, 16.0, 0, lambda f: arrivals.append(eng.now))
         ctrl = NetCrafterController(eng, "ctrl", link, 16, cfg)
         ctrl.accept_packet(_pkt(PacketType.READ_RSP))
         eng.run()
@@ -213,7 +225,7 @@ class TestPooling:
         )
         eng = Engine()
         arrivals = []
-        link = FlitLink(eng, "link", 16.0, 0, sink=lambda f: arrivals.append(eng.now))
+        link = _wire(eng, 16.0, 0, lambda f: arrivals.append(eng.now))
         ctrl = NetCrafterController(eng, "ctrl", link, 16, cfg)
         ctrl.accept_packet(_pkt(PacketType.READ_RSP))
         eng.run()
@@ -239,7 +251,7 @@ class TestPooling:
         cfg = NetCrafterConfig.stitching_with_selective_pooling(200)
         eng = Engine()
         arrivals = []
-        link = FlitLink(eng, "link", 16.0, 0, sink=lambda f: arrivals.append(eng.now))
+        link = _wire(eng, 16.0, 0, lambda f: arrivals.append(eng.now))
         ctrl = NetCrafterController(eng, "ctrl", link, 16, cfg)
         ctrl.accept_packet(_pkt(PacketType.READ_RSP))
         # competing stream so the pooled tail is genuinely waiting
@@ -262,9 +274,7 @@ class TestPooling:
         )
         eng = Engine()
         arrivals = []
-        link = FlitLink(
-            eng, "link", 16.0, 0, sink=lambda f: arrivals.append((eng.now, f))
-        )
+        link = _wire(eng, 16.0, 0, lambda f: arrivals.append((eng.now, f)))
         ctrl = NetCrafterController(eng, "ctrl", link, 16, cfg)
         rsp_a = _pkt(PacketType.READ_RSP)
         ctrl.accept_packet(rsp_a)

@@ -1,9 +1,10 @@
 """Property-based tests: the egress controller never loses or dupes data.
 
-A random stream of packets is pushed through a controller + link +
-reassembly buffer under a random NetCrafter configuration; every packet
-must be delivered exactly once with its payload intact, regardless of
-stitching, trimming, pooling or priority decisions.
+A random stream of packets is pushed through a controller and the link
+that completes packets on the sending side, under a random NetCrafter
+configuration; every packet must be delivered exactly once with its
+payload intact, regardless of stitching, trimming, pooling or priority
+decisions.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,6 @@ from repro.core.config import NetCrafterConfig, PriorityMode
 from repro.core.controller import NetCrafterController
 from repro.network.link import FlitLink
 from repro.network.packet import Packet, PacketType
-from repro.network.switch import ReassemblyBuffer
 from repro.sim.engine import Engine
 
 packet_types = st.sampled_from(list(PacketType))
@@ -33,6 +33,18 @@ configs = st.builds(
     stitch_search_depth=st.sampled_from([1, 8]),
 )
 
+def _completed_into(delivered):
+    """A link sink appending each packet a wire flit completes."""
+
+    def sink(flit, done):
+        for carried in flit.all_carried_flits():
+            if done & 1:
+                delivered.append(carried.packet)
+            done >>= 1
+
+    return sink
+
+
 streams = st.lists(
     st.tuples(
         packet_types,
@@ -50,8 +62,7 @@ streams = st.lists(
 def test_every_packet_delivered_exactly_once(config, stream, bandwidth):
     eng = Engine()
     delivered = []
-    reassembly = ReassemblyBuffer(16, delivered.append)
-    link = FlitLink(eng, "l", bandwidth, latency=4, sink=reassembly.receive)
+    link = FlitLink(eng, "l", bandwidth, latency=4, sink=_completed_into(delivered))
     ctrl = NetCrafterController(eng, "c", link, 16, config, queue_capacity=64)
 
     sent = []
@@ -87,8 +98,7 @@ def test_baseline_preserves_fifo_order(stream):
     """With no features the controller is byte-exact FIFO."""
     eng = Engine()
     delivered = []
-    reassembly = ReassemblyBuffer(16, delivered.append)
-    link = FlitLink(eng, "l", 16.0, latency=0, sink=reassembly.receive)
+    link = FlitLink(eng, "l", 16.0, latency=0, sink=_completed_into(delivered))
     ctrl = NetCrafterController(
         eng, "c", link, 16, NetCrafterConfig.baseline(), queue_capacity=1024
     )

@@ -67,9 +67,12 @@ def test_busy_extra_sums_across_rate_regimes():
 
 
 def _flit(addr):
-    packet = Packet(ptype=PacketType.READ_RSP, src_gpu=0, dst_gpu=2, addr=addr)
+    """A staged single-flit packet, as an egress controller stages it."""
+    packet = Packet(ptype=PacketType.READ_REQ, src_gpu=0, dst_gpu=2, addr=addr)
     packet.inject_cycle = 0
-    return segment_packet(packet, SIZE)[0]
+    (flit,) = segment_packet(packet, SIZE)
+    packet._unsent = 1
+    return flit
 
 
 def test_end_to_end_flap_matches_closed_form():
@@ -79,7 +82,7 @@ def test_end_to_end_flap_matches_closed_form():
     n_flits = 2_000
     config = FaultConfig(flaps=(FlapWindow(0, 10**9, DEGRADED / NOMINAL),))
     engine = Engine()
-    link = FlitLink(engine, "l", NOMINAL, 2, lambda flit: None)
+    link = FlitLink(engine, "l", NOMINAL, 2, lambda flit, done: None)
     link.attach_faults(LinkFaultProcess(config, "l", SIZE), FaultStats())
     # one flit every 4 cycles: 16 B at 4.8 B/cycle frees the wire in
     # 10/3 cycles, so every send sees a ready link

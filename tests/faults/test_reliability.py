@@ -9,7 +9,6 @@ from repro.faults.process import (
     FATE_CORRUPT,
     FATE_DROP,
     FATE_OK,
-    CorruptedTransmission,
     LinkFaultProcess,
 )
 from repro.gpu.system import MultiGpuSystem
@@ -20,6 +19,8 @@ from repro.sim.engine import Engine
 from repro.stats.collectors import FaultStats
 from repro.workloads.base import Scale
 from repro.workloads.registry import get_workload
+
+from tests.network.per_flit import staged
 
 
 class ScriptedProcess:
@@ -46,7 +47,7 @@ def _harness(config, fates, bytes_per_cycle=16.0, latency=2):
         "switch0->switch1",
         bytes_per_cycle,
         latency,
-        lambda flit: delivered.append((engine.now, flit)),
+        lambda flit, done: delivered.append((engine.now, flit)),
     )
     fstats = FaultStats()
     link.attach_faults(ScriptedProcess(config, fates), fstats)
@@ -54,11 +55,13 @@ def _harness(config, fates, bytes_per_cycle=16.0, latency=2):
 
 
 def _flit(addr=0x40):
+    """A staged single-flit packet: a clean copy completes it."""
     packet = Packet(
-        ptype=PacketType.READ_RSP, src_gpu=0, dst_gpu=2, addr=addr
+        ptype=PacketType.READ_REQ, src_gpu=0, dst_gpu=2, addr=addr
     )
     packet.inject_cycle = 0
-    return segment_packet(packet, 16)[0]
+    (flit,) = staged(segment_packet(packet, 16))
+    return flit
 
 
 def test_corrupt_then_retransmit():
@@ -68,23 +71,21 @@ def test_corrupt_then_retransmit():
     link.send(flit)
     engine.run()
 
-    # the damaged copy still arrives (and is discarded by the switch);
+    # the damaged copy fails the receiver's CRC and delivers nothing;
     # the clean retransmission follows after the CRC + NACK round trip
-    assert len(delivered) == 2
-    first_cycle, first = delivered[0]
-    second_cycle, second = delivered[1]
-    assert type(first) is CorruptedTransmission and first.flit is flit
-    assert second is flit
-    # arrival = ceil(1 flit @ 16 B/cyc) + latency = 3; retry at
-    # arrival + crc(4) + nack(3) = 10; redelivery at 10 + 1 + 2 = 13
-    assert first_cycle == 3
-    assert second_cycle == 13
+    # (the damaged copy's arrival = ceil(1 flit @ 16 B/cyc) + latency = 3;
+    # retry at 3 + crc(4) + nack(3) = 10; redelivery at 10 + 1 + 2 = 13)
+    assert delivered == [(13, flit)]
+    assert fstats.crc_fail == 1
+    assert fstats.crc_ok == 1
 
     assert fstats.flits_corrupted == 1
     assert fstats.bytes_corrupted == 16
     assert fstats.flits_retransmitted == 1
     assert fstats.flits_abandoned == 0
+    # recovery latency runs to the start of the clean transmission
     assert fstats.recovery_latency.count == 1
+    assert fstats.recovery_latency.total == 10
     # useful bytes counted exactly once (on the clean copy); wire bytes
     # and flit counts cover both transmissions
     assert link.stats.useful_bytes == flit.useful_payload_bytes
@@ -106,6 +107,8 @@ def test_drop_then_retransmit():
     assert cycle == 20 + 1 + 2  # drop_timeout + serialization + latency
     assert fstats.flits_dropped == 1
     assert fstats.flits_retransmitted == 1
+    # a drop reaches no CRC check
+    assert (fstats.crc_ok, fstats.crc_fail) == (1, 0)
     assert link.stats.useful_bytes == flit.useful_payload_bytes
 
 
@@ -131,7 +134,9 @@ def test_conservation_identity_over_many_fates():
         fstats.flits_corrupted + fstats.flits_dropped
         == fstats.flits_retransmitted + fstats.flits_abandoned
     )
-    assert len(delivered) == 4 + fstats.flits_corrupted
+    # only the clean copies arrive; every corrupted copy fails its CRC
+    assert len(delivered) == fstats.crc_ok == 4
+    assert fstats.crc_fail == fstats.flits_corrupted
 
 
 def test_flap_window_slows_serialization():
@@ -145,7 +150,7 @@ def test_flap_window_slows_serialization():
         "switch0->switch1",
         16.0,
         2,
-        lambda flit: delivered.append((engine.now, flit)),
+        lambda flit, done: delivered.append((engine.now, flit)),
     )
     fstats = FaultStats()
     link.attach_faults(LinkFaultProcess(config, link.name, 16), fstats)
@@ -168,7 +173,7 @@ def test_flap_window_restores_nominal_rate():
     engine = Engine()
     delivered = []
     link = FlitLink(
-        engine, "l", 16.0, 2, lambda f: delivered.append((engine.now, f))
+        engine, "l", 16.0, 2, lambda f, done: delivered.append((engine.now, f))
     )
     link.attach_faults(LinkFaultProcess(config, "l", 16), FaultStats())
     engine.schedule_at(30, link.send, _flit())

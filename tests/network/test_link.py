@@ -15,20 +15,26 @@ from repro.network.link import (
 from repro.network.packet import Packet, PacketType
 from repro.sim.engine import Engine
 
+from tests.network.per_flit import staged
+
 
 def _flit(ptype=PacketType.READ_REQ):
-    return segment_packet(Packet(ptype=ptype, src_gpu=0, dst_gpu=2), 16)[0]
+    """A staged single-flit packet: the flit completes it on the wire."""
+    (flit,) = staged(segment_packet(Packet(ptype=ptype, src_gpu=0, dst_gpu=2), 16))
+    return flit
 
 
 def _rsp_flits():
-    return segment_packet(Packet(ptype=PacketType.READ_RSP, src_gpu=0, dst_gpu=2), 16)
+    return staged(
+        segment_packet(Packet(ptype=PacketType.READ_RSP, src_gpu=0, dst_gpu=2), 16)
+    )
 
 
 class TestFlitLink:
     def test_delivery_after_serialization_and_latency(self):
         eng = Engine()
         arrivals = []
-        link = FlitLink(eng, "l", 16.0, latency=8, sink=lambda f: arrivals.append(eng.now))
+        link = FlitLink(eng, "l", 16.0, latency=8, sink=lambda f, done: arrivals.append(eng.now))
         link.send(_flit())
         eng.run()
         assert arrivals == [1 + 8]
@@ -36,7 +42,7 @@ class TestFlitLink:
     def test_one_flit_per_cycle_at_flit_bandwidth(self):
         eng = Engine()
         arrivals = []
-        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f: arrivals.append(eng.now))
+        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f, done: arrivals.append(eng.now))
 
         def pump(n):
             if n == 0:
@@ -53,7 +59,7 @@ class TestFlitLink:
     def test_fast_link_takes_multiple_flits_per_cycle(self):
         eng = Engine()
         arrivals = []
-        link = FlitLink(eng, "l", 128.0, latency=0, sink=lambda f: arrivals.append(eng.now))
+        link = FlitLink(eng, "l", 128.0, latency=0, sink=lambda f, done: arrivals.append(eng.now))
         sent = 0
         while link.is_ready() and sent < 8:
             link.send(_flit())
@@ -64,18 +70,18 @@ class TestFlitLink:
 
     def test_send_before_ready_raises(self):
         eng = Engine()
-        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f: None)
+        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f, done: None)
         link.send(_flit())
         with pytest.raises(RuntimeError):
             link.send(_flit())
 
     def test_invalid_bandwidth_rejected(self):
         with pytest.raises(ValueError):
-            FlitLink(Engine(), "l", 0.0, latency=0, sink=lambda f: None)
+            FlitLink(Engine(), "l", 0.0, latency=0, sink=lambda f, done: None)
 
     def test_stats_accumulate(self):
         eng = Engine()
-        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f: None)
+        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f, done: None)
         link.send(_flit())  # read req: 12 useful of 16
         eng.run()
         assert link.stats.flits == 1
@@ -85,7 +91,7 @@ class TestFlitLink:
 
     def test_utilization(self):
         eng = Engine()
-        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f: None)
+        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f, done: None)
         link.send(_flit())
         eng.run()
         assert link.stats.utilization(10) == pytest.approx(0.1)
@@ -93,7 +99,7 @@ class TestFlitLink:
 
     def test_stitched_flit_useful_bytes_exclude_partial_metadata(self):
         eng = Engine()
-        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f: None)
+        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f, done: None)
         parent = _rsp_flits()[-1]  # tail: 4 used, 12 empty
         candidate = _rsp_flits()[-1]  # partial-payload: 4 used + 3 B metadata
         parent.absorb(candidate)
@@ -106,7 +112,7 @@ class TestFlitLink:
 
     def test_whole_packet_segment_counts_fully_useful(self):
         eng = Engine()
-        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f: None)
+        link = FlitLink(eng, "l", 16.0, latency=0, sink=lambda f, done: None)
         parent = _rsp_flits()[-1]  # 4 used, 12 empty
         candidate = _flit(PacketType.READ_REQ)  # whole packet, 12 used
         parent.absorb(candidate)
@@ -185,7 +191,7 @@ class TestIntegerAccounting:
 
     def test_busy_time_is_one_division_over_exact_bytes(self):
         eng = Engine()
-        link = FlitLink(eng, "l", 1.1, latency=0, sink=lambda f: None)
+        link = FlitLink(eng, "l", 1.1, latency=0, sink=lambda f, done: None)
         link.stats.strict = True
         self._saturate(eng, link, 1000)
         assert link.stats.busy_bytes == 1000 * 16
@@ -196,7 +202,7 @@ class TestIntegerAccounting:
     @pytest.mark.parametrize("bpc", [0.3, 1.1, 12.8, 100 / 3])
     def test_no_overcount_at_fractional_bandwidth(self, bpc):
         eng = Engine()
-        link = FlitLink(eng, "l", bpc, latency=0, sink=lambda f: None)
+        link = FlitLink(eng, "l", bpc, latency=0, sink=lambda f, done: None)
         link.stats.strict = True
         self._saturate(eng, link, 500)
         assert link.stats.utilization(eng.now) <= 1.0  # strict: no raise
@@ -206,7 +212,7 @@ class TestIntegerAccounting:
         eng = Engine()
         arrivals = []
         link = FlitLink(
-            eng, "l", 0.3, latency=3, sink=lambda f: arrivals.append(eng.now)
+            eng, "l", 0.3, latency=3, sink=lambda f, done: arrivals.append(eng.now)
         )
         self._saturate(eng, link, 20)
         assert arrivals == sorted(arrivals)

@@ -1,12 +1,16 @@
-"""Tests for the cluster switch: routing, pipeline, reassembly."""
+"""Tests for the cluster switch (routing, pipeline) and for the per-flit
+reassembly reference that sender-side packet completion is checked
+against."""
 
 import pytest
 
-from repro.network.flit import Flit, segment_packet
-from repro.network.link import PacketLink
+from repro.network.flit import DuplicateFlitError, Flit, segment_packet
+from repro.network.link import FlitLink, PacketLink
 from repro.network.packet import Packet, PacketType
-from repro.network.switch import ClusterSwitch, DuplicateFlitError, ReassemblyBuffer
+from repro.network.switch import ClusterSwitch
 from repro.sim.engine import Engine
+
+from tests.network.per_flit import ReassemblyBuffer, staged
 
 CLUSTER_MAP = {0: 0, 1: 0, 2: 1, 3: 1}
 
@@ -14,7 +18,7 @@ CLUSTER_MAP = {0: 0, 1: 0, 2: 1, 3: 1}
 def _switch(eng, cluster=0, pipeline=30):
     return ClusterSwitch(
         eng, f"sw{cluster}", cluster_id=cluster,
-        cluster_of_gpu=CLUSTER_MAP, pipeline_latency=pipeline, flit_size=16,
+        cluster_of_gpu=CLUSTER_MAP, pipeline_latency=pipeline,
     )
 
 
@@ -170,11 +174,13 @@ class TestSwitchRouting:
         delivered = []
         link = PacketLink(eng, "down", 128.0, 0, 16, sink=delivered.append)
         sw.attach_gpu_link(0, link)
+        wire = FlitLink(eng, "sw1->sw0", 128.0, 0, sink=sw.receive_flit_from_network)
         pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
-        for flit in segment_packet(pkt, 16):
-            sw.receive_flit_from_network(flit)
+        for flit in staged(segment_packet(pkt, 16)):
+            wire.send(flit)  # 128 B/cycle: all five start in cycle 0
         eng.run()
         assert delivered == [pkt]
+        assert sw.packets_routed == 1
 
     def test_full_downlink_retries(self):
         eng = Engine()

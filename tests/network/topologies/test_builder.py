@@ -11,9 +11,12 @@
    switch, destination, and installed state.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.config import SystemConfig
+from repro.network.flit import segment_packet
 from repro.network.link import DELIVERY_RANK_SPAN
 from repro.network.packet import Packet, PacketType
 from repro.network.switch import ClusterSwitch, RoutingError
@@ -24,6 +27,8 @@ from repro.network.topology import (
     topology_spec,
 )
 from repro.sim.engine import Engine
+
+from tests.network.per_flit import staged
 
 SHIPPED = ("mesh", "ring", "star", "fat_tree", "torus3d")
 
@@ -132,7 +137,7 @@ def test_ranks_never_alias_across_sequence_steps_at_65_clusters():
     fixed span, link 64->0's first delivery keyed identically to link
     0->64's *second*, corrupting same-cycle delivery order."""
     config = _config("ring", 65)
-    _engine, topo = _build(config)
+    engine, topo = _build(config)
     span = delivery_span_for(65)
     by_name = {link.name: link for link in topo.inter_links}
     wrap_fwd = by_name["switch64->switch0"]
@@ -144,10 +149,24 @@ def test_ranks_never_alias_across_sequence_steps_at_65_clusters():
 
     # seq must dominate rank: every link's first delivery orders before
     # any link's second (the old span violated this for the pair above)
-    first = [link._next_delivery_skey() for link in topo.inter_links]
-    second = [link._next_delivery_skey() for link in topo.inter_links]
+    keys = {link.name: [] for link in topo.inter_links}
+    for link in topo.inter_links:
+        link.sink = partial(_record_skey, engine, keys[link.name])
+    for _ in range(2):
+        for link in topo.inter_links:
+            (flit,) = staged(
+                segment_packet(Packet(ptype=PacketType.READ_REQ, src_gpu=0, dst_gpu=1), 16)
+            )
+            link.send(flit)
+        engine.run()
+    first = [seq_keys[0] for seq_keys in keys.values()]
+    second = [seq_keys[1] for seq_keys in keys.values()]
     assert len(set(first + second)) == 2 * len(topo.inter_links)
     assert max(first) < min(second)
+
+
+def _record_skey(engine, keys, flit, done):
+    keys.append(engine.cur_skey)
 
 
 def test_builder_refuses_rank_at_or_beyond_span(monkeypatch):

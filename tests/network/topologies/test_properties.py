@@ -141,7 +141,7 @@ def test_partial_build_installs_the_full_builds_routes(name, multiplier):
 
         def boundary(bname, bpc, latency, _src, _dst):
             return FlitLink(
-                shard_engine, bname, bpc, latency, sink=lambda flit: None
+                shard_engine, bname, bpc, latency, sink=lambda flit, done: None
             )
 
         partial = build_topology(

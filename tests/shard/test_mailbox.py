@@ -24,10 +24,11 @@ from repro.sim.engine import Engine
 
 def _flit(used_bytes=12) -> Flit:
     packet = Packet(ptype=PacketType.READ_REQ, src_gpu=0, dst_gpu=2)
+    packet._unsent = 1  # staged, as an egress controller does
     return Flit(packet=packet, index=0, used_bytes=used_bytes, flit_size=16)
 
 
-def _item(arrival, skey, src=0, dst=1, link_seq=0, tag=12, done=0) -> MailItem:
+def _item(arrival, skey, src=0, dst=1, link_seq=0, tag=12, done=1) -> MailItem:
     # ``tag`` rides in the flit's used_bytes so a test can tell flits
     # apart after they cross the pickle boundary
     return MailItem(
@@ -252,8 +253,9 @@ class TestBoundaryFlitLink:
 
     def test_deliveries_land_in_the_outbox_with_monotone_sequence(self):
         link = self._link()
-        link._deliver(9, _flit())
-        link._deliver(12, _flit())
+        link.send(_flit())  # cycle 0: ceil(16 B / 32 B/cycle) + 8 = 9
+        link.engine.run(until=3)
+        link.send(_flit())  # cycle 3: ceil(3.5) + 8 = 12
         items = link.drain_outbox()
         assert [i.link_seq for i in items] == [0, 1]
         assert [i.arrival for i in items] == [9, 12]
@@ -261,9 +263,10 @@ class TestBoundaryFlitLink:
 
     def test_delivery_skeys_are_negative_and_rank_spaced(self):
         link = self._link()
-        link._deliver(9, _flit())
-        link._deliver(9, _flit())
+        link.send(_flit())  # two 16 B flits fit one 32 B/cycle cycle
+        link.send(_flit())
         first, second = link.drain_outbox()
+        assert first.arrival == second.arrival == 9
         assert first.skey < 0 and second.skey < 0
         # consecutive deliveries are one full rank span apart, so two
         # links' same-cycle deliveries interleave by (seq, rank)
@@ -274,9 +277,7 @@ class TestBoundaryFlitLink:
         # faulted, leaves through the outbox
         link = self._link()
         assert link.sink is None
-        flit = _flit()
-        flit.packet._unsent = 1  # staged, as an egress controller does
-        link.send(flit)
+        link.send(_flit())
         (item,) = link.drain_outbox()
         assert item.arrival > 0
         assert item.done == 1  # the flit completes its own packet

@@ -72,8 +72,6 @@ def test_all_work_completes_under_every_config(label, sys_cfg, nc_cfg):
         assert gpu.rdma._outstanding == {}
         assert gpu.gmmu._walkers_busy == 0
         assert gpu.gmmu.walks_queued == 0
-    for switch in system.topology.switches.values():
-        assert switch.reassembly.pending_packets() == 0
     # no packet is left partially sent: every packet staged at an egress
     # had each of its flits carried across the link
     assert accepted
