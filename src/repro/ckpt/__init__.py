@@ -1,34 +1,38 @@
-"""Checkpoint/resume: kernel-boundary snapshots indistinguishable from
-an uninterrupted run.
+"""Checkpoint/resume: snapshots at any cycle, indistinguishable from an
+uninterrupted run.
 
 Long sweeps are single-shot simulations; a preemption used to throw the
-whole run away.  This package serializes a quiesced
+whole run away.  This package serializes a running
 :class:`~repro.gpu.system.MultiGpuSystem` or
-:class:`~repro.shard.coordinator.ShardedSystem` at kernel boundaries —
-the engine's pending events (normalized by ``Engine.__getstate__``,
-which drops the dispatched prefix of the running cycle's bucket),
-cluster queues, pooling timers,
-TLB/sector-cache/MSHR contents, each staged packet's unsent-flit count
-and mailbox sequence state, the packet/flit ID cursors of the RDMA engines and
-egress controllers, and every stats/obs counter — into
-a versioned, fingerprint-stamped snapshot file, and resumes it to a
+:class:`~repro.shard.coordinator.ShardedSystem` every ``every``
+simulated cycles — the engine's pending events, cluster queues, pooling
+timers, TLB/sector-cache/MSHR contents, each staged packet's
+unsent-flit count, the packet/flit ID cursors of the RDMA engines and
+egress controllers, every stats/obs counter and, sharded, the
+coordinator's window-loop state with its undelivered mail — into a
+versioned, fingerprint-stamped snapshot file, and resumes it to a
 **byte-identical** final result.
 
-Why kernel boundaries: the coordinator and the single engine both prove
-the system quiesced there (no wavefronts, no posted writes), so the
-remaining schedule is a pure function of the serialized state.  The
-whole graph pickles: requests are requester-table tags (plain ints on
-the packet, the table in the requesting RDMA engine) and every
+Why a cut between engine runs is exact: a snapshot is taken only while
+no engine is running — the single engine between ``engine.run(until=cut)``
+slices, the sharded coordinator at the top of its window loop, between
+verbs — so no event is half done and the pending set is the whole
+future of the run.  ``engine.run(until=c)`` followed by ``engine.run()``
+dispatches exactly the events, keys and order of one ``engine.run()``,
+and the coordinator's next window depends only on the state it saves,
+so the restored run replays the remaining schedule event for event.
+The whole graph pickles: requests are requester-table tags (plain ints
+on the packet, the table in the requesting RDMA engine) and every
 continuation on the event path is a bound method or a
 ``functools.partial`` over one — which is what lets a fault-injected
-run, with retry clones still in flight at the boundary, checkpoint too.  The snapshot hook is a pure observer — it schedules
-no events — so a checkpointed run's event stream and digest are
-identical to an unhooked run's.
+run, with retry clones in flight, checkpoint too.  Saving schedules no
+events, so a checkpointed run's event stream and digest are identical
+to an unhooked run's.
 
 Snapshot file layout (version :data:`SNAPSHOT_FORMAT_VERSION`)::
 
     REPROCKPT\\n            magic
-    {header JSON}\\n        format, fingerprint, mode, boundary, cycle
+    {header JSON}\\n        format, fingerprint, mode, cycle
     <pickle payload>       the serialized system state
 
 The header is validated *before* the payload is unpickled: a wrong
@@ -58,7 +62,7 @@ if TYPE_CHECKING:
 
 #: bump whenever the snapshot payload layout or the serialized state of
 #: any simulator class changes incompatibly
-SNAPSHOT_FORMAT_VERSION = 10
+SNAPSHOT_FORMAT_VERSION = 11
 
 _MAGIC = b"REPROCKPT\n"
 
@@ -126,22 +130,20 @@ def write_snapshot(
     *,
     fingerprint: str,
     mode: str,
-    boundary: int,
     cycle: int,
     payload: object,
 ) -> None:
     """Serialize and atomically publish one snapshot file.
 
-    ``boundary`` is the number of completed kernels; ``cycle`` the
-    quiesce cycle the snapshot was taken at.  The write is atomic and
-    durable (temp + fsync + rename), so a crash mid-checkpoint leaves
-    the previous snapshot intact, never a torn file.
+    ``cycle`` is the simulated cycle the run was cut at.  The write is
+    atomic and durable (temp + fsync + rename), so a crash
+    mid-checkpoint leaves the previous snapshot intact, never a torn
+    file.
     """
     header = {
         "format": SNAPSHOT_FORMAT_VERSION,
         "fingerprint": fingerprint,
         "mode": mode,
-        "boundary": boundary,
         "cycle": cycle,
     }
     blob = (
@@ -207,83 +209,49 @@ def read_snapshot(
     return header, payload
 
 
-# -- the boundary hook -------------------------------------------------------
+# -- the checkpoint hook -----------------------------------------------------
 
 
 @dataclass
 class Checkpointer:
-    """Kernel-boundary snapshot hook for both execution front ends.
+    """Snapshot hook for both execution front ends.
 
     Installed as the ``_ckpt_hook`` of a
     :class:`~repro.gpu.system.MultiGpuSystem` or
-    :class:`~repro.shard.coordinator.ShardedSystem`.  Every ``every``-th
-    completed kernel (and always the final boundary) the current state
-    is published to ``path`` — one file, last boundary wins, so ``path``
-    always holds the latest resumable state.  The hook observes only: it schedules no
-    events and mutates no simulator state, so hooked and unhooked runs
-    are byte-identical.
-
-    Instances are picklable and ride inside single-engine snapshots
-    (the restored system keeps checkpointing to the same file unless
-    resume() overrides the hook).
+    :class:`~repro.shard.coordinator.ShardedSystem`.  The run is cut at
+    every multiple of ``every`` simulated cycles, between engine runs,
+    and its state is published to ``path`` — one file, last cut wins,
+    so ``path`` always holds the latest resumable state.  Saving
+    schedules no events and mutates no simulator state, so hooked and
+    unhooked runs are byte-identical.
     """
 
     path: Union[str, Path]
     fingerprint: str
-    every: int = 1
-    #: boundaries at which a snapshot was actually written (observability
+    #: snapshot period in simulated cycles
+    every: int
+    #: cycles at which a snapshot was actually written (observability
     #: for tests/CLI; not part of the snapshot contract)
-    saved_boundaries: List[int] = field(default_factory=list)
+    saved_cycles: List[int] = field(default_factory=list)
 
-    def _due(self, boundary: int, final: bool) -> bool:
-        return final or boundary % max(1, self.every) == 0
+    def next_cut(self, cycle: int) -> int:
+        """The first cut after ``cycle``."""
+        return (cycle // self.every + 1) * self.every
 
-    # single-engine hook: MultiGpuSystem calls hook(system) at a
-    # quiesced boundary, before advancing the kernel index
-    def __call__(self, system) -> None:
-        boundary = system._kernel_index + 1
-        final = boundary >= len(system._workload.kernels)
-        if not self._due(boundary, final):
-            return
+    def save(self, mode: str, cycle: int, payload: object) -> None:
+        """Publish the run's state at ``cycle``; ``mode`` names the
+        payload kind (``single`` or ``sharded``)."""
         write_snapshot(
             self.path,
             fingerprint=self.fingerprint,
-            mode="single",
-            boundary=boundary,
-            cycle=system.engine.now,
-            payload={"system": system},
-        )
-        self.saved_boundaries.append(boundary)
-        self.after_save(boundary)
-
-    # sharded hook: the coordinator calls this at a proven boundary,
-    # after computing (kernel_index, q) but before the launch broadcast
-    def on_boundary(self, coordinator, handles, kernel_index, q, mailbox) -> None:
-        final = kernel_index >= len(coordinator._workload.kernels)
-        if not self._due(kernel_index, final):
-            return
-        shard_states = coordinator._broadcast(
-            handles, [("snapshot",)] * coordinator.n_shards
-        )
-        payload = {
-            "shard_states": shard_states,
-            "kernel_index": kernel_index,
-            "q": q,
-            "windows_run": coordinator.windows_run,
-            "mail_seq": dict(mailbox._last_seq),
-        }
-        write_snapshot(
-            self.path,
-            fingerprint=self.fingerprint,
-            mode="sharded",
-            boundary=kernel_index,
-            cycle=q,
+            mode=mode,
+            cycle=cycle,
             payload=payload,
         )
-        self.saved_boundaries.append(kernel_index)
-        self.after_save(kernel_index)
+        self.saved_cycles.append(cycle)
+        self.after_save(cycle)
 
-    def after_save(self, boundary: int) -> None:
+    def after_save(self, cycle: int) -> None:
         """Post-publish extension point (the kill-and-resume smoke uses
         a subclass that hard-kills the process here)."""
 
@@ -302,20 +270,21 @@ def resume(
     obs_spec=None,
     checkpointer: Optional[Checkpointer] = None,
 ):
-    """Continue a snapshotted run to completion; returns its RunResult.
+    """Restore a snapshotted run; returns the node, ready to ``run()``.
 
     The caller passes the run configuration it *intends* to resume —
     exactly what it would have used to construct the system, with
     ``sharding`` the :class:`~repro.shard.build.ShardingOptions` (or
     ``None`` for the single engine) — and the snapshot's stamped
     fingerprint must match (:class:`FingerprintMismatchError`
-    otherwise).  ``checkpointer`` replaces the snapshot's embedded hook:
+    otherwise).  ``checkpointer`` becomes the restored node's hook:
     pass one to keep checkpointing from where the run left off, or
-    ``None`` (default) to resume without further snapshots.
+    ``None`` (default) to resume without further snapshots.  The
+    restored run keeps the observability instruments it was
+    snapshotted with.
 
-    The result is byte-identical to the uninterrupted run's: the resumed
-    system replays the exact tail of the boundary event the snapshot was
-    taken inside, with the same event keys in the same order.
+    Running the returned node finishes the run with a result
+    byte-identical to the uninterrupted run's.
     """
     from repro.shard.build import ShardingOptions, build_node
 
@@ -334,33 +303,15 @@ def resume(
         # one-shard plan included), matching the payload kind
         node = build_node(config, netcrafter, seed, sharding, obs_spec)
         node.load(workload)
-        return node.resume_run(
-            shard_states=payload["shard_states"],
-            kernel_index=payload["kernel_index"],
-            q=payload["q"],
-            windows_run=payload["windows_run"],
-            mail_seq=payload["mail_seq"],
-            checkpointer=checkpointer,
-        )
-    if header["mode"] != "single":
+        node.restore(payload)
+    elif header["mode"] == "single":
+        node = payload["system"]
+    else:
         raise SnapshotFormatError(
             f"snapshot {path} has unknown mode {header['mode']!r}"
         )
-    return _resume_single(payload, checkpointer=checkpointer)
-
-
-def _resume_single(payload, checkpointer: Optional[Checkpointer]):
-    system = payload["system"]
-    system._ckpt_hook = checkpointer
-    # replay the tail of the boundary event the snapshot was taken in
-    system._advance_kernel()
-    system.engine.run()
-    if system.stats.finish_cycle is None:
-        raise CheckpointError(
-            "resumed simulation drained without completing all wavefronts "
-            f"(kernel {system._kernel_index})"
-        )
-    return system._collect(system._workload.name)
+    node._ckpt_hook = checkpointer
+    return node
 
 
 __all__ = [

@@ -1,11 +1,11 @@
 """CLI for the checkpoint subsystem's kill-and-resume smoke.
 
 ``python -m repro.ckpt --smoke`` runs the standing gate: every point of
-the smoke grid is saved at a kernel boundary, hard-killed, resumed in a
+the smoke grid is saved at a mid-run cycle, hard-killed, resumed in a
 fresh interpreter, and the resumed grid digest is compared against the
 committed ``SMOKE_digest.json`` entry; two ``mm2`` probes, fault-free
-and faulted, are then killed at their mid-run boundary and compared with
-uninterrupted runs.
+and faulted, are then killed mid-run and compared with uninterrupted
+runs.
 
 ``--run-killed``/``--resume`` are internal child entry points used by
 the harness to cross real process boundaries; they take a JSON spec as

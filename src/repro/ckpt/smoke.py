@@ -3,14 +3,18 @@
 For every point of the :func:`repro.bench.smoke.smoke_campaign` grid
 this harness
 
-1. runs the point in a child process with a checkpoint hook that
+1. picks a mid-run kill cycle — a fraction of the point's uninterrupted
+   ``cycles`` between :data:`KILL_SPAN`, seeded from the point's
+   fingerprint (:func:`kill_cycle`), so single-kernel points are cut
+   mid-kernel too,
+2. runs the point in a child process with a checkpoint hook that
    hard-kills the child (``os._exit``, no cleanup, no atexit) the
-   instant its boundary snapshot is published,
-2. asserts the child actually died at the checkpoint,
-3. resumes the snapshot in a *fresh* interpreter the way
+   instant its first snapshot, at that cycle, is published,
+3. asserts the child actually died at the checkpoint,
+4. resumes the snapshot in a *fresh* interpreter the way
    ``--resume-from`` does (:func:`~repro.experiments.runner.execute_point`
    under :class:`~repro.experiments.runner.CheckpointOptions`), and
-4. requires the resumed results' grid digest to equal the committed
+5. requires the resumed results' grid digest to equal the committed
    ``SMOKE_digest.json`` entry — the same digest an uninterrupted
    single-engine sweep produces, byte for byte.
 
@@ -21,17 +25,14 @@ one.  The sweep runs in all three execution modes (single-engine,
 sequential-windowed, process-parallel) and on any topology-zoo shape
 with a committed digest entry.
 
-Two multi-kernel probes (``mm2``, killed at its *mid-run* boundary)
-ride along: smoke-grid workloads quiesce once at the end, so the probes
-are what exercise resume with real follow-on kernels.  Each is compared
-with an uninterrupted run of the same point through
-:func:`~repro.experiments.runner.run_many`.  The second runs under
-:data:`PROBE_FAULTS`, whose short RDMA timeout leaves retry clones and
-backstop timers pending in the snapshot.
+Two ``mm2`` probes ride along, each compared with an uninterrupted run
+of the same point through :func:`~repro.experiments.runner.run_many`.
+The second runs under :data:`PROBE_FAULTS`, whose short RDMA timeout
+leaves retry clones and backstop timers pending in the snapshot.
 
 A child's spec is JSON: one campaign point entry
 (:func:`~repro.campaign.spec.expand_point` rebuilds it), the shard plan,
-the kill boundary and the snapshot path.
+the kill cycle and the snapshot path.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.bench.smoke import (
     smoke_point,
 )
 from repro.campaign.spec import expand_point
-from repro.ckpt import Checkpointer, CheckpointError, run_fingerprint
+from repro.ckpt import Checkpointer, CheckpointError, read_header, run_fingerprint
 from repro.experiments.cache import fingerprint
 from repro.experiments.runner import (
     CheckpointOptions,
@@ -72,26 +73,34 @@ KILL_EXIT_CODE = 43
 RAN_TO_COMPLETION_CODE = 47
 #: the faulted probe's campaign ``faults`` block
 PROBE_FAULTS = {"ber": 1e-4, "drop_rate": 0.01, "seed": 5, "rdma_timeout": 256}
+#: the kill cycle's range, as fractions of the uninterrupted run's cycles
+KILL_SPAN = (0.2, 0.8)
+
+
+def kill_cycle(point: Dict[str, object], cycles: int) -> int:
+    """The mid-run cycle the gate kills campaign ``point`` at, given the
+    uninterrupted run's ``cycles``: a fraction within :data:`KILL_SPAN`
+    drawn from the point's fingerprint, so each point is cut at its own,
+    reproducible place."""
+    lo, hi = KILL_SPAN
+    draw = int(fingerprint(expand_point(point))[:8], 16) / 0xFFFFFFFF
+    return max(1, int(cycles * (lo + (hi - lo) * draw)))
 
 
 class KillAfterSave(Checkpointer):
-    """A checkpointer that hard-kills the process after saving.
+    """A checkpointer that hard-kills the process after its first save.
 
+    With ``every`` the kill cycle, the first cut falls there.
     ``os._exit`` skips every cleanup path — no atexit, no finally
     blocks, no multiprocessing teardown — the closest a test harness
     gets to a preemption.  Orphaned shard workers notice the dead pipe
     (EOFError) and exit on their own.
     """
 
-    def __init__(self, path, fingerprint, kill_at: int) -> None:
-        super().__init__(path=path, fingerprint=fingerprint, every=1)
-        self.kill_at = kill_at
-
-    def after_save(self, boundary: int) -> None:
-        if boundary >= self.kill_at:
-            sys.stdout.flush()
-            sys.stderr.flush()
-            os._exit(KILL_EXIT_CODE)
+    def after_save(self, cycle: int) -> None:
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(KILL_EXIT_CODE)
 
 
 def _context(spec: Dict[str, object], **fields) -> RunContext:
@@ -101,7 +110,7 @@ def _context(spec: Dict[str, object], **fields) -> RunContext:
 
 
 def child_run_killed(spec: Dict[str, object]) -> int:
-    """Child entry: simulate until the kill-boundary snapshot, then die.
+    """Child entry: simulate until the kill-cycle snapshot, then die.
 
     The one gate path that builds its node itself: the snapshot hook must
     be :class:`KillAfterSave`.  The shard plan and fingerprint follow the
@@ -122,7 +131,7 @@ def child_run_killed(spec: Dict[str, object]) -> int:
         n_shards=plan.n_shards if plan is not None else 1,
     )
     node = build_node(point.system, point.netcrafter, point.seed, plan)
-    node._ckpt_hook = KillAfterSave(spec["snapshot"], run_fp, kill_at=spec["kill_at"])
+    node._ckpt_hook = KillAfterSave(spec["snapshot"], run_fp, every=spec["kill_at"])
     node.load(trace)
     node.run()
     return RAN_TO_COMPLETION_CODE
@@ -177,37 +186,50 @@ def _spawn(flag: str, spec: Dict[str, object]) -> subprocess.CompletedProcess:
         )
 
 
+def snapshot_path(
+    point: Dict[str, object], snapshot_dir: Path, sharding: ShardingOptions
+) -> Path:
+    """Where the gate's kill child publishes ``point``'s snapshot."""
+    mode = "single" if not sharding.active else ("seq" if sharding.parallel is False else "par")
+    name = f"{point['workload']}-{fingerprint(expand_point(point))[:12]}-{mode}.ckpt"
+    return Path(snapshot_dir) / name
+
+
 def kill_and_resume_point(
     point: Dict[str, object],
     *,
     snapshot_dir: Path,
     sharding: ShardingOptions = ShardingOptions(),
-    kill_at: int = 1,
+    kill_at: Optional[int] = None,
 ) -> Dict[str, object]:
     """Save → hard-kill → resume one campaign ``point`` entry across real
     process boundaries.
 
-    Returns the resumed run's ``RunResult.to_dict`` payload; raises
-    :class:`~repro.ckpt.CheckpointError` if the child did not die at the
-    checkpoint or the resume child failed.
+    ``kill_at`` is the cycle the run is cut and killed at; by default
+    :func:`kill_cycle` picks it from an uninterrupted single-engine run
+    of the point.  Returns the resumed run's ``RunResult.to_dict``
+    payload; raises :class:`~repro.ckpt.CheckpointError` if the child
+    did not die at the checkpoint or the resume child failed.
     """
     snapshot_dir = Path(snapshot_dir)
     snapshot_dir.mkdir(parents=True, exist_ok=True)
     label = f"{point['workload']}/{point['variant']}"
-    mode = "single" if not sharding.active else ("seq" if sharding.parallel is False else "par")
-    name = f"{point['workload']}-{fingerprint(expand_point(point))[:12]}-{mode}.ckpt"
+    if kill_at is None:
+        reference, _ = execute_point(expand_point(point), RunContext())
+        kill_at = kill_cycle(point, reference.cycles)
     spec = {
         "point": point,
         "n_shards": sharding.n_shards,
         "parallel": sharding.parallel,
         "kill_at": kill_at,
-        "snapshot": str(snapshot_dir / name),
+        "snapshot": str(snapshot_path(point, snapshot_dir, sharding)),
     }
     killed = _spawn("--run-killed", spec)
     if killed.returncode != KILL_EXIT_CODE:
         raise CheckpointError(
             f"kill child for {label} exited {killed.returncode}, expected "
-            f"{KILL_EXIT_CODE} (stderr: {killed.stderr.strip()[-2000:]})"
+            f"{KILL_EXIT_CODE} after a snapshot at cycle {kill_at} "
+            f"(stderr: {killed.stderr.strip()[-2000:]})"
         )
     if not Path(spec["snapshot"]).exists():
         raise CheckpointError(
@@ -240,7 +262,10 @@ def run_smoke(
         results.append(
             kill_and_resume_point(point, snapshot_dir=snapshot_dir, sharding=sharding)
         )
-        print(f"  {point['workload']}/{point['variant']}: killed at checkpoint, resumed OK")
+        print(
+            f"  {point['workload']}/{point['variant']}: killed at cycle "
+            f"{_cut(point, snapshot_dir, sharding)}, resumed OK"
+        )
     digest = results_digest(results)
     print(f"resumed-grid digest {digest}")
 
@@ -259,33 +284,43 @@ def run_smoke(
     return exit_code
 
 
+def _cut(point: Dict[str, object], snapshot_dir: Path, sharding: ShardingOptions) -> int:
+    """The cycle ``point``'s kill snapshot was cut at: the kill cycle on
+    the single engine, the first window at or after it on shards."""
+    return read_header(snapshot_path(point, snapshot_dir, sharding))["cycle"]
+
+
 def _midrun_probe(
     snapshot_dir: Path,
     sharding: ShardingOptions,
     topology: str,
     faults: Optional[Dict[str, object]],
 ) -> bool:
-    """Kill ``mm2`` at its mid-run boundary, resume it, and compare
-    against an uninterrupted run; True when they match.
-
-    The grid workloads quiesce once; mm2 has a true mid-run boundary.
-    """
+    """Kill ``mm2`` at a mid-run cycle, resume it, and compare against
+    an uninterrupted run; True when they match."""
     point = smoke_point("mm2", "full", topology)
     if faults:
         point["faults"] = faults
-    probe = kill_and_resume_point(point, snapshot_dir=snapshot_dir, sharding=sharding)
     (reference,) = run_many(
         [expand_point(point)], use_cache=False, ctx=RunContext(sharding=sharding)
+    )
+    kill_at = kill_cycle(point, reference.cycles)
+    probe = kill_and_resume_point(
+        point, snapshot_dir=snapshot_dir, sharding=sharding, kill_at=kill_at
     )
     label = "faulted mm2" if faults else "mm2"
     # compare via the canonical digest: the probe payload round-tripped
     # through JSON (tuples have become lists), so compare the digests,
     # which canonicalize both sides the same way
     if results_digest([probe]) == results_digest([reference.to_dict()]):
-        print(f"{label} mid-run boundary: killed at kernel 1/2, resumed byte-identical")
+        print(
+            f"{label} mid-run probe: killed at cycle "
+            f"{_cut(point, snapshot_dir, sharding)} of {reference.cycles}, "
+            "resumed byte-identical"
+        )
         return True
     print(
-        f"{label} mid-run boundary: resumed result DIVERGED from the "
+        f"{label} mid-run probe: resumed result DIVERGED from the "
         "uninterrupted run",
         file=sys.stderr,
     )

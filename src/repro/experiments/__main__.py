@@ -160,7 +160,7 @@ def main(argv=None) -> int:
     )
     ckpt_group = parser.add_argument_group(
         "checkpointing",
-        "kernel-boundary checkpoint/resume (repro.ckpt): each point's "
+        "checkpoint/resume at any cycle (repro.ckpt): each point's "
         "latest resumable snapshot is published atomically to "
         "<dir>/<fingerprint>.ckpt; a resumed run's result is "
         "byte-identical to an uninterrupted one",
@@ -169,9 +169,10 @@ def main(argv=None) -> int:
         "--checkpoint-every",
         type=int,
         default=None,
-        metavar="K",
-        help="snapshot every K completed kernels (enables checkpointing; "
-        "the final boundary is always snapshotted)",
+        metavar="CYCLES",
+        help="snapshot every CYCLES simulated cycles (enables "
+        "checkpointing); without it, --resume-from takes no further "
+        "snapshots",
     )
     ckpt_group.add_argument(
         "--checkpoint-dir",
@@ -289,7 +290,7 @@ def main(argv=None) -> int:
         if args.checkpoint_every is not None or args.resume_from is not None:
             checkpointing = runner.CheckpointOptions(
                 directory=args.checkpoint_dir,
-                every=1 if args.checkpoint_every is None else args.checkpoint_every,
+                every=args.checkpoint_every,
                 resume_from=args.resume_from,
             )
         ctx = runner.RunContext(
@@ -328,9 +329,13 @@ def main(argv=None) -> int:
     if ctx.sharding is not None:
         print(f"cluster sharding: {ctx.sharding.describe()}")
     if ctx.checkpointing is not None:
+        saving = (
+            f"every {args.checkpoint_every} cycle(s) -> {args.checkpoint_dir}/"
+            if args.checkpoint_every is not None
+            else "no further snapshots"
+        )
         print(
-            f"checkpointing: every {args.checkpoint_every or 1} kernel(s) "
-            f"-> {args.checkpoint_dir}/"
+            f"checkpointing: {saving}"
             + (f", resuming from {args.resume_from}" if args.resume_from else "")
         )
     exp = SCALES[args.scale]()

@@ -234,29 +234,31 @@ class ObservabilityOptions(ShardObsSpec):
 
 @dataclass(frozen=True)
 class CheckpointOptions:
-    """Kernel-boundary checkpointing for every simulation point.
+    """Checkpointing at any cycle for every simulation point.
 
-    Each point's latest resumable state is published (atomically,
-    durably) to ``<directory>/<run-fingerprint>.ckpt`` — content-
-    addressed exactly like the result cache, so sweeps and single runs
-    share one checkpoint directory without collisions.  With
-    ``resume_from`` set, any point whose snapshot exists continues from
-    its last checkpointed kernel boundary instead of starting over; the
-    resumed result is byte-identical to an uninterrupted run
-    (:mod:`repro.ckpt`).  ``resume_from`` may be the checkpoint
-    directory (per-point snapshots are looked up by fingerprint) or one
-    specific snapshot file — the latter fails loudly with
-    :class:`~repro.ckpt.FingerprintMismatchError` if the point being
-    run does not match the snapshot's stamped configuration.
+    Every ``every`` simulated cycles, each point's latest resumable
+    state is published (atomically, durably) to
+    ``<directory>/<run-fingerprint>.ckpt`` — content-addressed exactly
+    like the result cache, so sweeps and single runs share one
+    checkpoint directory without collisions.  With ``resume_from`` set,
+    any point whose snapshot exists continues from the cycle it was cut
+    at instead of starting over; the resumed result is byte-identical
+    to an uninterrupted run (:mod:`repro.ckpt`).  ``resume_from`` may be
+    the checkpoint directory (per-point snapshots are looked up by
+    fingerprint) or one specific snapshot file — the latter fails
+    loudly with :class:`~repro.ckpt.FingerprintMismatchError` if the
+    point being run does not match the snapshot's stamped
+    configuration.
     """
 
     directory: str = "results/ckpt"
-    #: snapshot every N completed kernels (the final boundary always)
-    every: int = 1
+    #: snapshot period in simulated cycles; ``None`` takes no snapshots
+    #: (resume only)
+    every: Optional[int] = None
     resume_from: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.every < 1:
+        if self.every is not None and self.every < 1:
             raise ValueError(f"checkpoint period must be >= 1, got {self.every}")
 
 
@@ -412,6 +414,7 @@ def _simulate_point(point: ExperimentPoint, ctx: RunContext) -> RunResult:
     options = ctx.observability
     plan = ctx.sharding.resolve(system) if ctx.sharding is not None else None
 
+    node = None
     checkpointer = None
     if ctx.checkpointing is not None:
         from repro import ckpt as _ckpt
@@ -421,11 +424,12 @@ def _simulate_point(point: ExperimentPoint, ctx: RunContext) -> RunResult:
         fp = _ckpt.run_fingerprint(
             system, point.netcrafter, point.seed, trace, n_shards=shape.n_shards
         )
-        checkpointer = _ckpt.Checkpointer(
-            path=Path(ctx.checkpointing.directory) / f"{fp}.ckpt",
-            fingerprint=fp,
-            every=ctx.checkpointing.every,
-        )
+        if ctx.checkpointing.every is not None:
+            checkpointer = _ckpt.Checkpointer(
+                path=Path(ctx.checkpointing.directory) / f"{fp}.ckpt",
+                fingerprint=fp,
+                every=ctx.checkpointing.every,
+            )
         resume_from = ctx.checkpointing.resume_from
         if resume_from and Path(resume_from).is_dir():
             # per-point lookup in a checkpoint directory: points without
@@ -435,7 +439,7 @@ def _simulate_point(point: ExperimentPoint, ctx: RunContext) -> RunResult:
         # an explicit snapshot file must match this point — resume()
         # raises FingerprintMismatchError otherwise
         if resume_from:
-            return _ckpt.resume(
+            node = _ckpt.resume(
                 resume_from,
                 config=system,
                 netcrafter=point.netcrafter,
@@ -445,10 +449,10 @@ def _simulate_point(point: ExperimentPoint, ctx: RunContext) -> RunResult:
                 obs_spec=options,
                 checkpointer=checkpointer,
             )
-
-    node = build_node(system, point.netcrafter, point.seed, plan, options)
-    node.load(trace)
-    node._ckpt_hook = checkpointer
+    if node is None:
+        node = build_node(system, point.netcrafter, point.seed, plan, options)
+        node.load(trace)
+        node._ckpt_hook = checkpointer
     result = node.run()
     if options is not None:
         obs = node.merged_obs() if isinstance(node, ShardedSystem) else node.obs

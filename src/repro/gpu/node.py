@@ -99,6 +99,8 @@ class NodeCore:
                 flit_size=config.flit_size,
             )
         self._workload: Optional[WorkloadTrace] = None
+        #: set once kernel 0 launched; a restored snapshot keeps it
+        self._begun = False
         self._kernel_index = 0
         self._wavefronts_remaining = 0
         # per-phase accounting (phase-labelled workloads only): the
@@ -217,6 +219,7 @@ class NodeCore:
         """Launch kernel 0 at cycle 0 and take the cycle-0 metrics baseline."""
         if self._workload is None:
             raise RuntimeError("no workload loaded")
+        self._begun = True
         self._kernel_index = 0
         first = self._workload.kernels[0]
         self._phase_begin(first)
@@ -246,8 +249,7 @@ class NodeCore:
     def _phase_snapshot(self):
         """Inter-link + egress-controller totals at a quiesced boundary.
 
-        Boundaries carry no in-flight traffic (the same property
-        :mod:`repro.ckpt` snapshots rely on), so these integer deltas
+        Boundaries carry no in-flight traffic, so these integer deltas
         attribute every flit to exactly one phase.  Every inter-cluster
         link and controller is owned by exactly one slice, so sum-merging
         per-shard deltas reproduces the single-engine totals.

@@ -70,17 +70,38 @@ class MultiGpuSystem(NodeCore):
             obs or Observability(),
             gpu_ids=range(config.n_gpus),
         )
-        #: optional kernel-boundary observer (``hook(system)``), called at
-        #: every quiesced boundary *before* the next launch; must not
-        #: schedule events — :mod:`repro.ckpt` snapshots through it
+        #: optional :class:`repro.ckpt.Checkpointer`: :meth:`run` then
+        #: runs the engine in slices and snapshots between them
         self._ckpt_hook = None
+
+    def __getstate__(self) -> dict:
+        # the hook belongs to the run that saves, not to its snapshot
+        state = self.__dict__.copy()
+        state["_ckpt_hook"] = None
+        return state
 
     # -- execution ----------------------------------------------------------------
 
     def run(self) -> RunResult:
-        """Run all kernels to completion and assemble the result."""
-        self._begin()
-        self.engine.run()
+        """Run all kernels to completion and assemble the result.
+
+        A restored snapshot (:func:`repro.ckpt.resume`) continues where
+        it was cut.  With a checkpoint hook the engine runs in slices
+        ending at the hook's cuts, and the system is saved between
+        slices, where no event is half done.
+        """
+        if not self._begun:
+            self._begin()
+        engine = self.engine
+        hook = self._ckpt_hook
+        if hook is None:
+            engine.run()
+        else:
+            while True:
+                engine.run(until=hook.next_cut(engine.now))
+                if engine.peek_time() is None:
+                    break
+                hook.save("single", engine.now, {"system": self})
         if self.stats.finish_cycle is None:
             raise RuntimeError(
                 "simulation drained without completing all wavefronts "
@@ -123,18 +144,6 @@ class MultiGpuSystem(NodeCore):
         if not self._is_quiesced():
             self.engine.schedule(16, self._advance_when_quiesced)
             return
-        if self._ckpt_hook is not None:
-            self._ckpt_hook(self)
-        self._advance_kernel()
-
-    def _advance_kernel(self) -> None:
-        """The post-quiesce tail of the boundary event: launch or finish.
-
-        Split from :meth:`_advance_when_quiesced` so checkpoint resume
-        can replay it outside the engine — a snapshot is taken mid
-        boundary event, after the quiesce check but before this tail, so
-        the restored system continues with byte-identical event keys.
-        """
         self._kernel_index += 1
         self._phase_close(self.engine.now)
         if self._kernel_index < len(self._workload.kernels):

@@ -44,7 +44,7 @@ byte-for-byte.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
@@ -120,10 +120,11 @@ class ShardedSystem:
         self.windows_run = 0
         #: coordination-overhead breakdown of the last/current run
         self.coord_stats = CoordStats()
-        #: optional :class:`repro.ckpt.Checkpointer`; its ``on_boundary``
-        #: observes every proven kernel boundary before the launch
-        #: broadcast (pure observer — no simulator state is touched)
+        #: optional :class:`repro.ckpt.Checkpointer`: the window loop
+        #: saves its state and the shards' at the hook's cuts
         self._ckpt_hook = None
+        #: a snapshot payload :meth:`restore` loaded for the next run
+        self._restored: Optional[Dict[str, Any]] = None
 
     # -- MultiGpuSystem-parity API ------------------------------------------
 
@@ -134,64 +135,44 @@ class ShardedSystem:
     def run(self) -> RunResult:
         if self._workload is None:
             raise RuntimeError("no workload loaded")
-        handles = self._build_handles()
+        restored, self._restored = self._restored, None
+        if restored is None:
+            handles = self._build_handles()
+        else:
+            handles = self._build_handles(restored["shard_states"])
         try:
-            return self._run_loop(handles)
+            if restored is None:
+                n = self.n_shards
+                statuses = self._broadcast(handles, [("begin",)] * n)
+                self.coord_stats.launches += 1  # begin() launches kernel 0
+                loop = dict(
+                    mailbox=Mailbox(), statuses=statuses, pending=[[] for _ in range(n)],
+                    frontier=[0] * n, kernel_index=0, q_final=None,
+                )
+            else:
+                loop = restored["loop"]
+                self.windows_run = restored["windows_run"]
+            return self._window_loop(handles, **loop)
         finally:
             for handle in handles:
                 handle.close()
+
+    def restore(self, payload: Dict[str, Any]) -> None:
+        """Load a sharded snapshot (see :mod:`repro.ckpt`): the next
+        :meth:`run` restores the shards from their saved states and
+        re-enters the window loop with its saved state."""
+        if len(payload["shard_states"]) != self.n_shards:
+            raise RuntimeError(
+                f"snapshot holds {len(payload['shard_states'])} shard(s), "
+                f"this coordinator drives {self.n_shards}"
+            )
+        self._restored = payload
 
     def merged_obs(self) -> Observability:
         """Merged observability artifacts of the last :meth:`run`."""
         if self._merged_obs is None:
             raise RuntimeError("run() has not completed")
         return self._merged_obs
-
-    def resume_run(
-        self,
-        shard_states: List[bytes],
-        kernel_index: int,
-        q: int,
-        windows_run: int,
-        mail_seq,
-        checkpointer=None,
-    ) -> RunResult:
-        """Continue from checkpointed per-shard state; see :mod:`repro.ckpt`.
-
-        ``kernel_index`` and ``q`` are the boundary the snapshot froze:
-        the coordinator had proven kernel ``kernel_index`` launches at
-        cycle ``q`` but had not yet broadcast the launch (or finish).
-        Re-entering the loop there replays exactly the command sequence
-        the uninterrupted run would have issued.
-        """
-        if self._workload is None:
-            raise RuntimeError("no workload loaded")
-        if len(shard_states) != self.n_shards:
-            raise RuntimeError(
-                f"snapshot holds {len(shard_states)} shard(s), "
-                f"this coordinator drives {self.n_shards}"
-            )
-        self._ckpt_hook = checkpointer
-        self.windows_run = windows_run
-        handles = self._build_handles(shard_states)
-        try:
-            mailbox = Mailbox()
-            mailbox._last_seq.update(mail_seq)
-            if kernel_index >= len(self._workload.kernels):
-                # the snapshot cannot tell whether events were pending at
-                # the final boundary, so close and let the loop drain
-                statuses = self._broadcast(handles, [("close", q)] * self.n_shards)
-                return self._window_loop(
-                    handles, mailbox, statuses, kernel_index, q_final=q
-                )
-            statuses = self._broadcast(
-                handles, [("launch", kernel_index, q)] * self.n_shards
-            )
-            self.coord_stats.launches += 1
-            return self._window_loop(handles, mailbox, statuses, kernel_index)
-        finally:
-            for handle in handles:
-                handle.close()
 
     # -- internals ----------------------------------------------------------
 
@@ -244,14 +225,6 @@ class ShardedSystem:
             replies.append(handle.collect())
         return replies
 
-    def _run_loop(self, handles) -> RunResult:
-        mailbox = Mailbox()
-        statuses: List[ShardStatus] = self._broadcast(
-            handles, [("begin",)] * self.n_shards
-        )
-        self.coord_stats.launches += 1  # begin() launches kernel 0
-        return self._window_loop(handles, mailbox, statuses, kernel_index=0)
-
     def _finish(self, handles, q: int) -> RunResult:
         replies = self._broadcast(handles, [("finish", q)] * self.n_shards)
         self._merged_obs = merge_observability([obs for _, obs in replies])
@@ -268,26 +241,44 @@ class ShardedSystem:
         handles,
         mailbox: Mailbox,
         statuses: List[ShardStatus],
+        pending: List[List[MailBatch]],
+        frontier: List[int],
         kernel_index: int,
-        q_final: Optional[int] = None,
+        q_final: Optional[int],
     ) -> RunResult:
         """Run windows and kernel launches until the run ends.
 
-        ``q_final`` is set once the shards are closed at the final
-        boundary; the windows then go on until no shard has a pending
-        event or mail.  Fault retries can still be in flight there, and
-        the single engine runs them out too.
+        ``pending[dst]`` holds the MailBatch parcels awaiting delivery
+        to shard ``dst``, routed on headers alone (payload never
+        unpickled here); ``frontier[s]`` is the boundary shard ``s``
+        last ran to (monotone between kernel launches; a launch
+        re-anchors it).  ``q_final`` is set once the shards are closed
+        at the final boundary; the windows then go on until no shard has
+        a pending event or mail.  Fault retries can still be in flight
+        there, and the single engine runs them out too.
+
+        With a checkpoint hook, the loop saves its arguments and the
+        shards' states at the top of an iteration once the smallest
+        frontier reaches the next cut: between verbs no shard engine is
+        running, and a restored run re-enters here with exactly them.
         """
         kernels = self._workload.kernels
         stats = self.coord_stats
         n = self.n_shards
-        # pending[dst]: MailBatch parcels awaiting delivery to shard
-        # ``dst``, routed on headers alone (payload never unpickled here)
-        pending: List[List[MailBatch]] = [[] for _ in range(n)]
-        # per-shard simulated frontier: the boundary each shard last ran
-        # to (monotone between kernel launches; a launch re-anchors it)
-        frontier = [0] * n
+        hook = self._ckpt_hook
+        cut = None if hook is None else hook.next_cut(min(frontier))
         while True:
+            if cut is not None and min(frontier) >= cut:
+                payload = {
+                    "shard_states": self._broadcast(handles, [("snapshot",)] * n),
+                    "windows_run": self.windows_run,
+                    "loop": dict(
+                        mailbox=mailbox, statuses=statuses, pending=pending,
+                        frontier=frontier, kernel_index=kernel_index, q_final=q_final,
+                    ),
+                }
+                hook.save("sharded", min(frontier), payload)
+                cut = hook.next_cut(min(frontier))
             have_mail = any(pending)
             idle = not have_mail and all(s.real_pending == 0 for s in statuses)
             at_boundary = (
@@ -301,12 +292,6 @@ class ShardedSystem:
                 max_drain = max(s.max_drain for s in statuses)
                 q = self._quiesce_cycle(t_done, max_drain)
                 kernel_index += 1
-                if self._ckpt_hook is not None:
-                    # snapshot the pre-launch boundary state; resume
-                    # re-issues the same (launch|finish, kernel_index, q)
-                    self._ckpt_hook.on_boundary(
-                        self, handles, kernel_index, q, mailbox
-                    )
                 if kernel_index >= len(kernels):
                     if idle:
                         return self._finish(handles, q)
@@ -399,8 +384,7 @@ class ShardedSystem:
 
         Every shard's candidate is the launch event at ``(q, q)``, so
         this is exactly what :meth:`_untils` would return given the
-        post-launch statuses — checkpoint resume, which re-enters the
-        loop through a plain ``launch`` verb, recomputes the same value.
+        post-launch statuses.
         """
         lookahead = self.config.effective_inter_link_latency
         if self.n_shards == 1:

@@ -8,18 +8,21 @@ accounting and the end-of-run harvest come from
 :class:`~repro.gpu.node.NodeCore`, shared with the single engine; this
 module adds only what the sharded drive needs — the boundary links,
 the coordinator verbs and the per-window :class:`ShardStatus`.  The
-coordinator drives a shard through five verbs:
+coordinator drives a shard through six verbs:
 
 * :meth:`begin` — load bookkeeping + launch kernel 0 at cycle 0;
 * :meth:`window` — inject the window's cross-shard mail batches, run
   the local engine to an exact boundary cycle, and hand back the outbox;
-* :meth:`launch_kernel` — replay the next kernel launch at the quiesce
-  cycle ``q`` the coordinator computed analytically;
+* :meth:`launch_window` — replay the next kernel launch at the quiesce
+  cycle ``q`` the coordinator computed analytically, then run the first
+  window after it;
 * :meth:`close` — end the run at the final boundary, when events are
   still pending there (the coordinator keeps windowing until they drain);
 * :meth:`finish` — drain, then hand back the slice's
   :class:`~repro.stats.assemble.SliceHarvest` and its own
-  observability instruments.
+  observability instruments;
+* :meth:`snapshot_state` — pickle the shard between windows, for a
+  checkpoint.
 
 Determinism: local events are keyed ``(time, skey=schedule-cycle,
 seq)``, and cross-shard mail is injected with the sub-cycle delivery
@@ -43,6 +46,7 @@ shard mints exactly the IDs its components mint in the single engine.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -204,23 +208,14 @@ class ShardSystem(NodeCore):
     def launch_window(
         self, kernel_index: int, q: int, until: int
     ) -> Tuple[List[MailItem], ShardStatus]:
-        """Fused :meth:`launch_kernel` + :meth:`window` (no mail).
+        """Replay the launch of kernel ``kernel_index`` at cycle ``q``,
+        then run the first window after it (no mail), to ``until``.
 
         At a proven kernel boundary the coordinator already knows the
         first post-launch window boundary — every shard's next event is
-        the launch it just injected at ``(q, q)`` — so the intermediate
-        status round-trip of a separate launch verb carries no
-        information.  Fusing the two halves the per-boundary round
-        trips; the simulated event sequence is identical.
-        """
-        self.launch_kernel(kernel_index, q)
-        return self.window(until, (), ())
-
-    def launch_kernel(self, kernel_index: int, q: int) -> ShardStatus:
-        """Replay the launch of kernel ``kernel_index`` at cycle ``q``.
-
-        The wavefront bookkeeping is updated *eagerly* (before the
-        injected event runs) so the coordinator never mistakes the
+        the launch injected here at ``(q, q)`` — so one verb covers
+        both.  The wavefront bookkeeping is updated *eagerly* (before
+        the injected event runs) so the coordinator never mistakes the
         pre-launch lull for the next kernel boundary — and so shards with
         no work in this kernel still report ``last_wf_cycle = q``.
         """
@@ -241,7 +236,7 @@ class ShardSystem(NodeCore):
         # coordinator may issue the *next* launch before this event runs
         # — reading self._kernel_index here would double-launch
         engine.inject(q, q, self._launch_event, kernel_index)
-        return self.status()
+        return self.window(until, (), ())
 
     def close(self, q_final: int) -> ShardStatus:
         """End the run at the final kernel boundary ``q_final``.
@@ -272,7 +267,7 @@ class ShardSystem(NodeCore):
     def snapshot_state(self) -> bytes:
         """Serialize this shard's complete simulation state.
 
-        Taken at a coordinator-proven kernel boundary.  Every pending
+        Taken between windows, when the engine is not running.  Every pending
         continuation is a bound method or a ``functools.partial`` over
         one, and requests in flight (fault retries) are requester-table
         tags, so the whole shard pickles; the engine's dispatched-prefix
@@ -280,17 +275,7 @@ class ShardSystem(NodeCore):
         flit ID cursors live in the RDMA engines and egress controllers,
         so they ride along with the rest of the slice.
         """
-        import pickle
-
         return pickle.dumps(self, protocol=pickle.HIGHEST_PROTOCOL)
-
-    @staticmethod
-    def from_snapshot_state(data: bytes) -> "ShardSystem":
-        """Rebuild a shard from :meth:`snapshot_state` bytes
-        (``NodeCore.__setstate__`` rebinds the metric gauges)."""
-        import pickle
-
-        return pickle.loads(data)
 
     # -- kernel plumbing ----------------------------------------------------
 
@@ -353,9 +338,10 @@ def open_shard(
     shard_state: Optional[bytes] = None,
 ) -> ShardSystem:
     """Build shard ``shard_index`` and load ``workload`` into it, or
-    restore it from checkpointed ``shard_state``."""
+    restore it from checkpointed ``shard_state`` (:meth:`ShardSystem.snapshot_state`
+    bytes; ``NodeCore.__setstate__`` rebinds the metric gauges)."""
     if shard_state is not None:
-        return ShardSystem.from_snapshot_state(shard_state)
+        return pickle.loads(shard_state)
     shard = ShardSystem(config, netcrafter, seed, shard_index, n_shards, obs_spec)
     shard.load(workload)
     return shard

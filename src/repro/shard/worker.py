@@ -6,11 +6,10 @@ verb dispatcher::
 
     ("begin",)                        -> ("ok", ShardStatus)
     ("window", until, batches)        -> ("ok", (out_batches, ShardStatus))
-    ("launch", k, q)                  -> ("ok", ShardStatus)
     ("launch_window", k, q, until)    -> ("ok", (out_batches, ShardStatus))
     ("close", q)                      -> ("ok", ShardStatus)
     ("finish", q)                     -> ("ok", (SliceHarvest, Observability))
-    ("snapshot",)                     -> ("ok", bytes)  # pickled ShardSystem
+    ("snapshot",)                     -> ("ok", bytes)  # pickled ShardSystem, any window
     ("exit",)                         -> worker terminates
 
 Process-parallel mode runs each shard in its own persistent
@@ -27,19 +26,19 @@ traffic travels as :class:`~repro.shard.mailbox.MailBatch` columns:
 ``out_batches`` maps destination shard index to one encoded batch of
 this window's outbox — pickled once here, routed by the coordinator on
 the header columns alone, and decoded only by the destination shard.
-``launch_window`` fuses the kernel-boundary launch with the first
+``launch_window`` is the kernel-boundary launch together with the first
 window after it (the post-launch window boundary is deterministic, so
-the coordinator needs no intermediate status), halving the per-boundary
-round trips.  A :class:`LocalShard` skips only the outer pipe pickling
+the coordinator needs no intermediate status): one round trip per
+boundary.  A :class:`LocalShard` skips only the outer pipe pickling
 (and ``exit``); its batches carry the same pickled flit payloads.
 
 Any worker exception is shipped back as ``("error", traceback)`` and
 re-raised in the coordinator.
 
-Checkpoint resume hands the worker a previously pickled shard
-(``shard_state``) instead of build inputs; the worker restores it via
-:meth:`~repro.shard.shard_system.ShardSystem.from_snapshot_state` and
-serves the same verb loop from the restored state.
+Checkpoint resume hands the worker a shard pickled between windows
+(``shard_state``) instead of build inputs; the worker unpickles it
+(:func:`~repro.shard.shard_system.open_shard`) and serves the same verb
+loop from the restored state.
 
 Nothing in a boundary flit needs translating on the way: a request
 carries its requester-table tag as a plain int, and the requester's
@@ -102,9 +101,6 @@ def serve(shard: ShardSystem, message: tuple):
         return _encode_outbox(shard, outbox), status
     if verb == "begin":
         return shard.begin()
-    if verb == "launch":
-        _, kernel_index, q = message
-        return shard.launch_kernel(kernel_index, q)
     if verb == "close":
         _, q_final = message
         return shard.close(q_final)

@@ -1,10 +1,11 @@
 """Fault-injected runs checkpoint and resume like fault-free ones.
 
 Under fault injection the RDMA retry backstop keeps timers armed and
-retry clones in flight across a kernel boundary, so the snapshot holds
-pending continuations and requester-table entries.  Requests are int
-tags and every continuation is a bound method (or a partial over one),
-so the state pickles; resuming it must reproduce the uninterrupted run.
+retry clones in flight, so a snapshot holds pending continuations and
+requester-table entries — after the finish cycle too, where retries run
+out.  Requests are int tags and every continuation is a bound method
+(or a partial over one), so the state pickles; resuming it must
+reproduce the uninterrupted run.
 """
 
 import shutil
@@ -28,8 +29,8 @@ FAULTS = {
 
 
 class KeepEvery(Checkpointer):
-    def after_save(self, boundary):
-        shutil.copy(self.path, f"{self.path}.b{boundary}")
+    def after_save(self, cycle):
+        shutil.copy(self.path, f"{self.path}.c{cycle}")
 
 
 @pytest.mark.parametrize("faults", sorted(FAULTS))
@@ -42,28 +43,33 @@ def test_faulted_mm2_resumes_from_each_boundary(faults, tmp_path):
     for sharding in (None, ShardingOptions(n_shards=2, parallel=False)):
         n_shards = 1 if sharding is None else sharding.n_shards
         path = tmp_path / f"{n_shards}.ckpt"
+        node = build_node(config, NC, 0, sharding)
+        node.load(trace)
+        cycles = node.run().cycles
         hook = KeepEvery(
             path=path,
             fingerprint=run_fingerprint(config, NC, 0, trace, n_shards=n_shards),
+            every=cycles // 2 + 1,
         )
         node = build_node(config, NC, 0, sharding)
         node._ckpt_hook = hook
         node.load(trace)
-        # the hook only observes, so this is the uninterrupted run
+        # saving schedules nothing, so this is the uninterrupted run
         uninterrupted = digestable_payload(node.run().to_dict())
-        assert hook.saved_boundaries == [1, 2]
         assert uninterrupted["stats"]["faults"]["__faults__"]["flits_corrupted"] > 0
-        # boundary 2 is the final one: retries still in flight there run
-        # out after the resume
-        for boundary in (1, 2):
+        # a cut mid-run, and the cut after the finish cycle: retries
+        # still in flight there run out after the resume
+        first, second = hook.saved_cycles[:2]
+        assert first < cycles < second
+        for cycle in (first, second):
             resumed = resume(
-                f"{path}.b{boundary}",
+                f"{path}.c{cycle}",
                 config=config,
                 netcrafter=NC,
                 seed=0,
                 workload=trace,
                 sharding=sharding,
-            )
-            assert digestable_payload(resumed.to_dict()) == uninterrupted, boundary
+            ).run()
+            assert digestable_payload(resumed.to_dict()) == uninterrupted, cycle
         payloads[n_shards] = uninterrupted
     assert payloads[2] == payloads[1]

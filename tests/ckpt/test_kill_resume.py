@@ -1,8 +1,9 @@
 """Kill-and-resume equivalence against the committed digest gate.
 
 Each case runs the quick smoke grid with a checkpoint hook that
-hard-kills the child process (``os._exit``) the instant its boundary
-snapshot is published, resumes every snapshot in a fresh interpreter,
+hard-kills the child process (``os._exit``) the instant its snapshot at
+a mid-run cycle is published, resumes every snapshot in a fresh
+interpreter,
 and requires the resumed grid digest to equal the committed
 ``SMOKE_digest.json`` entry — the digest of an uninterrupted,
 never-checkpointed single-engine sweep.  Swept across shard counts
@@ -47,13 +48,20 @@ def test_killed_grid_resumes_to_the_committed_digest(
 
 
 def test_midrun_kill_resumes_byte_identical(tmp_path):
-    """mm2 has a true mid-run boundary (kernel 1 of 2): kill there and
-    require the resumed result to match an uninterrupted run through the
-    canonical digest."""
+    """Kill mm2 at a mid-run cycle and require the resumed result to
+    match an uninterrupted run through the canonical digest; the
+    snapshot the resume started from holds unfinished work."""
     from repro.campaign.spec import expand_point
+    from repro.ckpt import read_header
+    from repro.ckpt.smoke import KILL_SPAN, kill_cycle
     from repro.experiments.runner import run_many
 
     point = smoke_point("mm2", "full")
-    probe = kill_and_resume_point(point, snapshot_dir=tmp_path, kill_at=1)
     (reference,) = run_many([expand_point(point)], use_cache=False)
+    kill_at = kill_cycle(point, reference.cycles)
+    lo, hi = KILL_SPAN
+    assert lo * reference.cycles <= kill_at <= hi * reference.cycles
+    probe = kill_and_resume_point(point, snapshot_dir=tmp_path, kill_at=kill_at)
     assert results_digest([probe]) == results_digest([reference.to_dict()])
+    (snapshot,) = tmp_path.glob("*.ckpt")
+    assert read_header(snapshot)["cycle"] == kill_at

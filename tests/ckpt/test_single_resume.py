@@ -1,7 +1,7 @@
-"""Single-engine checkpoint/resume: byte-identity at every boundary.
+"""Single-engine checkpoint/resume: byte-identity at every cut.
 
-The standing gate in miniature: snapshot a ``MultiGpuSystem`` at each
-kernel boundary, resume each snapshot in the same process, and require
+The standing gate in miniature: snapshot a ``MultiGpuSystem`` every
+``every`` cycles, resume each snapshot in the same process, and require
 the resumed ``RunResult`` to be byte-for-byte the uninterrupted run's.
 Also pins the loud-failure contract: mismatched fingerprints, foreign
 files, and future format versions all refuse before unpickling.
@@ -34,10 +34,10 @@ NC = NetCrafterConfig.full()
 
 
 class KeepEvery(Checkpointer):
-    """Retain each boundary's snapshot instead of overwriting it."""
+    """Retain each cut's snapshot instead of overwriting it."""
 
-    def after_save(self, boundary):
-        shutil.copy(self.path, f"{self.path}.b{boundary}")
+    def after_save(self, cycle):
+        shutil.copy(self.path, f"{self.path}.c{cycle}")
 
 
 def _trace(workload: str):
@@ -46,15 +46,15 @@ def _trace(workload: str):
     )
 
 
-def _reference_payload(trace):
+def _reference(trace):
     node = MultiGpuSystem(config=CONFIG, netcrafter=NC, seed=0)
     node.load(trace)
-    return digestable_payload(node.run().to_dict())
+    return node.run()
 
 
-def _checkpointed_run(trace, tmp_path):
+def _checkpointed_run(trace, tmp_path, every):
     fingerprint = run_fingerprint(CONFIG, NC, 0, trace)
-    hook = KeepEvery(path=tmp_path / "s.ckpt", fingerprint=fingerprint, every=1)
+    hook = KeepEvery(path=tmp_path / "s.ckpt", fingerprint=fingerprint, every=every)
     node = MultiGpuSystem(config=CONFIG, netcrafter=NC, seed=0)
     node._ckpt_hook = hook
     node.load(trace)
@@ -63,45 +63,72 @@ def _checkpointed_run(trace, tmp_path):
 
 @pytest.mark.parametrize("workload", ["mm2", "lenet"])
 def test_every_boundary_resumes_byte_identical(workload, tmp_path):
+    """Cut three times mid-run, between engine runs; each snapshot
+    resumes to the uninterrupted result."""
     trace = _trace(workload)
-    reference = _reference_payload(trace)
-    hook, hooked = _checkpointed_run(trace, tmp_path)
-    # the hook is a pure observer: the checkpointed run itself is
+    finished = _reference(trace)
+    reference = digestable_payload(finished.to_dict())
+    every = finished.cycles // 4 + 1
+    hook, hooked = _checkpointed_run(trace, tmp_path, every)
+    # saving schedules nothing: the checkpointed run itself is
     # indistinguishable from the unhooked one
     assert hooked == reference
-    # one snapshot per kernel boundary, final boundary included
-    assert hook.saved_boundaries == list(range(1, len(trace.kernels) + 1))
-    for boundary in hook.saved_boundaries:
+    # one snapshot per cut the run had not finished by
+    assert hook.saved_cycles == [every, 2 * every, 3 * every]
+    for cycle in hook.saved_cycles:
+        assert read_header(tmp_path / f"s.ckpt.c{cycle}")["cycle"] == cycle
         result = resume(
-            tmp_path / f"s.ckpt.b{boundary}",
+            tmp_path / f"s.ckpt.c{cycle}",
             config=CONFIG,
             netcrafter=NC,
             seed=0,
             workload=trace,
-        )
+        ).run()
         assert digestable_payload(result.to_dict()) == reference, (
-            f"boundary {boundary} resumed to a different result"
+            f"cycle {cycle} resumed to a different result"
         )
 
 
 def test_every_option_skips_intermediate_boundaries(tmp_path):
+    """``every`` counts simulated cycles: a run is cut at each multiple
+    of it, and at nothing in between — kernel boundaries included."""
     trace = _trace("lenet")
-    fingerprint = run_fingerprint(CONFIG, NC, 0, trace)
-    hook = Checkpointer(path=tmp_path / "s.ckpt", fingerprint=fingerprint, every=4)
-    node = MultiGpuSystem(config=CONFIG, netcrafter=NC, seed=0)
-    node._ckpt_hook = hook
-    node.load(trace)
-    node.run()
-    # every 4th boundary plus the final one (lenet has 10 kernels)
-    assert hook.saved_boundaries == [4, 8, 10]
+    cycles = _reference(trace).cycles
+    every = cycles // 2 + 1
+    hook, _ = _checkpointed_run(trace, tmp_path, every)
+    assert hook.saved_cycles == [every]
+    hook, _ = _checkpointed_run(trace, tmp_path, cycles + 1)
+    assert hook.saved_cycles == []
+
+
+def test_resume_keeps_checkpointing_with_a_new_hook(tmp_path):
+    """A checkpointer handed to resume() keeps cutting on the same
+    grid, and a restored run without one takes no further snapshots."""
+    trace = _trace("mm2")
+    finished = _reference(trace)
+    every = finished.cycles // 4 + 1
+    hook, reference = _checkpointed_run(trace, tmp_path, every)
+    later = Checkpointer(
+        path=tmp_path / "later.ckpt", fingerprint=hook.fingerprint, every=every
+    )
+    node = resume(
+        tmp_path / f"s.ckpt.c{every}",
+        config=CONFIG,
+        netcrafter=NC,
+        seed=0,
+        workload=trace,
+        checkpointer=later,
+    )
+    assert digestable_payload(node.run().to_dict()) == reference
+    assert later.saved_cycles == hook.saved_cycles[1:]
 
 
 class TestLoudFailures:
     @pytest.fixture()
     def snapshot(self, tmp_path):
         trace = _trace("mm2")
-        hook, _ = _checkpointed_run(trace, tmp_path)
-        return tmp_path / "s.ckpt.b1", trace
+        hook, _ = _checkpointed_run(trace, tmp_path, every=1000)
+        return tmp_path / "s.ckpt.c1000", trace
 
     def test_mismatched_seed_refuses(self, snapshot):
         path, trace = snapshot
@@ -226,12 +253,32 @@ class TestLoudFailures:
         header["format"] = 9
         old = tmp_path / "per-flit-delivery.ckpt"
         old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
-        with pytest.raises(SnapshotFormatError, match=r"format 9, this version reads 10"):
+        with pytest.raises(
+            SnapshotFormatError,
+            match=rf"format 9, this version reads {SNAPSHOT_FORMAT_VERSION}",
+        ):
+            read_header(old)
+
+    def test_kernel_boundary_format_refuses_naming_both_versions(
+        self, snapshot, tmp_path
+    ):
+        """Format 10 snapshots were taken inside the kernel-boundary
+        event and resumed by replaying its tail; snapshots are now cut
+        between engine runs, and this version cannot read it."""
+        path, _ = snapshot
+        magic, header_line, payload = path.read_bytes().split(b"\n", 2)
+        header = json.loads(header_line)
+        header["format"] = 10
+        old = tmp_path / "kernel-boundary.ckpt"
+        old.write_bytes(magic + b"\n" + json.dumps(header).encode() + b"\n" + payload)
+        assert SNAPSHOT_FORMAT_VERSION == 11
+        with pytest.raises(SnapshotFormatError, match=r"format 10, this version reads 11"):
             read_header(old)
 
     def test_header_reads_without_unpickling(self, snapshot):
         path, _ = snapshot
         header = read_header(path)
         assert header["mode"] == "single"
-        assert header["boundary"] == 1
+        assert header["cycle"] == 1000
+        assert "boundary" not in header
         assert header["format"] == SNAPSHOT_FORMAT_VERSION

@@ -5,6 +5,8 @@ The controller's link is the per-flit reference
 flit the controller sends, at its arrival cycle.
 """
 
+import itertools
+
 import pytest
 
 from repro.core.config import NetCrafterConfig, PriorityMode
@@ -32,8 +34,12 @@ def _setup(config, bandwidth=16.0, latency=0, capacity=None):
     return eng, ctrl, link, flits
 
 
+#: distinct packet numbers, as the sending RDMA engines stamp them
+_pids = itertools.count(1)
+
+
 def _pkt(ptype=PacketType.READ_RSP, **kwargs):
-    return Packet(ptype=ptype, src_gpu=0, dst_gpu=2, **kwargs)
+    return Packet(ptype=ptype, src_gpu=0, dst_gpu=2, pid=next(_pids), **kwargs)
 
 
 class TestBaselineEgress:
@@ -115,6 +121,31 @@ class TestStitching:
         for flit in flits:
             buf.receive(flit)
         assert set(done) == {rsp, req}
+
+    def test_interleaved_responses_reassemble_apart(self):
+        """Two 5-flit responses whose wire flits interleave complete as
+        two packets: the reference keeps a mask per packet number."""
+        eng, ctrl, link, flits = _setup(NetCrafterConfig.baseline())
+        a, b = _pkt(), _pkt()
+        ctrl.accept_packet(a)
+        ctrl.accept_packet(b)
+        eng.run()
+        assert len(flits) == 10
+        done = []
+        buf = ReassemblyBuffer(16, done.append)
+        for x, y in zip(flits[:5], flits[5:]):
+            buf.receive(x)
+            buf.receive(y)
+        assert done == [a, b]
+        assert buf.pending_packets() == 0
+
+    def test_unnumbered_packet_is_refused_by_the_reference(self):
+        eng, ctrl, link, flits = _setup(NetCrafterConfig.baseline())
+        ctrl.accept_packet(Packet(ptype=PacketType.READ_RSP, src_gpu=0, dst_gpu=2))
+        eng.run()
+        buf = ReassemblyBuffer(16, lambda packet: None)
+        with pytest.raises(ValueError, match="unnumbered packet"):
+            buf.receive(flits[0])
 
     def test_wire_bytes_reduced_vs_baseline(self):
         def run(cfg):

@@ -132,6 +132,46 @@ def test_emitted_trace_passes_validator(capsys, tiny_quick, tmp_path):
     assert validate_main(traces) == 0
 
 
+def _trace_records(path):
+    import json
+
+    lines = path.read_text().splitlines()
+    assert json.loads(lines[0])["event"] == "trace_meta"
+    return sorted(lines[1:])
+
+
+def test_resumed_traced_run_writes_its_trace(capsys, tiny_quick, tmp_path):
+    """A traced run checkpointed mid-run and resumed with --trace writes
+    a trace that validates, with the uninterrupted run's records."""
+    import json
+
+    from repro.ckpt import read_header
+    from repro.obs.validate import main as validate_main
+
+    common = ["fig6", "--scale", "quick", "--no-cache", "--trace"]
+    assert main(common + ["--obs-dir", str(tmp_path / "whole")]) == 0
+    (whole,) = (tmp_path / "whole").glob("*.trace.jsonl")
+    ckpt = tmp_path / "ckpt"
+    assert main(
+        common + ["--obs-dir", str(tmp_path / "cut"), "--checkpoint-every", "500",
+                  "--checkpoint-dir", str(ckpt)]
+    ) == 0
+    (snapshot,) = ckpt.glob("*.ckpt")
+    last = max(json.loads(line)["cycle"] for line in _trace_records(whole))
+    # the snapshot holds the run cut at its last multiple of 500 cycles:
+    # traced work remains after it
+    assert 0 < read_header(snapshot)["cycle"] < last
+
+    assert main(
+        common + ["--obs-dir", str(tmp_path / "resumed"), "--resume-from", str(ckpt)]
+    ) == 0
+    assert "no further snapshots" in capsys.readouterr().out
+    (resumed,) = (tmp_path / "resumed").glob("*.trace.jsonl")
+    assert resumed.name == whole.name
+    assert validate_main([str(resumed)]) == 0
+    assert _trace_records(resumed) == _trace_records(whole)
+
+
 def test_invalid_observability_values_rejected(tiny_quick):
     with pytest.raises(SystemExit):
         main(["fig6", "--trace-sample", "0"])

@@ -66,10 +66,10 @@ def test_memo_never_exceeds_its_bound():
 
 
 class _KeepFirst(Checkpointer):
-    """Retain the first boundary's snapshot instead of overwriting it."""
+    """Retain the first cut's snapshot instead of overwriting it."""
 
-    def after_save(self, boundary):
-        if boundary == 1:
+    def after_save(self, cycle):
+        if cycle == self.saved_cycles[0]:
             shutil.copy(self.path, f"{self.path}.first")
 
 
@@ -83,14 +83,14 @@ def test_runs_leave_the_trace_unchanged(workload, tmp_path):
 
     single = MultiGpuSystem(config=CONFIG, netcrafter=nc, seed=0)
     single.load(trace)
-    single.run()
+    cycles = single.run().cycles
 
     sharding = ShardingOptions(n_shards=2, parallel=False)
     path = tmp_path / "s.ckpt"
     hook = _KeepFirst(
         path=path,
         fingerprint=run_fingerprint(CONFIG, nc, 0, trace, n_shards=2),
-        every=1,
+        every=max(1, cycles // 2),
     )
     sharded = ShardedSystem(config=CONFIG, netcrafter=nc, seed=0, n_shards=2)
     sharded._ckpt_hook = hook
@@ -103,7 +103,7 @@ def test_runs_leave_the_trace_unchanged(workload, tmp_path):
         seed=0,
         workload=trace,
         sharding=sharding,
-    )
+    ).run()
 
     assert pickle.dumps(trace, protocol=pickle.HIGHEST_PROTOCOL) == before
 

@@ -421,7 +421,7 @@ if __name__ == "__main__":
         jobs=2,
         observability=ObservabilityOptions(trace=True, out_dir=str(out / "obs")),
         sharding=ShardingOptions(n_shards=2),
-        checkpointing=CheckpointOptions(directory=str(out / "ckpt")),
+        checkpointing=CheckpointOptions(directory=str(out / "ckpt"), every=500),
     )
     points = [
         ExperimentPoint(workload=w, scale=Scale.tiny()) for w in ("gups", "mt")

@@ -27,6 +27,9 @@ class ReassemblyBuffer:
     Per packet, a bitmask records which flit indices have arrived; the
     packet completes when every index is present, and a repeated or
     out-of-range index raises :class:`DuplicateFlitError` immediately.
+    Masks are keyed by ``pid``, so every packet must be numbered: an
+    unnumbered one (``pid == -1``) raises ``ValueError`` rather than
+    share a mask with every other unnumbered packet.
     """
 
     def __init__(self, flit_size: int, on_packet: Callable[[Packet], None]) -> None:
@@ -54,6 +57,11 @@ class ReassemblyBuffer:
 
     def _account(self, flit: Flit) -> None:
         packet = flit.packet
+        if packet.pid == -1:
+            raise ValueError(
+                f"flit {flit.fid} belongs to an unnumbered packet (pid -1); "
+                "give each packet its own pid before reassembling it"
+            )
         expected = packet.flit_count(self.flit_size)
         index = flit.index
         if index >= expected:

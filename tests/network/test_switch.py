@@ -34,7 +34,7 @@ class TestReassembly:
     def test_single_flit_packet_delivers_immediately(self):
         done = []
         buf = ReassemblyBuffer(16, done.append)
-        pkt = Packet(ptype=PacketType.READ_REQ, src_gpu=2, dst_gpu=0)
+        pkt = Packet(ptype=PacketType.READ_REQ, src_gpu=2, dst_gpu=0, pid=1)
         buf.receive(segment_packet(pkt, 16)[0])
         assert done == [pkt]
         assert buf.pending_packets() == 0
@@ -42,7 +42,7 @@ class TestReassembly:
     def test_multi_flit_packet_waits_for_all(self):
         done = []
         buf = ReassemblyBuffer(16, done.append)
-        pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
+        pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, pid=1)
         flits = segment_packet(pkt, 16)
         for flit in flits[:-1]:
             buf.receive(flit)
@@ -53,7 +53,7 @@ class TestReassembly:
     def test_out_of_order_flits_still_complete(self):
         done = []
         buf = ReassemblyBuffer(16, done.append)
-        pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
+        pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, pid=1)
         flits = segment_packet(pkt, 16)
         for flit in reversed(flits):
             buf.receive(flit)
@@ -62,8 +62,8 @@ class TestReassembly:
     def test_unstitching_counts_embedded_flits(self):
         done = []
         buf = ReassemblyBuffer(16, done.append)
-        rsp = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
-        req = Packet(ptype=PacketType.READ_REQ, src_gpu=2, dst_gpu=0)
+        rsp = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, pid=1)
+        req = Packet(ptype=PacketType.READ_REQ, src_gpu=2, dst_gpu=0, pid=2)
         rsp_flits = segment_packet(rsp, 16)
         req_flit = segment_packet(req, 16)[0]
         rsp_flits[-1].absorb(req_flit)
@@ -95,7 +95,7 @@ class TestDuplicateFlitGuard:
 
     def test_duplicate_flit_raises(self):
         buf = ReassemblyBuffer(16, lambda p: None)
-        pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
+        pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, pid=1)
         flits = segment_packet(pkt, 16)
         buf.receive(flits[0])
         with pytest.raises(DuplicateFlitError):
@@ -104,7 +104,7 @@ class TestDuplicateFlitGuard:
     def test_duplicate_does_not_complete_the_packet(self):
         done = []
         buf = ReassemblyBuffer(16, done.append)
-        pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
+        pkt = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, pid=1)
         flits = segment_packet(pkt, 16)
         buf.receive(flits[0])
         buf.receive(flits[1])
@@ -115,7 +115,7 @@ class TestDuplicateFlitGuard:
 
     def test_out_of_range_index_raises(self):
         buf = ReassemblyBuffer(16, lambda p: None)
-        pkt = Packet(ptype=PacketType.READ_REQ, src_gpu=2, dst_gpu=0)
+        pkt = Packet(ptype=PacketType.READ_REQ, src_gpu=2, dst_gpu=0, pid=1)
         rogue = Flit(packet=pkt, index=5, used_bytes=16, flit_size=16)
         with pytest.raises(DuplicateFlitError):
             buf.receive(rogue)
@@ -123,8 +123,8 @@ class TestDuplicateFlitGuard:
     def test_duplicate_stitched_segment_raises(self):
         """A duplicate hidden inside a stitched parent is still caught."""
         buf = ReassemblyBuffer(16, lambda p: None)
-        a = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
-        b = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0)
+        a = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, pid=1)
+        b = Packet(ptype=PacketType.READ_RSP, src_gpu=2, dst_gpu=0, pid=2)
         parent = segment_packet(a, 16)[-1]  # tail: 4 used, 12 empty
         b_tail = segment_packet(b, 16)[-1]  # partial candidate, cost 7
         parent.absorb(b_tail)
