@@ -18,21 +18,32 @@ asserted.  It provides:
   semantic drift both fail loudly, in CI and locally.
 
 Run ``python -m repro.bench --help`` for the CLI.
+
+The names below load on first use (PEP 562): importing
+:mod:`repro.bench.smoke` or :mod:`repro.bench.suite`, as the campaign
+server and the benchmark suite do, compiles neither the harness nor the
+schema.
 """
 
-from repro.bench.harness import (
-    BenchRecord,
-    BenchReport,
-    compare_reports,
-    run_benchmarks,
-)
-from repro.bench.schema import BENCH_SCHEMA_VERSION, validate_report
+import importlib
 
-__all__ = [
-    "BenchRecord",
-    "BenchReport",
-    "BENCH_SCHEMA_VERSION",
-    "compare_reports",
-    "run_benchmarks",
-    "validate_report",
-]
+#: exported name -> the module defining it
+_EXPORTS = {
+    "BenchRecord": "repro.bench.harness",
+    "BenchReport": "repro.bench.harness",
+    "compare_reports": "repro.bench.harness",
+    "run_benchmarks": "repro.bench.harness",
+    "BENCH_SCHEMA_VERSION": "repro.bench.schema",
+    "validate_report": "repro.bench.schema",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module_name = _EXPORTS.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value
+    return value

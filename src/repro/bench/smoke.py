@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bench.suite.layers import SIM_LAYERS, layer_of
 from repro.config import SystemConfig
@@ -121,12 +121,23 @@ def digestable_payload(result_dict: Dict[str, object]) -> Dict[str, object]:
     }
 
 
+def digest_encoding(result_dict: Dict[str, object]) -> str:
+    """One run's part of :func:`results_digest`: the sorted-key JSON of
+    its digestable payload."""
+    return json.dumps(digestable_payload(result_dict), sort_keys=True)
+
+
+def digest_of_encodings(encodings: Sequence[str]) -> str:
+    """:func:`results_digest` of the runs with these
+    :func:`digest_encoding` texts: the JSON of a list is its items'
+    encodings, ``", "``-joined in brackets, so none is re-encoded."""
+    blob = "[" + ", ".join(encodings) + "]"
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
 def results_digest(result_dicts: List[Dict[str, object]]) -> str:
     """Order-sensitive sha256 over the digestable payload of each run."""
-    blob = json.dumps(
-        [digestable_payload(d) for d in result_dicts], sort_keys=True
-    )
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return digest_of_encodings([digest_encoding(d) for d in result_dicts])
 
 
 def gate_points(campaign: dict, sharding: Optional[ShardingOptions] = None):

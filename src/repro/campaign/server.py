@@ -30,10 +30,11 @@ only after its result is durably published to the cache.
 
 Scheduling is priority-first (higher ``priority`` campaigns dispatch
 before lower, FIFO within a priority); a point shared between campaigns
-runs at the highest priority any of them asked for.  The pool is kept
-one point ahead: up to ``POINTS_PER_WORKER`` (two) points per worker are
-claimed and handed to it, one executing and one waiting in the
-executor's queue, so a worker starts its next point the moment it
+runs at the highest priority any of them asked for.  The pool
+(:class:`~repro.campaign.pool.LoopPool` unless an executor is injected)
+is kept one point ahead: up to ``POINTS_PER_WORKER`` (two) points per
+worker are claimed and handed to it, one executing and one waiting in
+the pool's call pipe, so a worker starts its next point the moment it
 finishes the last instead of idling through the server's round trip.
 A point's ``running`` event therefore means "handed to the pool", and
 its ``wall_seconds`` count from that moment; a campaign arriving later,
@@ -44,12 +45,18 @@ queued point *before* the finished point's result is published.
 and release its claim.  Each point's fingerprint is computed once, when
 its campaign is parsed, and the cache is looked up and claimed by it.
 
-``fetch`` serves the results this server published itself from memory:
-the last ``FETCH_LRU_ENTRIES`` payloads it ``put`` are kept, and one is
-used only while its cache file still exists, so a pruned result is
-still noticed and re-executed.  Every other result is read from the
-cache.  A request line longer than ``MAX_REQUEST_BYTES``, or one that is
-not a JSON object, gets an error reply.
+An executed result is converted once
+(:func:`~repro.experiments.cache.encode_result`): the one ``to_dict``
+payload feeds both its cache entry and the fetch memo.  ``fetch``
+serves the results this server published itself from memory: the last
+``FETCH_LRU_ENTRIES`` are kept as their reply JSON and their digest
+encoding (:func:`~repro.bench.smoke.digest_encoding`), which the reply
+and its digest splice, and one is used only while its cache file still
+exists, so a pruned result is still noticed and re-executed.  Every
+other result is read from the cache.  A watcher gets every event
+already queued in one write.  A request line longer than
+``MAX_REQUEST_BYTES``, or one that is not a JSON object, gets an error
+reply.
 """
 
 from __future__ import annotations
@@ -61,18 +68,26 @@ import json
 import os
 import time
 from collections import OrderedDict
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.bench.smoke import digest_encoding, digest_of_encodings
 from repro.campaign.journal import CampaignJournal
+from repro.campaign.pool import LoopPool
 from repro.campaign.spec import (
     CampaignSpec,
     CampaignSpecError,
     parse_campaign,
     point_from_descriptor,
 )
-from repro.experiments.cache import ResultCache, acquire
+from repro.experiments.cache import (
+    EncodedResult,
+    ResultCache,
+    acquire,
+    encode_result,
+    json_object,
+)
 from repro.experiments.runner import ExperimentPoint, execute_point
 from repro.obs import CounterSet
 
@@ -91,6 +106,18 @@ FETCH_LRU_ENTRIES = 128
 
 #: longest request line read; a longer one gets an error reply
 MAX_REQUEST_BYTES = 4 * 1024 * 1024
+
+
+def _line(payload: Dict) -> bytes:
+    """One protocol line: ``payload`` stamped with the protocol version."""
+    payload.setdefault("v", PROTOCOL_VERSION)
+    return json.dumps(payload).encode("utf-8") + b"\n"
+
+
+def _fetch_encodings(encoded: EncodedResult) -> Tuple[str, str]:
+    """What a fetch reply needs of one result: its JSON and its digest
+    encoding, each computed once."""
+    return encoded.text, digest_encoding(encoded.payload)
 
 
 @dataclass
@@ -162,9 +189,9 @@ class CampaignServer:
         #: pool slots in use: points handed to the pool, or following a
         #: peer's claim; at most ``POINTS_PER_WORKER * jobs``
         self._running = 0
-        #: fingerprint -> ``to_dict()`` of the results this server put,
-        #: least recently used first
-        self._published: "OrderedDict[str, Dict[str, object]]" = OrderedDict()
+        #: fingerprint -> (reply JSON, digest encoding) of the results
+        #: this server put, least recently used first
+        self._published: "OrderedDict[str, Tuple[str, str]]" = OrderedDict()
         self._executions: Set[asyncio.Future] = set()
         self._followers: Set[asyncio.Task] = set()
         self._stopping = asyncio.Event()
@@ -180,9 +207,10 @@ class CampaignServer:
         if self._owns_executor:
             # an injected execute_fn runs on threads (it need not pickle),
             # still ``jobs`` at a time
-            injected = self._execute is not execute_point
-            pool = ThreadPoolExecutor if injected else ProcessPoolExecutor
-            self._executor = pool(max_workers=self.jobs)
+            if self._execute is not execute_point:
+                self._executor = ThreadPoolExecutor(max_workers=self.jobs)
+            else:
+                self._executor = LoopPool(self.jobs, asyncio.get_running_loop())
         self._recover()
         self._server = await asyncio.start_server(
             self._handle_connection,
@@ -425,38 +453,40 @@ class CampaignServer:
         error = None
         try:
             result, seconds = future.result()
-            self.cache.put(task.point, result)
-            self._remember(task.fingerprint, result.to_dict())
+            encoded = encode_result(result)
+            self.cache.put(task.point, encoded)
+            self._remember(task.fingerprint, encoded)
             self.metrics.inc("exec_seconds", seconds)
         except (Exception, asyncio.CancelledError) as exc:
             error = exc
         self.cache.release(task.fingerprint)
         self._finish_point(task, "executed", error)
 
-    def _remember(self, fp: str, payload: Dict[str, object]) -> None:
-        """Keep a published result's payload for :meth:`_published_result`."""
-        self._published[fp] = payload
+    def _remember(self, fp: str, encoded: EncodedResult) -> None:
+        """Keep a published result's encodings for :meth:`_published_result`."""
+        self._published[fp] = _fetch_encodings(encoded)
         self._published.move_to_end(fp)
         if len(self._published) > FETCH_LRU_ENTRIES:
             self._published.popitem(last=False)
 
-    def _published_result(self, fp: str) -> Optional[Dict[str, object]]:
-        """The result payload of ``fp``, or None when it is not cached.
+    def _published_result(self, fp: str) -> Optional[Tuple[str, str]]:
+        """The (reply JSON, digest encoding) of ``fp``'s result, or None
+        when it is not cached.
 
-        A payload this server published comes from memory while its
+        A result this server published comes from memory while its
         cache file exists; any other is read from the cache.
         """
-        payload = self._published.get(fp)
-        if payload is not None:
+        encodings = self._published.get(fp)
+        if encodings is not None:
             try:
                 os.stat(self.cache.path_for(fp))
             except OSError:
                 del self._published[fp]  # pruned: the read below misses
             else:
                 self._published.move_to_end(fp)
-                return payload
+                return encodings
         result = self.cache.get_by_key(fp)
-        return None if result is None else result.to_dict()
+        return None if result is None else _fetch_encodings(encode_result(result))
 
     async def _follow(self, task: PointTask) -> None:
         """Wait out a peer process's claim: serve the result it publishes,
@@ -612,9 +642,9 @@ class CampaignServer:
             if not chunk or b"\n" in chunk:
                 return
 
-    async def _send(self, writer: asyncio.StreamWriter, payload: Dict) -> None:
-        payload.setdefault("v", PROTOCOL_VERSION)
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+    async def _send(self, writer: asyncio.StreamWriter, *payloads: Dict) -> None:
+        """Write ``payloads`` as lines in one write, then drain."""
+        writer.write(b"".join(map(_line, payloads)))
         await writer.drain()
 
     async def _op_ping(self, request, writer) -> None:
@@ -722,14 +752,14 @@ class CampaignServer:
                 },
             )
             return
-        results = []
+        results: List[Tuple[str, str]] = []
         missing = []
         for fp, label in campaign.points:
-            payload = self._published_result(fp)
-            if payload is None:
+            encodings = self._published_result(fp)
+            if encodings is None:
                 missing.append({"fingerprint": fp, "label": label})
             else:
-                results.append(payload)
+                results.append(encodings)
         if missing:
             # cached results were pruned after completion: demote the
             # campaign and re-enqueue from the journaled descriptors so a
@@ -762,18 +792,20 @@ class CampaignServer:
                 },
             )
             return
-        from repro.bench.smoke import results_digest
-
-        await self._send(
-            writer,
-            {
-                "ok": True,
-                "campaign": cid,
-                "points": len(results),
-                "results": results,
-                "digest": results_digest(results),
-            },
+        # json.dumps of the reply {"ok", "campaign", "points", "results",
+        # "digest", "v"}, with each result's kept encodings spliced in
+        reply = json_object(
+            (
+                ("ok", "true"),
+                ("campaign", json.dumps(cid)),
+                ("points", str(len(results))),
+                ("results", "[" + ", ".join(text for text, _ in results) + "]"),
+                ("digest", json.dumps(digest_of_encodings([d for _, d in results]))),
+                ("v", str(PROTOCOL_VERSION)),
+            )
         )
+        writer.write(reply.encode("utf-8") + b"\n")
+        await writer.drain()
 
     async def _op_watch(self, request, writer) -> None:
         campaign = await self._find_campaign(request, writer)
@@ -799,12 +831,16 @@ class CampaignServer:
                 )
                 return
             while True:
-                event = await queue.get()
-                await self._send(writer, event)
-                if event.get("event") == "campaign" and event.get("state") in (
-                    "complete",
-                ):
-                    return
+                # every event already queued goes out in one write, up to
+                # and including the campaign's completion
+                events = [await queue.get()]
+                while not queue.empty():
+                    events.append(queue.get_nowait())
+                for end, event in enumerate(events, 1):
+                    if event.get("event") == "campaign" and event.get("state") == "complete":
+                        await self._send(writer, *events[:end])
+                        return
+                await self._send(writer, *events)
         finally:
             try:
                 campaign.watchers.remove(queue)

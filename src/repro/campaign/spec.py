@@ -51,7 +51,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.cache import descriptor_fingerprint, point_descriptors
+from repro.experiments.cache import fingerprint
 from repro.experiments.runner import ExperimentPoint
 from repro.faults.config import FaultConfig, FlapWindow
 from repro.workloads.base import Scale
@@ -65,15 +65,17 @@ class CampaignSpecError(ValueError):
     """A campaign file that cannot be expanded into valid points."""
 
 
+#: named presets, one shared instance each (configs are frozen), so the
+#: points naming a preset share its encodings
 _SCALES = {
-    "tiny": Scale.tiny,
-    "small": Scale.small,
-    "default": Scale.default,
+    "tiny": Scale.tiny(),
+    "small": Scale.small(),
+    "default": Scale.default(),
 }
 
 _VARIANTS = {
-    "baseline": NetCrafterConfig.baseline,
-    "full": NetCrafterConfig.full,
+    "baseline": NetCrafterConfig.baseline(),
+    "full": NetCrafterConfig.full(),
 }
 
 
@@ -85,14 +87,14 @@ def _require_mapping(value, where: str) -> dict:
 
 def _build_scale(value, where: str) -> Scale:
     if value is None:
-        return Scale.small()
+        return _SCALES["small"]
     if isinstance(value, str):
-        factory = _SCALES.get(value)
-        if factory is None:
+        scale = _SCALES.get(value)
+        if scale is None:
             raise CampaignSpecError(
                 f"{where}: unknown scale {value!r} (one of: {', '.join(sorted(_SCALES))})"
             )
-        return factory()
+        return scale
     fields = {f.name for f in dataclasses.fields(Scale)}
     mapping = _require_mapping(value, where)
     unknown = set(mapping) - fields
@@ -106,26 +108,26 @@ def _build_scale(value, where: str) -> Scale:
 
 def _build_netcrafter(value, where: str) -> NetCrafterConfig:
     if value is None:
-        return NetCrafterConfig.baseline()
+        return _VARIANTS["baseline"]
     if isinstance(value, str):
-        factory = _VARIANTS.get(value)
-        if factory is None:
+        preset = _VARIANTS.get(value)
+        if preset is None:
             raise CampaignSpecError(
                 f"{where}: unknown variant {value!r} "
                 f"(one of: {', '.join(sorted(_VARIANTS))}, or a field object)"
             )
-        return factory()
+        return preset
     mapping = dict(_require_mapping(value, where))
     base_name = mapping.pop("base", "baseline")
-    base_factory = _VARIANTS.get(base_name)
-    if base_factory is None:
+    base = _VARIANTS.get(base_name)
+    if base is None:
         raise CampaignSpecError(f"{where}: unknown variant base {base_name!r}")
     fields = {f.name for f in dataclasses.fields(NetCrafterConfig)}
     unknown = set(mapping) - fields
     if unknown:
         raise CampaignSpecError(f"{where}: unknown netcrafter fields {sorted(unknown)}")
     try:
-        return dataclasses.replace(base_factory(), **mapping)
+        return dataclasses.replace(base, **mapping)
     except (TypeError, ValueError) as exc:
         raise CampaignSpecError(f"{where}: {exc}") from exc
 
@@ -211,8 +213,9 @@ class CampaignSpec:
     #: fingerprint per point, aligned with ``points``
     fingerprints: Tuple[str, ...]
     #: :func:`~repro.experiments.cache.point_descriptor` per point, aligned
-    #: with ``points`` (computed once, with the fingerprint, for the journal;
-    #: points with equal configs share their dicts, so treat as read-only)
+    #: with ``points``: each point's memoized ``identity``, computed once
+    #: with its fingerprint (points holding the same config object share
+    #: its dict, so treat as read-only)
     descriptors: Tuple[Dict[str, object], ...] = field(compare=False)
 
     @property
@@ -250,15 +253,23 @@ def _expand_grid(grid: dict, where: str) -> List[ExperimentPoint]:
     topologies = grid.get("topologies") or [None]
     seeds = grid.get("seeds") or [0]
     scale = _build_scale(grid.get("scale"), f"{where}.scale")
+    # each variant's and topology's config is built once, on first use
+    # (so errors surface in the same order), and shared by its points
+    netcrafters: Dict[int, NetCrafterConfig] = {}
+    systems: Dict[int, Optional[SystemConfig]] = {}
     points = []
     for workload in workloads:
         _check_workload(workload, f"{where}.workloads")
-        for variant in variants:
-            netcrafter = _build_netcrafter(variant, f"{where}.variants")
-            for topology in topologies:
-                system = _build_system(
-                    grid.get("system"), grid.get("faults"), topology, where
-                )
+        for v, variant in enumerate(variants):
+            if v not in netcrafters:
+                netcrafters[v] = _build_netcrafter(variant, f"{where}.variants")
+            netcrafter = netcrafters[v]
+            for t, topology in enumerate(topologies):
+                if t not in systems:
+                    systems[t] = _build_system(
+                        grid.get("system"), grid.get("faults"), topology, where
+                    )
+                system = systems[t]
                 for seed in seeds:
                     points.append(
                         ExperimentPoint(
@@ -320,20 +331,15 @@ def parse_campaign(data: dict, default_name: str = "campaign") -> CampaignSpec:
     # duplicate points inside one campaign collapse to the first
     # occurrence: fetch order stays deterministic and the dedupe
     # guarantee starts at home
-    seen: Dict[str, Dict[str, object]] = {}
-    unique: List[ExperimentPoint] = []
-    for point, descriptor in zip(points, point_descriptors(points)):
-        fp = descriptor_fingerprint(descriptor)
-        if fp in seen:
-            continue
-        seen[fp] = descriptor
-        unique.append(point)
+    unique: Dict[str, ExperimentPoint] = {}
+    for point in points:
+        unique.setdefault(fingerprint(point), point)
     return CampaignSpec(
         name=name,
         priority=priority,
-        points=tuple(unique),
-        fingerprints=tuple(seen),
-        descriptors=tuple(seen.values()),
+        points=tuple(unique.values()),
+        fingerprints=tuple(unique),
+        descriptors=tuple(point.identity[0] for point in unique.values()),
     )
 
 

@@ -31,7 +31,9 @@ class SequencingPolicy:
     ) -> None:
         self.mode = mode
         self.data_priority_fraction = data_priority_fraction
-        self._rng = random.Random(seed)
+        # only DATA_MATCHED draws, and seeding a generator is about a
+        # third of an egress controller's construction
+        self._rng = random.Random(seed) if mode is PriorityMode.DATA_MATCHED else None
         self.prioritized_packets = 0
 
     @property

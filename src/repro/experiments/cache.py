@@ -47,8 +47,9 @@ import os
 import tempfile
 import time
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from repro.atomicio import TMP_SUFFIX, atomic_write_text, sweep_orphans
 from repro.stats.report import RunResult
@@ -90,43 +91,113 @@ def point_descriptor(point, config_dict: Callable = asdict) -> Dict[str, object]
     }
 
 
-def point_descriptors(points: Iterable) -> List[Dict[str, object]]:
-    """:func:`point_descriptor` of each of ``points``, converting each
-    distinct config once.
+#: the descriptor keys holding a config, each named after the point's
+#: attribute that holds it
+_CONFIG_KEYS = ("system", "netcrafter", "scale")
 
-    The points of one campaign share a handful of configs, and ``asdict``
-    deep-copies every nested field, so converting each config once makes
-    the descriptors several times cheaper.  Configs are matched by value
-    *and* ``repr``: ``1``, ``1.0`` and ``True`` compare equal but
-    serialize, and so fingerprint, differently.  A config with an
-    unhashable field is converted every time.  The memo lives for this
-    one call, and descriptors sharing a config share its dict, so treat
-    the descriptors as read-only.
+class _ConfigEncoding(NamedTuple):
+    """One config object converted once: its dict (read-only) and that
+    dict's JSON, with sorted keys and in field order."""
+
+    config: object
+    as_dict: Dict[str, object]
+    sorted_json: str
+    json: str
+
+
+#: ``id(config)`` -> its :class:`_ConfigEncoding`.  Keyed by identity:
+#: configs are frozen, and equal configs whose fields differ in type
+#: (``1``, ``1.0``, ``True``) serialize differently.  Each entry holds
+#: its config, so no id is reused while the entry lives.
+_config_encodings: Dict[int, _ConfigEncoding] = {}
+_CONFIG_ENCODINGS_MAX = 256
+
+
+def _config_encoding(config) -> _ConfigEncoding:
+    entry = _config_encodings.get(id(config))
+    if entry is None or entry.config is not config:
+        as_dict = asdict(config)
+        if len(_config_encodings) >= _CONFIG_ENCODINGS_MAX:
+            _config_encodings.clear()
+        entry = _config_encodings[id(config)] = _ConfigEncoding(
+            config,
+            as_dict,
+            json.dumps(as_dict, sort_keys=True, default=_json_default),
+            json.dumps(as_dict, default=_json_default),
+        )
+    return entry
+
+
+def json_object(items: Iterable[Tuple[str, str]]) -> str:
+    """The JSON object of ``(key, encoded value)`` pairs, in order: what
+    ``json.dumps`` gives for a dict of those items with the default
+    separators, so already encoded values are spliced, not re-encoded."""
+    return "{" + ", ".join(f"{encode_basestring_ascii(key)}: {text}" for key, text in items) + "}"
+
+
+def _scalar_json(value: object) -> str:
+    """``json.dumps(value, default=_json_default)``, without its set-up
+    for the strings and ints a descriptor holds."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value, default=_json_default)
+
+
+def _descriptor_json(point, descriptor: Dict[str, object], sort_keys: bool) -> str:
+    """``json.dumps(descriptor, sort_keys=sort_keys, default=_json_default)``
+    for ``point``'s descriptor, spliced from its configs' encodings."""
+    def value_json(key: str) -> str:
+        if key not in _CONFIG_KEYS:
+            return _scalar_json(descriptor[key])
+        encoding = _config_encoding(getattr(point, key))
+        return encoding.sorted_json if sort_keys else encoding.json
+
+    return json_object(
+        (key, value_json(key)) for key in (sorted(descriptor) if sort_keys else descriptor)
+    )
+
+
+def point_identity(point) -> Tuple[Dict[str, object], str]:
+    """``(descriptor, fingerprint)`` of a normalized point.
+
+    The descriptor is :func:`point_descriptor`'s content, its configs'
+    dicts shared with every point holding the same config object (treat
+    it as read-only).  The fingerprint is the sha256 of
+    ``json.dumps(descriptor, sort_keys=True, default=_json_default)``,
+    composed from each config's sorted-key encoding: a sorted-key object
+    is its sorted items, and a nested object encodes the same on its own.
+    :class:`~repro.experiments.runner.ExperimentPoint` memoizes this as
+    ``point.identity``; call :func:`fingerprint` instead.
     """
-    memo: Dict[Tuple[object, str], Dict[str, object]] = {}
-
-    def config_dict(config) -> Dict[str, object]:
-        key = (config, repr(config))
-        try:
-            cached = memo.get(key)
-        except TypeError:
-            return asdict(config)
-        if cached is None:
-            cached = memo[key] = asdict(config)
-        return cached
-
-    return [point_descriptor(point, config_dict) for point in points]
-
-
-def descriptor_fingerprint(descriptor: Dict[str, object]) -> str:
-    """The fingerprint of an already computed :func:`point_descriptor`."""
-    blob = json.dumps(descriptor, sort_keys=True, default=_json_default)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    descriptor = point_descriptor(point, lambda config: _config_encoding(config).as_dict)
+    blob = _descriptor_json(point, descriptor, sort_keys=True)
+    return descriptor, hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def fingerprint(point) -> str:
-    """Stable content hash identifying one experiment point."""
-    return descriptor_fingerprint(point_descriptor(point))
+    """Stable content hash identifying one experiment point: the one
+    fingerprint the campaign spec, the cache and the runner use,
+    computed once per point (:func:`point_identity`)."""
+    return point.identity[1]
+
+
+class EncodedResult(NamedTuple):
+    """A run result converted once: its :meth:`RunResult.to_dict` payload
+    and that payload's JSON text, as a cache entry stores it."""
+
+    payload: Dict[str, object]
+    text: str
+
+
+def encode_result(result) -> EncodedResult:
+    """``result`` (a :class:`RunResult`) converted once; an
+    :class:`EncodedResult` is returned as it is."""
+    if isinstance(result, EncodedResult):
+        return result
+    payload = result.to_dict()
+    return EncodedResult(payload, json.dumps(payload, default=_json_default))
 
 
 def default_cache_dir() -> str:
@@ -150,7 +221,11 @@ class ResultCache:
         self.swept_orphans = sweep_orphans(self.root)
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._entry_file(key))
+
+    def _entry_file(self, key: str) -> str:
+        # a string path: an entry read (misses included) needs no pathlib
+        return os.path.join(self.root, key[:2], key + ".json")
 
     @property
     def quarantine_dir(self) -> Path:
@@ -188,16 +263,17 @@ class ResultCache:
         The campaign journal records fingerprints, not full point
         objects, so restart recovery looks results up by key directly.
         """
-        path = self.path_for(key)
+        path = self._entry_file(key)
         try:
-            payload = json.loads(path.read_text())
+            with open(path, "rb") as handle:
+                payload = json.loads(handle.read())
             result = RunResult.from_dict(payload["result"])
         except FileNotFoundError:
             self.misses += 1
             return None
         except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
-            self._quarantine(path)
+            self._quarantine(Path(path))
             return None
         self.hits += 1
         return result
@@ -209,13 +285,21 @@ class ResultCache:
         ``os.replace`` could still surface a truncated entry once the
         page cache is lost, and :meth:`get`'s corruption recovery only
         helps when the torn file fails to parse.  The entry's key is the
-        hash of the descriptor it stores, computed once.
+        hash of the descriptor it stores, both read from the point
+        (:attr:`~repro.experiments.runner.ExperimentPoint.identity`).
+        ``result`` is a :class:`RunResult`, or the :class:`EncodedResult`
+        of one when the caller keeps the encoding too.  The entry's bytes
+        are ``json.dumps({"key", "point", "result"}, default=...)``.
         """
-        descriptor = point_descriptor(point)
-        key = descriptor_fingerprint(descriptor)
-        path = self.path_for(key)
-        payload = {"key": key, "point": descriptor, "result": result.to_dict()}
-        atomic_write_text(path, json.dumps(payload, default=_json_default))
+        descriptor, key = point.identity
+        entry = json_object(
+            (
+                ("key", json.dumps(key)),
+                ("point", _descriptor_json(point, descriptor, sort_keys=False)),
+                ("result", encode_result(result).text),
+            )
+        )
+        atomic_write_text(self.path_for(key), entry)
         self.writes += 1
 
     # -- in-flight execution claims -----------------------------------------

@@ -33,12 +33,13 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.core.config import NetCrafterConfig
-from repro.experiments.cache import ResultCache, acquire, fingerprint
+from repro.experiments.cache import ResultCache, acquire, fingerprint, point_identity
 from repro.gpu.cta import WorkloadTrace
 from repro.obs import Observability
 from repro.shard.build import ShardingOptions, build_node
@@ -92,13 +93,22 @@ class ExperimentScale:
         return cls.standard()
 
 
+#: the configs a point leaving one out normalizes to.  Shared (configs
+#: are frozen), so such points share their configs' encodings too.
+_DEFAULT_SYSTEM = SystemConfig.default()
+_DEFAULT_NETCRAFTER = NetCrafterConfig.baseline()
+_DEFAULT_SCALE = Scale.small()
+
+
 @dataclass(frozen=True)
 class ExperimentPoint:
     """One independent simulation point: a (workload, configuration) tuple.
 
     ``None`` config fields mean "the default"; :meth:`normalized` fills
     them in, so equal normalized points are equal (and hash equal): a
-    normalized point is its own in-process memo key.
+    normalized point is its own in-process memo key.  A normalized
+    point's cache descriptor and fingerprint (:attr:`identity`) are
+    computed once and kept on it; pickling leaves them behind.
     """
 
     workload: str
@@ -108,7 +118,7 @@ class ExperimentPoint:
     seed: int = 0
 
     def normalized(self, ctx: Optional["RunContext"] = None) -> "ExperimentPoint":
-        system = self.system or SystemConfig.default()
+        system = self.system or _DEFAULT_SYSTEM
         overrides = (_installed if ctx is None else ctx).system_overrides
         if overrides:
             # the context's topology/bandwidth overrides (the CLI's
@@ -125,13 +135,27 @@ class ExperimentPoint:
         return ExperimentPoint(
             workload=self.workload,
             system=system,
-            netcrafter=self.netcrafter or NetCrafterConfig.baseline(),
-            scale=self.scale or Scale.small(),
+            netcrafter=self.netcrafter or _DEFAULT_NETCRAFTER,
+            scale=self.scale or _DEFAULT_SCALE,
             seed=self.seed,
         )
 
     def label(self) -> str:
         return f"{self.workload}/seed{self.seed}"
+
+    @cached_property
+    def identity(self) -> Tuple[Dict[str, object], str]:
+        """``(descriptor, fingerprint)`` of this normalized point
+        (:func:`~repro.experiments.cache.point_identity`), computed once:
+        the point is frozen."""
+        return point_identity(self)
+
+    def __getstate__(self) -> Dict[str, object]:
+        # pool workers need the fields only; the identity is recomputed
+        # on demand
+        state = dict(self.__dict__)
+        state.pop("identity", None)
+        return state
 
 
 @dataclass

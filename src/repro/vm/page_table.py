@@ -80,6 +80,38 @@ class PageTable:
             node = child
         node.entries[indices[LEVELS - 1]] = paddr
 
+    def map_first(self, vpn: int, gpu: int) -> int:
+        """The physical page address of ``vpn``, first mapping it to a new
+        frame on ``gpu`` if it has none, in one radix descent.
+
+        Equivalent to :meth:`translate_vpn` followed, on a miss, by
+        allocating the data frame and :meth:`map` with ``gpu`` as the
+        leaf hint: the data frame is allocated before any node the
+        mapping creates, as there.
+        """
+        node = self.root
+        level = 1
+        while level < LEVELS:
+            child = node.children.get((vpn >> (BITS_PER_LEVEL * (LEVELS - level))) & INDEX_MASK)
+            if child is None:
+                break
+            node = child
+            level += 1
+        else:
+            paddr = node.entries.get(vpn & INDEX_MASK)
+            if paddr is not None:
+                return paddr
+        paddr = self.address_space.alloc_frame(gpu)
+        while level < LEVELS:
+            index = (vpn >> (BITS_PER_LEVEL * (LEVELS - level))) & INDEX_MASK
+            level += 1
+            child = self._new_node(level=level, gpu=gpu if level == LEVELS else self.root_gpu)
+            node.children[index] = child
+            self.nodes_created += 1
+            node = child
+        node.entries[vpn & INDEX_MASK] = paddr
+        return paddr
+
     def translate_vpn(self, vpn: int) -> Optional[int]:
         """Functional lookup (no timing): physical page address or None."""
         indices = split_vpn(vpn)

@@ -61,9 +61,4 @@ class LaspPlacement:
         the enclosing 2 MB region is co-located with the first page mapped
         in that region (the paper's LASP extension).
         """
-        existing = self.page_table.translate_vpn(vpn)
-        if existing is not None:
-            return existing
-        paddr = self.address_space.alloc_frame(owner_gpu)
-        self.page_table.map(vpn, paddr, leaf_owner_hint=owner_gpu)
-        return paddr
+        return self.page_table.map_first(vpn, owner_gpu)

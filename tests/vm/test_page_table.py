@@ -123,3 +123,34 @@ def test_many_mappings_translate_back(vpns):
         path, walked = pt.walk(vpn)
         assert len(path) == LEVELS
         assert walked == paddr
+
+
+def _map_first_reference(pt, vpn, gpu):
+    """What ``map_first`` replaces: a lookup, then on a miss a data frame
+    and a :meth:`PageTable.map` with ``gpu`` as the leaf hint."""
+    existing = pt.translate_vpn(vpn)
+    if existing is not None:
+        return existing
+    paddr = pt.address_space.alloc_frame(gpu)
+    pt.map(vpn, paddr, leaf_owner_hint=gpu)
+    return paddr
+
+
+@given(
+    maps=st.lists(
+        st.tuples(st.integers(0, 2**36 - 1), st.integers(0, 3)), min_size=1, max_size=40
+    ),
+    nearby=st.booleans(),
+)
+def test_map_first_is_lookup_then_map(maps, nearby):
+    if nearby:
+        # share interior and leaf nodes, repeats included
+        maps = [(vpn % 2048, gpu) for vpn, gpu in maps]
+    fast, reference = _pt(), _pt()
+    for vpn, gpu in maps:
+        assert fast.map_first(vpn, gpu) == _map_first_reference(reference, vpn, gpu)
+    assert fast.nodes_created == reference.nodes_created
+    assert fast.address_space._next_frame == reference.address_space._next_frame
+    for vpn, _ in maps:
+        assert fast.walk(vpn) == reference.walk(vpn)
+        assert fast.leaf_node(vpn).gpu == reference.leaf_node(vpn).gpu
